@@ -26,8 +26,8 @@ import json
 import re
 import sys
 
-from .errors import ParseError, PayloadError, ToolkitError
-from .kernel import Matrix, Rationals, Tensor2, field_make
+from .errors import FieldError, ParseError, PayloadError, ToolkitError
+from .kernel import Matrix, Tensor2, field_make, same_field
 from .identities import known_tags
 from .structures import (Algebra, BilinearForm, Coalgebra, LieAlgebra,
                          LieCoalgebra, check_axioms, commutator, cocommutator,
@@ -676,24 +676,25 @@ def main(argv=None):
 
 
 def _reduce(obj, field):
-    """Re-express a workspace object over another field (integral entries)."""
-    if isinstance(obj, _Multiplicative):
-        table = [[[_reduce_scalar(c, field) for c in cell] for cell in row]
-                 for row in obj.table]
-        return type(obj)(field, table, basis=obj.basis, raw=True)
-    if isinstance(obj, _Comultiplicative):
-        table = [[[_reduce_scalar(obj.table[i][j][k], field)
-                   for k in range(obj.dim)] for j in range(obj.dim)]
-                 for i in range(obj.dim)]
-        return type(obj)(field, table, basis=obj.basis, raw=True)
-    raise PayloadError("search carrier must be a structure")
+    """Re-express a workspace structure over the search field GF(p): a Q
+    structure is reduced mod p; a GF(q) one must have q = p."""
+    if not isinstance(obj, (_Multiplicative, _Comultiplicative)):
+        raise PayloadError("search carrier must be a structure")
+    if not field.modulus:
+        raise FieldError(f"search needs a prime field, got {field!r}")
+    if obj.field.modulus:
+        same_field(obj.field, field)
+        return obj
+    table = [[[_reduce_scalar(c, field) for c in cell] for cell in row]
+             for row in obj.table]
+    return type(obj)(field, table, basis=obj.basis, raw=True)
 
 
 def _reduce_scalar(c, field):
-    if isinstance(field, Rationals):
-        return c
-    num, den = c.numerator, c.denominator
-    return field.of(num, den)
+    if c.denominator % field.modulus == 0:
+        raise FieldError(f"coefficient {c} has no value in {field!r}: "
+                         f"its denominator is divisible by {field.modulus}")
+    return field.of(c.numerator, c.denominator)
 
 
 def export_hits(job, hits):

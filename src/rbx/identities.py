@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
-from .kernel import Matrix, Tensor2, Tensor3
+from .kernel import Matrix, Tensor2, Tensor3, same_field
 from .report import Violation, make_report
 
 CATALOG: dict[str, "Identity"] = {}
@@ -61,13 +63,25 @@ class Ctx:
     """Attribute bag handed to identity term functions.
 
     `spaces` maps a space name (e.g. "A", "C", "M") to its basis labels;
-    identities quantify over the spaces they declare.
+    identities quantify over the spaces they declare.  `field` is the one
+    field of every datum that has one (tuples of data are looked into);
+    data over two different fields raise `FieldError`.
     """
 
     def __init__(self, spaces=None, **data):
         self.spaces = {k: tuple(v) for k, v in (spaces or {}).items()}
+        field = None
         for k, v in data.items():
             setattr(self, k, v)
+            for item in v if isinstance(v, tuple) else (v,):
+                f = getattr(item, "field", None)
+                if f is None:
+                    continue
+                if field is None:
+                    field = f
+                else:
+                    same_field(field, f)
+        self.field = field
 
 
 _FAULTS: dict[str, int] = {}
@@ -85,16 +99,23 @@ def seeded_fault(tag: str, term: int = 0):
         _FAULTS.pop(tag, None)
 
 
+def fault_open() -> bool:
+    """Whether a `seeded_fault` is open: verdicts computed now are not the
+    structure's own and must not be memoised or served from a memo."""
+    return bool(_FAULTS)
+
+
 def _neg(value):
     if isinstance(value, tuple):
         return tuple(-x for x in value)
     return -value
 
 
-def _add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+def _sum(terms):
+    """Sum of the summands: vectors entrywise, tensors and scalars by `+`."""
+    if isinstance(terms[0], tuple):
+        return tuple([reduce(add, col) for col in zip(*terms)])
+    return reduce(add, terms)
 
 
 def _is_zero(value):
@@ -129,20 +150,30 @@ def evaluate(tag: str, ctx: Ctx, idx: tuple[int, ...]):
     hit = _FAULTS.get(tag)
     if hit is not None and hit < len(terms):
         terms[hit] = _neg(terms[hit])
-    total = terms[0]
-    for t in terms[1:]:
-        total = _add(total, t)
-    return total
+    return _sum(terms)
+
+
+def _stored(value, field):
+    """A residual in stored form; over GF(p), summands built with the vector
+    helpers leave ints outside [0, p) (containers are always reduced)."""
+    if isinstance(value, tuple):
+        return field.reduce(value)
+    if isinstance(value, (Tensor2, Tensor3, Matrix)):
+        return value
+    return field.coerce(value)
 
 
 def run_identities(check: str, tags, ctx: Ctx, provenance=None):
     """Evaluate a tag list over all basis tuples; report every violation."""
+    field = ctx.field if ctx.field is not None and ctx.field.modulus else None
     violations = []
     for tag in tags:
         ident = CATALOG[tag]
         label_sets = [ctx.spaces[s] for s in ident.spaces]
         for idx in itertools.product(*(range(len(ls)) for ls in label_sets)):
             res = evaluate(tag, ctx, idx)
+            if field is not None:
+                res = _stored(res, field)
             if not _is_zero(res):
                 inputs = tuple(label_sets[k][i] for k, i in enumerate(idx))
                 violations.append(Violation(tag, inputs, _render(res)))

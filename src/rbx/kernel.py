@@ -2,17 +2,28 @@
 
 Conventions used throughout the toolkit:
 
-* scalars are `fractions.Fraction` over the rationals or `GFElement` over a
-  prime field -- arithmetic never rounds, equality is structural;
-* vectors are plain tuples of scalars;
+* a field handle fixes the stored form of its scalars: `fractions.Fraction`
+  over the rationals, plain ints in [0, p) over GF(p).  Matrices, tensors
+  and structure tables hold their entries in that form, and every kernel
+  operation reduces each output entry once, so arithmetic never rounds and
+  equality is structural;
+* `GFElement` is the public GF(p) scalar returned by `of`, `parse` and
+  `elements`; `coerce` turns it (or any int) into the stored int and
+  refuses a scalar of another field;
+* vectors are plain tuples of scalars.  The vector helpers (`vadd`, `vneg`,
+  ...) know no field and do not reduce, so over GF(p) they may return ints
+  outside [0, p); every matrix and structure operation accepts such
+  vectors and reduces what it returns;
 * a linear map is a square `Matrix` whose column j is the image of basis
   vector j, so map composition is matrix multiplication and applying a map
-  to a vector is `m.apply(v)`.
+  to a vector is `m.apply(v)`;
+* containers over different fields never combine: `FieldError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import FieldError
 
@@ -45,7 +56,10 @@ def is_prime(n: int) -> bool:
 
 
 class GFElement:
-    """Residue in GF(p).  Interoperates with int, never with Fraction."""
+    """Residue in GF(p).  Interoperates with int, never with Fraction.
+
+    It equals an int only when the int is its residue in [0, p), so that
+    equal values hash equal."""
 
     __slots__ = ("val", "p")
 
@@ -109,7 +123,7 @@ class GFElement:
         if isinstance(other, GFElement):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.p
+            return self.val == other
         return NotImplemented
 
     def __hash__(self):
@@ -119,17 +133,21 @@ class GFElement:
         return str(self.val)
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 class Rationals:
     """Handle for the rational field; scalars are `fractions.Fraction`."""
 
     char = 0
     modulus = None
+    stored = Fraction
 
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def of(self, num, den=1):
         return Fraction(num, den)
@@ -140,6 +158,13 @@ class Rationals:
         if isinstance(x, int):
             return Fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
+
+    def reduce(self, values) -> tuple:
+        """The values as a tuple of stored scalars."""
+        return tuple([x if type(x) is Fraction else self.coerce(x) for x in values])
+
+    def div(self, a, b):
+        return a / b
 
     def parse(self, text: str):
         try:
@@ -161,7 +186,9 @@ class Rationals:
 
 
 class PrimeField:
-    """Handle for GF(p), p prime."""
+    """Handle for GF(p), p prime; stored scalars are ints in [0, p)."""
+
+    stored = int
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -170,23 +197,36 @@ class PrimeField:
         self.char = p
 
     def zero(self):
-        return GFElement(0, self.modulus)
+        return 0
 
     def one(self):
-        return GFElement(1, self.modulus)
+        return 1
 
     def of(self, num, den=1):
         x = GFElement(num, self.modulus)
         return x if den == 1 else x / GFElement(den, self.modulus)
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.modulus
         if isinstance(x, GFElement):
             if x.p != self.modulus:
                 raise FieldError(f"GF({x.p}) element in GF({self.modulus}) context")
-            return x
+            return x.val
         if isinstance(x, int):
-            return GFElement(x, self.modulus)
+            return int(x) % self.modulus
         raise FieldError(f"cannot coerce {x!r} into GF({self.modulus})")
+
+    def reduce(self, values) -> tuple:
+        """The values as a tuple of stored scalars: ints reduced mod p."""
+        p = self.modulus
+        return tuple([x % p if type(x) is int else self.coerce(x) for x in values])
+
+    def div(self, a, b):
+        b %= self.modulus
+        if b == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
+        return a * pow(b, -1, self.modulus) % self.modulus
 
     def parse(self, text: str):
         try:
@@ -227,13 +267,27 @@ def field_make(spec: str):
     raise FieldError(f"bad field spec {spec!r}")
 
 
+def same_field(a, b):
+    """Refuse to combine data over two different fields."""
+    if a is not b and a != b:
+        raise FieldError(f"mixing {a!r} with {b!r}")
+
+
+def reduce_entries(field, out) -> tuple:
+    """Output entries of a kernel operation on stored scalars, reduced."""
+    p = field.modulus
+    return tuple([x % p for x in out]) if p else tuple(out)
+
+
+def nonzero_terms(field, v):
+    """(index, stored scalar) for each nonzero entry of a vector; a scalar
+    of another field raises `FieldError`."""
+    stored, coerce = field.stored, field.coerce
+    return [(j, x if type(x) is stored else coerce(x)) for j, x in enumerate(v) if x]
+
+
 # ---------------------------------------------------------------------------
 # vectors (plain tuples)
-
-def vzero(field, n):
-    z = field.zero()
-    return (z,) * n
-
 
 def bv(field, n, i):
     """Basis vector e_i."""
@@ -258,6 +312,7 @@ def vscale(c, u):
 
 
 def vec_is_zero(u):
+    """Zero test for a vector of stored (reduced) scalars."""
     return not any(u)
 
 
@@ -270,13 +325,23 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, rows, cols, entries):
-        entries = tuple(field.coerce(x) for x in entries)
+        entries = field.reduce(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         self.field = field
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @classmethod
+    def _make(cls, field, rows, cols, entries):
+        """Trusted constructor: `entries` is already a tuple of stored scalars."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -293,12 +358,13 @@ class Matrix:
     @classmethod
     def zero(cls, field, n, m=None):
         m = n if m is None else m
-        return cls(field, n, m, [field.zero()] * (n * m))
+        return cls._make(field, n, m, (field.zero(),) * (n * m))
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
-        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls._make(field, n, n, tuple(o if i == j else z
+                                            for i in range(n) for j in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -308,59 +374,72 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def apply(self, v):
-        if len(v) != self.cols:
+        n = self.cols
+        if len(v) != n:
             raise ValueError("dimension mismatch in matrix application")
+        ent = self.entries
+        z = self.field.zero()
+        terms = nonzero_terms(self.field, v)
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = self.field.zero()
-            for j, x in enumerate(v):
-                if x:
-                    acc = acc + self.entries[base + j] * x
+        for base in range(0, self.rows * n, n):
+            acc = z
+            for j, x in terms:
+                acc = acc + ent[base + j] * x
             out.append(acc)
-        return tuple(out)
+        return reduce_entries(self.field, out)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.cols != other.rows:
+        same_field(self.field, other.field)
+        k, m = self.cols, other.cols
+        if k != other.rows:
             raise ValueError("dimension mismatch in matrix product")
+        a, b = self.entries, other.entries
         z = self.field.zero()
+        bcols = [b[j::m] for j in range(m)]
         out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
+        for base in range(0, self.rows * k, k):
+            row = a[base:base + k]
+            for col in bcols:
                 acc = z
-                for k in range(self.cols):
-                    a = self.entries[i * self.cols + k]
-                    if a:
-                        acc = acc + a * other.entries[k * other.cols + j]
+                for x, y in zip(row, col):
+                    if x:
+                        acc = acc + x * y
                 out.append(acc)
-        return Matrix(self.field, self.rows, other.cols, out)
+        return Matrix._make(self.field, self.rows, m, reduce_entries(self.field, out))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
+        same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        out = list(map(op, self.entries, other.entries))
+        return Matrix._make(self.field, self.rows, self.cols, reduce_entries(self.field, out))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._make(self.field, self.rows, self.cols,
+                            reduce_entries(self.field, [-a for a in self.entries]))
 
     def scale(self, c):
-        return Matrix(self.field, self.rows, self.cols, [c * a for a in self.entries])
+        c = self.field.coerce(c)
+        return Matrix._make(self.field, self.rows, self.cols,
+                            reduce_entries(self.field, [c * a for a in self.entries]))
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        ent, n = self.entries, self.cols
+        return Matrix._make(self.field, n, self.rows,
+                            tuple(x for j in range(n) for x in ent[j::n]))
 
     def is_zero(self):
         return not any(self.entries)
@@ -368,41 +447,43 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
+        F = self.field
         n = self.rows
         work = [list(self.row(i)) for i in range(n)]
-        result = self.field.one()
+        result = F.one()
         for c in range(n):
             pivot = next((r for r in range(c, n) if work[r][c]), None)
             if pivot is None:
-                return self.field.zero()
+                return F.zero()
             if pivot != c:
                 work[c], work[pivot] = work[pivot], work[c]
                 result = -result
             pv = work[c][c]
             result = result * pv
             for r in range(c + 1, n):
-                f = work[r][c] / pv
+                f = F.div(work[r][c], pv)
                 if f:
-                    work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-        return result
+                    work[r] = F.reduce([a - f * b for a, b in zip(work[r], work[c])])
+        return F.coerce(result)
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
+        F = self.field
         n = self.rows
-        work = [list(self.row(i)) + list(bv(self.field, n, i)) for i in range(n)]
+        work = [list(self.row(i)) + list(bv(F, n, i)) for i in range(n)]
         for c in range(n):
             pivot = next((r for r in range(c, n) if work[r][c]), None)
             if pivot is None:
                 raise ZeroDivisionError("matrix is singular")
             work[c], work[pivot] = work[pivot], work[c]
             pv = work[c][c]
-            work[c] = [a / pv for a in work[c]]
+            work[c] = [F.div(a, pv) for a in work[c]]
             for r in range(n):
                 if r != c and work[r][c]:
                     f = work[r][c]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-        return Matrix.from_rows(self.field, [row[n:] for row in work])
+                    work[r] = F.reduce([a - f * b for a, b in zip(work[r], work[c])])
+        return Matrix.from_rows(F, [row[n:] for row in work])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -422,20 +503,21 @@ def det(m: Matrix):
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
+    same_field(a.field, b.field)
     n, m = a.rows, b.rows
-    out = Matrix.zero(a.field, n + m, n + m)
-    ent = list(out.entries)
+    ent = list(Matrix.zero(a.field, n + m, n + m).entries)
     for i in range(n):
         for j in range(n):
             ent[i * (n + m) + j] = a[i, j]
     for i in range(m):
         for j in range(m):
             ent[(n + i) * (n + m) + (n + j)] = b[i, j]
-    return Matrix(a.field, n + m, n + m, ent)
+    return Matrix._make(a.field, n + m, n + m, tuple(ent))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; with row-major vec(f), kron(a, I) represents f -> a @ f."""
+    same_field(a.field, b.field)
     rows, cols = a.rows * b.rows, a.cols * b.cols
     ent = []
     for i in range(rows):
@@ -443,7 +525,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for j in range(cols):
             aj, bj = divmod(j, b.cols)
             ent.append(a[ai, aj] * b[bi, bj])
-    return Matrix(a.field, rows, cols, ent)
+    return Matrix._make(a.field, rows, cols, reduce_entries(a.field, ent))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +537,7 @@ class Tensor2:
     __slots__ = ("field", "dim", "entries")
 
     def __init__(self, field, dim, entries):
-        entries = tuple(field.coerce(x) for x in entries)
+        entries = field.reduce(entries)
         if len(entries) != dim * dim:
             raise ValueError("tensor entry count mismatch")
         self.field = field
@@ -463,8 +545,17 @@ class Tensor2:
         self.entries = entries
 
     @classmethod
+    def _make(cls, field, dim, entries):
+        """Trusted constructor: `entries` is already a tuple of stored scalars."""
+        t = object.__new__(cls)
+        t.field = field
+        t.dim = dim
+        t.entries = entries
+        return t
+
+    @classmethod
     def zero(cls, field, dim):
-        return cls(field, dim, [field.zero()] * (dim * dim))
+        return cls._make(field, dim, (field.zero(),) * (dim * dim))
 
     @classmethod
     def from_grid(cls, field, grid):
@@ -482,23 +573,31 @@ class Tensor2:
         i, j = ij
         return self.entries[i * self.dim + j]
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Tensor2) or other.dim != self.dim:
             return NotImplemented
-        return Tensor2(self.field, self.dim, [a + b for a, b in zip(self.entries, other.entries)])
+        same_field(self.field, other.field)
+        out = list(map(op, self.entries, other.entries))
+        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return Tensor2(self.field, self.dim, [-a for a in self.entries])
+        out = [-a for a in self.entries]
+        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
 
     def scale(self, c):
-        return Tensor2(self.field, self.dim, [c * a for a in self.entries])
+        c = self.field.coerce(c)
+        return Tensor2._make(self.field, self.dim,
+                             reduce_entries(self.field, [c * a for a in self.entries]))
 
     def flip(self):
-        d = self.dim
-        return Tensor2(self.field, d, [self.entries[j * d + i] for i in range(d) for j in range(d)])
+        ent, d = self.entries, self.dim
+        return Tensor2._make(self.field, d, tuple(x for j in range(d) for x in ent[j::d]))
 
     def is_zero(self):
         return not any(self.entries)
@@ -511,7 +610,7 @@ class Tensor2:
 
     def as_map(self) -> Matrix:
         """Read the grid as a map from the dual space: e_i* maps to sum_j t[i][j] e_j."""
-        return Matrix(self.field, self.dim, self.dim, self.entries).transpose()
+        return Matrix._make(self.field, self.dim, self.dim, self.entries).transpose()
 
     def __eq__(self, other):
         return (isinstance(other, Tensor2) and self.dim == other.dim
@@ -532,7 +631,7 @@ class Tensor3:
     __slots__ = ("field", "dim", "entries")
 
     def __init__(self, field, dim, entries):
-        entries = tuple(field.coerce(x) for x in entries)
+        entries = field.reduce(entries)
         if len(entries) != dim ** 3:
             raise ValueError("tensor entry count mismatch")
         self.field = field
@@ -540,23 +639,38 @@ class Tensor3:
         self.entries = entries
 
     @classmethod
+    def _make(cls, field, dim, entries):
+        """Trusted constructor: `entries` is already a tuple of stored scalars."""
+        t = object.__new__(cls)
+        t.field = field
+        t.dim = dim
+        t.entries = entries
+        return t
+
+    @classmethod
     def zero(cls, field, dim):
-        return cls(field, dim, [field.zero()] * dim ** 3)
+        return cls._make(field, dim, (field.zero(),) * dim ** 3)
 
     def __getitem__(self, ijk):
         i, j, k = ijk
         return self.entries[(i * self.dim + j) * self.dim + k]
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Tensor3) or other.dim != self.dim:
             return NotImplemented
-        return Tensor3(self.field, self.dim, [a + b for a, b in zip(self.entries, other.entries)])
+        same_field(self.field, other.field)
+        out = list(map(op, self.entries, other.entries))
+        return Tensor3._make(self.field, self.dim, reduce_entries(self.field, out))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return Tensor3(self.field, self.dim, [-a for a in self.entries])
+        out = [-a for a in self.entries]
+        return Tensor3._make(self.field, self.dim, reduce_entries(self.field, out))
 
     def permute(self, sigma):
         """Entry (i0,i1,i2) of the result is entry (i_sigma[0], i_sigma[1], i_sigma[2])."""
@@ -568,7 +682,7 @@ class Tensor3:
                     idx = (i0, i1, i2)
                     src = (idx[sigma[0]], idx[sigma[1]], idx[sigma[2]])
                     out.append(self[src])
-        return Tensor3(self.field, d, out)
+        return Tensor3._make(self.field, d, tuple(out))
 
     def is_zero(self):
         return not any(self.entries)
@@ -594,17 +708,38 @@ def flip(t: Tensor2) -> Tensor2:
 
 def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
     """Apply a map to one tensor leg: leg 1 gives (m (x) id)t, leg 2 gives (id (x) m)t."""
-    if m.rows != m.cols or m.rows != t.dim:
-        raise ValueError("dimension mismatch in leg application")
     d = t.dim
-    grid = Matrix(t.field, d, d, t.entries)
+    if m.rows != m.cols or m.rows != d:
+        raise ValueError("dimension mismatch in leg application")
+    same_field(t.field, m.field)
+    te, me = t.entries, m.entries
+    z = t.field.zero()
+    out = []
     if leg == 1:
-        out = m @ grid
+        # entry (a, b) is sum_u m[a, u] t[u, b]
+        tcols = [te[b::d] for b in range(d)]
+        for base in range(0, d * d, d):
+            mrow = me[base:base + d]
+            for tcol in tcols:
+                acc = z
+                for c, x in zip(mrow, tcol):
+                    if c:
+                        acc = acc + c * x
+                out.append(acc)
     elif leg == 2:
-        out = grid @ m.transpose()
+        # entry (a, b) is sum_v t[a, v] m[b, v]
+        mrows = [me[base:base + d] for base in range(0, d * d, d)]
+        for base in range(0, d * d, d):
+            trow = te[base:base + d]
+            for mrow in mrows:
+                acc = z
+                for x, c in zip(trow, mrow):
+                    if x:
+                        acc = acc + x * c
+                out.append(acc)
     else:
         raise ValueError("leg must be 1 or 2")
-    return Tensor2(t.field, d, out.entries)
+    return Tensor2._make(t.field, d, reduce_entries(t.field, out))
 
 
 def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:
@@ -612,6 +747,7 @@ def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:
         raise ValueError("dimension mismatch in leg application")
     if leg not in (1, 2, 3):
         raise ValueError("leg must be 1, 2 or 3")
+    same_field(t.field, m.field)
     d = t.dim
     z = t.field.zero()
     out = [z] * d ** 3
@@ -629,4 +765,4 @@ def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:
                         pos[leg - 1] = target
                         flat = (pos[0] * d + pos[1]) * d + pos[2]
                         out[flat] = out[flat] + c * x
-    return Tensor3(t.field, d, out)
+    return Tensor3._make(t.field, d, reduce_entries(t.field, out))

@@ -33,6 +33,10 @@ class Bimodule:
         self.adim = len(self.left)
         self.labels = tuple(labels) if labels else tuple(f"m{i}" for i in range(mdim))
 
+    @property
+    def field(self):
+        return self.left[0].field if self.left else None
+
     def act_left(self, avec, m):
         out = [self.left[0].field.zero()] * self.mdim
         for i, c in enumerate(avec):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetError, PayloadError
-from .kernel import Matrix, Tensor2
+from .errors import BudgetError, FieldError, PayloadError
+from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
 from .structures import check_axioms
 from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
@@ -87,20 +87,16 @@ def search_space(job: SearchJob) -> int:
 def _spec(job):
     if job.kind not in _KINDS:
         raise PayloadError(f"unknown search kind {job.kind!r}")
+    if not job.field.modulus:
+        raise FieldError(f"search needs a prime field, got {job.field!r}")
+    for s in (job.carrier, job.cocarrier):
+        if s is not None:
+            same_field(job.field, s.field)
     return _KINDS[job.kind]
 
 
 # ---------------------------------------------------------------------------
 # int-encoded carrier data and vector ops
-
-def _int_table(A):
-    return tuple(tuple(tuple(c.val for c in cell) for cell in row) for row in A.table)
-
-
-def _int_comult(C):
-    return tuple(tuple(tuple(C.table[i][j][k].val for k in range(C.dim))
-                       for j in range(C.dim)) for i in range(C.dim))
-
 
 def _vec_ops(mt, p):
     d = len(mt)
@@ -210,7 +206,7 @@ def _placement(mt, p, x, px, y, py):
 
 def _pred_algebra(job):
     p = job.field.modulus
-    mt = _int_table(job.carrier)
+    mt = job.carrier.table
     d = len(mt)
     mul, app = _vec_ops(mt, p)
     bas = _basis(d)
@@ -238,7 +234,7 @@ def _pred_algebra(job):
         return ok
 
     if kind == "rb_weight":
-        lam = job.field.coerce(job.weight).val
+        lam = job.field.coerce(job.weight)
 
         def ok(parts):
             (R,) = parts
@@ -304,7 +300,7 @@ def _pred_algebra(job):
 
 
 def _cols_of(m: Matrix):
-    return tuple(tuple(x.val for x in m.col(j)) for j in range(m.cols))
+    return tuple(m.col(j) for j in range(m.cols))
 
 
 def _grid_antisym(grid, p):
@@ -375,7 +371,7 @@ def _pred_ck(mt, p):
 def _pred_cosystem(job):
     p = job.field.modulus
     C = job.carrier
-    ct = _int_comult(C)
+    ct = C.table
     d = len(ct)
     kind = job.kind
 
@@ -414,7 +410,7 @@ def _pred_cosystem(job):
         return ok
 
     if kind == "rb_coalgebra_weight":
-        lam = job.field.coerce(job.weight).val
+        lam = job.field.coerce(job.weight)
 
         def ok(parts):
             (Q,) = parts
@@ -513,11 +509,9 @@ def _to_objects(job: SearchJob, parts):
     out = []
     for flavor, part in zip(comps, parts):
         if flavor == "map":
-            out.append(Matrix.from_cols(field, [[field.of(x) for x in col]
-                                                for col in part]))
+            out.append(Matrix.from_cols(field, part))
         else:
-            out.append(Tensor2(field, d, [field.of(part[a][b])
-                                          for a in range(d) for b in range(d)]))
+            out.append(Tensor2(field, d, [x for row in part for x in row]))
     return tuple(out)
 
 
@@ -526,8 +520,8 @@ def fast_predicate(job: SearchJob) -> Callable:
     _, flavor = _spec(job)
     if job.kind == "bisystem":
         p = job.field.modulus
-        mt = _int_table(job.carrier)
-        ct = _int_comult(job.cocarrier)
+        mt = job.carrier.table
+        ct = job.cocarrier.table
         srbs = _pred_algebra(replace(job, kind="symmetric_rbs"))
         cos = _pred_cosystem(SearchJob(job.field, job.cocarrier,
                                        "symmetric_rb_cosystem"))
@@ -609,8 +603,8 @@ def enumerate_hits(job: SearchJob) -> list[Hit]:
         hits.append(Hit(index, _to_objects(job, parts)))
 
     if job.kind == "bisystem":
-        mt = _int_table(job.carrier)
-        ct = _int_comult(job.cocarrier)
+        mt = job.carrier.table
+        ct = job.cocarrier.table
         if not check_axioms("asi_bialgebra", (job.carrier, job.cocarrier)).passed:
             return hits
         srbs = _pred_algebra(replace(job, kind="symmetric_rbs"))
@@ -657,10 +651,15 @@ def enumerate_hits(job: SearchJob) -> list[Hit]:
 
 
 def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) -> list[Hit]:
-    """All shards, merged in candidate order; shards may run in parallel."""
+    """All shards, merged in candidate order; shards may run in parallel on
+    at most `os.cpu_count()` worker processes."""
+    if shards < 1:
+        raise PayloadError(f"need at least one shard, got {shards}")
     jobs = [replace(job, shard=(k, shards)) for k in range(shards)]
-    if processes and processes > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(processes, shards)) as pool:
+    if processes:
+        processes = min(processes, shards, os.cpu_count() or 1)
+    if processes and processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(enumerate_hits, jobs))
     else:
         chunks = [enumerate_hits(j) for j in jobs]

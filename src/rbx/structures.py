@@ -14,27 +14,41 @@ exhaustive.
 from __future__ import annotations
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, bv, leg_apply, vadd, vneg, vsub,
-                     vzero)
-from .identities import Ctx, identity, run_groups
+from .kernel import (Matrix, Tensor2, Tensor3, bv, leg_apply, nonzero_terms,
+                     reduce_entries, vadd, vneg, vsub)
+from .identities import Ctx, fault_open, identity, run_groups
 from .report import Violation, make_report
 
 
-class _Multiplicative:
-    """Shared storage for a bilinear product given by structure constants."""
+class _Table:
+    """A dim x dim x dim table of structure constants in stored form, with
+    basis labels, cached basis vectors and the verdict memo of
+    `check_axioms`."""
 
-    def __init__(self, field, table, basis=None, raw=False):
+    def __init__(self, field, table, basis, what):
         self.field = field
         self.dim = len(table)
-        self.table = tuple(
-            tuple(tuple(field.coerce(x) for x in cell) for cell in row) for row in table
-        )
+        self.table = tuple(tuple(field.reduce(cell) for cell in row) for row in table)
         for row in self.table:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValueError("structure-constant table must be dim x dim x dim")
+                raise ValueError(f"{what} must be dim x dim x dim")
         self.basis = tuple(basis) if basis else tuple(f"e{i}" for i in range(self.dim))
         if len(self.basis) != self.dim:
             raise ValueError("basis label count mismatch")
+        self._basis_vectors = tuple(bv(field, self.dim, i) for i in range(self.dim))
+        self._axiom_memo = {}
+
+    def __getstate__(self):
+        # memo keys are ids of objects in this process, so a copy, or the
+        # structure unpickled in a worker process, starts with an empty memo
+        return {**self.__dict__, "_axiom_memo": {}}
+
+
+class _Multiplicative(_Table):
+    """Shared storage for a bilinear product given by structure constants."""
+
+    def __init__(self, field, table, basis=None, raw=False):
+        super().__init__(field, table, basis, "structure-constant table")
         self._left = None
         self._right = None
         if not raw:
@@ -48,21 +62,22 @@ class _Multiplicative:
         return self.table[i][j]
 
     def mul(self, x, y):
-        out = list(vzero(self.field, self.dim))
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+        F = self.field
+        out = [None] * self.dim  # None until a term lands: no additions to zero
+        ys = nonzero_terms(F, y)
+        for i, xi in nonzero_terms(F, x):
+            row = self.table[i]
+            for j, yj in ys:
                 c = xi * yj
-                for k, t in enumerate(self.table[i][j]):
+                for k, t in enumerate(row[j]):
                     if t:
-                        out[k] = out[k] + c * t
-        return tuple(out)
+                        o = out[k]
+                        out[k] = c * t if o is None else o + c * t
+        z = F.zero()
+        return reduce_entries(F, [z if o is None else o for o in out])
 
     def basis_vector(self, i):
-        return bv(self.field, self.dim, i)
+        return self._basis_vectors[i]
 
     def left_mult_basis(self, i) -> Matrix:
         if self._left is None:
@@ -82,19 +97,18 @@ class _Multiplicative:
 
     def left_mult(self, x) -> Matrix:
         """Matrix of y -> x . y."""
-        out = Matrix.zero(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.left_mult_basis(i).scale(xi)
-        return out
+        return self._mult_matrix(self.left_mult_basis, x)
 
     def right_mult(self, x) -> Matrix:
         """Matrix of y -> y . x."""
-        out = Matrix.zero(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.right_mult_basis(i).scale(xi)
-        return out
+        return self._mult_matrix(self.right_mult_basis, x)
+
+    def _mult_matrix(self, basis_matrix, x):
+        d = self.dim
+        out = [self.field.zero()] * (d * d)
+        for i, xi in nonzero_terms(self.field, x):
+            out = [a + xi * b for a, b in zip(out, basis_matrix(i).entries)]
+        return Matrix._make(self.field, d, d, reduce_entries(self.field, out))
 
     def is_commutative(self):
         return all(self.table[i][j] == self.table[j][i]
@@ -134,23 +148,13 @@ class LieAlgebra(_Multiplicative):
         return self.mul(x, y)
 
 
-class _Comultiplicative:
+class _Comultiplicative(_Table):
     """Shared storage for a comultiplication given by structure constants."""
 
     def __init__(self, field, table, basis=None, raw=False):
-        self.field = field
-        self.dim = len(table)
-        self.table = tuple(
-            tuple(tuple(field.coerce(x) for x in cell) for cell in row) for row in table
-        )
-        for row in self.table:
-            if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValueError("comultiplication table must be dim x dim x dim")
-        self.basis = tuple(basis) if basis else tuple(f"e{i}" for i in range(self.dim))
-        if len(self.basis) != self.dim:
-            raise ValueError("basis label count mismatch")
+        super().__init__(field, table, basis, "comultiplication table")
         self._deltas = tuple(
-            Tensor2(field, self.dim, [x for row in self.table[i] for x in row])
+            Tensor2._make(field, self.dim, tuple(x for row in self.table[i] for x in row))
             for i in range(self.dim)
         )
         if not raw:
@@ -163,11 +167,10 @@ class _Comultiplicative:
         return self._deltas[i]
 
     def delta(self, x) -> Tensor2:
-        out = Tensor2.zero(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self._deltas[i].scale(xi)
-        return out
+        out = [self.field.zero()] * (self.dim * self.dim)
+        for i, xi in nonzero_terms(self.field, x):
+            out = [a + xi * b for a, b in zip(out, self._deltas[i].entries)]
+        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
         """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
@@ -186,7 +189,7 @@ class _Comultiplicative:
                         if x:
                             flat = (a * d + b) * d + v
                             out[flat] = out[flat] + c * x
-        return Tensor3(self.field, d, out)
+        return Tensor3._make(self.field, d, reduce_entries(self.field, out))
 
     def coapply_second(self, t: Tensor2) -> Tensor3:
         """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v)."""
@@ -205,7 +208,7 @@ class _Comultiplicative:
                         if x:
                             flat = (u * d + a) * d + b
                             out[flat] = out[flat] + c * x
-        return Tensor3(self.field, d, out)
+        return Tensor3._make(self.field, d, reduce_entries(self.field, out))
 
     def is_cocommutative(self):
         return all(self._deltas[i].is_symmetric() for i in range(self.dim))
@@ -252,14 +255,13 @@ class BilinearForm:
         self.dim = gram.rows
 
     def value(self, x, y):
-        acc = self.field.zero()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    acc = acc + xi * self.gram[i, j] * yj
-        return acc
+        F = self.field
+        acc = F.zero()
+        ys = nonzero_terms(F, y)
+        for i, xi in nonzero_terms(F, x):
+            for j, yj in ys:
+                acc = acc + xi * self.gram[i, j] * yj
+        return F.coerce(acc)
 
     def is_symmetric(self):
         return self.gram == self.gram.transpose()
@@ -313,7 +315,7 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
                             pos[yfree - 1] = yf
                             flat = (pos[0] * d + pos[1]) * d + pos[2]
                             out[flat] = out[flat] + c * pk
-    return Tensor3(A.field, d, out)
+    return Tensor3._make(A.field, d, reduce_entries(A.field, out))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +415,8 @@ def _asi_1(ctx, idx):
     A, C = ctx.A, ctx.C
     da, db = C.delta_basis(i), C.delta_basis(j)
     return [C.delta(A.product(i, j)),
-            -leg_apply(da, A.right_mult(A.basis_vector(j)), 1),
-            -leg_apply(db, A.left_mult(A.basis_vector(i)), 2)]
+            -leg_apply(da, A.right_mult_basis(j), 1),
+            -leg_apply(db, A.left_mult_basis(i), 2)]
 
 
 @identity("de:cv#2", ("A", "A"))
@@ -422,10 +424,8 @@ def _asi_2(ctx, idx):
     i, j = idx
     A, C = ctx.A, ctx.C
     da, db = C.delta_basis(i), C.delta_basis(j)
-    La = A.left_mult(A.basis_vector(i))
-    Lb = A.left_mult(A.basis_vector(j))
-    Ra = A.right_mult(A.basis_vector(i))
-    Rb = A.right_mult(A.basis_vector(j))
+    La, Lb = A.left_mult_basis(i), A.left_mult_basis(j)
+    Ra, Rb = A.right_mult_basis(i), A.right_mult_basis(j)
     return [leg_apply(da, Rb, 2), leg_apply(db.flip(), Ra, 1),
             -leg_apply(da, Lb, 1), -leg_apply(db.flip(), La, 2)]
 
@@ -442,8 +442,7 @@ def _frob_inv(ctx, idx):
 def _lie_cocycle(ctx, idx):
     i, j = idx
     g, C = ctx.A, ctx.C
-    adi = g.left_mult(g.basis_vector(i))
-    adj = g.left_mult(g.basis_vector(j))
+    adi, adj = g.left_mult_basis(i), g.left_mult_basis(j)
     di, dj = C.delta_basis(i), C.delta_basis(j)
     return [C.delta(g.product(i, j)),
             -leg_apply(dj, adi, 1), -leg_apply(dj, adi, 2),
@@ -522,20 +521,18 @@ def _eta_of(ctx, vec):
 def _apre_hi1(ctx, idx):
     i, j = idx
     circ, theta, eta = ctx.circ, ctx.theta, ctx.eta
-    x, y = circ.basis_vector(i), circ.basis_vector(j)
     return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(j), circ.left_mult(x), 1),
-            leg_apply(theta.delta_basis(i), circ.right_mult(y), 2)]
+            -leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 1),
+            leg_apply(theta.delta_basis(i), circ.right_mult_basis(j), 2)]
 
 
 @identity("de:hi#2", ("A", "A"))
 def _apre_hi2(ctx, idx):
     i, j = idx
     circ, lt, eta = ctx.circ, ctx.lt, ctx.eta
-    x, y = circ.basis_vector(i), circ.basis_vector(j)
     return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(i), circ.right_mult(y), 2),
-            leg_apply(eta.delta_basis(j), lt.left_mult(x), 1)]
+            -leg_apply(eta.delta_basis(i), circ.right_mult_basis(j), 2),
+            leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 1)]
 
 
 @identity("de:hi#3", ("A", "A"))
@@ -545,20 +542,18 @@ def _apre_hi3(ctx, idx):
     # satisfies this variant identically)
     i, j = idx
     circ, theta, eta = ctx.circ, ctx.theta, ctx.eta
-    x, y = circ.basis_vector(i), circ.basis_vector(j)
     return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(j), circ.left_mult(x), 2),
-            leg_apply(theta.delta_basis(i), circ.left_mult(y), 1)]
+            -leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 2),
+            leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
 
 
 @identity("de:hi#4", ("A", "A"))
 def _apre_hi4(ctx, idx):
     i, j = idx
     lt, eta = ctx.lt, ctx.eta
-    x, y = lt.basis_vector(i), lt.basis_vector(j)
     return [eta.delta(lt.product(i, j)),
-            -leg_apply(eta.delta_basis(j), lt.left_mult(x), 2),
-            -leg_apply(eta.delta_basis(i), lt.left_mult(y), 2).flip()]
+            -leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 2),
+            -leg_apply(eta.delta_basis(i), lt.left_mult_basis(j), 2).flip()]
 
 
 @identity("de:hi#5", ("A", "A"))
@@ -572,10 +567,9 @@ def _apre_hi5(ctx, idx):
 def _apre_hi6(ctx, idx):
     i, j = idx
     circ, theta = ctx.circ, ctx.theta
-    x, y = circ.basis_vector(i), circ.basis_vector(j)
     return [theta.delta(circ.product(i, j)),
-            -leg_apply(theta.delta_basis(j), circ.left_mult(x), 2),
-            -leg_apply(theta.delta_basis(i), circ.left_mult(y), 1)]
+            -leg_apply(theta.delta_basis(j), circ.left_mult_basis(i), 2),
+            -leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
 
 
 @identity("de:hi#7", ("A", "A"))
@@ -591,10 +585,9 @@ def _apre_hi7(ctx, idx):
 def _derivation_terms(ctx, idx, dmap):
     i, j = idx
     A = ctx.A
-    x, y = A.basis_vector(i), A.basis_vector(j)
     return [dmap.delta(A.product(i, j)),
-            -leg_apply(dmap.delta_basis(i), A.right_mult(y), 2),
-            -leg_apply(dmap.delta_basis(j), A.left_mult(x), 1)]
+            -leg_apply(dmap.delta_basis(i), A.right_mult_basis(j), 2),
+            -leg_apply(dmap.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 @identity("de:1.1#deriv1", ("A", "A"))
@@ -611,20 +604,18 @@ def _cov_deriv2(ctx, idx):
 def _cov_1(ctx, idx):
     i, j = idx
     A = ctx.A
-    x, y = A.basis_vector(i), A.basis_vector(j)
     return [ctx.DT.delta(A.product(i, j)),
-            -leg_apply(ctx.d2.delta_basis(i), A.right_mult(y), 2),
-            -leg_apply(ctx.DT.delta_basis(j), A.left_mult(x), 1)]
+            -leg_apply(ctx.d2.delta_basis(i), A.right_mult_basis(j), 2),
+            -leg_apply(ctx.DT.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 @identity("de:1.1#cov2", ("A", "A"))
 def _cov_2(ctx, idx):
     i, j = idx
     A = ctx.A
-    x, y = A.basis_vector(i), A.basis_vector(j)
     return [ctx.DT.delta(A.product(i, j)),
-            -leg_apply(ctx.DT.delta_basis(i), A.right_mult(y), 2),
-            -leg_apply(ctx.d1.delta_basis(j), A.left_mult(x), 1)]
+            -leg_apply(ctx.DT.delta_basis(i), A.right_mult_basis(j), 2),
+            -leg_apply(ctx.d1.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +733,20 @@ def _axiom_groups(kind, payload):
 
 
 def check_axioms(kind, payload):
-    """Run the defining identities of one axiom kind; report every violation."""
+    """Run the defining identities of one axiom kind; report every violation.
+
+    Structures are immutable, so the verdict is memoised on the first
+    structure of the payload, keyed by the kind and the identity of the
+    other members.  The memo holds those members too, so their ids cannot
+    be reused while the entry lives, and it dies with the structure.  It is
+    neither read nor written while a seeded fault is open.
+    """
+    members = payload if isinstance(payload, tuple) else (payload,)
+    first = members[0] if members else None
+    memo = None if fault_open() else getattr(first, "_axiom_memo", None)
+    key = (kind,) + tuple(id(m) for m in members[1:])
+    if memo is not None and key in memo:
+        return memo[key][0]
     groups = _axiom_groups(kind, payload)
     rep = run_groups(f"axioms:{kind}", groups)
     if kind == "frobenius":
@@ -750,6 +754,8 @@ def check_axioms(kind, payload):
         if not B.is_nondegenerate():
             extra = (Violation("frobenius:nondegenerate", (), (str(B.gram.det()),)),)
             rep = make_report(rep.check, rep.violations + extra)
+    if memo is not None:
+        memo[key] = (rep, members[1:])
     return rep
 
 

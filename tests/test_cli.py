@@ -219,3 +219,51 @@ def test_all_report_tags_known():
         rep = run_check(ws, kind, names)
         for v in rep.all_violations():
             assert v.identity in known_tags()
+
+
+# `rbx search` input hardening: workspace field against search field
+
+GF3_A_SOURCE = FIX_A_SOURCE.replace("field Q", "field GF 3")
+
+
+def _search(tmp_path, capsys, source, field, *extra):
+    src = tmp_path / "ws.rbx"
+    src.write_text(source)
+    code = main(["search", "symmetric-rbs", "--carrier", "A", "--field", field,
+                 "-i", str(src), *extra])
+    captured = capsys.readouterr()
+    return code, captured
+
+
+def test_cli_search_gf_workspace_same_field(tmp_path, capsys):
+    code, out = _search(tmp_path, capsys, GF3_A_SOURCE, "GF3")
+    assert code == 0
+    gf_hits = json.loads(out.out)["hits"]
+    code, out = _search(tmp_path, capsys, FIX_A_SOURCE, "GF3")
+    assert code == 0
+    assert gf_hits == json.loads(out.out)["hits"] == 55
+
+
+def test_cli_search_gf_workspace_other_field_rejected(tmp_path, capsys):
+    code, out = _search(tmp_path, capsys, GF3_A_SOURCE, "GF5")
+    assert code == 2
+    assert "GF 3" in out.err and "GF 5" in out.err
+    code, out = _search(tmp_path, capsys, GF3_A_SOURCE, "Q")
+    assert code == 2
+    assert "error:" in out.err
+
+
+def test_cli_search_denominator_divisible_by_p_rejected(tmp_path, capsys):
+    source = FIX_A_SOURCE.replace("= 1 ", "= 1/3 ")  # fix_a with k = 1/3
+    code, out = _search(tmp_path, capsys, source, "GF3")
+    assert code == 2
+    assert "1/3" in out.err
+    code, out = _search(tmp_path, capsys, source, "GF5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_cli_search_rejects_bad_shard_count(tmp_path, capsys, shards):
+    code, out = _search(tmp_path, capsys, FIX_A_SOURCE, "GF3", "--shards", shards)
+    assert code == 2
+    assert "shard" in out.err

@@ -152,3 +152,108 @@ def test_flip_pure_tensor(QQ):
     ef = Tensor2.from_terms(QQ, 2, [(0, 1, 1)])
     fe = Tensor2.from_terms(QQ, 2, [(1, 0, 1)])
     assert ef.flip() == fe
+
+
+# GF(p) storage, field mixing at the container level, and the eq/hash
+# contract of the public GF(p) scalar
+
+def test_gf_entries_stored_as_reduced_ints():
+    F3 = PrimeField(3)
+    m = Matrix(F3, 2, 2, [F3.of(2), 4, -1, F3.of(1, 2)])
+    assert m.entries == (2, 1, 2, 2)
+    assert all(type(x) is int for x in m.entries)
+    assert all(type(x) is int for x in (m @ m).entries + (-m).entries)
+    t = leg_apply(Tensor2(F3, 2, [1, 2, 0, 1]), m, 2)
+    assert all(type(x) is int and 0 <= x < 3 for x in t.entries)
+    assert F3.coerce(F3.of(5)) == 2 and F3.coerce(-4) == 2
+
+
+def test_gf_coerce_refuses_other_fields():
+    F3 = PrimeField(3)
+    with pytest.raises(FieldError):
+        F3.coerce(GFElement(1, 5))
+    with pytest.raises(FieldError):
+        F3.coerce(Fraction(1, 2))
+    with pytest.raises(FieldError):
+        Rationals().coerce(GFElement(1, 3))
+
+
+def test_gf_vectors_with_public_scalars_are_unboxed():
+    F3 = PrimeField(3)
+    m = Matrix(F3, 2, 2, [1, 2, 2, 1])
+    assert m.apply((F3.of(1), F3.of(2))) == (2, 1) == m.apply((4, -1))
+    A = fx.fix_a(F3)
+    assert A.mul((F3.of(2), F3.of(2)), (0, F3.of(1))) == A.mul((2, 2), (0, 1))
+    with pytest.raises(FieldError):
+        m.apply((GFElement(1, 5), 0))
+    with pytest.raises(FieldError):
+        m.apply((Fraction(1, 2), 0))
+
+
+def _mixed_pairs():
+    F3, F5, QQ = PrimeField(3), PrimeField(5), Rationals()
+    return [(F3, F5), (F3, QQ), (QQ, F5)]
+
+
+@pytest.mark.parametrize("fa,fb", _mixed_pairs())
+def test_matrix_ops_reject_mixed_fields(fa, fb):
+    a, b = Matrix.identity(fa, 2), Matrix.identity(fb, 2)
+    with pytest.raises(FieldError):
+        a + b
+    with pytest.raises(FieldError):
+        a - b
+    with pytest.raises(FieldError):
+        a @ b
+
+
+@pytest.mark.parametrize("fa,fb", _mixed_pairs())
+def test_tensor_ops_reject_mixed_fields(fa, fb):
+    s, t = Tensor2(fa, 2, [1, 0, 0, 1]), Tensor2(fb, 2, [1, 0, 0, 1])
+    with pytest.raises(FieldError):
+        s + t
+    with pytest.raises(FieldError):
+        leg_apply(s, Matrix.identity(fb, 2), 1)
+    with pytest.raises(FieldError):
+        leg_apply(s, Matrix.identity(fb, 2), 2)
+
+
+@pytest.mark.parametrize("fa,fb", _mixed_pairs())
+def test_checker_contexts_reject_mixed_fields(fa, fb):
+    from rbx.identities import Ctx
+    from rbx.systems import OperatorSystem, check_operator_system
+    A = fx.fix_a(fa)
+    R = Matrix.identity(fb, 2)
+    with pytest.raises(FieldError):
+        Ctx({"A": A.basis}, A=A, R=R)
+    with pytest.raises(FieldError):
+        check_operator_system("symmetric_rbs", OperatorSystem(A, R, R))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_gf_element_eq_hash_contract(p, a, n):
+    x = GFElement(a, p)
+    assert (x == n) == (n == a % p)
+    assert (x == n) == (n == x)
+    if x == n:
+        assert hash(x) == hash(n)
+    y = GFElement(n, p)
+    assert (x == y) == ((a - n) % p == 0)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert len({x, y, x.val}) == (1 if x == y else 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+def test_gf_det_inverse(entries):
+    F5 = PrimeField(5)
+    m = Matrix(F5, 2, 2, entries)
+    d = det(m)
+    assert type(d) is int and d == (entries[0] * entries[3] - entries[1] * entries[2]) % 5
+    if d:
+        assert m @ m.inverse() == Matrix.identity(F5, 2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rbx import fixtures as fx
-from rbx.errors import BudgetError
+from rbx.errors import BudgetError, FieldError, ToolkitError
 from rbx.kernel import Matrix
 from rbx.search import (FamilySpec, SearchJob, cross_tabulate,
                         decode_candidate, enumerate_hits, fast_predicate,
@@ -147,3 +147,44 @@ def test_cross_tabulate_gf2(F2):
 def test_cross_tabulate_empty(F2):
     rows, unclassified = cross_tabulate([], fx.CEE_FAMILIES, F2)
     assert rows == [] and unclassified == []
+
+
+@pytest.mark.parametrize("shards", [0, -1])
+def test_run_search_rejects_bad_shard_count(F3, shards):
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs")
+    with pytest.raises(ToolkitError):
+        run_search(job, shards=shards)
+
+
+def test_run_search_caps_processes_at_cpu_count(F3, monkeypatch):
+    from rbx import search
+    layouts = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            layouts.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs")
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    hits = run_search(job, shards=8, processes=64)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    assert run_search(job, shards=8, processes=64) == hits
+    assert layouts == [2]  # one core: no pool at all
+    assert len(hits) == 55
+
+
+def test_search_job_field_must_match_carrier(F3, F5, QQ):
+    with pytest.raises(FieldError):
+        run_search(SearchJob(F5, fx.fix_a(F3), "symmetric_rbs"))
+    with pytest.raises(FieldError):
+        run_search(SearchJob(QQ, fx.fix_a(QQ), "symmetric_rbs"))

@@ -209,3 +209,67 @@ def test_lie_construction_rejects_bad_bracket(QQ):
     table = [[(o, z), (z, z)], [(z, z), (z, z)]]  # [e,e] = e breaks antisymmetry
     with pytest.raises(StructureError):
         LieAlgebra(QQ, table)
+
+
+# the verdict memo of check_axioms
+
+def test_axiom_memo_never_hides_a_seeded_fault(QQ):
+    from rbx.identities import seeded_fault
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    assert check_axioms("asi_bialgebra", (A, C)).passed   # memoised
+    assert check_axioms("asi_bialgebra", (A, C)).passed   # served from the memo
+    with seeded_fault("de:cv#1", 0):
+        assert not check_axioms("asi_bialgebra", (A, C)).passed
+    with seeded_fault("associativity", 0):
+        # memoised at construction time, and still re-checked under the fault
+        assert not check_axioms("associative", A).passed
+    other = fx.fix_c(QQ)
+    with seeded_fault("de:cv#1", 0):
+        assert not check_axioms("asi_bialgebra", (A, other)).passed
+    # verdicts computed under a fault were not memoised
+    assert check_axioms("asi_bialgebra", (A, C)).passed
+    assert check_axioms("asi_bialgebra", (A, other)).passed
+    assert check_axioms("associative", A).passed
+
+
+def test_axiom_memo_keyed_by_each_cocarrier(QQ):
+    import gc
+    A = fx.fix_a(QQ)
+    good, bad = fx.fix_c(QQ), fx.grouplike_coalgebra(QQ)
+    assert check_axioms("asi_bialgebra", (A, good)).passed
+    assert not check_axioms("asi_bialgebra", (A, bad)).passed
+    assert check_axioms("asi_bialgebra", (A, good)).passed
+    assert check_axioms("coassociative", bad).passed  # another kind, another key
+    # the memo holds the cocarriers it has seen, so their ids are never
+    # reused for another object while its entry lives
+    gone = id(good)
+    del good
+    gc.collect()
+    fresh = [type(bad)(QQ, bad.table, basis=bad.basis, raw=True) for _ in range(200)]
+    assert all(id(c) != gone for c in fresh)
+    assert not any(check_axioms("asi_bialgebra", (A, c)).passed for c in fresh)
+
+
+def test_axiom_memo_dies_with_its_structure(QQ):
+    import gc
+    import weakref
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    check_axioms("asi_bialgebra", (A, C))
+    refs = [weakref.ref(A), weakref.ref(C)]
+    del A, C
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_axiom_memo_not_carried_by_copies(QQ):
+    # memo keys are object ids, which mean nothing in another process
+    import copy
+    import pickle
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    check_axioms("asi_bialgebra", (A, C))
+    assert A._axiom_memo
+    for twin in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A), copy.copy(A)):
+        assert twin._axiom_memo == {} and twin == A
+        assert check_axioms("asi_bialgebra", (twin, C)).passed
+        assert not check_axioms("asi_bialgebra", (twin, fx.grouplike_coalgebra(QQ))).passed
+    assert A._axiom_memo
