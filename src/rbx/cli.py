@@ -685,16 +685,9 @@ def _reduce(obj, field):
     if obj.field.modulus:
         same_field(obj.field, field)
         return obj
-    table = [[[_reduce_scalar(c, field) for c in cell] for cell in row]
+    table = [[[field.of(c.numerator, c.denominator) for c in cell] for cell in row]
              for row in obj.table]
     return type(obj)(field, table, basis=obj.basis, raw=True)
-
-
-def _reduce_scalar(c, field):
-    if c.denominator % field.modulus == 0:
-        raise FieldError(f"coefficient {c} has no value in {field!r}: "
-                         f"its denominator is divisible by {field.modulus}")
-    return field.of(c.numerator, c.denominator)
 
 
 def export_hits(job, hits):

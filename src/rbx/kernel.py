@@ -204,7 +204,12 @@ class PrimeField:
 
     def of(self, num, den=1):
         x = GFElement(num, self.modulus)
-        return x if den == 1 else x / GFElement(den, self.modulus)
+        if den == 1:
+            return x
+        if den % self.modulus == 0:
+            raise FieldError(f"{num}/{den} has no value in GF({self.modulus}): "
+                             f"its denominator is divisible by {self.modulus}")
+        return x / GFElement(den, self.modulus)
 
     def coerce(self, x):
         if type(x) is int:
@@ -234,7 +239,7 @@ class PrimeField:
                 num, den = text.split("/", 1)
                 return self.of(int(num), int(den))
             return self.of(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, FieldError) as exc:
             raise FieldError(f"bad GF({self.modulus}) literal {text!r}") from exc
 
     def elements(self):

@@ -13,6 +13,8 @@ exhaustive.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import PayloadError, StructureError
 from .kernel import (Matrix, Tensor2, Tensor3, bv, leg_apply, nonzero_terms,
                      reduce_entries, vadd, vneg, vsub)
@@ -286,35 +288,26 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
     if len(shared) != 1:
         raise ValueError("placements must share exactly one leg")
     s = shared.pop()
-    xfree = px[1] if px[0] == s else px[0]
-    yfree = py[1] if py[0] == s else py[0]
     d = x.dim
-    z = A.field.zero()
-    out = [z] * d ** 3
-    for u in range(d):
-        for v in range(d):
-            cx = x[u, v]
-            if not cx:
-                continue
-            xs = u if px[0] == s else v
-            xf = v if px[0] == s else u
-            for w in range(d):
-                for t in range(d):
-                    cy = y[w, t]
-                    if not cy:
-                        continue
-                    ys = w if py[0] == s else t
-                    yf = t if py[0] == s else w
-                    prod = A.product(xs, ys)
-                    c = cx * cy
-                    for k, pk in enumerate(prod):
-                        if pk:
-                            pos = [0, 0, 0]
-                            pos[s - 1] = k
-                            pos[xfree - 1] = xf
-                            pos[yfree - 1] = yf
-                            flat = (pos[0] * d + pos[1]) * d + pos[2]
-                            out[flat] = out[flat] + c * pk
+    stride = (d * d, d, 1)  # of each leg in the flat index of the result
+    out_s = stride[s - 1]
+    out_x = stride[(px[1] if px[0] == s else px[0]) - 1]
+    out_y = stride[(py[1] if py[0] == s else py[0]) - 1]
+    # (shared-leg index, free-leg index, coefficient) of each nonzero entry
+    xs = [(u, v, c) if px[0] == s else (v, u, c)
+          for (u, v), c in zip(itertools.product(range(d), repeat=2), x.entries) if c]
+    ys = [(w, t, c) if py[0] == s else (t, w, c)
+          for (w, t), c in zip(itertools.product(range(d), repeat=2), y.entries) if c]
+    table = A.table
+    out = [A.field.zero()] * d ** 3
+    for xsh, xf, cx in xs:
+        row = table[xsh]
+        for ysh, yf, cy in ys:
+            c = cx * cy
+            base = xf * out_x + yf * out_y
+            for k, pk in enumerate(row[ysh]):
+                if pk:
+                    out[base + k * out_s] += c * pk
     return Tensor3._make(A.field, d, reduce_entries(A.field, out))
 
 

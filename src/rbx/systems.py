@@ -82,29 +82,26 @@ def _paired_terms(ctx, idx, outer, first, second):
             vneg(outer.apply(A.mul(a, second.col(j))))]
 
 
+# one body each for R(a)R(b) = R(R(a)b + aS(b)) and its S mirror, under the
+# tags of the plain, symmetric and Lie kinds
+
 @identity("eq:rbs1", ("A", "A"))
-def _rbs1(ctx, idx):
+@identity("eq:ea0#1", ("A", "A"))
+@identity("eq:gh0", ("A", "A"))
+def _r_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.R, ctx.S)
 
 
 @identity("eq:rbs2", ("A", "A"))
-def _rbs2(ctx, idx):
+@identity("eq:ea1#1", ("A", "A"))
+@identity("eq:gh1", ("A", "A"))
+def _s_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.S, ctx.R, ctx.S)
-
-
-@identity("eq:ea0#1", ("A", "A"))
-def _ea0a(ctx, idx):
-    return _paired_terms(ctx, idx, ctx.R, ctx.R, ctx.S)
 
 
 @identity("eq:ea0#2", ("A", "A"))
 def _ea0b(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.S, ctx.R)
-
-
-@identity("eq:ea1#1", ("A", "A"))
-def _ea1a(ctx, idx):
-    return _paired_terms(ctx, idx, ctx.S, ctx.R, ctx.S)
 
 
 @identity("eq:ea1#2", ("A", "A"))
@@ -137,16 +134,6 @@ def _nijenhuis(ctx, idx):
             vneg(N.apply(A.mul(a, N.col(j))))]
 
 
-@identity("eq:gh0", ("A", "A"))
-def _lie_rbs0(ctx, idx):
-    return _paired_terms(ctx, idx, ctx.R, ctx.R, ctx.S)
-
-
-@identity("eq:gh1", ("A", "A"))
-def _lie_rbs1(ctx, idx):
-    return _paired_terms(ctx, idx, ctx.S, ctx.R, ctx.S)
-
-
 # operator identities on coalgebras; Sweedler sums become leg operations
 
 def _cos_terms(ctx, i, outer, first, second):
@@ -160,7 +147,8 @@ def _cos_terms(ctx, i, outer, first, second):
 
 
 @identity("eq:cu#1", ("C",))
-def _cu1(ctx, idx):
+@identity("eq:ek0", ("C",))
+def _q_qt(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.Q, ctx.Q, ctx.T)
 
 
@@ -170,7 +158,8 @@ def _cu2(ctx, idx):
 
 
 @identity("eq:cu1#1", ("C",))
-def _cu1_1(ctx, idx):
+@identity("eq:ek1", ("C",))
+def _t_qt(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.T, ctx.Q, ctx.T)
 
 
@@ -203,16 +192,6 @@ def _coavg2(ctx, idx):
     C, Q = ctx.C, ctx.Q
     d = C.delta_basis(i)
     return [leg_apply(leg_apply(d, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 2)]
-
-
-@identity("eq:ek0", ("C",))
-def _lie_cos0(ctx, idx):
-    return _cos_terms(ctx, idx[0], ctx.Q, ctx.Q, ctx.T)
-
-
-@identity("eq:ek1", ("C",))
-def _lie_cos1(ctx, idx):
-    return _cos_terms(ctx, idx[0], ctx.T, ctx.Q, ctx.T)
 
 
 # symmetric Yang-Baxter pairs; placements multiply in the shared leg
@@ -269,7 +248,9 @@ _COALG_KINDS = {
 }
 
 
-def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":
+def operator_system_identities(kind: str, sys: OperatorSystem):
+    """The tag tuple and context that `check_operator_system` runs, after its
+    payload rules; search builds its predicates from the same pair."""
     if kind not in _ALG_KINDS:
         raise PayloadError(f"unknown operator-system kind {kind!r}")
     tags, nmaps, needs_weight = _ALG_KINDS[kind]
@@ -280,10 +261,17 @@ def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":
     if kind == "lie_rbs" and not isinstance(sys.carrier, LieAlgebra):
         raise PayloadError("kind 'lie_rbs' needs a Lie-algebra carrier")
     ctx = Ctx({"A": sys.carrier.basis}, A=sys.carrier, R=sys.R, S=sys.S, lam=sys.weight)
+    return tags, ctx
+
+
+def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":
+    tags, ctx = operator_system_identities(kind, sys)
     return run_identities(f"operator-system:{kind}", tags, ctx)
 
 
-def check_cosystem(kind: str, sys: CoOperatorSystem) -> "Report":
+def cosystem_identities(kind: str, sys: CoOperatorSystem):
+    """The tag tuple and context that `check_cosystem` runs, after its
+    payload rules."""
     if kind not in _COALG_KINDS:
         raise PayloadError(f"unknown cosystem kind {kind!r}")
     tags, nmaps, needs_weight = _COALG_KINDS[kind]
@@ -294,6 +282,11 @@ def check_cosystem(kind: str, sys: CoOperatorSystem) -> "Report":
     if kind == "lie_rb_cosystem" and not isinstance(sys.carrier, LieCoalgebra):
         raise PayloadError("kind 'lie_rb_cosystem' needs a Lie-coalgebra carrier")
     ctx = Ctx({"C": sys.carrier.basis}, C=sys.carrier, Q=sys.Q, T=sys.T, lam=sys.weight)
+    return tags, ctx
+
+
+def check_cosystem(kind: str, sys: CoOperatorSystem) -> "Report":
+    tags, ctx = cosystem_identities(kind, sys)
     return run_identities(f"cosystem:{kind}", tags, ctx)
 
 
@@ -303,11 +296,13 @@ def check_ybpair(A, r: Tensor2, s: Tensor2) -> "Report":
     return run_identities("yb-pair", ("de:eh#1a", "de:eh#2a"), ctx)
 
 
+_YBPAIR_TAGS = ("de:eh#1a", "de:eh#1b", "de:eh#2a", "de:eh#2b")
+
+
 def check_symmetric_ybpair(A, r: Tensor2, s: Tensor2) -> "Report":
     """Both orderings: (r, s) and (s, r) each satisfy the pair condition."""
     ctx = Ctx({}, A=A, r=r, s=s)
-    return run_identities("symmetric-yb-pair",
-                          ("de:eh#1a", "de:eh#1b", "de:eh#2a", "de:eh#2b"), ctx)
+    return run_identities("symmetric-yb-pair", _YBPAIR_TAGS, ctx)
 
 
 def _require(report, what):

@@ -246,8 +246,11 @@ def aybe_residual(A, r: Tensor2) -> Tensor3:
     return evaluate("eq:db4", Ctx({}, A=A, r=r), ())
 
 
+_AYBE_TAGS = ("eq:db4",)
+
+
 def check_aybe(A, r: Tensor2):
-    return run_identities("aybe", ("eq:db4",), Ctx({}, A=A, r=r))
+    return run_identities("aybe", _AYBE_TAGS, Ctx({}, A=A, r=r))
 
 
 def coboundary_delta(A, r: Tensor2, mode: str = "plain") -> Coalgebra:

@@ -1,8 +1,11 @@
 """Independently coded brute-force oracles used by the test suite.
 
 These deliberately avoid the package's evaluation machinery: explicit
-integer loops mod p for the finite-field counts, and a direct triple-loop
-expansion of the three tensor products for the equation residual.
+integer loops mod p for the finite-field counts and hit sets, and a direct
+triple-loop expansion of the three tensor products for the equation
+residual.  Search evaluates the identity catalog, and so do the checkers
+that re-verify its hits; these oracles are the independent second
+implementation that a hit set is compared with.
 """
 
 import itertools
@@ -129,3 +132,157 @@ def naive_aybe_residual(A, r):
     flat = [t12_13[i][j][k] + t13_23[i][j][k] - t23_12[i][j][k]
             for i in range(d) for j in range(d) for k in range(d)]
     return Tensor3(A.field, d, flat)
+
+
+# --- full-space hit-index oracles -------------------------------------------
+#
+# A candidate's index written in base p, most significant digit first, is
+# the row-major entries of each of its components in turn: a map's entry
+# [a][b] sends e_b to e_a with that coefficient, a 2-tensor's entry [a][b]
+# weights e_a (x) e_b.  Structure tables are read as plain ints mod p.
+
+def _grids(p, d, count):
+    """(index, grids) for every tuple of `count` d x d grids of residues."""
+    w = d * d
+    for index, digits in enumerate(itertools.product(range(p), repeat=count * w)):
+        yield index, [[list(digits[k * w + a * d:k * w + a * d + d]) for a in range(d)]
+                      for k in range(count)]
+
+
+def _zero2(d):
+    return [[0] * d for _ in range(d)]
+
+
+def _comul(table, p, v):
+    """Delta(v) = sum_i v_i Delta(e_i) as a d x d grid mod p."""
+    d = len(table)
+    out = _zero2(d)
+    for i in range(d):
+        for a in range(d):
+            for b in range(d):
+                out[a][b] = (out[a][b] + v[i] * table[i][a][b]) % p
+    return out
+
+
+def _leg(m, t, leg, p):
+    """(m (x) id)t for leg 1, (id (x) m)t for leg 2."""
+    d = len(t)
+    out = _zero2(d)
+    for a in range(d):
+        for b in range(d):
+            for u in range(d):
+                if leg == 1:
+                    out[a][b] = (out[a][b] + m[a][u] * t[u][b]) % p
+                else:
+                    out[a][b] = (out[a][b] + m[b][u] * t[a][u]) % p
+    return out
+
+
+def _column(m, i):
+    return [m[a][i] for a in range(len(m))]
+
+
+def _cos_zero(table, p, i, outer, first, second):
+    """(outer (x) outer)D(e_i) = (first (x) id)D(outer e_i) + (id (x) second)D(outer e_i)."""
+    lhs = _leg(outer, _leg(outer, table[i], 1, p), 2, p)
+    dout = _comul(table, p, _column(outer, i))
+    one, two = _leg(first, dout, 1, p), _leg(second, dout, 2, p)
+    d = len(table)
+    return all((lhs[a][b] - one[a][b] - two[a][b]) % p == 0
+               for a in range(d) for b in range(d))
+
+
+def coalgebra_hits(table, p, kind, lam=0):
+    """Hit indices of a coalgebra-side search kind over the full space."""
+    d = len(table)
+    rng = range(d)
+    if kind in ("symmetric_rb_cosystem", "lie_rb_cosystem"):
+        hits = set()
+        for index, (Q, T) in _grids(p, d, 2):
+            triples = [(Q, Q, T), (T, Q, T)]
+            if kind == "symmetric_rb_cosystem":
+                triples += [(Q, T, Q), (T, T, Q)]
+            if all(_cos_zero(table, p, i, *tr) for i in rng for tr in triples):
+                hits.add(index)
+        return hits
+    hits = set()
+    for index, (Q,) in _grids(p, d, 1):
+        good = True
+        for i in rng:
+            lhs = _leg(Q, _leg(Q, table[i], 1, p), 2, p)
+            dq = _comul(table, p, _column(Q, i))
+            one, two = _leg(Q, dq, 1, p), _leg(Q, dq, 2, p)
+            for a in rng:
+                for b in rng:
+                    if kind == "coaveraging":
+                        good &= (lhs[a][b] - one[a][b]) % p == 0
+                        good &= (lhs[a][b] - two[a][b]) % p == 0
+                    else:  # rb_coalgebra_weight
+                        good &= (lhs[a][b] - one[a][b] - two[a][b]
+                                 - lam * dq[a][b]) % p == 0
+        if good:
+            hits.add(index)
+    return hits
+
+
+def placed(table, x, px, y, py, zero=0):
+    """Product of x on legs px and y on legs py, multiplied in the one shared
+    leg (x's factor on the left), as a nested d x d x d list."""
+    d = len(table)
+    (shared,) = set(px) & set(py)
+    out = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for u in range(d):
+        for v in range(d):
+            for w in range(d):
+                for t in range(d):
+                    c = x[u][v] * y[w][t]
+                    if not c:
+                        continue
+                    xlegs = {px[0]: u, px[1]: v}
+                    ylegs = {py[0]: w, py[1]: t}
+                    prod = table[xlegs.pop(shared)][ylegs.pop(shared)]
+                    for k in range(d):
+                        pos = {shared: k, **xlegs, **ylegs}
+                        out[pos[1]][pos[2]][pos[3]] += c * prod[k]
+    return out
+
+
+def _vanishes(p, *signed):
+    """Whether the signed sum of d x d x d lists is zero mod p."""
+    d = len(signed[0][1])
+    return all(sum(sign * t[a][b][c] for sign, t in signed) % p == 0
+               for a in range(d) for b in range(d) for c in range(d))
+
+
+def aybe_hits(table, p, antisymmetric=False):
+    """Hit indices of the aybe search: r12 r13 + r13 r23 - r23 r12 = 0."""
+    d = len(table)
+    hits = set()
+    for index, (r,) in _grids(p, d, 1):
+        if antisymmetric and any((r[a][b] + r[b][a]) % p
+                                 for a in range(d) for b in range(d)):
+            continue
+        if _vanishes(p, (1, placed(table, r, (1, 2), r, (1, 3))),
+                     (1, placed(table, r, (1, 3), r, (2, 3))),
+                     (-1, placed(table, r, (2, 3), r, (1, 2)))):
+            hits.add(index)
+    return hits
+
+
+def symmetric_ybpair_hits(table, p):
+    """Hit indices of the symmetric Yang-Baxter pair search: for (x, y)
+    both (r, s) and (s, r), x12 x23 = x13 x12 + y23 x13 = x13 y12 + x23 x13."""
+    hits = set()
+    for index, (r, s) in _grids(p, len(table), 2):
+        good = True
+        for x, y in ((r, s), (s, r)):
+            head = placed(table, x, (1, 2), x, (2, 3))
+            good = good and _vanishes(
+                p, (1, head), (-1, placed(table, x, (1, 3), x, (1, 2))),
+                (-1, placed(table, y, (2, 3), x, (1, 3))))
+            good = good and _vanishes(
+                p, (1, head), (-1, placed(table, x, (1, 3), y, (1, 2))),
+                (-1, placed(table, x, (2, 3), x, (1, 3))))
+        if good:
+            hits.add(index)
+    return hits

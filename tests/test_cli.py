@@ -267,3 +267,24 @@ def test_cli_search_rejects_bad_shard_count(tmp_path, capsys, shards):
     code, out = _search(tmp_path, capsys, FIX_A_SOURCE, "GF3", "--shards", shards)
     assert code == 2
     assert "shard" in out.err
+
+
+# `rbx search` refuses a job its checker would refuse, before enumerating it
+
+@pytest.mark.parametrize("argv, message", [
+    (["bisystem", "--carrier", "A"], "cocarrier"),
+    (["adjoint-admissible", "--carrier", "A"], "fixed maps"),
+    (["rb-weight", "--carrier", "A"], "weight"),
+    (["rb-coalgebra-weight", "--carrier", "C"], "weight"),
+    (["lie-rbs", "--carrier", "A"], "Lie-algebra"),
+    (["symmetric-rb-cosystem", "--carrier", "A"], "coalgebra"),
+    (["lie-rb-cosystem", "--carrier", "A"], "coalgebra"),
+    (["symmetric-rbs", "--carrier", "A", "--processes", "0"], "process"),
+    (["symmetric-rbs", "--carrier", "A", "--processes", "-3"], "process"),
+])
+def test_cli_search_bad_job_rejected(capsys, argv, message):
+    code = main(["search", *argv, "--field", "GF2", "--builtin"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and message in out.err

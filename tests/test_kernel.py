@@ -257,3 +257,13 @@ def test_gf_det_inverse(entries):
     else:
         with pytest.raises(ZeroDivisionError):
             m.inverse()
+
+
+def test_gf_of_denominator_divisible_by_p_raises_field_error():
+    F3 = PrimeField(3)
+    for den in (3, 0, -6):
+        with pytest.raises(FieldError, match="denominator"):
+            F3.of(1, den)
+    with pytest.raises(FieldError):
+        F3.parse("1/3")
+    assert F3.of(1, 2) == 2 and F3.of(2, -1) == 1

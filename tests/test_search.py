@@ -1,16 +1,24 @@
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
 from rbx import fixtures as fx
-from rbx.errors import BudgetError, FieldError, ToolkitError
-from rbx.kernel import Matrix
+from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
+from rbx.identities import Ctx, predicate, run_identities, seeded_fault
+from rbx.kernel import Matrix, PrimeField
+from rbx.representations import _CK_TAGS
 from rbx.search import (FamilySpec, SearchJob, cross_tabulate,
                         decode_candidate, enumerate_hits, fast_predicate,
                         run_search, search_space, verify_family, verify_hit)
-from rbx.systems import OperatorSystem, check_operator_system
+from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS, OperatorSystem,
+                         check_operator_system)
+from rbx.yangbaxter import _AYBE_TAGS
 
 
+from oracles import aybe_hits, coalgebra_hits, symmetric_ybpair_hits
 from oracles import naive_count as _naive_count
 
 
@@ -188,3 +196,201 @@ def test_search_job_field_must_match_carrier(F3, F5, QQ):
         run_search(SearchJob(F5, fx.fix_a(F3), "symmetric_rbs"))
     with pytest.raises(FieldError):
         run_search(SearchJob(QQ, fx.fix_a(QQ), "symmetric_rbs"))
+
+
+@pytest.mark.parametrize("processes", [0, -3])
+def test_run_search_rejects_bad_process_count(F3, processes):
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs")
+    with pytest.raises(PayloadError, match="process"):
+        run_search(job, processes=processes)
+    assert len(run_search(job, processes=None)) == 55  # None runs serially
+
+
+# --- a job is checked before it is enumerated -------------------------------
+
+def test_search_job_payload_rules(F3):
+    A, C, L = fx.fix_a(F3), fx.fix_c(F3), fx.fix_lie(F3)
+    R, S = fx.fix_rs(F3)
+    bad = [
+        SearchJob(F3, A, "bisystem"),                      # no cocarrier
+        SearchJob(F3, A, "adjoint_admissible"),            # no fixed maps
+        SearchJob(F3, A, "adjoint_admissible", fixed={"R": R}),
+        SearchJob(F3, A, "rb_weight"),                     # no weight
+        SearchJob(F3, C, "rb_coalgebra_weight"),
+        SearchJob(F3, A, "lie_rbs"),                       # associative carrier
+        SearchJob(F3, C, "lie_rb_cosystem"),               # coassociative carrier
+        SearchJob(F3, A, "symmetric_rb_cosystem"),         # algebra carrier
+        SearchJob(F3, C, "symmetric_rbs"),                 # coalgebra carrier
+        SearchJob(F3, C, "aybe"),
+        SearchJob(F3, C, "symmetric_ybpair"),
+        SearchJob(F3, A, "bisystem", cocarrier=A),
+        SearchJob(F3, C, "bisystem", cocarrier=C),
+    ]
+    for job in bad:
+        with pytest.raises(PayloadError):
+            run_search(job)
+        with pytest.raises(PayloadError):
+            fast_predicate(job)
+    assert len(run_search(SearchJob(F3, L, "lie_rbs"))) == 135
+
+
+# --- the benchmark's serial jobs, pinned ------------------------------------
+
+def _bench_job(kind):
+    F3, F5, F11 = PrimeField(3), PrimeField(5), PrimeField(11)
+    R, S = fx.fix_rs(F3)
+    return {
+        "rb_weight": lambda: SearchJob(F11, fx.fix_a(F11), kind, weight=F11.one()),
+        "rbs": lambda: SearchJob(F3, fx.fix_a(F3), kind),
+        "symmetric_rbs": lambda: SearchJob(F3, fx.fix_a(F3), kind),
+        "averaging": lambda: SearchJob(F11, fx.fix_a(F11), kind),
+        "nijenhuis": lambda: SearchJob(F5, fx.fix_a(F5), kind),
+        "lie_rbs": lambda: SearchJob(F3, fx.fix_lie(F3), kind),
+        "symmetric_rb_cosystem": lambda: SearchJob(F3, fx.fix_c(F3), kind),
+        "coaveraging": lambda: SearchJob(F11, fx.fix_c(F11), kind),
+        "rb_coalgebra_weight": lambda: SearchJob(F11, fx.fix_c(F11), kind,
+                                                 weight=F11.one()),
+        "lie_rb_cosystem": lambda: SearchJob(F3, fx.fix_delta(F3), kind),
+        "adjoint_admissible": lambda: SearchJob(F3, fx.fix_a(F3), kind,
+                                                fixed={"R": R, "S": S}),
+        "bisystem": lambda: SearchJob(F3, fx.fix_a(F3), kind, cocarrier=fx.fix_c(F3)),
+        "aybe": lambda: SearchJob(F11, fx.fix_a(F11), kind),
+        "symmetric_ybpair": lambda: SearchJob(F3, fx.fix_a(F3), kind),
+    }[kind]()
+
+
+# hit count and the first 16 hex digits of the sha256 of the comma-joined
+# hit indices, as the hand-written int predicates found them
+PINNED = {
+    "rb_weight": (134, "4fd27f3d483c02da"), "rbs": (179, "bf9763f0bc262acc"),
+    "symmetric_rbs": (55, "eef5bc41eb138ca4"), "averaging": (131, "18e1f18a2ad2c67f"),
+    "nijenhuis": (625, "e8aac8605deffbc2"), "lie_rbs": (135, "77924f6f368be8ce"),
+    "symmetric_rb_cosystem": (55, "b4799724281d99ec"),
+    "coaveraging": (131, "2ff99dd4ba928658"),
+    "rb_coalgebra_weight": (134, "4fd27f3d483c02da"),
+    "lie_rb_cosystem": (135, "6331775592b1c967"),
+    "adjoint_admissible": (9, "d0dfe117692247d1"),
+    "bisystem": (191, "92e86418553afbf6"), "aybe": (131, "5f0239c1a28921f3"),
+    "symmetric_ybpair": (41, "b53c25c75bb68855"),
+}
+
+
+def _digest(hits):
+    text = ",".join(str(h.index) for h in hits)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_bench_job_hits_pinned(kind):
+    hits = run_search(_bench_job(kind))
+    assert (len(hits), _digest(hits)) == PINNED[kind]
+    # hit parts are the components that decode_candidate returns
+    for hit in hits[:3]:
+        assert decode_candidate(_bench_job(kind), hit.index) == hit.parts
+
+
+# --- seeded faults reach the search predicates ------------------------------
+
+def _probe_job(kind):
+    F3 = PrimeField(3)
+    if kind in _ALG_KINDS:
+        carrier = fx.fix_lie(F3) if kind == "lie_rbs" else fx.fix_a(F3)
+        return SearchJob(F3, carrier, kind, weight=F3.one()), _ALG_KINDS[kind][0]
+    if kind in _COALG_KINDS:
+        carrier = fx.fix_delta(F3) if kind == "lie_rb_cosystem" else fx.fix_c(F3)
+        return SearchJob(F3, carrier, kind, weight=F3.one()), _COALG_KINDS[kind][0]
+    tags = _AYBE_TAGS if kind == "aybe" else _YBPAIR_TAGS
+    return SearchJob(F3, fx.fix_a(F3), kind), tags
+
+
+@pytest.mark.parametrize("kind", sorted(set(_ALG_KINDS) | set(_COALG_KINDS)
+                                        | {"aybe", "symmetric_ybpair"}))
+def test_seeded_fault_moves_search_hits(kind):
+    job, tags = _probe_job(kind)
+    base = [h.index for h in enumerate_hits(job)]
+    for tag in tags:
+        with seeded_fault(tag, 0):
+            assert [h.index for h in enumerate_hits(job)] != base, tag
+    assert [h.index for h in enumerate_hits(job)] == base
+
+
+def test_adjoint_admissible_hits_survive_each_ck_fault(F3):
+    # a probe that no single eq:ck* fault moves, so it is not one of the above
+    R, S = fx.fix_rs(F3)
+    job = SearchJob(F3, fx.fix_a(F3), "adjoint_admissible", fixed={"R": R, "S": S})
+    base = [h.index for h in enumerate_hits(job)]
+    assert len(base) == 9
+    for tag in _CK_TAGS:
+        with seeded_fault(tag, 0):
+            assert [h.index for h in enumerate_hits(job)] == base, tag
+
+
+# --- full-space agreement with the independent oracles ----------------------
+
+@pytest.mark.parametrize("kind, p", [
+    ("symmetric_rb_cosystem", 2), ("lie_rb_cosystem", 2),
+    ("coaveraging", 2), ("rb_coalgebra_weight", 2),
+    ("coaveraging", 3), ("rb_coalgebra_weight", 3)])
+def test_coalgebra_hits_match_oracle(kind, p):
+    F = PrimeField(p)
+    C = fx.fix_delta(F) if kind == "lie_rb_cosystem" else fx.fix_c(F)
+    hits = enumerate_hits(SearchJob(F, C, kind, weight=F.one()))
+    assert {h.index for h in hits} == coalgebra_hits(C.table, p, kind, lam=1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_aybe_hits_match_oracle(p, antisymmetric):
+    F = PrimeField(p)
+    A = fx.fix_a(F)
+    hits = enumerate_hits(SearchJob(F, A, "aybe", antisymmetric=antisymmetric))
+    assert {h.index for h in hits} == aybe_hits(A.table, p, antisymmetric)
+
+
+def test_symmetric_ybpair_hits_match_oracle(F2):
+    A = fx.fix_a(F2)
+    hits = enumerate_hits(SearchJob(F2, A, "symmetric_ybpair"))
+    assert {h.index for h in hits} == symmetric_ybpair_hits(A.table, 2)
+
+
+# --- the early-exit predicate ----------------------------------------------
+
+def test_predicate_shared_between_threads(F3):
+    # more threads than cores share one predicate, each with its own context;
+    # a step lost while another thread reorders would accept a candidate
+    # that only that step rejects, so the candidates fail at most two steps
+    A = fx.fix_a(F3)
+    tags = _ALG_KINDS["symmetric_rbs"][0]
+    zero = Matrix.zero(F3, 2)
+    holds = predicate(tags, Ctx({"A": A.basis}, A=A, R=zero, S=zero))
+    rng = random.Random(11)
+    cands, want = [], []
+    while len(cands) < 60:
+        R, S = (Matrix(F3, 2, 2, [rng.randrange(3) for _ in range(4)]) for _ in range(2))
+        rep = run_identities("srbs", tags, Ctx({"A": A.basis}, A=A, R=R, S=S))
+        if len(rep.violations) <= 2:
+            cands.append((R, S))
+            want.append(rep.passed)
+    assert any(want) and not all(want)
+    wrong = []
+
+    def work(offset):
+        ctx = Ctx({"A": A.basis}, A=A, R=zero, S=zero)
+        for k in range(25 * len(cands)):
+            n = (k + offset) % len(cands)
+            ctx.R, ctx.S = cands[n]
+            if holds(ctx) != want[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from rbx import fixtures as fx
 from rbx.errors import PayloadError, StructureError
-from rbx.kernel import Matrix, PrimeField
+from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2
 from rbx.structures import (Algebra, BilinearForm, LieAlgebra,
                             check_axioms, cocommutator, commutator, dualize,
-                            dualize_alg, form_adjoint, pairing_form)
+                            dualize_alg, form_adjoint, pairing_form,
+                            placement_product)
+
+from oracles import placed
 
 
 def test_fix_a_is_associative(QQ):
@@ -273,3 +277,38 @@ def test_axiom_memo_not_carried_by_copies(QQ):
         assert check_axioms("asi_bialgebra", (twin, C)).passed
         assert not check_axioms("asi_bialgebra", (twin, fx.grouplike_coalgebra(QQ))).passed
     assert A._axiom_memo
+
+
+# placement_product against the oracle's nested loop, on a random raw table
+# of dimension 3 and on fix_a
+
+PLACEMENT_PAIRS = [((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (1, 2)),
+                   ((1, 3), (2, 3)), ((2, 3), (1, 2)), ((2, 3), (1, 3))]
+
+
+def _random_scalar(field, rng):
+    if field.modulus:
+        return rng.randrange(field.modulus)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _grid(t):
+    return [[t[a, b] for b in range(t.dim)] for a in range(t.dim)]
+
+
+@pytest.mark.parametrize("px, py", PLACEMENT_PAIRS)
+@pytest.mark.parametrize("field", [PrimeField(3), Rationals()], ids=["GF3", "Q"])
+def test_placement_product_matches_naive_loop(field, px, py):
+    rng = random.Random(31)
+    table = [[[_random_scalar(field, rng) for _ in range(3)] for _ in range(3)]
+             for _ in range(3)]
+    for A in (Algebra(field, table, raw=True), fx.fix_a(field)):
+        d = A.dim
+        for _ in range(5):
+            x, y = (Tensor2(field, d, [_random_scalar(field, rng) for _ in range(d * d)])
+                    for _ in range(2))
+            got = placement_product(A, x, px, y, py)
+            want = placed(A.table, _grid(x), px, _grid(y), py, field.zero())
+            flat = [want[a][b][c] for a in range(d) for b in range(d) for c in range(d)]
+            assert got.entries == field.reduce(flat)
+            assert all(type(e) is field.stored for e in got.entries)

@@ -4,6 +4,7 @@ import pytest
 
 from rbx import fixtures as fx
 from rbx.errors import PayloadError, PreconditionError
+from rbx.identities import CATALOG, Ctx, evaluate, seeded_fault
 from rbx.kernel import Matrix, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
 from rbx.systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
@@ -360,3 +361,25 @@ def test_family_d_valid_without_distinctness(QQ):
     p = QQ.of(5, 3)
     R, S = fam.build(QQ, {"p1": p, "p2": p})
     assert check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)).passed
+
+
+# tags with one body share one registered function, and keep their own faults
+
+@pytest.mark.parametrize("group", [("eq:rbs1", "eq:ea0#1", "eq:gh0"),
+                                   ("eq:rbs2", "eq:ea1#1", "eq:gh1"),
+                                   ("eq:cu#1", "eq:ek0"), ("eq:cu1#1", "eq:ek1")])
+def test_alias_tags_share_one_body_and_fault_alone(QQ, group):
+    assert len({CATALOG[tag].terms for tag in group}) == 1
+    one = Matrix.identity(QQ, 2)  # every first summand is nonzero at e1
+    if group[0].startswith("eq:cu"):
+        ctx = Ctx({"C": fx.fix_c(QQ).basis}, C=fx.fix_c(QQ), Q=one, T=one)
+        idx = (1,)
+    else:
+        ctx = Ctx({"A": fx.fix_a(QQ).basis}, A=fx.fix_a(QQ), R=one, S=one)
+        idx = (1, 1)
+    clean = {tag: evaluate(tag, ctx, idx) for tag in group}
+    assert len({str(v) for v in clean.values()}) == 1
+    for faulted in group:
+        with seeded_fault(faulted, 0):
+            for tag in group:
+                assert (evaluate(tag, ctx, idx) == clean[tag]) == (tag != faulted)
