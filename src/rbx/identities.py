@@ -46,13 +46,18 @@ class Identity:
     tag: str
     spaces: tuple[str, ...]
     terms: Callable
+    affine: frozenset = frozenset()
 
 
-def identity(tag: str, spaces: tuple[str, ...] = ()):
+def identity(tag: str, spaces: tuple[str, ...] = (), affine: tuple[str, ...] = ()):
+    """Register `terms` under `tag`.  `affine` names the context data in
+    which every summand is affine while all other data stay fixed (a name
+    the entry does not read is affine too); search solves for such data
+    instead of enumerating them, and a sign-flipped summand stays affine."""
     def register(fn):
         if tag in CATALOG:
             raise ValueError(f"duplicate identity tag {tag!r}")
-        CATALOG[tag] = Identity(tag, tuple(spaces), fn)
+        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(affine))
         return fn
     return register
 

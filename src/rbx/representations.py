@@ -284,7 +284,7 @@ _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
             "eq:cj2#1", "eq:cj2#2", "eq:cj3#1", "eq:cj3#2")
 
 
-@identity("eq:ck#1", ("A", "A"))
+@identity("eq:ck#1", ("A", "A"), affine=("T",))
 def _ck_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -293,7 +293,7 @@ def _ck_1(ctx, idx):
             vneg(A.mul(S.col(i), Q.col(j)))]
 
 
-@identity("eq:ck#2", ("A", "A"))
+@identity("eq:ck#2", ("A", "A"), affine=("T",))
 def _ck_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -302,7 +302,7 @@ def _ck_2(ctx, idx):
             vneg(T.apply(A.mul(_ev(ctx, i), Q.col(j))))]
 
 
-@identity("eq:ck1#1", ("A", "A"))
+@identity("eq:ck1#1", ("A", "A"), affine=("T",))
 def _ck1_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -311,7 +311,7 @@ def _ck1_1(ctx, idx):
             vneg(A.mul(Q.col(i), S.col(j)))]
 
 
-@identity("eq:ck1#2", ("A", "A"))
+@identity("eq:ck1#2", ("A", "A"), affine=("T",))
 def _ck1_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -320,7 +320,7 @@ def _ck1_2(ctx, idx):
             vneg(T.apply(A.mul(Q.col(i), _ev(ctx, j))))]
 
 
-@identity("eq:ck2#1", ("A", "A"))
+@identity("eq:ck2#1", ("A", "A"), affine=("T",))
 def _ck2_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
@@ -338,7 +338,7 @@ def _ck2_2(ctx, idx):
             vneg(A.mul(R.col(i), T.col(j)))]
 
 
-@identity("eq:ck3#1", ("A", "A"))
+@identity("eq:ck3#1", ("A", "A"), affine=("T",))
 def _ck3_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T

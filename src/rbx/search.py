@@ -3,12 +3,17 @@
 Each search kind's predicate is built from the identity catalog
 (`identities.predicate`) over the tag tuple that the kind's checker runs,
 with one context per job that each candidate's components are bound into;
-it stops at the first nonzero residual.  Every emitted hit is re-verified
-through the public checkers, which run the same catalog entries in full, so
-the independent second opinion on a hit set is the brute-force oracles of
-the test suite.  Work is partitioned across shards by the index of the
-first component, which makes shards embarrassingly parallel and the merged
-result independent of the shard count.
+it stops at the first nonzero residual.  A two-component kind is not
+enumerated over both components: for each value of the first, the tags
+declared affine in the second give linear equations over GF(p), probed
+through `evaluate`, and only their solution coset is run through the
+predicate (`_Slice`).  Every emitted hit is re-verified through the public
+checkers, which run the same catalog entries in full, so the independent
+second opinion on a hit set is the brute-force oracles of the test suite.
+Work is partitioned across shards by the index of the first component,
+which makes shards embarrassingly parallel and the merged result
+independent of the shard count; the cosystem table that every bisystem
+shard pairs its hits with is scanned once, in `run_search`.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .bisystems import ASIBisystem, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import Ctx, predicate
+from .identities import CATALOG, Ctx, _stored, evaluate, predicate
 from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
 from .representations import _CK5_TAGS, _CK_TAGS, adjoint_admissible_report
@@ -79,10 +85,20 @@ _KINDS = {
 
 
 def _budget(job):
-    if job.budget is not None:
-        return job.budget
-    env = os.environ.get("RBX_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The job's candidate budget: `job.budget`, else `RBX_BUDGET`, else the
+    default.  Anything but an integer of at least 1 is refused."""
+    budget = job.budget
+    if budget is None:
+        env = os.environ.get("RBX_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise BudgetError(f"RBX_BUDGET is not an integer: {env!r}") from None
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise BudgetError(f"budget must be an integer of at least 1, got {budget!r}")
+    return budget
 
 
 def search_space(job: SearchJob) -> int:
@@ -115,6 +131,7 @@ class _Bound:
 
     def __init__(self, names, tags, ctx):
         self.names = names
+        self.tags = tags
         self.ctx = ctx
         self.holds = predicate(tags, ctx)
 
@@ -222,24 +239,114 @@ def decode_candidate(job: SearchJob, index: int):
 def _scan(bound, job, shard=(0, 1)):
     """(index, components) of each candidate of one shard that `bound`
     holds on, in index order; the shard fixes the first component's index
-    modulo the shard count."""
+    modulo the shard count.  For two components, the second runs only over
+    the solution coset that `_Slice` finds for each value of the first."""
     s, K = shard
     ctx, holds, names = bound.ctx, bound.holds, bound.names
-    first = ((m0, c0) for m0, c0 in enumerate(_values(job)) if m0 % K == s)
     if len(names) == 1:
-        for m0, c0 in first:
-            setattr(ctx, names[0], c0)
-            if holds(ctx):
-                yield m0, (c0,)
+        for m0, c0 in enumerate(_values(job)):
+            if m0 % K == s:
+                setattr(ctx, names[0], c0)
+                if holds(ctx):
+                    yield m0, (c0,)
         return
-    rest = list(_values(job))
-    base = len(rest)
-    for m0, c0 in first:
+    values = list(_values(job))
+    coset = _Slice(bound, job, values).coset
+    base = len(values)
+    for m0 in range(s, base, K):
+        c0 = values[m0]
         setattr(ctx, names[0], c0)
-        for m1, c1 in enumerate(rest):
+        for m1 in coset(ctx):
+            c1 = values[m1]
             setattr(ctx, names[1], c1)
             if holds(ctx):
                 yield m0 * base + m1, (c0, c1)
+
+
+class _Slice:
+    """The second component Y of a two-component condition, solved for.
+
+    With the first component fixed, every tag declared affine in Y
+    (`identities.identity(..., affine=...)`) has a residual f(Y) = f(0) +
+    sum_k y_k (f(E_k) - f(0)) over the entries y_k of Y and the unit
+    components E_k.  Probing `evaluate` at Y = 0 and at each E_k turns one
+    (tag, basis tuple) step into linear equations over GF(p), which are
+    reduced one at a time against the rows kept so far; the first
+    inconsistent one shows that no Y can satisfy the condition.  Otherwise
+    the candidates left are the coset of solutions, which the full
+    predicate then decides.  With no affine tag the coset is every Y."""
+
+    def __init__(self, bound, job, values):
+        self.name = bound.names[1]
+        self.values = values
+        spaces = bound.ctx.spaces
+        self.steps = tuple(
+            (tag, idx) for tag in bound.tags if self.name in CATALOG[tag].affine
+            for idx in itertools.product(
+                *(range(len(spaces[sp])) for sp in CATALOG[tag].spaces)))
+        self.field = job.field
+        self.p = job.field.modulus
+        self.n = n = job.carrier.dim ** 2
+        # index of E_k is p^(n-1-k); index 0 is the zero component
+        self.units = [values[self.p ** (n - 1 - k)] for k in range(n)]
+
+    def _entries(self, tag, ctx, idx):
+        res = _stored(evaluate(tag, ctx, idx), self.field)
+        return res if isinstance(res, tuple) else res.entries
+
+    def _rows(self, ctx):
+        """The reduced rows {pivot: (coefficients, rhs)} of every step, each
+        row's pivot its last nonzero coefficient (scaled to 1); None when the
+        equations are inconsistent."""
+        p, name, zero = self.p, self.name, self.values[0]
+        pivots = {}
+        for tag, idx in self.steps:
+            setattr(ctx, name, zero)
+            b = self._entries(tag, ctx, idx)
+            cols = []
+            for unit in self.units:
+                setattr(ctx, name, unit)
+                cols.append(self._entries(tag, ctx, idx))
+            for r, b_r in enumerate(b):
+                row = [(col[r] - b_r) % p for col in cols]
+                rhs = -b_r % p
+                for k in range(self.n - 1, -1, -1):
+                    a = row[k]
+                    if a and k in pivots:
+                        prow, prhs = pivots[k]
+                        row = [(x - a * y) % p for x, y in zip(row, prow)]
+                        rhs = (rhs - a * prhs) % p
+                top = max((k for k, a in enumerate(row) if a), default=None)
+                if top is None:
+                    if rhs:
+                        return None
+                    continue
+                inv = pow(row[top], -1, p)
+                pivots[top] = ([x * inv % p for x in row], rhs * inv % p)
+            if len(pivots) == self.n:
+                break  # one candidate left: the full predicate decides it
+        return pivots
+
+    def coset(self, ctx):
+        """Indices of the solutions Y, ascending.  Each pivot entry depends
+        only on entries before it, so running the free entries in
+        lexicographic order runs the solutions in index order."""
+        pivots = self._rows(ctx)
+        if pivots is None:
+            return
+        p, n = self.p, self.n
+        free = [k for k in range(n) if k not in pivots]
+        order = sorted(pivots.items())
+        y = [0] * n
+        for digits in itertools.product(range(p), repeat=len(free)):
+            for k, v in zip(free, digits):
+                y[k] = v
+            for k, (row, rhs) in order:
+                y[k] = (rhs - sum(row[j] * y[j] for j in range(k))) % p
+            index = 0
+            for v in y:
+                index = index * p + v
+            yield index
 
 
 def verify_hit(job: SearchJob, parts) -> bool:
@@ -277,20 +384,28 @@ def verify_hit(job: SearchJob, parts) -> bool:
         kind, OperatorSystem(job.carrier, R, weight=job.weight)).passed
 
 
-def enumerate_hits(job: SearchJob) -> list[Hit]:
-    """Run one shard; hits come out in lexicographic candidate order and are
-    re-verified through the reference checkers before being emitted."""
+def _admit(job):
+    """The number of values of one component, once the job's candidate space
+    is within its budget and its shard is valid."""
     comps = _spec(job)
     base = job.field.modulus ** (job.carrier.dim ** 2)
-    space = base ** len(comps)
-    if space > _budget(job):
-        raise BudgetError(f"search space {space} exceeds budget {_budget(job)}")
+    space, budget = base ** len(comps), _budget(job)
+    if space > budget:
+        raise BudgetError(f"search space {space} exceeds budget {budget}")
     s, K = job.shard
     if not (0 <= s < K):
         raise PayloadError(f"bad shard {job.shard}")
     if K > base:
         raise PayloadError(f"at most {base} shards for this candidate space")
+    return base
 
+
+def enumerate_hits(job: SearchJob, *, cosystems=None) -> list[Hit]:
+    """Run one shard; hits come out in lexicographic candidate order and are
+    re-verified through the reference checkers before being emitted.  A
+    bisystem shard pairs its (R, S) hits with `cosystems`, the (index,
+    (Q, T)) hits of the whole cosystem scan, and scans them itself if None."""
+    base = _admit(job)
     hits: list[Hit] = []
 
     def emit(index, parts):
@@ -307,11 +422,12 @@ def enumerate_hits(job: SearchJob) -> list[Hit]:
     asi_ok, srbs, cosys, ck = _bisystem(job)
     if not asi_ok:
         return hits
-    qt_hits = list(_scan(cosys, job))
+    if cosystems is None:
+        cosystems = list(_scan(cosys, job))
     ctx, holds = ck.ctx, ck.holds
     for rs_index, (R, S) in _scan(srbs, job, job.shard):
         ctx.R, ctx.S = R, S
-        for qt_index, (Q, T) in qt_hits:
+        for qt_index, (Q, T) in cosystems:
             ctx.Q, ctx.T = Q, T
             if holds(ctx):
                 emit(rs_index * base * base + qt_index, (R, S, Q, T))
@@ -321,20 +437,28 @@ def enumerate_hits(job: SearchJob) -> list[Hit]:
 def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) -> list[Hit]:
     """All shards, merged in candidate order; shards may run in parallel on
     at most `os.cpu_count()` worker processes (None runs them serially).  A
-    bad job is refused before any shard starts."""
+    bad job is refused before any shard starts, and a bisystem's cosystem
+    scan is run once here for all of its shards."""
     if shards < 1:
         raise PayloadError(f"need at least one shard, got {shards}")
     if processes is not None and processes < 1:
         raise PayloadError(f"need at least one process, got {processes}")
     fast_predicate(job)
     jobs = [replace(job, shard=(k, shards)) for k in range(shards)]
+    for j in jobs:
+        _admit(j)
+    run = enumerate_hits
+    if job.kind == "bisystem":
+        asi_ok, _, cosys, _ = _bisystem(job)
+        if asi_ok:
+            run = partial(enumerate_hits, cosystems=list(_scan(cosys, job)))
     if processes:
         processes = min(processes, shards, os.cpu_count() or 1)
     if processes and processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunks = list(pool.map(enumerate_hits, jobs))
+            chunks = list(pool.map(run, jobs))
     else:
-        chunks = [enumerate_hits(j) for j in jobs]
+        chunks = [run(j) for j in jobs]
     merged = [h for chunk in chunks for h in chunk]
     merged.sort(key=lambda h: h.index)
     return merged

@@ -85,9 +85,9 @@ def _paired_terms(ctx, idx, outer, first, second):
 # one body each for R(a)R(b) = R(R(a)b + aS(b)) and its S mirror, under the
 # tags of the plain, symmetric and Lie kinds
 
-@identity("eq:rbs1", ("A", "A"))
-@identity("eq:ea0#1", ("A", "A"))
-@identity("eq:gh0", ("A", "A"))
+@identity("eq:rbs1", ("A", "A"), affine=("S",))
+@identity("eq:ea0#1", ("A", "A"), affine=("S",))
+@identity("eq:gh0", ("A", "A"), affine=("S",))
 def _r_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.R, ctx.S)
 
@@ -99,7 +99,7 @@ def _s_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.S, ctx.R, ctx.S)
 
 
-@identity("eq:ea0#2", ("A", "A"))
+@identity("eq:ea0#2", ("A", "A"), affine=("S",))
 def _ea0b(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.S, ctx.R)
 
@@ -146,13 +146,13 @@ def _cos_terms(ctx, i, outer, first, second):
             -leg_apply(douter, second, 2)]
 
 
-@identity("eq:cu#1", ("C",))
-@identity("eq:ek0", ("C",))
+@identity("eq:cu#1", ("C",), affine=("T",))
+@identity("eq:ek0", ("C",), affine=("T",))
 def _q_qt(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.Q, ctx.Q, ctx.T)
 
 
-@identity("eq:cu#2", ("C",))
+@identity("eq:cu#2", ("C",), affine=("T",))
 def _cu2(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.Q, ctx.T, ctx.Q)
 
@@ -196,7 +196,7 @@ def _coavg2(ctx, idx):
 
 # symmetric Yang-Baxter pairs; placements multiply in the shared leg
 
-@identity("de:eh#1a", ())
+@identity("de:eh#1a", (), affine=("s",))
 def _ybs_1a(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, r, (1, 2), r, (2, 3)),
@@ -204,7 +204,7 @@ def _ybs_1a(ctx, idx):
             -placement_product(A, s, (2, 3), r, (1, 3))]
 
 
-@identity("de:eh#1b", ())
+@identity("de:eh#1b", (), affine=("s",))
 def _ybs_1b(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, r, (1, 2), r, (2, 3)),

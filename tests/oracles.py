@@ -286,3 +286,74 @@ def symmetric_ybpair_hits(table, p):
         if good:
             hits.add(index)
     return hits
+
+
+def _image(m, v, p):
+    """m applied to the vector v, mod p."""
+    d = len(m)
+    return tuple(sum(m[a][b] * v[b] for b in range(d)) % p for a in range(d))
+
+
+def _unit(d, i):
+    return tuple(int(k == i) for k in range(d))
+
+
+def lie_rbs_hits(table, p):
+    """Hit indices of the lie_rbs search, the product being the bracket:
+    R(a)R(b) = R(R(a)b + aS(b)) and S(a)S(b) = S(R(a)b + aS(b))."""
+    d = len(table)
+    rng = range(d)
+    hits = set()
+    for index, (R, S) in _grids(p, d, 2):
+        good = True
+        for i in rng:
+            for j in rng:
+                Ra, Rb, Sa, Sb = (_column(R, i), _column(R, j),
+                                  _column(S, i), _column(S, j))
+                arg = tuple((x + y) % p for x, y in
+                            zip(naive_mul(table, p, Ra, _unit(d, j)),
+                                naive_mul(table, p, _unit(d, i), Sb)))
+                good = (naive_mul(table, p, Ra, Rb) == _image(R, arg, p)
+                        and naive_mul(table, p, Sa, Sb) == _image(S, arg, p))
+                if not good:
+                    break
+            if not good:
+                break
+        if good:
+            hits.add(index)
+    return hits
+
+
+def adjoint_admissible_hits(table, R, S, p):
+    """Hit indices of the adjoint_admissible search over (Q, T) with R and S
+    fixed (d x d grids): the eight conditions, at a = e_i and b = e_j,
+      Q(R(a)b) = Q(aQ(b)) + S(a)Q(b)   Q(R(a)b) = R(a)Q(b) + T(aQ(b))
+      Q(aR(b)) = Q(Q(a)b) + Q(a)S(b)   Q(aR(b)) = Q(a)R(b) + T(Q(a)b)
+      T(S(a)b) = Q(aT(b)) + S(a)T(b)   T(S(a)b) = T(aT(b)) + R(a)T(b)
+      T(aS(b)) = Q(T(a)b) + T(a)S(b)   T(aS(b)) = T(T(a)b) + T(a)R(b)."""
+    d = len(table)
+    rng = range(d)
+
+    def mul(x, y):
+        return naive_mul(table, p, x, y)
+
+    def holds(Q, T, i, j):
+        a, b = _unit(d, i), _unit(d, j)
+        col = {name: (_column(m, i), _column(m, j))
+               for name, m in (("R", R), ("S", S), ("Q", Q), ("T", T))}
+        (Ra, Rb), (Sa, Sb), (Qa, Qb), (Ta, Tb) = (col[n] for n in "RSQT")
+        sides = [
+            (_image(Q, mul(Ra, b), p), _image(Q, mul(a, Qb), p), mul(Sa, Qb)),
+            (_image(Q, mul(Ra, b), p), mul(Ra, Qb), _image(T, mul(a, Qb), p)),
+            (_image(Q, mul(a, Rb), p), _image(Q, mul(Qa, b), p), mul(Qa, Sb)),
+            (_image(Q, mul(a, Rb), p), mul(Qa, Rb), _image(T, mul(Qa, b), p)),
+            (_image(T, mul(Sa, b), p), _image(Q, mul(a, Tb), p), mul(Sa, Tb)),
+            (_image(T, mul(Sa, b), p), _image(T, mul(a, Tb), p), mul(Ra, Tb)),
+            (_image(T, mul(a, Sb), p), _image(Q, mul(Ta, b), p), mul(Ta, Sb)),
+            (_image(T, mul(a, Sb), p), _image(T, mul(Ta, b), p), mul(Ta, Rb)),
+        ]
+        return all((x - y - z) % p == 0 for lhs, one, two in sides
+                   for x, y, z in zip(lhs, one, two))
+
+    return {index for index, (Q, T) in _grids(p, d, 2)
+            if all(holds(Q, T, i, j) for i in rng for j in rng)}

@@ -288,3 +288,25 @@ def test_cli_search_bad_job_rejected(capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error:") and message in out.err
+
+
+# a budget that is not an integer of at least 1 is refused with exit 2
+
+@pytest.mark.parametrize("env, extra, message", [
+    ("abc", [], "RBX_BUDGET"),
+    ("-1", [], "at least 1"),
+    (None, ["--budget", "-1"], "at least 1"),
+    (None, ["--budget", "0"], "at least 1"),
+])
+def test_cli_search_bad_budget_rejected(monkeypatch, capsys, env, extra, message):
+    if env is None:
+        monkeypatch.delenv("RBX_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RBX_BUDGET", env)
+    code = main(["search", "symmetric-rbs", "--builtin", "--carrier", "A",
+                 "--field", "GF3", *extra])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and message in out.err
+    assert "exceeds" not in out.err

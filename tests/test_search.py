@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +20,8 @@ from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS, OperatorSystem,
 from rbx.yangbaxter import _AYBE_TAGS
 
 
-from oracles import aybe_hits, coalgebra_hits, symmetric_ybpair_hits
+from oracles import (adjoint_admissible_hits, aybe_hits, coalgebra_hits,
+                     lie_rbs_hits, symmetric_ybpair_hits)
 from oracles import naive_count as _naive_count
 
 
@@ -92,6 +95,25 @@ def test_budget_env_override(F3, monkeypatch):
         enumerate_hits(job)
     monkeypatch.setenv("RBX_BUDGET", str(2 ** 32))
     assert enumerate_hits(job)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "-1", "0"])
+def test_budget_env_must_be_a_positive_integer(F3, monkeypatch, value):
+    monkeypatch.setenv("RBX_BUDGET", value)
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs")
+    for run in (run_search, enumerate_hits):
+        with pytest.raises(BudgetError) as err:
+            run(job)
+        assert "exceeds" not in str(err.value)
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, "6561", True])
+def test_job_budget_must_be_a_positive_integer(F3, budget):
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs", budget=budget)
+    for run in (run_search, enumerate_hits):
+        with pytest.raises(BudgetError, match="at least 1"):
+            run(job)
+    assert len(run_search(replace(job, budget=6561))) == 55
 
 
 def test_hits_reverified(F2):
@@ -351,6 +373,89 @@ def test_symmetric_ybpair_hits_match_oracle(F2):
     A = fx.fix_a(F2)
     hits = enumerate_hits(SearchJob(F2, A, "symmetric_ybpair"))
     assert {h.index for h in hits} == symmetric_ybpair_hits(A.table, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lie_rbs_hits_match_oracle(p):
+    F = PrimeField(p)
+    L = fx.fix_lie(F)
+    hits = enumerate_hits(SearchJob(F, L, "lie_rbs"))
+    assert [h.index for h in hits] == sorted(lie_rbs_hits(L.table, p))
+
+
+def test_adjoint_admissible_hits_match_oracle(F3):
+    A = fx.fix_a(F3)
+    R, S = fx.fix_rs(F3)
+    hits = enumerate_hits(SearchJob(F3, A, "adjoint_admissible", fixed={"R": R, "S": S}))
+
+    def grid(m):
+        return [list(m.row(a)) for a in range(m.rows)]
+    want = adjoint_admissible_hits(A.table, grid(R), grid(S), 3)
+    assert [h.index for h in hits] == sorted(want)
+    assert len(want) == 9
+
+
+# --- the affine slice of two-component kinds against brute force ------------
+
+TWO_COMPONENT = ["rbs", "symmetric_rbs", "lie_rbs", "symmetric_rb_cosystem",
+                 "lie_rb_cosystem", "adjoint_admissible", "bisystem",
+                 "symmetric_ybpair"]
+
+
+def _two_job(kind, F):
+    R, S = fx.fix_rs(F)
+    carrier = {"lie_rbs": fx.fix_lie, "symmetric_rb_cosystem": fx.fix_c,
+               "lie_rb_cosystem": fx.fix_delta}.get(kind, fx.fix_a)(F)
+    return SearchJob(F, carrier, kind,
+                     cocarrier=fx.fix_c(F) if kind == "bisystem" else None,
+                     fixed={"R": R, "S": S} if kind == "adjoint_admissible" else None)
+
+
+def _brute(job):
+    """Indices of every candidate that the job's predicate holds on.  The
+    bisystem predicate is a conjunction that starts with the paired system on
+    (R, S) and the paired cosystem on (Q, T), so only candidates made of
+    those two factors' own brute-force hits can satisfy it."""
+    pred = fast_predicate(job)
+    if job.kind != "bisystem":
+        return [i for i in range(search_space(job)) if pred(decode_candidate(job, i))]
+    rs = _brute(SearchJob(job.field, job.carrier, "symmetric_rbs"))
+    qt = _brute(SearchJob(job.field, job.cocarrier, "symmetric_rb_cosystem"))
+    base = job.field.modulus ** 8
+    return [i for i in (m * base + n for m in rs for n in qt)
+            if pred(decode_candidate(job, i))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind, fault", [(k, None) for k in TWO_COMPONENT] + [
+    (k, tag) for k in ("symmetric_rbs", "bisystem")
+    for tag in ("eq:ea0#1", "eq:ea1#2")])
+def test_slice_matches_brute_force(kind, fault, p):
+    # eq:ea0#1 is declared affine in S, which the slice solves for;
+    # eq:ea1#2 is not, so only the full predicate on the coset sees it
+    job = _two_job(kind, PrimeField(p))
+    with seeded_fault(fault, 0) if fault else contextlib.nullcontext():
+        want = _brute(job)
+        assert [h.index for h in enumerate_hits(job)] == want
+        assert [h.index for h in run_search(job, shards=3)] == want
+
+
+def test_bisystem_cosystem_table_scanned_once(F2, monkeypatch):
+    from rbx import search
+    scanned = []
+    scan = search._scan
+
+    def spy(bound, job, shard=(0, 1)):
+        scanned.append(bound.names)
+        return scan(bound, job, shard)
+
+    monkeypatch.setattr(search, "_scan", spy)
+    job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
+    hits = run_search(job, shards=3)
+    assert scanned.count(("Q", "T")) == 1 and scanned.count(("R", "S")) == 3
+    scanned.clear()
+    assert enumerate_hits(job) == hits  # alone, a shard scans its own table
+    assert scanned == [("Q", "T"), ("R", "S")]
 
 
 # --- the early-exit predicate ----------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from rbx import fixtures as fx
 from rbx.errors import PayloadError, PreconditionError
 from rbx.identities import CATALOG, Ctx, evaluate, seeded_fault
-from rbx.kernel import Matrix, Tensor2, bv
+from rbx.kernel import Matrix, PrimeField, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
 from rbx.systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
                          check_crossed_products, check_operator_system,
@@ -383,3 +384,66 @@ def test_alias_tags_share_one_body_and_fault_alone(QQ, group):
         with seeded_fault(faulted, 0):
             for tag in group:
                 assert (evaluate(tag, ctx, idx) == clean[tag]) == (tag != faulted)
+
+
+# every summand of a tag is affine in each context name that the tag declares
+
+AFFINE_TAGS = sorted(tag for tag, ident in CATALOG.items() if ident.affine)
+
+
+def _random_ctx(F, rng, lie):
+    A, C = (fx.fix_lie(F), fx.fix_delta(F)) if lie else (fx.fix_a(F), fx.fix_c(F))
+    maps = {n: Matrix(F, 2, 2, [rng.randrange(F.modulus) for _ in range(4)])
+            for n in "RSQT"}
+    tensors = {n: Tensor2(F, 2, [rng.randrange(F.modulus) for _ in range(4)])
+               for n in "rs"}
+    return Ctx({"A": A.basis, "C": C.basis}, A=A, C=C, **maps, **tensors)
+
+
+def _affine_failures(tag, name, ctx, rng):
+    """(basis tuple, summand) pairs at which a random finite difference in
+    `name` shows f(Y1+Y2) + f(0) != f(Y1) + f(Y2) or
+    f(cY) - f(0) != c(f(Y) - f(0))."""
+    F, p = ctx.field, ctx.field.modulus
+    ident, old = CATALOG[tag], getattr(ctx, name)
+
+    def rand():
+        entries = [rng.randrange(p) for _ in range(4)]
+        return (Tensor2(F, 2, entries) if isinstance(old, Tensor2)
+                else Matrix(F, 2, 2, entries))
+
+    def summands(value, idx):
+        setattr(ctx, name, value)
+        return [F.reduce(t) if isinstance(t, tuple) else t.entries
+                for t in ident.terms(ctx, idx)]
+
+    failures = []
+    for idx in itertools.product(*(range(len(ctx.spaces[s])) for s in ident.spaces)):
+        y1, y2, c = rand(), rand(), rng.randrange(2, p)
+        f0, f1, f2 = summands(old.scale(0), idx), summands(y1, idx), summands(y2, idx)
+        f12, fc = summands(y1 + y2, idx), summands(y1.scale(c), idx)
+        for k, (z, a, b, ab, ca) in enumerate(zip(f0, f1, f2, f12, fc)):
+            additive = all((u + w - x - y) % p == 0 for u, w, x, y in zip(ab, z, a, b))
+            homogeneous = all((u - w - c * (x - w)) % p == 0 for u, w, x in zip(ca, z, a))
+            if not (additive and homogeneous):
+                failures.append((idx, k))
+    setattr(ctx, name, old)
+    return failures
+
+
+@pytest.mark.parametrize("tag", AFFINE_TAGS)
+def test_affine_declarations_hold(tag):
+    rng = random.Random(tag)
+    for p in (3, 5):  # not 2: there y^2 = y hides a quadratic summand
+        for lie in (False, True):
+            for _ in range(3):
+                ctx = _random_ctx(PrimeField(p), rng, lie)
+                for name in CATALOG[tag].affine:
+                    assert _affine_failures(tag, name, ctx, rng) == [], (p, lie, name)
+
+
+def test_affine_check_catches_a_quadratic_summand():
+    # S(a)S(b) makes eq:ea1#1 quadratic in S
+    rng = random.Random(5)
+    ctx = _random_ctx(PrimeField(3), rng, False)
+    assert _affine_failures("eq:ea1#1", "S", ctx, rng)
