@@ -47,17 +47,24 @@ class Identity:
     spaces: tuple[str, ...]
     terms: Callable
     affine: frozenset = frozenset()
+    quadratic: frozenset = frozenset()
 
 
-def identity(tag: str, spaces: tuple[str, ...] = (), affine: tuple[str, ...] = ()):
+def identity(tag: str, spaces: tuple[str, ...] = (), affine: tuple[str, ...] = (),
+             quadratic: tuple[str, ...] = ()):
     """Register `terms` under `tag`.  `affine` names the context data in
     which every summand is affine while all other data stay fixed (a name
     the entry does not read is affine too); search solves for such data
-    instead of enumerating them, and a sign-flipped summand stays affine."""
+    instead of enumerating them.  `quadratic` names the data in which every
+    summand has degree at most 2, the others fixed; search compiles each
+    step of such a tag into GF(p) quadratic forms in the entries of that
+    datum and scans candidates against those.  A sign-flipped summand keeps
+    its degree, so seeded faults leave both declarations true."""
     def register(fn):
         if tag in CATALOG:
             raise ValueError(f"duplicate identity tag {tag!r}")
-        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(affine))
+        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(affine),
+                                frozenset(quadratic))
         return fn
     return register
 
@@ -187,6 +194,15 @@ def run_identities(check: str, tags, ctx: Ctx, provenance=None):
     return make_report(check, violations, provenance=provenance)
 
 
+def steps(tags, ctx: Ctx) -> tuple:
+    """Every (tag, basis tuple) step of `tags` over the spaces of `ctx`, in
+    the order `run_identities` evaluates them."""
+    return tuple(
+        (tag, idx) for tag in tags
+        for idx in itertools.product(
+            *(range(len(ctx.spaces[s])) for s in CATALOG[tag].spaces)))
+
+
 def predicate(tags, ctx: Ctx) -> Callable:
     """Early-exit form of `run_identities`: `holds(c)` is True iff every tag
     vanishes at every basis tuple, for any context `c` with the spaces and
@@ -195,10 +211,7 @@ def predicate(tags, ctx: Ctx) -> Callable:
     step moves to the front of the order.  The order is a tuple replaced
     whole, so a call running in another thread still sees every step."""
     field = ctx.field if ctx.field is not None and ctx.field.modulus else None
-    order = tuple(
-        (tag, idx) for tag in tags
-        for idx in itertools.product(
-            *(range(len(ctx.spaces[s])) for s in CATALOG[tag].spaces)))
+    order = steps(tags, ctx)
 
     def holds(c) -> bool:
         nonlocal order

@@ -3,7 +3,11 @@
 Each search kind's predicate is built from the identity catalog
 (`identities.predicate`) over the tag tuple that the kind's checker runs,
 with one context per job that each candidate's components are bound into;
-it stops at the first nonzero residual.  A two-component kind is not
+it stops at the first nonzero residual.  A one-component kind is compiled
+once per scan: each step of a tag declared quadratic in the component
+becomes GF(p) quadratic forms in its entries, interpolated from probes
+through `evaluate`, and only the candidates on which every form vanishes
+are run through the predicate (`_Quadratic`).  A two-component kind is not
 enumerated over both components: for each value of the first, the tags
 declared affine in the second give linear equations over GF(p), probed
 through `evaluate`, and only their solution coset is run through the
@@ -25,11 +29,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Callable
 
 from .bisystems import ASIBisystem, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import CATALOG, Ctx, _stored, evaluate, predicate
+from .identities import CATALOG, Ctx, _stored, evaluate, predicate, steps
 from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
 from .representations import _CK5_TAGS, _CK_TAGS, adjoint_admissible_report
@@ -223,8 +228,11 @@ def _values(job):
 def decode_candidate(job: SearchJob, index: int):
     """Candidate at one index, as the components of `Hit.parts`: the index
     in base p, most significant digit first, is the row-major entries of
-    each component in turn."""
+    each component in turn.  An index outside the search space is refused."""
     comps = _spec(job)
+    space = search_space(job)
+    if not 0 <= index < space:
+        raise PayloadError(f"candidate index {index} is outside [0, {space})")
     p = job.field.modulus
     width = job.carrier.dim ** 2
     digits = []
@@ -239,16 +247,19 @@ def decode_candidate(job: SearchJob, index: int):
 def _scan(bound, job, shard=(0, 1)):
     """(index, components) of each candidate of one shard that `bound`
     holds on, in index order; the shard fixes the first component's index
-    modulo the shard count.  For two components, the second runs only over
-    the solution coset that `_Slice` finds for each value of the first."""
+    modulo the shard count.  One component runs only over the candidates on
+    which its compiled quadratic forms vanish (`_Quadratic`); for two, the
+    second runs only over the solution coset that `_Slice` finds for each
+    value of the first."""
     s, K = shard
     ctx, holds, names = bound.ctx, bound.holds, bound.names
     if len(names) == 1:
-        for m0, c0 in enumerate(_values(job)):
-            if m0 % K == s:
-                setattr(ctx, names[0], c0)
-                if holds(ctx):
-                    yield m0, (c0,)
+        flavor = _spec(job)[0]
+        for m0, entries in _Quadratic(bound, job).survivors(shard):
+            c0 = _component(job, flavor, entries)
+            setattr(ctx, names[0], c0)
+            if holds(ctx):
+                yield m0, (c0,)
         return
     values = list(_values(job))
     coset = _Slice(bound, job, values).coset
@@ -261,6 +272,94 @@ def _scan(bound, job, shard=(0, 1)):
             setattr(ctx, names[1], c1)
             if holds(ctx):
                 yield m0 * base + m1, (c0, c1)
+
+
+def _entries(tag, ctx, idx, field):
+    """The stored entries of one step's residual: the probe through
+    `evaluate` that `_Slice` and `_Quadratic` interpolate."""
+    res = _stored(evaluate(tag, ctx, idx), field)
+    return res if isinstance(res, tuple) else res.entries
+
+
+class _Quadratic:
+    """The one component Y of a one-component condition, compiled.
+
+    With all other data fixed, each entry of a step of a tag declared
+    quadratic in Y (`identities.identity(..., quadratic=...)`) is a form
+    c + sum_k a_k y_k + sum_k b_k y_k^2 + sum_{k<l} q_kl y_k y_l in the
+    entries y_k of Y.  Probing `evaluate` at Y = 0, +E_k, -E_k and
+    E_k + E_l for the unit components E_k gives its coefficients: one row
+    over the monomials (1, y_k, y_k^2, y_k y_l) per residual entry.  Over
+    GF(2), where -E_k = E_k and y^2 = y, each square folds into its linear
+    term, which is exact on GF(2)^n.  Every candidate is tested against the
+    nonzero rows; the first that does not vanish rejects it and moves to
+    the front, as a step does in `identities.predicate`.  The survivors are
+    for the full predicate to decide; with no quadratic tag, that is every
+    candidate."""
+
+    def __init__(self, bound, job):
+        name, ctx, field = bound.names[0], bound.ctx, job.field
+        flavor = _spec(job)[0]
+        self.p = p = field.modulus
+        self.n = n = job.carrier.dim ** 2
+        self.squares = p > 2
+        self.pairs = pairs = tuple(itertools.combinations(range(n), 2))
+
+        def at(*units):
+            y = [0] * n
+            for k, sign in units:
+                y[k] = sign % p
+            return _component(job, flavor, tuple(y))
+        probes = ([at()] + [at((k, 1)) for k in range(n)]
+                  + [at((k, -1)) for k in range(n) if self.squares]
+                  + [at((k, 1), (l, 1)) for k, l in pairs])
+        half = (p + 1) // 2
+        self.steps = {}
+        tags = [t for t in bound.tags if name in CATALOG[t].quadratic]
+        for tag, idx in steps(tags, ctx):
+            values = []
+            for y in probes:
+                setattr(ctx, name, y)
+                values.append(_entries(tag, ctx, idx, field))
+            rows = []
+            for f in zip(*values):
+                c, plus = f[0], f[1:n + 1]
+                if self.squares:
+                    minus = f[n + 1:2 * n + 1]
+                    terms = ([(u - w) * half % p for u, w in zip(plus, minus)]
+                             + [((u + w) * half - c) % p for u, w in zip(plus, minus)])
+                else:
+                    terms = [(u - c) % p for u in plus]
+                cross = f[len(f) - len(pairs):]
+                terms += [(x - plus[k] - plus[l] + c) % p
+                          for (k, l), x in zip(pairs, cross)]
+                rows.append((c, *terms))
+            self.steps[tag, idx] = tuple(rows)
+
+    def monomials(self, y):
+        """(1, y_k, y_k^2, y_k y_l) at the entries y, the squares left out
+        over GF(2)."""
+        squares = [v * v for v in y] if self.squares else []
+        return (1, *y, *squares, *[y[k] * y[l] for k, l in self.pairs])
+
+    def survivors(self, shard):
+        """(index, entries) of each candidate of the shard on which every
+        row vanishes, in index order; candidates are streamed, not listed."""
+        s, K = shard
+        p, monomials = self.p, self.monomials
+        order = tuple(row for rows in self.steps.values() for row in rows if any(row))
+        candidates = itertools.islice(
+            itertools.product(range(p), repeat=self.n), s, None, K)
+        for index, y in zip(itertools.count(s, K), candidates):
+            m = monomials(y)
+            current = order
+            for k, row in enumerate(current):
+                if sum(map(mul, row, m)) % p:
+                    if k:
+                        order = (row,) + current[:k] + current[k + 1:]
+                    break
+            else:
+                yield index, y
 
 
 class _Slice:
@@ -279,20 +378,13 @@ class _Slice:
     def __init__(self, bound, job, values):
         self.name = bound.names[1]
         self.values = values
-        spaces = bound.ctx.spaces
-        self.steps = tuple(
-            (tag, idx) for tag in bound.tags if self.name in CATALOG[tag].affine
-            for idx in itertools.product(
-                *(range(len(spaces[sp])) for sp in CATALOG[tag].spaces)))
+        self.steps = steps(
+            [t for t in bound.tags if self.name in CATALOG[t].affine], bound.ctx)
         self.field = job.field
         self.p = job.field.modulus
         self.n = n = job.carrier.dim ** 2
         # index of E_k is p^(n-1-k); index 0 is the zero component
         self.units = [values[self.p ** (n - 1 - k)] for k in range(n)]
-
-    def _entries(self, tag, ctx, idx):
-        res = _stored(evaluate(tag, ctx, idx), self.field)
-        return res if isinstance(res, tuple) else res.entries
 
     def _rows(self, ctx):
         """The reduced rows {pivot: (coefficients, rhs)} of every step, each
@@ -302,11 +394,11 @@ class _Slice:
         pivots = {}
         for tag, idx in self.steps:
             setattr(ctx, name, zero)
-            b = self._entries(tag, ctx, idx)
+            b = _entries(tag, ctx, idx, self.field)
             cols = []
             for unit in self.units:
                 setattr(ctx, name, unit)
-                cols.append(self._entries(tag, ctx, idx))
+                cols.append(_entries(tag, ctx, idx, self.field))
             for r, b_r in enumerate(b):
                 row = [(col[r] - b_r) % p for col in cols]
                 rhs = -b_r % p

@@ -60,7 +60,7 @@ class CoOperatorSystem:
 # ---------------------------------------------------------------------------
 # operator identities on algebras
 
-@identity("eq:cee", ("A", "A"))
+@identity("eq:cee", ("A", "A"), quadratic=("R",))
 def _rb_weight(ctx, idx):
     i, j = idx
     A, R, lam = ctx.A, ctx.R, ctx.lam
@@ -109,21 +109,21 @@ def _ea1b(ctx, idx):
     return _paired_terms(ctx, idx, ctx.S, ctx.S, ctx.R)
 
 
-@identity("eq:et1#1", ("A", "A"))
+@identity("eq:et1#1", ("A", "A"), quadratic=("R",))
 def _avg1(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
     return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(R.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et1#2", ("A", "A"))
+@identity("eq:et1#2", ("A", "A"), quadratic=("R",))
 def _avg2(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
     return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(A.basis_vector(i), R.col(j))))]
 
 
-@identity("eq:ew1", ("A", "A"))
+@identity("eq:ew1", ("A", "A"), quadratic=("R",))
 def _nijenhuis(ctx, idx):
     i, j = idx
     A, N = ctx.A, ctx.R
@@ -168,7 +168,7 @@ def _cu1_2(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.T, ctx.T, ctx.Q)
 
 
-@identity("rmk:gb#2", ("C",))
+@identity("rmk:gb#2", ("C",), quadratic=("Q",))
 def _rb_coweight(ctx, idx):
     (i,) = idx
     C, Q, lam = ctx.C, ctx.Q, ctx.lam
@@ -178,7 +178,7 @@ def _rb_coweight(ctx, idx):
             -leg_apply(dq, Q, 1), -leg_apply(dq, Q, 2), -dq.scale(lam)]
 
 
-@identity("eq:et2#1", ("C",))
+@identity("eq:et2#1", ("C",), quadratic=("Q",))
 def _coavg1(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q
@@ -186,7 +186,7 @@ def _coavg1(ctx, idx):
     return [leg_apply(leg_apply(d, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 1)]
 
 
-@identity("eq:et2#2", ("C",))
+@identity("eq:et2#2", ("C",), quadratic=("Q",))
 def _coavg2(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q

@@ -37,6 +37,13 @@ FIXTURE_TABLE = (((0, 0), (0, 0)), ((1, 0), (0, 1)))
 
 
 def naive_count(p, kind, lam=0, table=FIXTURE_TABLE):
+    return len(naive_hits(p, kind, lam, table))
+
+
+def naive_hits(p, kind, lam=0, table=FIXTURE_TABLE):
+    """Hit indices of an algebra-side map kind over the full space: a map's
+    index in base p is its row-major entries, and a pair's index is R's
+    index times p^4 plus S's."""
     d = 2
     basis = [(1, 0), (0, 1)]
     maps = list(itertools.product(range(p), repeat=4))
@@ -47,34 +54,32 @@ def naive_count(p, kind, lam=0, table=FIXTURE_TABLE):
     def add(u, v):
         return tuple((a + b) % p for a, b in zip(u, v))
 
-    count = 0
+    hits = set()
     if kind in ("rbs", "symmetric_rbs"):
-        for re_ in maps:
-            R = cols(re_)
-            for se_ in maps:
-                S = cols(se_)
-                good = True
-                for i in range(d):
-                    for j in range(d):
-                        lhs_r = naive_mul(table, p, R[i], R[j])
-                        lhs_s = naive_mul(table, p, S[i], S[j])
-                        arg1 = add(naive_mul(table, p, R[i], basis[j]),
-                                   naive_mul(table, p, basis[i], S[j]))
-                        if lhs_r != naive_apply(R, p, arg1):
+        for index, (re_, se_) in enumerate(itertools.product(maps, repeat=2)):
+            R, S = cols(re_), cols(se_)
+            good = True
+            for i in range(d):
+                for j in range(d):
+                    lhs_r = naive_mul(table, p, R[i], R[j])
+                    lhs_s = naive_mul(table, p, S[i], S[j])
+                    arg1 = add(naive_mul(table, p, R[i], basis[j]),
+                               naive_mul(table, p, basis[i], S[j]))
+                    if lhs_r != naive_apply(R, p, arg1):
+                        good = False
+                    if lhs_s != naive_apply(S, p, arg1):
+                        good = False
+                    if kind == "symmetric_rbs":
+                        arg2 = add(naive_mul(table, p, S[i], basis[j]),
+                                   naive_mul(table, p, basis[i], R[j]))
+                        if lhs_r != naive_apply(R, p, arg2):
                             good = False
-                        if lhs_s != naive_apply(S, p, arg1):
+                        if lhs_s != naive_apply(S, p, arg2):
                             good = False
-                        if kind == "symmetric_rbs":
-                            arg2 = add(naive_mul(table, p, S[i], basis[j]),
-                                       naive_mul(table, p, basis[i], R[j]))
-                            if lhs_r != naive_apply(R, p, arg2):
-                                good = False
-                            if lhs_s != naive_apply(S, p, arg2):
-                                good = False
-                if good:
-                    count += 1
-        return count
-    for re_ in maps:
+            if good:
+                hits.add(index)
+        return hits
+    for index, re_ in enumerate(maps):
         R = cols(re_)
         good = True
         for i in range(d):
@@ -98,8 +103,8 @@ def naive_count(p, kind, lam=0, table=FIXTURE_TABLE):
                     if lhs2 != rhs:
                         good = False
         if good:
-            count += 1
-    return count
+            hits.add(index)
+    return hits
 
 
 def naive_aybe_residual(A, r):

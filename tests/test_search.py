@@ -8,8 +8,10 @@ from dataclasses import replace
 import pytest
 
 from rbx import fixtures as fx
+from rbx import search
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
-from rbx.identities import Ctx, predicate, run_identities, seeded_fault
+from rbx.identities import (Ctx, _stored, evaluate, predicate, run_identities,
+                            seeded_fault)
 from rbx.kernel import Matrix, PrimeField
 from rbx.representations import _CK_TAGS
 from rbx.search import (FamilySpec, SearchJob, cross_tabulate,
@@ -21,7 +23,7 @@ from rbx.yangbaxter import _AYBE_TAGS
 
 
 from oracles import (adjoint_admissible_hits, aybe_hits, coalgebra_hits,
-                     lie_rbs_hits, symmetric_ybpair_hits)
+                     lie_rbs_hits, naive_hits, symmetric_ybpair_hits)
 from oracles import naive_count as _naive_count
 
 
@@ -187,7 +189,6 @@ def test_run_search_rejects_bad_shard_count(F3, shards):
 
 
 def test_run_search_caps_processes_at_cpu_count(F3, monkeypatch):
-    from rbx import search
     layouts = []
 
     class Pool:
@@ -352,7 +353,8 @@ def test_adjoint_admissible_hits_survive_each_ck_fault(F3):
 @pytest.mark.parametrize("kind, p", [
     ("symmetric_rb_cosystem", 2), ("lie_rb_cosystem", 2),
     ("coaveraging", 2), ("rb_coalgebra_weight", 2),
-    ("coaveraging", 3), ("rb_coalgebra_weight", 3)])
+    ("coaveraging", 3), ("rb_coalgebra_weight", 3),
+    ("coaveraging", 5), ("rb_coalgebra_weight", 5)])
 def test_coalgebra_hits_match_oracle(kind, p):
     F = PrimeField(p)
     C = fx.fix_delta(F) if kind == "lie_rb_cosystem" else fx.fix_c(F)
@@ -360,13 +362,24 @@ def test_coalgebra_hits_match_oracle(kind, p):
     assert {h.index for h in hits} == coalgebra_hits(C.table, p, kind, lam=1)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("antisymmetric", [False, True])
 def test_aybe_hits_match_oracle(p, antisymmetric):
     F = PrimeField(p)
     A = fx.fix_a(F)
     hits = enumerate_hits(SearchJob(F, A, "aybe", antisymmetric=antisymmetric))
     assert {h.index for h in hits} == aybe_hits(A.table, p, antisymmetric)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind, lam", [("rb_weight", 0), ("rb_weight", 1),
+                                       ("averaging", 0), ("nijenhuis", 0)])
+def test_algebra_map_hits_match_oracle(kind, lam, p):
+    F = PrimeField(p)
+    A = fx.fix_a(F)
+    job = SearchJob(F, A, kind, weight=F.of(lam) if kind == "rb_weight" else None)
+    hits = enumerate_hits(job)
+    assert [h.index for h in hits] == sorted(naive_hits(p, kind, lam, A.table))
 
 
 def test_symmetric_ybpair_hits_match_oracle(F2):
@@ -441,7 +454,6 @@ def test_slice_matches_brute_force(kind, fault, p):
 
 
 def test_bisystem_cosystem_table_scanned_once(F2, monkeypatch):
-    from rbx import search
     scanned = []
     scan = search._scan
 
@@ -456,6 +468,54 @@ def test_bisystem_cosystem_table_scanned_once(F2, monkeypatch):
     scanned.clear()
     assert enumerate_hits(job) == hits  # alone, a shard scans its own table
     assert scanned == [("Q", "T"), ("R", "S")]
+
+
+# --- one-component kinds compiled into quadratic forms ----------------------
+
+ONE_COMPONENT = sorted(k for k, comps in search._KINDS.items() if len(comps) == 1)
+
+
+def _one_job(kind, F, antisymmetric=False):
+    carrier = fx.fix_c(F) if kind in _COALG_KINDS else fx.fix_a(F)
+    weighted = kind in ("rb_weight", "rb_coalgebra_weight")
+    return SearchJob(F, carrier, kind, weight=F.one() if weighted else None,
+                     antisymmetric=antisymmetric)
+
+
+@pytest.mark.parametrize("p", [2, 3, 11])
+@pytest.mark.parametrize("kind, antisymmetric, fault", [
+    (k, False, None) for k in ONE_COMPONENT] + [
+    ("aybe", True, None), ("rb_weight", False, "eq:cee")])
+def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
+    # each compiled row, evaluated at a candidate's monomials, is the stored
+    # residual entry that evaluate gives with the candidate bound
+    F = PrimeField(p)
+    job = _one_job(kind, F, antisymmetric)
+    rng = random.Random(f"{kind}-{p}-{fault}")
+    with seeded_fault(fault, 0) if fault else contextlib.nullcontext():
+        bound = fast_predicate(job)
+        quad = search._Quadratic(bound, job)
+        assert {tag for tag, _ in quad.steps} == set(bound.tags)
+        for _ in range(200):
+            (y,) = decode_candidate(job, rng.randrange(search_space(job)))
+            setattr(bound.ctx, bound.names[0], y)
+            m = quad.monomials(y.entries)
+            for (tag, idx), rows in quad.steps.items():
+                res = _stored(evaluate(tag, bound.ctx, idx), F)
+                want = res if isinstance(res, tuple) else res.entries
+                assert [sum(a * b for a, b in zip(row, m)) % p
+                        for row in rows] == list(want), (tag, idx)
+
+
+def test_decode_candidate_refuses_indices_outside_the_space(F3):
+    job = SearchJob(F3, fx.fix_a(F3), "symmetric_rbs")
+    space = search_space(job)
+    assert space == 6561
+    two = Matrix(F3, 2, 2, [2, 2, 2, 2])
+    assert decode_candidate(job, space - 1) == (two, two)
+    for index in (space, space + 1, -1, -space):
+        with pytest.raises(PayloadError, match="outside"):
+            decode_candidate(job, index)
 
 
 # --- the early-exit predicate ----------------------------------------------

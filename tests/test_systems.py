@@ -8,13 +8,15 @@ from rbx.errors import PayloadError, PreconditionError
 from rbx.identities import CATALOG, Ctx, evaluate, seeded_fault
 from rbx.kernel import Matrix, PrimeField, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
-from rbx.systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
+from rbx.systems import (_ALG_KINDS, _COALG_KINDS, CoOperatorSystem,
+                         OperatorSystem, check_cosystem,
                          check_crossed_products, check_operator_system,
                          check_symmetric_ybpair, check_ybpair,
                          cocommutator_lift, commutator_lift, derived_products,
                          nijenhuis_from_srbs, split_dendriform,
                          srbs_from_central, srbs_from_ybpair, weight_embed)
-from rbx.search import SearchJob, enumerate_hits
+from rbx.search import _KINDS, SearchJob, enumerate_hits
+from rbx.yangbaxter import _AYBE_TAGS
 from conftest import all_matrices, all_tensors
 
 
@@ -397,7 +399,8 @@ def _random_ctx(F, rng, lie):
             for n in "RSQT"}
     tensors = {n: Tensor2(F, 2, [rng.randrange(F.modulus) for _ in range(4)])
                for n in "rs"}
-    return Ctx({"A": A.basis, "C": C.basis}, A=A, C=C, **maps, **tensors)
+    return Ctx({"A": A.basis, "C": C.basis}, A=A, C=C, **maps, **tensors,
+               lam=rng.randrange(F.modulus))
 
 
 def _affine_failures(tag, name, ctx, rng):
@@ -447,3 +450,80 @@ def test_affine_check_catches_a_quadratic_summand():
     rng = random.Random(5)
     ctx = _random_ctx(PrimeField(3), rng, False)
     assert _affine_failures("eq:ea1#1", "S", ctx, rng)
+
+
+# every summand of a tag has degree at most 2 in each context name that the
+# tag declares quadratic
+
+QUADRATIC_TAGS = sorted(tag for tag, ident in CATALOG.items() if ident.quadratic)
+
+
+def _cubic_failures(terms, spaces, name, ctx, rng):
+    """(basis tuple, summand) pairs at which a random third finite difference
+    in `name`, the alternating sum of f(Y + sum of a subset of {H1, H2, H3})
+    over the eight subsets, is nonzero; it vanishes on degree <= 2."""
+    F, p = ctx.field, ctx.field.modulus
+    old = getattr(ctx, name)
+
+    def rand():
+        entries = [rng.randrange(p) for _ in range(4)]
+        return (Tensor2(F, 2, entries) if isinstance(old, Tensor2)
+                else Matrix(F, 2, 2, entries))
+
+    def summands(value, idx):
+        setattr(ctx, name, value)
+        return [F.reduce(t) if isinstance(t, tuple) else t.entries
+                for t in terms(ctx, idx)]
+
+    failures = []
+    for idx in itertools.product(*(range(len(ctx.spaces[s])) for s in spaces)):
+        y, hs = rand(), [rand() for _ in range(3)]
+        total = None
+        for subset in itertools.product((0, 1), repeat=3):
+            point = y
+            for h, on in zip(hs, subset):
+                if on:
+                    point = point + h
+            sign = (-1) ** (3 - sum(subset))
+            values = [[sign * x for x in t] for t in summands(point, idx)]
+            total = values if total is None else [
+                [u + w for u, w in zip(a, b)] for a, b in zip(total, values)]
+        failures += [(idx, k) for k, t in enumerate(total) if any(x % p for x in t)]
+    setattr(ctx, name, old)
+    return failures
+
+
+@pytest.mark.parametrize("tag", QUADRATIC_TAGS)
+def test_quadratic_declarations_hold(tag):
+    rng = random.Random(tag)
+    ident = CATALOG[tag]
+    for p in (5, 7):  # not 2 or 3: there y^3 = y hides a cubic summand
+        for lie in (False, True):
+            for _ in range(3):
+                ctx = _random_ctx(PrimeField(p), rng, lie)
+                for name in ident.quadratic:
+                    assert _cubic_failures(ident.terms, ident.spaces, name,
+                                           ctx, rng) == [], (p, lie, name)
+
+
+def test_quadratic_check_catches_a_cubic_summand():
+    # R(R(R(e_i))) is cubic in R; it is not a catalog entry
+    def cubic(ctx, idx):
+        return [ctx.R.apply(ctx.R.apply(ctx.R.col(idx[0])))]
+
+    rng = random.Random(7)
+    for p in (5, 7):
+        ctx = _random_ctx(PrimeField(p), rng, False)
+        assert _cubic_failures(cubic, ("A",), "R", ctx, rng)
+
+
+def test_one_component_search_kinds_declare_quadratic_tags():
+    declared = {"aybe": (_AYBE_TAGS, "r")}
+    declared.update((k, (v[0], "R")) for k, v in _ALG_KINDS.items())
+    declared.update((k, (v[0], "Q")) for k, v in _COALG_KINDS.items())
+    one = [k for k, comps in _KINDS.items() if len(comps) == 1]
+    assert len(one) == 6
+    for kind in one:
+        tags, name = declared[kind]
+        for tag in tags:
+            assert name in CATALOG[tag].quadratic, (kind, tag)
