@@ -68,9 +68,6 @@ class Workspace:
             raise PayloadError(f"{name!r} is a {kind}, expected {'/'.join(kinds)}")
         return obj
 
-    def carrier_of(self, name):
-        return self.items[name][2]
-
     def __eq__(self, other):
         return (isinstance(other, Workspace) and self.field == other.field
                 and self.items == other.items and self.order == other.order)
@@ -691,18 +688,20 @@ def _reduce(obj, field):
 
 
 def export_hits(job, hits):
-    """Hit list as workspace text (round-trippable through `parse`)."""
+    """Hit list as workspace text (round-trippable through `parse`): the
+    carrier, a bisystem's cocarrier, and the components of every hit, a
+    bisystem's Q and T on the cocarrier and all others on the carrier."""
     ws = Workspace(job.field)
-    kind = "liealgebra" if type(job.carrier).__name__ == "LieAlgebra" else (
-        "algebra" if isinstance(job.carrier, _Multiplicative) else "coalgebra")
-    ws.add("carrier", kind, job.carrier)
+    kinds = {cls: kind for kind, cls in _STRUCT_KINDS.items()}
+    ws.add("carrier", kinds[type(job.carrier)], job.carrier)
+    on = ("carrier",) * 4
+    if job.kind == "bisystem":
+        ws.add("cocarrier", kinds[type(job.cocarrier)], job.cocarrier)
+        on = ("carrier", "carrier", "cocarrier", "cocarrier")
     for n, hit in enumerate(hits):
         for k, part in enumerate(hit.parts):
-            name = f"hit{n}_{k}"
-            if isinstance(part, Matrix):
-                ws.add(name, "map", part, carrier="carrier")
-            else:
-                ws.add(name, "tensor", part, carrier="carrier")
+            ws.add(f"hit{n}_{k}", "map" if isinstance(part, Matrix) else "tensor",
+                   part, carrier=on[k])
     return print_workspace(ws)
 
 

@@ -46,25 +46,22 @@ class Identity:
     tag: str
     spaces: tuple[str, ...]
     terms: Callable
-    affine: frozenset = frozenset()
     quadratic: frozenset = frozenset()
 
 
-def identity(tag: str, spaces: tuple[str, ...] = (), affine: tuple[str, ...] = (),
-             quadratic: tuple[str, ...] = ()):
-    """Register `terms` under `tag`.  `affine` names the context data in
-    which every summand is affine while all other data stay fixed (a name
-    the entry does not read is affine too); search solves for such data
-    instead of enumerating them.  `quadratic` names the data in which every
-    summand has degree at most 2, the others fixed; search compiles each
-    step of such a tag into GF(p) quadratic forms in the entries of that
-    datum and scans candidates against those.  A sign-flipped summand keeps
-    its degree, so seeded faults leave both declarations true."""
+def identity(tag: str, spaces: tuple[str, ...] = (), quadratic: tuple[str, ...] = ()):
+    """Register `terms` under `tag`.  `quadratic` names the context data in
+    which every summand has total degree at most 2, taken jointly over all
+    the names listed while the other data stay fixed (a name the entry does
+    not read counts too).  Every tag of a search kind lists every datum
+    that the search binds: search compiles each step of the tag into GF(p)
+    quadratic forms in the entries of all of them at once and solves those
+    forms.  A sign-flipped summand keeps its degree, so seeded faults leave
+    the declaration true."""
     def register(fn):
         if tag in CATALOG:
             raise ValueError(f"duplicate identity tag {tag!r}")
-        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(affine),
-                                frozenset(quadratic))
+        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(quadratic))
         return fn
     return register
 

@@ -316,11 +316,6 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def vec_is_zero(u):
-    """Zero test for a vector of stored (reduced) scalars."""
-    return not any(u)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -561,10 +556,6 @@ class Tensor2:
     @classmethod
     def zero(cls, field, dim):
         return cls._make(field, dim, (field.zero(),) * (dim * dim))
-
-    @classmethod
-    def from_grid(cls, field, grid):
-        return cls(field, len(grid), [x for row in grid for x in row])
 
     @classmethod
     def from_terms(cls, field, dim, terms):

@@ -62,11 +62,6 @@ class Report:
             doc["subchecks"] = [r.to_json(witness) for r in self.subreports]
         return doc
 
-    def summary(self) -> str:
-        n = len(self.all_violations())
-        tail = "" if self.status != "fail" else f" ({n} violation{'s' if n != 1 else ''})"
-        return f"{self.check}: {self.status}{tail}"
-
 
 def make_report(check, violations=(), subreports=(), provenance=None, not_applicable=False):
     violations = tuple(violations)

@@ -284,7 +284,7 @@ _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
             "eq:cj2#1", "eq:cj2#2", "eq:cj3#1", "eq:cj3#2")
 
 
-@identity("eq:ck#1", ("A", "A"), affine=("T",))
+@identity("eq:ck#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -293,7 +293,7 @@ def _ck_1(ctx, idx):
             vneg(A.mul(S.col(i), Q.col(j)))]
 
 
-@identity("eq:ck#2", ("A", "A"), affine=("T",))
+@identity("eq:ck#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -302,7 +302,7 @@ def _ck_2(ctx, idx):
             vneg(T.apply(A.mul(_ev(ctx, i), Q.col(j))))]
 
 
-@identity("eq:ck1#1", ("A", "A"), affine=("T",))
+@identity("eq:ck1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck1_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -311,7 +311,7 @@ def _ck1_1(ctx, idx):
             vneg(A.mul(Q.col(i), S.col(j)))]
 
 
-@identity("eq:ck1#2", ("A", "A"), affine=("T",))
+@identity("eq:ck1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck1_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -320,7 +320,7 @@ def _ck1_2(ctx, idx):
             vneg(T.apply(A.mul(Q.col(i), _ev(ctx, j))))]
 
 
-@identity("eq:ck2#1", ("A", "A"), affine=("T",))
+@identity("eq:ck2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
@@ -329,7 +329,7 @@ def _ck2_1(ctx, idx):
             vneg(A.mul(S.col(i), T.col(j)))]
 
 
-@identity("eq:ck2#2", ("A", "A"))
+@identity("eq:ck2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_2(ctx, idx):
     i, j = idx
     A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
@@ -338,7 +338,7 @@ def _ck2_2(ctx, idx):
             vneg(A.mul(R.col(i), T.col(j)))]
 
 
-@identity("eq:ck3#1", ("A", "A"), affine=("T",))
+@identity("eq:ck3#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck3_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
@@ -347,7 +347,7 @@ def _ck3_1(ctx, idx):
             vneg(A.mul(T.col(i), S.col(j)))]
 
 
-@identity("eq:ck3#2", ("A", "A"))
+@identity("eq:ck3#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck3_2(ctx, idx):
     i, j = idx
     A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
@@ -360,7 +360,7 @@ _CK_TAGS = ("eq:ck#1", "eq:ck#2", "eq:ck1#1", "eq:ck1#2",
             "eq:ck2#1", "eq:ck2#2", "eq:ck3#1", "eq:ck3#2")
 
 
-@identity("eq:ck5#1", ("A",))
+@identity("eq:ck5#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_1(ctx, idx):
     (i,) = idx
     C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
@@ -370,7 +370,7 @@ def _ck5_1(ctx, idx):
             -leg_apply(leg_apply(dx, T, 1), R, 2)]
 
 
-@identity("eq:ck5#2", ("A",))
+@identity("eq:ck5#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_2(ctx, idx):
     (i,) = idx
     C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
@@ -380,7 +380,7 @@ def _ck5_2(ctx, idx):
             -leg_apply(leg_apply(dx, Q, 1), R, 2)]
 
 
-@identity("eq:ck6#1", ("A",))
+@identity("eq:ck6#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck6_1(ctx, idx):
     (i,) = idx
     C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
@@ -390,7 +390,7 @@ def _ck6_1(ctx, idx):
             -leg_apply(leg_apply(dx, R, 1), Q, 2)]
 
 
-@identity("eq:ck6#2", ("A",))
+@identity("eq:ck6#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck6_2(ctx, idx):
     (i,) = idx
     C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
@@ -400,7 +400,7 @@ def _ck6_2(ctx, idx):
             -leg_apply(leg_apply(dx, R, 1), T, 2)]
 
 
-@identity("eq:ck7#1", ("A",))
+@identity("eq:ck7#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_1(ctx, idx):
     (i,) = idx
     C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
@@ -410,7 +410,7 @@ def _ck7_1(ctx, idx):
             -leg_apply(leg_apply(dx, T, 1), S, 2)]
 
 
-@identity("eq:ck7#2", ("A",))
+@identity("eq:ck7#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_2(ctx, idx):
     (i,) = idx
     C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
@@ -420,7 +420,7 @@ def _ck7_2(ctx, idx):
             -leg_apply(leg_apply(dx, Q, 1), S, 2)]
 
 
-@identity("eq:ck8#1", ("A",))
+@identity("eq:ck8#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck8_1(ctx, idx):
     (i,) = idx
     C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
@@ -430,7 +430,7 @@ def _ck8_1(ctx, idx):
             -leg_apply(leg_apply(dx, S, 1), Q, 2)]
 
 
-@identity("eq:ck8#2", ("A",))
+@identity("eq:ck8#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck8_2(ctx, idx):
     (i,) = idx
     C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T

@@ -1,23 +1,24 @@
 """Exhaustive finite-field enumeration and sampled-exact family checks.
 
-Each search kind's predicate is built from the identity catalog
-(`identities.predicate`) over the tag tuple that the kind's checker runs,
-with one context per job that each candidate's components are bound into;
-it stops at the first nonzero residual.  A one-component kind is compiled
-once per scan: each step of a tag declared quadratic in the component
-becomes GF(p) quadratic forms in its entries, interpolated from probes
-through `evaluate`, and only the candidates on which every form vanishes
-are run through the predicate (`_Quadratic`).  A two-component kind is not
-enumerated over both components: for each value of the first, the tags
-declared affine in the second give linear equations over GF(p), probed
-through `evaluate`, and only their solution coset is run through the
-predicate (`_Slice`).  Every emitted hit is re-verified through the public
-checkers, which run the same catalog entries in full, so the independent
-second opinion on a hit set is the brute-force oracles of the test suite.
-Work is partitioned across shards by the index of the first component,
-which makes shards embarrassingly parallel and the merged result
-independent of the shard count; the cosystem table that every bisystem
-shard pairs its hits with is scanned once, in `run_search`.
+A job's condition is built from the identity catalog over the tag tuple
+that the kind's checker runs, with one context per group of tags that the
+candidate's components are bound into (`fast_predicate`).  Every such tag
+has total degree at most 2 in all the components that a search binds,
+taken jointly (`identities.identity(..., quadratic=...)`), so a job is one
+system of quadratic equations over GF(p) in the k*d*d entries of its k
+components.  `_compile` turns each (tag, basis tuple) step into one row of
+GF(p) coefficients per residual entry, over the monomials of all those
+entries, interpolated from probes through `evaluate`, so seeded faults
+reach the rows.  `_solve` assigns the entries depth-first in index order
+and tests each row as soon as its highest entry is assigned: a row that is
+linear in that entry is solved for it, any other is tried at the p values.
+The survivors come out in candidate index order, and each is re-verified
+through the public checkers, which run the same catalog entries in full;
+the independent second opinion on a hit set is the brute-force oracles of
+the test suite.  Work is partitioned across shards by the index of the
+first component, which makes shards embarrassingly parallel and the merged
+result independent of the shard count; `run_search` compiles a job once
+for all of its shards.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from operator import mul
 from typing import Callable
 
 from .bisystems import ASIBisystem, check_bisystem
@@ -181,10 +181,16 @@ def _bind(job, kind, carrier) -> _Bound:
     return _Bound(("r", "s"), _YBPAIR_TAGS, Ctx({}, A=carrier, r=zero, s=zero))
 
 
-def _bisystem(job):
-    """The factored bisystem condition: whether the carriers form an ASI
-    bialgebra, the paired system (R, S), the paired cosystem (Q, T), and
-    both admissibility tag tuples over all four maps."""
+def _groups(job):
+    """(ok, groups): whether any candidate can hold at all, and the job's
+    condition as (condition, first) pairs, the condition's names being the
+    components first, first + 1, ... of a candidate.  A bisystem has three
+    groups: the paired system on (R, S), the paired cosystem on (Q, T) and
+    both admissibility tag tuples on all four maps; it has no hit unless
+    its carriers form an ASI bialgebra."""
+    _spec(job)
+    if job.kind != "bisystem":
+        return True, ((_bind(job, job.kind, job.carrier), 0),)
     A, C = job.carrier, job.cocarrier
     srbs = _bind(job, "symmetric_rbs", A)
     cosys = _bind(job, "symmetric_rb_cosystem", C)
@@ -192,18 +198,16 @@ def _bisystem(job):
     ASIBisystem(A, C, zero, zero, zero, zero)  # the checker's shape rules
     ck = _Bound(("R", "S", "Q", "T"), _CK_TAGS + _CK5_TAGS,
                 Ctx({"A": A.basis}, A=A, C=C, R=zero, S=zero, Q=zero, T=zero))
-    return check_axioms("asi_bialgebra", (A, C)).passed, srbs, cosys, ck
+    ok = check_axioms("asi_bialgebra", (A, C)).passed
+    return ok, ((srbs, 0), (cosys, 2), (ck, 0))
 
 
 def fast_predicate(job: SearchJob) -> Callable:
     """The job's early-exit predicate on a tuple of components, as
     `decode_candidate` returns them (exposed for oracle-agreement tests)."""
-    _spec(job)
-    if job.kind == "bisystem":
-        asi_ok, srbs, cosys, ck = _bisystem(job)
-        return lambda parts: (asi_ok and srbs(parts[:2]) and cosys(parts[2:])
-                              and ck(parts))
-    return _bind(job, job.kind, job.carrier)
+    ok, groups = _groups(job)
+    return lambda parts: ok and all(bound(parts[first:first + len(bound.names)])
+                                    for bound, first in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +218,6 @@ def _component(job, flavor, entries):
     if flavor == "map":
         return Matrix._make(job.field, d, d, entries)
     return Tensor2._make(job.field, d, entries)
-
-
-def _values(job):
-    """Every value of one component in index order: the row-major entries
-    run over GF(p)^(d*d) lexicographically."""
-    comps = _spec(job)
-    width = job.carrier.dim ** 2
-    return (_component(job, comps[0], entries)
-            for entries in itertools.product(range(job.field.modulus), repeat=width))
 
 
 def decode_candidate(job: SearchJob, index: int):
@@ -244,201 +239,159 @@ def decode_candidate(job: SearchJob, index: int):
                  for k, flavor in enumerate(comps))
 
 
-def _scan(bound, job, shard=(0, 1)):
-    """(index, components) of each candidate of one shard that `bound`
-    holds on, in index order; the shard fixes the first component's index
-    modulo the shard count.  One component runs only over the candidates on
-    which its compiled quadratic forms vanish (`_Quadratic`); for two, the
-    second runs only over the solution coset that `_Slice` finds for each
-    value of the first."""
-    s, K = shard
-    ctx, holds, names = bound.ctx, bound.holds, bound.names
-    if len(names) == 1:
-        flavor = _spec(job)[0]
-        for m0, entries in _Quadratic(bound, job).survivors(shard):
-            c0 = _component(job, flavor, entries)
-            setattr(ctx, names[0], c0)
-            if holds(ctx):
-                yield m0, (c0,)
-        return
-    values = list(_values(job))
-    coset = _Slice(bound, job, values).coset
-    base = len(values)
-    for m0 in range(s, base, K):
-        c0 = values[m0]
-        setattr(ctx, names[0], c0)
-        for m1 in coset(ctx):
-            c1 = values[m1]
-            setattr(ctx, names[1], c1)
-            if holds(ctx):
-                yield m0 * base + m1, (c0, c1)
+# ---------------------------------------------------------------------------
+# the condition as GF(p) quadratic forms, and their solver
+#
+# Variable k*d*d + e is entry e of component k, so a candidate's index is its
+# variables read as base-p digits.  A row is a tuple of monomials (c, v, w),
+# c * y_v * y_w with v >= w, where the index -1 stands for the constant 1.
+
+def _compile(job, groups) -> dict:
+    """{(tag, basis tuple): rows} for every step of the groups, one row per
+    residual entry.  With the other data fixed, an entry of a tag declared
+    quadratic in a group's names is c + sum a_v y_v + sum b_v y_v^2 +
+    sum_{v<w} q_vw y_v y_w in the entries y_v of those components; probing
+    `evaluate` at Y = 0, +E_v, -E_v and E_v + E_w for the unit values E_v
+    gives its coefficients.  Over GF(2), where -E_v = E_v and y^2 = y, each
+    square folds into its linear term, which is exact on GF(2)^n.  A tag
+    that does not declare every name of its group is refused: its rows
+    would not be exact."""
+    field, flavors = job.field, _spec(job)
+    p, n = field.modulus, job.carrier.dim ** 2
+    half = (p + 1) // 2
+    compiled = {}
+    for bound, first in groups:
+        names, ctx = bound.names, bound.ctx
+        for tag in bound.tags:
+            if not set(names) <= CATALOG[tag].quadratic:
+                raise RuntimeError(f"{tag} is not declared quadratic in {names}")
+        m = len(names) * n
+        var = range(first * n, first * n + m)
+        pairs = tuple(itertools.combinations(range(m), 2))
+
+        def at(*units):
+            y = [0] * m
+            for u, value in units:
+                y[u] = value
+            return [_component(job, flavors[first + k], tuple(y[k * n:(k + 1) * n]))
+                    for k in range(len(names))]
+        probes = ([at()] + [at((u, 1)) for u in range(m)]
+                  + [at((u, p - 1)) for u in range(m) if p > 2]
+                  + [at((u, 1), (w, 1)) for u, w in pairs])
+        todo = steps(bound.tags, ctx)
+        values = []
+        for probe in probes:
+            for name, value in zip(names, probe):
+                setattr(ctx, name, value)
+            values.append([_entries(tag, ctx, idx, field) for tag, idx in todo])
+        for s, step in enumerate(todo):
+            rows = []
+            for f in zip(*(v[s] for v in values)):
+                c, plus = f[0], f[1:m + 1]
+                row = [(c, -1, -1)]
+                if p > 2:
+                    minus = f[m + 1:2 * m + 1]
+                    for v, u, w in zip(var, plus, minus):
+                        row += [((u - w) * half % p, v, -1),
+                                (((u + w) * half - c) % p, v, v)]
+                else:
+                    row += [((u - c) % p, v, -1) for v, u in zip(var, plus)]
+                cross = f[len(f) - len(pairs):]
+                row += [((x - plus[u] - plus[w] + c) % p, var[w], var[u])
+                        for (u, w), x in zip(pairs, cross)]
+                rows.append(tuple(t for t in row if t[0]))
+            compiled[step] = tuple(rows)
+    return compiled
 
 
 def _entries(tag, ctx, idx, field):
-    """The stored entries of one step's residual: the probe through
-    `evaluate` that `_Slice` and `_Quadratic` interpolate."""
+    """The stored entries of one step's residual."""
     res = _stored(evaluate(tag, ctx, idx), field)
     return res if isinstance(res, tuple) else res.entries
 
 
-class _Quadratic:
-    """The one component Y of a one-component condition, compiled.
-
-    With all other data fixed, each entry of a step of a tag declared
-    quadratic in Y (`identities.identity(..., quadratic=...)`) is a form
-    c + sum_k a_k y_k + sum_k b_k y_k^2 + sum_{k<l} q_kl y_k y_l in the
-    entries y_k of Y.  Probing `evaluate` at Y = 0, +E_k, -E_k and
-    E_k + E_l for the unit components E_k gives its coefficients: one row
-    over the monomials (1, y_k, y_k^2, y_k y_l) per residual entry.  Over
-    GF(2), where -E_k = E_k and y^2 = y, each square folds into its linear
-    term, which is exact on GF(2)^n.  Every candidate is tested against the
-    nonzero rows; the first that does not vanish rejects it and moves to
-    the front, as a step does in `identities.predicate`.  The survivors are
-    for the full predicate to decide; with no quadratic tag, that is every
-    candidate."""
-
-    def __init__(self, bound, job):
-        name, ctx, field = bound.names[0], bound.ctx, job.field
-        flavor = _spec(job)[0]
-        self.p = p = field.modulus
-        self.n = n = job.carrier.dim ** 2
-        self.squares = p > 2
-        self.pairs = pairs = tuple(itertools.combinations(range(n), 2))
-
-        def at(*units):
-            y = [0] * n
-            for k, sign in units:
-                y[k] = sign % p
-            return _component(job, flavor, tuple(y))
-        probes = ([at()] + [at((k, 1)) for k in range(n)]
-                  + [at((k, -1)) for k in range(n) if self.squares]
-                  + [at((k, 1), (l, 1)) for k, l in pairs])
-        half = (p + 1) // 2
-        self.steps = {}
-        tags = [t for t in bound.tags if name in CATALOG[t].quadratic]
-        for tag, idx in steps(tags, ctx):
-            values = []
-            for y in probes:
-                setattr(ctx, name, y)
-                values.append(_entries(tag, ctx, idx, field))
-            rows = []
-            for f in zip(*values):
-                c, plus = f[0], f[1:n + 1]
-                if self.squares:
-                    minus = f[n + 1:2 * n + 1]
-                    terms = ([(u - w) * half % p for u, w in zip(plus, minus)]
-                             + [((u + w) * half - c) % p for u, w in zip(plus, minus)])
-                else:
-                    terms = [(u - c) % p for u in plus]
-                cross = f[len(f) - len(pairs):]
-                terms += [(x - plus[k] - plus[l] + c) % p
-                          for (k, l), x in zip(pairs, cross)]
-                rows.append((c, *terms))
-            self.steps[tag, idx] = tuple(rows)
-
-    def monomials(self, y):
-        """(1, y_k, y_k^2, y_k y_l) at the entries y, the squares left out
-        over GF(2)."""
-        squares = [v * v for v in y] if self.squares else []
-        return (1, *y, *squares, *[y[k] * y[l] for k, l in self.pairs])
-
-    def survivors(self, shard):
-        """(index, entries) of each candidate of the shard on which every
-        row vanishes, in index order; candidates are streamed, not listed."""
-        s, K = shard
-        p, monomials = self.p, self.monomials
-        order = tuple(row for rows in self.steps.values() for row in rows if any(row))
-        candidates = itertools.islice(
-            itertools.product(range(p), repeat=self.n), s, None, K)
-        for index, y in zip(itertools.count(s, K), candidates):
-            m = monomials(y)
-            current = order
-            for k, row in enumerate(current):
-                if sum(map(mul, row, m)) % p:
-                    if k:
-                        order = (row,) + current[:k] + current[k + 1:]
-                    break
-            else:
-                yield index, y
+def _system(job) -> tuple:
+    """The rows that the solver needs: every compiled row, plus r[i,j] +
+    r[j,i] = 0 for i <= j when `aybe` asks for antisymmetric r (exactly
+    `Tensor2.is_antisymmetric`), each scaled to a leading coefficient 1,
+    with zero and duplicate rows dropped.  Plain int tuples, so the rows of
+    one compile can be handed to every shard.  A bisystem on carriers that
+    form no ASI bialgebra gets the one row 1 = 0."""
+    ok, groups = _groups(job)
+    if not ok:
+        return (((1, -1, -1),),)
+    p = job.field.modulus
+    rows = [row for rows in _compile(job, groups).values() for row in rows]
+    if job.kind == "aybe" and job.antisymmetric:
+        d = job.carrier.dim
+        rows += [((2 % p, i * d + i, -1),) if i == j else
+                 ((1, j * d + i, -1), (1, i * d + j, -1))
+                 for i in range(d) for j in range(i, d)]
+    unique = {}
+    for row in rows:
+        row = sorted((t for t in row if t[0] % p), key=lambda t: t[1:])
+        if row:
+            inv = pow(row[-1][0], -1, p)
+            unique[tuple((c * inv % p, v, w) for c, v, w in row)] = None
+    return tuple(unique)
 
 
-class _Slice:
-    """The second component Y of a two-component condition, solved for.
+def _solve(rows, p, count, first, shard):
+    """Every assignment of the `count` variables on which every row
+    vanishes, in lexicographic order; the shard (s, K) keeps those whose
+    first `first` variables, read in base p, are s modulo K.  A row is
+    tested once its level, its highest variable, is assigned: there it is
+    A + B x + C x^2 in the level's value x, with A and B known."""
+    levels = [[] for _ in range(count)]
+    for row in rows:
+        top = max(v for _, v, _ in row)
+        if top < 0:
+            return  # a nonzero constant: nothing holds
+        a = tuple(t for t in row if t[1] != top)
+        b = tuple((c, w) for c, v, w in row if v == top != w)
+        levels[top].append((sum(c for c, v, w in row if v == w == top), a, b))
+    for level in levels:
+        level.sort(key=lambda r: r[0] != 0)  # rows linear in x first
+    s, K = shard
+    every = range(p)
+    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+    y = [0] * count + [1]  # y[-1] is the constant 1
 
-    With the first component fixed, every tag declared affine in Y
-    (`identities.identity(..., affine=...)`) has a residual f(Y) = f(0) +
-    sum_k y_k (f(E_k) - f(0)) over the entries y_k of Y and the unit
-    components E_k.  Probing `evaluate` at Y = 0 and at each E_k turns one
-    (tag, basis tuple) step into linear equations over GF(p), which are
-    reduced one at a time against the rows kept so far; the first
-    inconsistent one shows that no Y can satisfy the condition.  Otherwise
-    the candidates left are the coset of solutions, which the full
-    predicate then decides.  With no affine tag the coset is every Y."""
+    def values(top):
+        """The values of variable `top` that every row of its level allows."""
+        xs = every
+        for C, a, b in levels[top]:
+            A = sum(c * y[v] * y[w] for c, v, w in a)
+            B = sum(c * y[w] for c, w in b) % p
+            if C:
+                xs = [x for x in xs if (A + (B + C * x) * x) % p == 0]
+            elif B:
+                x = -A * inverse[B] % p
+                xs = (x,) if x in xs else ()
+            elif A % p:
+                return ()
+            if not xs:
+                return ()
+        return xs
 
-    def __init__(self, bound, job, values):
-        self.name = bound.names[1]
-        self.values = values
-        self.steps = steps(
-            [t for t in bound.tags if self.name in CATALOG[t].affine], bound.ctx)
-        self.field = job.field
-        self.p = job.field.modulus
-        self.n = n = job.carrier.dim ** 2
-        # index of E_k is p^(n-1-k); index 0 is the zero component
-        self.units = [values[self.p ** (n - 1 - k)] for k in range(n)]
-
-    def _rows(self, ctx):
-        """The reduced rows {pivot: (coefficients, rhs)} of every step, each
-        row's pivot its last nonzero coefficient (scaled to 1); None when the
-        equations are inconsistent."""
-        p, name, zero = self.p, self.name, self.values[0]
-        pivots = {}
-        for tag, idx in self.steps:
-            setattr(ctx, name, zero)
-            b = _entries(tag, ctx, idx, self.field)
-            cols = []
-            for unit in self.units:
-                setattr(ctx, name, unit)
-                cols.append(_entries(tag, ctx, idx, self.field))
-            for r, b_r in enumerate(b):
-                row = [(col[r] - b_r) % p for col in cols]
-                rhs = -b_r % p
-                for k in range(self.n - 1, -1, -1):
-                    a = row[k]
-                    if a and k in pivots:
-                        prow, prhs = pivots[k]
-                        row = [(x - a * y) % p for x, y in zip(row, prow)]
-                        rhs = (rhs - a * prhs) % p
-                top = max((k for k, a in enumerate(row) if a), default=None)
-                if top is None:
-                    if rhs:
-                        return None
+    stack = [iter(values(0))]
+    while stack:
+        top = len(stack) - 1
+        for x in stack[-1]:
+            y[top] = x
+            if top == first - 1 and K > 1:
+                index = 0
+                for v in y[:first]:
+                    index = index * p + v
+                if index % K != s:
                     continue
-                inv = pow(row[top], -1, p)
-                pivots[top] = ([x * inv % p for x in row], rhs * inv % p)
-            if len(pivots) == self.n:
-                break  # one candidate left: the full predicate decides it
-        return pivots
-
-    def coset(self, ctx):
-        """Indices of the solutions Y, ascending.  Each pivot entry depends
-        only on entries before it, so running the free entries in
-        lexicographic order runs the solutions in index order."""
-        pivots = self._rows(ctx)
-        if pivots is None:
-            return
-        p, n = self.p, self.n
-        free = [k for k in range(n) if k not in pivots]
-        order = sorted(pivots.items())
-        y = [0] * n
-        for digits in itertools.product(range(p), repeat=len(free)):
-            for k, v in zip(free, digits):
-                y[k] = v
-            for k, (row, rhs) in order:
-                y[k] = (rhs - sum(row[j] * y[j] for j in range(k))) % p
-            index = 0
-            for v in y:
-                index = index * p + v
-            yield index
+            if top == count - 1:
+                yield tuple(y[:count])
+                continue
+            stack.append(iter(values(top + 1)))
+            break
+        else:
+            stack.pop()
 
 
 def verify_hit(job: SearchJob, parts) -> bool:
@@ -492,45 +445,34 @@ def _admit(job):
     return base
 
 
-def enumerate_hits(job: SearchJob, *, cosystems=None) -> list[Hit]:
-    """Run one shard; hits come out in lexicographic candidate order and are
-    re-verified through the reference checkers before being emitted.  A
-    bisystem shard pairs its (R, S) hits with `cosystems`, the (index,
-    (Q, T)) hits of the whole cosystem scan, and scans them itself if None."""
-    base = _admit(job)
+def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
+    """Run one shard: solve the job's compiled `rows` (compiled here if
+    None), re-verify every survivor through the reference checkers, and
+    emit the hits in lexicographic candidate order."""
+    _admit(job)
+    if rows is None:
+        rows = _system(job)
+    comps = _spec(job)
+    p, n = job.field.modulus, job.carrier.dim ** 2
     hits: list[Hit] = []
-
-    def emit(index, parts):
+    for y in _solve(rows, p, len(comps) * n, n, job.shard):
+        index = 0
+        for v in y:
+            index = index * p + v
+        parts = tuple(_component(job, flavor, y[k * n:(k + 1) * n])
+                      for k, flavor in enumerate(comps))
         if not verify_hit(job, parts):
             raise RuntimeError(
-                f"fast predicate and reference checker disagree at candidate {index}")
+                f"compiled rows and reference checker disagree at candidate {index}")
         hits.append(Hit(index, parts))
-
-    if job.kind != "bisystem":
-        for index, parts in _scan(fast_predicate(job), job, job.shard):
-            emit(index, parts)
-        return hits
-
-    asi_ok, srbs, cosys, ck = _bisystem(job)
-    if not asi_ok:
-        return hits
-    if cosystems is None:
-        cosystems = list(_scan(cosys, job))
-    ctx, holds = ck.ctx, ck.holds
-    for rs_index, (R, S) in _scan(srbs, job, job.shard):
-        ctx.R, ctx.S = R, S
-        for qt_index, (Q, T) in cosystems:
-            ctx.Q, ctx.T = Q, T
-            if holds(ctx):
-                emit(rs_index * base * base + qt_index, (R, S, Q, T))
     return hits
 
 
 def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) -> list[Hit]:
     """All shards, merged in candidate order; shards may run in parallel on
     at most `os.cpu_count()` worker processes (None runs them serially).  A
-    bad job is refused before any shard starts, and a bisystem's cosystem
-    scan is run once here for all of its shards."""
+    bad job is refused before any shard starts, and the job is compiled
+    once here for all of its shards."""
     if shards < 1:
         raise PayloadError(f"need at least one shard, got {shards}")
     if processes is not None and processes < 1:
@@ -539,11 +481,7 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
     jobs = [replace(job, shard=(k, shards)) for k in range(shards)]
     for j in jobs:
         _admit(j)
-    run = enumerate_hits
-    if job.kind == "bisystem":
-        asi_ok, _, cosys, _ = _bisystem(job)
-        if asi_ok:
-            run = partial(enumerate_hits, cosystems=list(_scan(cosys, job)))
+    run = partial(enumerate_hits, rows=_system(job))
     if processes:
         processes = min(processes, shards, os.cpu_count() or 1)
     if processes and processes > 1:

@@ -362,3 +362,61 @@ def adjoint_admissible_hits(table, R, S, p):
 
     return {index for index, (Q, T) in _grids(p, d, 2)
             if all(holds(Q, T, i, j) for i in rng for j in rng)}
+
+
+# the coproduct half of the admissibility conditions at x = e_i, each
+#   (L (x) id or id (x) L) D(Px) = (M on its leg) D(P'x) + (id (x) Y)(X (x) id) D(x)
+# written (L, leg, P, M, leg, P', X, Y)
+_COPRODUCT_CONDITIONS = (
+    ("Q", 1, "R", "R", 2, "R", "T", "R"),
+    ("Q", 1, "R", "R", 2, "S", "Q", "R"),
+    ("Q", 2, "R", "R", 1, "S", "R", "Q"),
+    ("Q", 2, "R", "R", 1, "R", "R", "T"),
+    ("T", 1, "S", "S", 2, "R", "T", "S"),
+    ("T", 1, "S", "S", 2, "S", "Q", "S"),
+    ("T", 2, "S", "S", 1, "S", "S", "Q"),
+    ("T", 2, "S", "S", 1, "R", "S", "T"),
+)
+
+
+def _split(index, p, d, count):
+    """The `count` d x d grids of a candidate index."""
+    w = d * d
+    digits = []
+    for _ in range(count * w):
+        index, digit = divmod(index, p)
+        digits.append(digit)
+    digits.reverse()
+    return [[digits[k * w + a * d:k * w + a * d + d] for a in range(d)]
+            for k in range(count)]
+
+
+def bisystem_hits(table, cotable, p):
+    """Hit indices of the bisystem search over (R, S, Q, T), for carriers
+    that form an ASI bialgebra: a pair (R, S) among the symmetric_rbs hits
+    of `table` and a pair (Q, T) among the symmetric_rb_cosystem hits of
+    `cotable` make a hit when the eight product conditions of
+    `adjoint_admissible_hits` and the eight coproduct conditions
+    `_COPRODUCT_CONDITIONS` hold at every basis element.  The index is the
+    (R, S) index times p^8 plus the (Q, T) index."""
+    d = len(table)
+    rs_hits = naive_hits(p, "symmetric_rbs", table=table)
+    qt_hits = coalgebra_hits(cotable, p, "symmetric_rb_cosystem")
+    hits = set()
+    for rs in rs_hits:
+        R, S = _split(rs, p, d, 2)
+        for qt in adjoint_admissible_hits(table, R, S, p) & qt_hits:
+            Q, T = _split(qt, p, d, 2)
+            maps = {"R": R, "S": S, "Q": Q, "T": T}
+            good = True
+            for i in range(d):
+                images = {n: _comul(cotable, p, _column(maps[n], i)) for n in "RS"}
+                for lhs, leg, of, mid, mleg, mof, x, y in _COPRODUCT_CONDITIONS:
+                    one = _leg(maps[lhs], images[of], leg, p)
+                    two = _leg(maps[mid], images[mof], mleg, p)
+                    three = _leg(maps[y], _leg(maps[x], cotable[i], 1, p), 2, p)
+                    good = good and all((one[a][b] - two[a][b] - three[a][b]) % p == 0
+                                        for a in range(d) for b in range(d))
+            if good:
+                hits.add(rs * p ** (2 * d * d) + qt)
+    return hits

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from rbx import fixtures as fx
-from rbx.cli import main, parse, print_workspace, run_check
+from rbx.cli import _reduce, export_hits, main, parse, print_workspace, run_check
 from rbx.errors import ParseError
 from rbx.identities import known_tags
 from rbx.kernel import PrimeField, Rationals
+from rbx.search import _KINDS, SearchJob, run_search
+from rbx.systems import _COALG_KINDS
 
 FIX_A_SOURCE = """\
 field Q
@@ -195,6 +197,50 @@ def test_cli_search_and_export(tmp_path, capsys):
     exported = parse(out.read_text())
     maps = [n for n in exported.order if exported.items[n][0] == "map"]
     assert len(maps) == 36  # two maps per hit
+
+
+# every kind the CLI can search (it cannot give adjoint_admissible its fixed
+# maps), on the bundled workspace's carriers reduced to GF(2)
+CLI_KINDS = sorted(set(_KINDS) - {"adjoint_admissible"})
+
+
+@pytest.mark.parametrize("kind", CLI_KINDS)
+def test_export_hits_parses_back(kind):
+    F2 = PrimeField(2)
+    ws = parse(fx.WORKSPACE_SOURCE)
+    name = {"lie_rbs": "L", "lie_rb_cosystem": "D"}.get(
+        kind, "C" if kind in _COALG_KINDS else "A")
+    job = SearchJob(F2, _reduce(ws.get(name), F2), kind,
+                    cocarrier=_reduce(ws.get("C"), F2) if kind == "bisystem" else None,
+                    weight=F2.one() if "weight" in kind else None)
+    hits = run_search(job)
+    assert hits
+    back = parse(export_hits(job, hits))
+    carriers = [("carrier", job.carrier)]
+    if kind == "bisystem":
+        carriers.append(("cocarrier", job.cocarrier))
+    for key, structure in carriers:
+        assert type(back.get(key)) is type(structure)
+        assert back.get(key).table == structure.table
+    on = ("carrier", "carrier", "cocarrier", "cocarrier") if kind == "bisystem" else (
+        ("carrier",) * 2)
+    for n, hit in enumerate(hits):
+        names = [f"hit{n}_{k}" for k in range(len(hit.parts))]
+        assert tuple(back.get(x) for x in names) == hit.parts
+        assert tuple(back.items[x][2] for x in names) == on[:len(names)]
+
+
+def test_cli_exports_lie_cosystem_and_bisystem_hits(tmp_path, capsys):
+    for args, count, width in ((["lie-rb-cosystem", "--carrier", "D"], 28, 2),
+                               (["bisystem", "--carrier", "A", "--cocarrier", "C"], 48, 4)):
+        out = tmp_path / "hits.rbx"
+        code = main(["search", *args, "--field", "GF2", "--builtin",
+                     "--export", str(out)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["hits"] == count
+        exported = parse(out.read_text())
+        maps = [n for n in exported.order if exported.items[n][0] == "map"]
+        assert len(maps) == count * width
 
 
 def test_cli_verify_family(capsys):

@@ -10,9 +10,9 @@ import pytest
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
-from rbx.identities import (Ctx, _stored, evaluate, predicate, run_identities,
-                            seeded_fault)
-from rbx.kernel import Matrix, PrimeField
+from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate,
+                            predicate, run_identities, seeded_fault, steps)
+from rbx.kernel import Matrix, PrimeField, vscale
 from rbx.representations import _CK_TAGS
 from rbx.search import (FamilySpec, SearchJob, cross_tabulate,
                         decode_candidate, enumerate_hits, fast_predicate,
@@ -22,8 +22,9 @@ from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS, OperatorSystem,
 from rbx.yangbaxter import _AYBE_TAGS
 
 
-from oracles import (adjoint_admissible_hits, aybe_hits, coalgebra_hits,
-                     lie_rbs_hits, naive_hits, symmetric_ybpair_hits)
+from oracles import (adjoint_admissible_hits, aybe_hits, bisystem_hits,
+                     coalgebra_hits, lie_rbs_hits, naive_hits,
+                     symmetric_ybpair_hits)
 from oracles import naive_count as _naive_count
 
 
@@ -173,7 +174,16 @@ def test_cross_tabulate_gf2(F2):
     for hit, names in rows:
         if tuple(hit.parts) == zero_pair:
             assert "cee-b" in names
-    assert len(unclassified) <= len(hits)
+    # every exhaustive hit lies in one of the bundled families, on the
+    # algebra side and on the coalgebra side, over the small prime fields
+    for p, count in ((2, 18), (3, 55), (5, 213), (7, 523)):
+        F = PrimeField(p)
+        for kind, carrier, families in (
+                ("symmetric_rbs", fx.fix_a(F), fx.CEE_FAMILIES),
+                ("symmetric_rb_cosystem", fx.fix_c(F), fx.CUU_FAMILIES)):
+            hits = run_search(SearchJob(F, carrier, kind))
+            assert len(hits) == count, (p, kind)
+            assert cross_tabulate(hits, families, F)[1] == [], (p, kind)
 
 
 def test_cross_tabulate_empty(F2):
@@ -408,7 +418,7 @@ def test_adjoint_admissible_hits_match_oracle(F3):
     assert len(want) == 9
 
 
-# --- the affine slice of two-component kinds against brute force ------------
+# --- two-component kinds against brute force --------------------------------
 
 TWO_COMPONENT = ["rbs", "symmetric_rbs", "lie_rbs", "symmetric_rb_cosystem",
                  "lie_rb_cosystem", "adjoint_admissible", "bisystem",
@@ -444,8 +454,8 @@ def _brute(job):
     (k, tag) for k in ("symmetric_rbs", "bisystem")
     for tag in ("eq:ea0#1", "eq:ea1#2")])
 def test_slice_matches_brute_force(kind, fault, p):
-    # eq:ea0#1 is declared affine in S, which the slice solves for;
-    # eq:ea1#2 is not, so only the full predicate on the coset sees it
+    # eq:ea0#1 is affine in S, so the solver solves its rows for S's entries;
+    # eq:ea1#2 is quadratic in S, so it tries their rows at every value
     job = _two_job(kind, PrimeField(p))
     with seeded_fault(fault, 0) if fault else contextlib.nullcontext():
         want = _brute(job)
@@ -453,26 +463,35 @@ def test_slice_matches_brute_force(kind, fault, p):
         assert [h.index for h in run_search(job, shards=3)] == want
 
 
-def test_bisystem_cosystem_table_scanned_once(F2, monkeypatch):
-    scanned = []
-    scan = search._scan
+@pytest.mark.parametrize("shards", [1, 3])
+def test_bisystem_hits_match_oracle(F2, shards):
+    A, C = fx.fix_a(F2), fx.fix_c(F2)
+    want = sorted(bisystem_hits(A.table, C.table, 2))
+    assert len(want) == 48
+    job = SearchJob(F2, A, "bisystem", cocarrier=C)
+    assert [h.index for h in run_search(job, shards=shards)] == want
 
-    def spy(bound, job, shard=(0, 1)):
-        scanned.append(bound.names)
-        return scan(bound, job, shard)
 
-    monkeypatch.setattr(search, "_scan", spy)
+def test_bisystem_compiled_once(F2, monkeypatch):
+    compiled = []
+    compile_ = search._compile
+
+    def spy(job, groups):
+        compiled.append(job.shard)
+        return compile_(job, groups)
+
+    monkeypatch.setattr(search, "_compile", spy)
     job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
     hits = run_search(job, shards=3)
-    assert scanned.count(("Q", "T")) == 1 and scanned.count(("R", "S")) == 3
-    scanned.clear()
-    assert enumerate_hits(job) == hits  # alone, a shard scans its own table
-    assert scanned == [("Q", "T"), ("R", "S")]
+    assert len(compiled) == 1  # once for all three shards
+    compiled.clear()
+    assert enumerate_hits(job) == hits  # alone, a shard compiles for itself
+    assert len(compiled) == 1
 
 
-# --- one-component kinds compiled into quadratic forms ----------------------
+# --- every kind compiled into joint quadratic forms -------------------------
 
-ONE_COMPONENT = sorted(k for k, comps in search._KINDS.items() if len(comps) == 1)
+ALL_KINDS = sorted(search._KINDS)
 
 
 def _one_job(kind, F, antisymmetric=False):
@@ -482,29 +501,91 @@ def _one_job(kind, F, antisymmetric=False):
                      antisymmetric=antisymmetric)
 
 
+def _job(kind, F, antisymmetric=False):
+    if len(search._KINDS[kind]) == 1:
+        return _one_job(kind, F, antisymmetric)
+    return _two_job(kind, F)
+
+
+def _value(row, y, p):
+    """A compiled row at the variables y, y[-1] being the constant 1."""
+    return sum(c * y[v] * y[w] for c, v, w in row) % p
+
+
 @pytest.mark.parametrize("p", [2, 3, 11])
 @pytest.mark.parametrize("kind, antisymmetric, fault", [
-    (k, False, None) for k in ONE_COMPONENT] + [
+    (k, False, None) for k in ALL_KINDS] + [
     ("aybe", True, None), ("rb_weight", False, "eq:cee")])
 def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
-    # each compiled row, evaluated at a candidate's monomials, is the stored
-    # residual entry that evaluate gives with the candidate bound
+    # each compiled row, evaluated at a candidate's entries (those of all its
+    # components), is the stored residual entry that evaluate gives with the
+    # candidate bound into the step's group; the solver's rows all vanish
+    # exactly where the job's predicate holds
     F = PrimeField(p)
-    job = _one_job(kind, F, antisymmetric)
+    job = _job(kind, F, antisymmetric)
     rng = random.Random(f"{kind}-{p}-{fault}")
     with seeded_fault(fault, 0) if fault else contextlib.nullcontext():
-        bound = fast_predicate(job)
-        quad = search._Quadratic(bound, job)
-        assert {tag for tag, _ in quad.steps} == set(bound.tags)
+        _, groups = search._groups(job)
+        compiled = search._compile(job, groups)
+        assert list(compiled) == [step for bound, _ in groups
+                                  for step in steps(bound.tags, bound.ctx)]
+        system, pred = search._system(job), fast_predicate(job)
         for _ in range(200):
-            (y,) = decode_candidate(job, rng.randrange(search_space(job)))
-            setattr(bound.ctx, bound.names[0], y)
-            m = quad.monomials(y.entries)
-            for (tag, idx), rows in quad.steps.items():
-                res = _stored(evaluate(tag, bound.ctx, idx), F)
-                want = res if isinstance(res, tuple) else res.entries
-                assert [sum(a * b for a, b in zip(row, m)) % p
-                        for row in rows] == list(want), (tag, idx)
+            parts = decode_candidate(job, rng.randrange(search_space(job)))
+            y = [v for part in parts for v in part.entries] + [1]
+            for bound, first in groups:
+                for name, part in zip(bound.names, parts[first:]):
+                    setattr(bound.ctx, name, part)
+                for tag, idx in steps(bound.tags, bound.ctx):
+                    res = _stored(evaluate(tag, bound.ctx, idx), F)
+                    want = res if isinstance(res, tuple) else res.entries
+                    assert [_value(row, y, p) for row in compiled[tag, idx]] == list(want), \
+                        (tag, idx)
+            assert all(_value(row, y, p) == 0 for row in system) == pred(parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compile_is_exact_with_a_constant_term(p, monkeypatch):
+    # the catalog's search tags all vanish at zero maps; this test-local
+    # entry has a constant, linear, square and cross terms in R and S jointly
+    def terms(ctx, idx):
+        (i,) = idx
+        A, R, S = ctx.A, ctx.R, ctx.S
+        return [A.basis_vector(i), R.col(i), S.apply(R.col(i)),
+                A.mul(S.col(i), S.col(1 - i)), vscale(ctx.lam, R.apply(R.col(i)))]
+
+    monkeypatch.setitem(CATALOG, "test:constant",
+                        Identity("test:constant", ("A",), terms, frozenset("RS")))
+    F = PrimeField(p)
+    A, zero = fx.fix_a(F), Matrix.zero(F, 2)
+    job = SearchJob(F, A, "symmetric_rbs")
+    bound = search._Bound(("R", "S"), ("test:constant",),
+                          Ctx({"A": A.basis}, A=A, R=zero, S=zero, lam=F.of(2)))
+    compiled = search._compile(job, ((bound, 0),))
+    assert any(m[1:] == (-1, -1) for rows in compiled.values() for row in rows for m in row)
+    rng = random.Random(p)
+    for _ in range(100):
+        parts = decode_candidate(job, rng.randrange(search_space(job)))
+        y = [v for part in parts for v in part.entries] + [1]
+        bound.ctx.R, bound.ctx.S = parts
+        for (tag, idx), rows in compiled.items():
+            res = _stored(evaluate(tag, bound.ctx, idx), F)
+            assert [_value(row, y, p) for row in rows] == list(res)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_kind_shards_like_serial(kind):
+    # a shard keeps the candidates whose first component's index is its
+    # residue, also when the first component is the only one
+    F2 = PrimeField(2)
+    job = _job(kind, F2)
+    serial = run_search(job)
+    assert serial
+    assert run_search(job, shards=3) == serial
+    rest = 2 ** (4 * (len(search._KINDS[kind]) - 1))
+    for s in range(3):
+        hits = enumerate_hits(replace(job, shard=(s, 3)))
+        assert hits == [h for h in serial if h.index // rest % 3 == s]
 
 
 def test_decode_candidate_refuses_indices_outside_the_space(F3):

@@ -4,17 +4,19 @@ import random
 import pytest
 
 from rbx import fixtures as fx
+from rbx import search
 from rbx.errors import PayloadError, PreconditionError
 from rbx.identities import CATALOG, Ctx, evaluate, seeded_fault
 from rbx.kernel import Matrix, PrimeField, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
-from rbx.systems import (_ALG_KINDS, _COALG_KINDS, CoOperatorSystem,
-                         OperatorSystem, check_cosystem,
+from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS,
+                         CoOperatorSystem, OperatorSystem, check_cosystem,
                          check_crossed_products, check_operator_system,
                          check_symmetric_ybpair, check_ybpair,
                          cocommutator_lift, commutator_lift, derived_products,
                          nijenhuis_from_srbs, split_dendriform,
                          srbs_from_central, srbs_from_ybpair, weight_embed)
+from rbx.representations import _CK5_TAGS, _CK_TAGS
 from rbx.search import _KINDS, SearchJob, enumerate_hits
 from rbx.yangbaxter import _AYBE_TAGS
 from conftest import all_matrices, all_tensors
@@ -388,9 +390,18 @@ def test_alias_tags_share_one_body_and_fault_alone(QQ, group):
                 assert (evaluate(tag, ctx, idx) == clean[tag]) == (tag != faulted)
 
 
-# every summand of a tag is affine in each context name that the tag declares
+# tags affine in the second component of a two-component search kind: every
+# summand is affine in it, so the solver solves each of their rows for that
+# component's entries instead of trying the p values
 
-AFFINE_TAGS = sorted(tag for tag, ident in CATALOG.items() if ident.affine)
+AFFINE = {tag: ("rbs", "S") for tag in ("eq:rbs1",)}
+AFFINE.update({tag: ("symmetric_rbs", "S") for tag in ("eq:ea0#1", "eq:ea0#2")})
+AFFINE.update({"eq:gh0": ("lie_rbs", "S"), "eq:ek0": ("lie_rb_cosystem", "T")})
+AFFINE.update({tag: ("symmetric_rb_cosystem", "T") for tag in ("eq:cu#1", "eq:cu#2")})
+AFFINE.update({tag: ("symmetric_ybpair", "s") for tag in ("de:eh#1a", "de:eh#1b")})
+AFFINE.update({tag: ("adjoint_admissible", "T") for tag in (
+    "eq:ck#1", "eq:ck#2", "eq:ck1#1", "eq:ck1#2", "eq:ck2#1", "eq:ck3#1")})
+AFFINE_TAGS = sorted(AFFINE)
 
 
 def _random_ctx(F, rng, lie):
@@ -434,15 +445,32 @@ def _affine_failures(tag, name, ctx, rng):
     return failures
 
 
+def _search_job(kind, F):
+    carrier = {"lie_rbs": fx.fix_lie, "lie_rb_cosystem": fx.fix_delta,
+               "symmetric_rb_cosystem": fx.fix_c}.get(kind, fx.fix_a)(F)
+    R, S = fx.fix_rs(F)
+    return SearchJob(F, carrier, kind, fixed={"R": R, "S": S})
+
+
 @pytest.mark.parametrize("tag", AFFINE_TAGS)
 def test_affine_declarations_hold(tag):
+    kind, name = AFFINE[tag]
     rng = random.Random(tag)
     for p in (3, 5):  # not 2: there y^2 = y hides a quadratic summand
         for lie in (False, True):
             for _ in range(3):
                 ctx = _random_ctx(PrimeField(p), rng, lie)
-                for name in CATALOG[tag].affine:
-                    assert _affine_failures(tag, name, ctx, rng) == [], (p, lie, name)
+                assert _affine_failures(tag, name, ctx, rng) == [], (p, lie, name)
+        # no compiled row of the tag multiplies two entries of the component
+        job = _search_job(kind, PrimeField(p))
+        ok, groups = search._groups(job)
+        ((bound, _),) = groups
+        k = bound.names.index(name)
+        own = range(4 * k, 4 * k + 4)
+        rows = [row for (t, _), rows in search._compile(job, groups).items()
+                if t == tag for row in rows]
+        assert ok and rows
+        assert [m for row in rows for m in row if m[1] in own and m[2] in own] == []
 
 
 def test_affine_check_catches_a_quadratic_summand():
@@ -458,20 +486,25 @@ def test_affine_check_catches_a_quadratic_summand():
 QUADRATIC_TAGS = sorted(tag for tag, ident in CATALOG.items() if ident.quadratic)
 
 
-def _cubic_failures(terms, spaces, name, ctx, rng):
+def _cubic_failures(terms, spaces, names, ctx, rng):
     """(basis tuple, summand) pairs at which a random third finite difference
-    in `name`, the alternating sum of f(Y + sum of a subset of {H1, H2, H3})
-    over the eight subsets, is nonzero; it vanishes on degree <= 2."""
+    in all of `names` at once, the alternating sum of f(Y + sum of a subset
+    of {H1, H2, H3}) over the eight subsets, Y and each H_k giving a random
+    value to every name, is nonzero; it vanishes on joint degree <= 2."""
     F, p = ctx.field, ctx.field.modulus
-    old = getattr(ctx, name)
+    old = {name: getattr(ctx, name) for name in names}
 
     def rand():
-        entries = [rng.randrange(p) for _ in range(4)]
-        return (Tensor2(F, 2, entries) if isinstance(old, Tensor2)
-                else Matrix(F, 2, 2, entries))
+        values = {}
+        for name, value in old.items():
+            entries = [rng.randrange(p) for _ in range(4)]
+            values[name] = (Tensor2(F, 2, entries) if isinstance(value, Tensor2)
+                            else Matrix(F, 2, 2, entries))
+        return values
 
-    def summands(value, idx):
-        setattr(ctx, name, value)
+    def summands(point, idx):
+        for name, value in point.items():
+            setattr(ctx, name, value)
         return [F.reduce(t) if isinstance(t, tuple) else t.entries
                 for t in terms(ctx, idx)]
 
@@ -480,16 +513,17 @@ def _cubic_failures(terms, spaces, name, ctx, rng):
         y, hs = rand(), [rand() for _ in range(3)]
         total = None
         for subset in itertools.product((0, 1), repeat=3):
-            point = y
+            point = dict(y)
             for h, on in zip(hs, subset):
                 if on:
-                    point = point + h
+                    point = {name: point[name] + h[name] for name in names}
             sign = (-1) ** (3 - sum(subset))
             values = [[sign * x for x in t] for t in summands(point, idx)]
             total = values if total is None else [
                 [u + w for u, w in zip(a, b)] for a, b in zip(total, values)]
         failures += [(idx, k) for k, t in enumerate(total) if any(x % p for x in t)]
-    setattr(ctx, name, old)
+    for name, value in old.items():
+        setattr(ctx, name, value)
     return failures
 
 
@@ -501,9 +535,8 @@ def test_quadratic_declarations_hold(tag):
         for lie in (False, True):
             for _ in range(3):
                 ctx = _random_ctx(PrimeField(p), rng, lie)
-                for name in ident.quadratic:
-                    assert _cubic_failures(ident.terms, ident.spaces, name,
-                                           ctx, rng) == [], (p, lie, name)
+                assert _cubic_failures(ident.terms, ident.spaces, ident.quadratic,
+                                       ctx, rng) == [], (p, lie)
 
 
 def test_quadratic_check_catches_a_cubic_summand():
@@ -514,16 +547,33 @@ def test_quadratic_check_catches_a_cubic_summand():
     rng = random.Random(7)
     for p in (5, 7):
         ctx = _random_ctx(PrimeField(p), rng, False)
-        assert _cubic_failures(cubic, ("A",), "R", ctx, rng)
+        assert _cubic_failures(cubic, ("A",), ("R",), ctx, rng)
 
 
-def test_one_component_search_kinds_declare_quadratic_tags():
-    declared = {"aybe": (_AYBE_TAGS, "r")}
-    declared.update((k, (v[0], "R")) for k, v in _ALG_KINDS.items())
-    declared.update((k, (v[0], "Q")) for k, v in _COALG_KINDS.items())
-    one = [k for k, comps in _KINDS.items() if len(comps) == 1]
-    assert len(one) == 6
-    for kind in one:
-        tags, name = declared[kind]
-        for tag in tags:
-            assert name in CATALOG[tag].quadratic, (kind, tag)
+def test_quadratic_check_catches_a_jointly_cubic_summand():
+    # R(S(Q(e_i))) is affine in each of R, S and Q, and cubic in them jointly
+    def joint(ctx, idx):
+        return [ctx.R.apply(ctx.S.apply(ctx.Q.col(idx[0])))]
+
+    rng = random.Random(11)
+    for p in (5, 7):
+        ctx = _random_ctx(PrimeField(p), rng, False)
+        for name in "RSQ":
+            assert _cubic_failures(joint, ("A",), (name,), ctx, rng) == []
+        assert _cubic_failures(joint, ("A",), ("R", "S"), ctx, rng) == []
+        assert _cubic_failures(joint, ("A",), ("R", "S", "Q"), ctx, rng)
+
+
+def test_search_kinds_declare_quadratic_tags():
+    # every tag of every kind declares every name that its search binds
+    bound = {kind: [(tags, "RS"[:n])] for kind, (tags, n, _) in _ALG_KINDS.items()}
+    bound.update((kind, [(tags, "QT"[:n])]) for kind, (tags, n, _) in _COALG_KINDS.items())
+    bound.update(aybe=[(_AYBE_TAGS, "r")], symmetric_ybpair=[(_YBPAIR_TAGS, "rs")],
+                 adjoint_admissible=[(_CK_TAGS, "QT")],
+                 bisystem=bound["symmetric_rbs"] + bound["symmetric_rb_cosystem"]
+                 + [(_CK_TAGS + _CK5_TAGS, "RSQT")])
+    assert set(bound) == set(_KINDS)
+    for kind, groups in bound.items():
+        for tags, names in groups:
+            for tag in tags:
+                assert set(names) <= CATALOG[tag].quadratic, (kind, tag)
