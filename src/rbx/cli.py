@@ -32,7 +32,8 @@ from .identities import known_tags
 from .structures import (Algebra, BilinearForm, Coalgebra, LieAlgebra,
                          LieCoalgebra, check_axioms, commutator, cocommutator,
                          dualize, _Comultiplicative, _Multiplicative)
-from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
+from .systems import (_ALG_KINDS, _COALG_KINDS, CoOperatorSystem,
+                      OperatorSystem, check_cosystem,
                       check_operator_system, check_symmetric_ybpair,
                       check_ybpair, derived_products, split_dendriform,
                       weight_embed)
@@ -454,6 +455,10 @@ def _check_handlers():
 _WEIGHTED_KINDS = {"rb-weight", "rb-coalgebra-weight", "weighted-rb-asi",
                    "weighted-rb-lie-bialgebra"}
 
+# the search kinds whose checker takes a weight
+_WEIGHTED_SEARCH_KINDS = {kind for kind, (_, _, weighted)
+                          in {**_ALG_KINDS, **_COALG_KINDS}.items() if weighted}
+
 
 def run_check(ws, kind, names, weight=None):
     handlers = _check_handlers()
@@ -466,6 +471,8 @@ def run_check(ws, kind, names, weight=None):
         if weight is None:
             raise PayloadError(f"check {kind!r} needs --weight")
         return handler(ws, names, ws.field.parse(weight))
+    if weight is not None:
+        raise PayloadError(f"check {kind!r} takes no --weight")
     return handler(ws, names)
 
 
@@ -536,9 +543,22 @@ def _load_workspace(args):
     if getattr(args, "input", None):
         if args.input == "-":
             return parse(sys.stdin.read())
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise PayloadError(f"cannot read workspace {args.input!r}: {reason}") from None
+        return parse(text)
     raise PayloadError("no workspace: pass --input FILE or --builtin")
+
+
+def _write_export(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PayloadError(f"cannot write export {path!r}: {exc.strerror or exc}") from None
 
 
 def _emit(doc):
@@ -621,26 +641,30 @@ def main(argv=None):
             return 0
 
         if args.command == "search":
+            kind = args.kind.replace("-", "_")
+            if args.weight is not None and kind not in _WEIGHTED_SEARCH_KINDS:
+                raise PayloadError(f"search {args.kind!r} takes no --weight")
+            if args.cocarrier is not None and kind != "bisystem":
+                raise PayloadError(f"search {args.kind!r} takes no --cocarrier")
             ws = _load_workspace(args)
             field = field_make(args.field)
             carrier = _reduce(ws.get(args.carrier), field)
             cocarrier = (_reduce(ws.get(args.cocarrier), field)
                          if args.cocarrier else None)
             weight = field.parse(args.weight) if args.weight else None
-            job = SearchJob(field, carrier, args.kind.replace("-", "_"),
+            job = SearchJob(field, carrier, kind,
                             cocarrier=cocarrier, weight=weight, budget=args.budget)
             hits = run_search(job, shards=args.shards, processes=args.processes)
+            text = export_hits(job, hits) if args.export else None
+            if args.export and args.export != "-":
+                # written first, so a failed export never prints "pass"
+                _write_export(args.export, text)
             doc = {"check": f"search:{args.kind}", "status": "pass",
                    "space": search_space(job), "hits": len(hits),
                    "violations": []}
             _emit(doc)
-            if args.export:
-                text = export_hits(job, hits)
-                if args.export == "-":
-                    sys.stdout.write(text)
-                else:
-                    with open(args.export, "w", encoding="utf-8") as fh:
-                        fh.write(text)
+            if args.export == "-":
+                sys.stdout.write(text)
             return 0
 
         if args.command == "verify-family":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -114,6 +115,27 @@ def fault_open() -> bool:
     """Whether a `seeded_fault` is open: verdicts computed now are not the
     structure's own and must not be memoised or served from a memo."""
     return bool(_FAULTS)
+
+
+# the open `shared_verdicts` scope's memo, or None outside every scope
+_VERDICTS: ContextVar[dict | None] = ContextVar("rbx_shared_verdicts", default=None)
+
+
+@contextmanager
+def shared_verdicts():
+    """Share checker verdicts while the context is open: inside it,
+    `systems.check_operator_system` and `systems.check_cosystem` compute
+    each verdict once and serve repeats from a memo that is dropped when
+    the outermost scope closes.  Scopes nest, an inner one reusing the
+    outer memo.  The memo lives in a `ContextVar`, so a scope is seen only
+    by its own thread (and context), and it is never pickled: a worker
+    process opens its own.  It is bypassed while a seeded fault is open."""
+    memo = _VERDICTS.get()
+    token = _VERDICTS.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _VERDICTS.reset(token)
 
 
 def _neg(value):

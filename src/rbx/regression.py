@@ -1,12 +1,18 @@
 """The bundled regression suite behind `verify-paper`: the sixteen
 parametric families at exact random rational points, the fixture
-constructions, and the exhaustive GF(2) equivalence scans."""
+constructions, and the exhaustive GF(2) equivalence scans.
+
+Each scan runs both checkers on up to 512 instances that hold only 32
+distinct (R, S) and 32 distinct (Q, T) pairs, so it runs inside one
+`identities.shared_verdicts` scope: each operator-system and cosystem
+verdict is computed once per scan and dropped when the scan returns."""
 
 from __future__ import annotations
 
 import itertools
 import time
 
+from .identities import shared_verdicts
 from .kernel import Matrix, PrimeField, Rationals
 from .report import Violation, make_report
 from . import fixtures as fx
@@ -37,6 +43,7 @@ def _gf2_maps():
                 for bits in itertools.product(range(2), repeat=4)]
 
 
+@shared_verdicts()
 def scan_weighted_equivalence():
     """Weighted bridge checker agrees with the embedded bisystem checker on
     every GF(2) instance of the bundled carrier pair."""
@@ -56,6 +63,7 @@ def scan_weighted_equivalence():
     return make_report("scan:weighted-equivalence", bad)
 
 
+@shared_verdicts()
 def scan_averaging_equivalence():
     F2, mats = _gf2_maps()
     A, C = fx.fix_a(F2), fx.fix_c(F2)
@@ -70,6 +78,7 @@ def scan_averaging_equivalence():
     return make_report("scan:averaging-equivalence", bad)
 
 
+@shared_verdicts()
 def scan_averaging_lie_equivalence():
     F2, mats = _gf2_maps()
     g, dl = fx.fix_lie(F2), fx.fix_delta(F2)
@@ -84,6 +93,7 @@ def scan_averaging_lie_equivalence():
     return make_report("scan:averaging-lie-equivalence", bad)
 
 
+@shared_verdicts()
 def scan_weighted_lie_equivalence():
     F2, mats = _gf2_maps()
     g, dl = fx.fix_lie(F2), fx.fix_delta(F2)

@@ -13,8 +13,12 @@ reach the rows.  `_solve` assigns the entries depth-first in index order
 and tests each row as soon as its highest entry is assigned: a row that is
 linear in that entry is solved for it, any other is tried at the p values.
 The survivors come out in candidate index order, and each is re-verified
-through the public checkers, which run the same catalog entries in full;
-the independent second opinion on a hit set is the brute-force oracles of
+through the public checkers, which run the same catalog entries in full
+and return the full report.  Inside one shard, survivors that share an
+(R, S) or (Q, T) pair, as the hits of a bisystem do, share its
+operator-system or cosystem verdict (`identities.shared_verdicts`); the
+memo is dropped when the shard returns and is never pickled.  The
+independent second opinion on a hit set is the brute-force oracles of
 the test suite.  Work is partitioned across shards by the index of the
 first component, which makes shards embarrassingly parallel and the merged
 result independent of the shard count; `run_search` compiles a job once
@@ -34,7 +38,8 @@ from typing import Callable
 
 from .bisystems import ASIBisystem, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import CATALOG, Ctx, _stored, evaluate, predicate, steps
+from .identities import (CATALOG, Ctx, _stored, evaluate, predicate,
+                         shared_verdicts, steps)
 from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
 from .representations import _CK5_TAGS, _CK_TAGS, adjoint_admissible_report
@@ -448,23 +453,26 @@ def _admit(job):
 def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
     """Run one shard: solve the job's compiled `rows` (compiled here if
     None), re-verify every survivor through the reference checkers, and
-    emit the hits in lexicographic candidate order."""
+    emit the hits in lexicographic candidate order.  The shard shares
+    operator-system and cosystem verdicts among its survivors
+    (`identities.shared_verdicts`) and drops them when it returns."""
     _admit(job)
     if rows is None:
         rows = _system(job)
     comps = _spec(job)
     p, n = job.field.modulus, job.carrier.dim ** 2
     hits: list[Hit] = []
-    for y in _solve(rows, p, len(comps) * n, n, job.shard):
-        index = 0
-        for v in y:
-            index = index * p + v
-        parts = tuple(_component(job, flavor, y[k * n:(k + 1) * n])
-                      for k, flavor in enumerate(comps))
-        if not verify_hit(job, parts):
-            raise RuntimeError(
-                f"compiled rows and reference checker disagree at candidate {index}")
-        hits.append(Hit(index, parts))
+    with shared_verdicts():
+        for y in _solve(rows, p, len(comps) * n, n, job.shard):
+            index = 0
+            for v in y:
+                index = index * p + v
+            parts = tuple(_component(job, flavor, y[k * n:(k + 1) * n])
+                          for k, flavor in enumerate(comps))
+            if not verify_hit(job, parts):
+                raise RuntimeError(
+                    f"compiled rows and reference checker disagree at candidate {index}")
+            hits.append(Hit(index, parts))
     return hits
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +360,69 @@ def test_cli_search_bad_budget_rejected(monkeypatch, capsys, env, extra, message
     assert out.out == ""
     assert out.err.startswith("error:") and message in out.err
     assert "exceeds" not in out.err
+
+
+def _python_m_rbx(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "rbx", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# a file that cannot be read or written ends in a ToolkitError, not a traceback
+
+@pytest.mark.parametrize("argv", [
+    ["check", "symmetric-rbs", "A", "R", "S", "-i", "/nonexistent.txt"],
+    ["check", "symmetric-rbs", "A", "R", "S", "-i", str(Path(__file__).parent)],
+    ["search", "rbs", "--builtin", "--carrier", "A", "--field", "GF3",
+     "--export", "/nonexistent/x.txt"],
+])
+def test_cli_file_errors_exit_2(argv):
+    out = _python_m_rbx(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""  # a failed export prints no "pass" document
+    assert out.stderr.startswith("error:") and argv[-1] in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_export_to_stdout_follows_the_document(capsys):
+    code = main(["search", "rbs", "--builtin", "--carrier", "A", "--field", "GF2",
+                 "--export", "-"])
+    assert code == 0
+    out = capsys.readouterr().out
+    doc, _, text = out.partition("}\n")
+    hits = json.loads(doc + "}")["hits"]
+    assert hits == 35
+    assert len([n for n in parse(text).order if n.startswith("hit")]) == 2 * hits
+
+
+# an option that the kind does not use is refused, not ignored
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "rbs", "A", "R", "S", "--weight", "1"], "--weight"),
+    (["check", "bisystem", "A", "C", "R", "S", "Q", "T", "--weight", "0"], "--weight"),
+    (["search", "rbs", "--carrier", "A", "--field", "GF3", "--weight", "1"], "--weight"),
+    (["search", "rb-coalgebra-weight", "--carrier", "C", "--field", "GF3",
+      "--weight", "1", "--cocarrier", "C"], "--cocarrier"),
+    (["search", "symmetric-rbs", "--carrier", "A", "--cocarrier", "C",
+      "--field", "GF3"], "--cocarrier"),
+])
+def test_cli_refuses_unused_options(capsys, argv, message):
+    code = main([*argv, "--builtin"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and message in out.err
+
+
+def test_cli_weighted_search_kinds_take_a_weight(capsys):
+    for kind, carrier in (("rb-weight", "A"), ("rb-coalgebra-weight", "C")):
+        assert main(["search", kind, "--carrier", carrier, "--field", "GF3",
+                     "--weight", "1", "--builtin"]) == 0
+        assert json.loads(capsys.readouterr().out)["hits"]
+
+
+def test_python_dash_m_rbx():
+    out = _python_m_rbx("verify-family", "cee-a", "--samples", "1")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["check"] == "family:cee-a"

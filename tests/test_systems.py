@@ -1,12 +1,16 @@
+import collections
 import itertools
 import random
+import threading
 
 import pytest
 
+from rbx import bisystems, bridges, regression, systems
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import PayloadError, PreconditionError
-from rbx.identities import CATALOG, Ctx, evaluate, seeded_fault
+from rbx.identities import (_VERDICTS, CATALOG, Ctx, evaluate, seeded_fault,
+                            shared_verdicts)
 from rbx.kernel import Matrix, PrimeField, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
 from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS,
@@ -577,3 +581,155 @@ def test_search_kinds_declare_quadratic_tags():
         for tags, names in groups:
             for tag in tags:
                 assert set(names) <= CATALOG[tag].quadratic, (kind, tag)
+
+
+# ---------------------------------------------------------------------------
+# operator-system and cosystem verdicts shared inside one scope
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts, by check name, the operator-system and cosystem verdicts that
+    are evaluated rather than served from a shared memo."""
+    counts = collections.Counter()
+    real = systems.run_identities
+
+    def spy(check, tags, ctx, provenance=None):
+        counts[check] += 1
+        return real(check, tags, ctx, provenance)
+    monkeypatch.setattr(systems, "run_identities", spy)
+    return counts
+
+
+_OPS = ("operator-system:", "cosystem:")
+
+
+@pytest.mark.parametrize("scan, per_kind, kinds", [
+    (regression.scan_weighted_equivalence, 32,
+     ("rb_weight", "symmetric_rbs", "rb_coalgebra_weight", "symmetric_rb_cosystem")),
+    (regression.scan_averaging_equivalence, 16,
+     ("averaging", "symmetric_rbs", "coaveraging", "symmetric_rb_cosystem")),
+    (regression.scan_averaging_lie_equivalence, 16, ("lie_rbs", "lie_rb_cosystem")),
+    (regression.scan_weighted_lie_equivalence, 32, ("lie_rbs", "lie_rb_cosystem")),
+])
+def test_scans_evaluate_each_verdict_once(evaluations, scan, per_kind, kinds):
+    # up to 512 instances per scan, but only 16 or 32 distinct maps per kind
+    assert scan().passed
+    assert _VERDICTS.get() is None
+    got = {check.split(":", 1)[1]: n for check, n in evaluations.items()
+           if check.startswith(_OPS)}
+    assert got == dict.fromkeys(kinds, per_kind)
+
+
+@pytest.mark.parametrize("scan, kinds", [(regression.scan_averaging_equivalence, 4),
+                                         (regression.scan_averaging_lie_equivalence, 2)])
+def test_scoped_scan_reports_equal_unscoped_ones(monkeypatch, scan, kinds):
+    calls = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(kind, sys):
+            rep = real(kind, sys)
+            calls.append((real, kind, sys, rep))
+            return rep
+        monkeypatch.setattr(module, name, wrapper)
+    for module in (bisystems, bridges):
+        recording(module, "check_operator_system")
+        recording(module, "check_cosystem")
+    assert scan().passed
+    monkeypatch.undo()
+    assert len(calls) == 256 * kinds
+    assert len({id(rep) for *_, rep in calls}) == 16 * kinds  # shared objects
+    for real, kind, sys, rep in calls:
+        assert real(kind, sys) == rep
+
+
+def test_search_shares_verdicts_and_drops_them(F2, evaluations):
+    # a bisystem hit re-verifies its (R, S) and (Q, T); repeats come from the
+    # shard's memo, which is gone when the shard returns
+    job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
+    runs = []
+    for _ in range(2):
+        evaluations.clear()
+        hits = enumerate_hits(job)
+        assert _VERDICTS.get() is None
+        runs.append(dict(evaluations))
+    assert len(hits) == 48
+    assert runs[0] == runs[1] == {
+        "operator-system:symmetric_rbs": len({h.parts[:2] for h in hits}),
+        "cosystem:symmetric_rb_cosystem": len({h.parts[2:] for h in hits})}
+    assert runs[0]["operator-system:symmetric_rbs"] < len(hits)
+
+
+def test_shared_verdicts_never_hide_a_seeded_fault(QQ, evaluations):
+    A = fx.fix_a(QQ)
+    R, S = fx.gc_maps()
+    check = lambda: check_operator_system("symmetric_rbs", OperatorSystem(A, R, S))
+    with shared_verdicts():
+        memo = _VERDICTS.get()
+        clean = check()
+        assert clean.passed and len(memo) == 1
+        with seeded_fault("eq:ea0#1", 0):
+            assert not check().passed
+            assert not check().passed
+        assert check() is clean
+        with shared_verdicts():
+            assert _VERDICTS.get() is memo  # an inner scope reuses the memo
+            assert check() is clean
+        assert len(memo) == 1
+    assert _VERDICTS.get() is None
+    assert evaluations["operator-system:symmetric_rbs"] == 3
+
+
+def test_shared_verdicts_keep_carriers_and_weights_apart(QQ):
+    R, S = fx.gc_maps()
+    minus = Matrix.identity(QQ, 2).scale(QQ.coerce(-1))
+    with shared_verdicts():
+        for _ in range(2):
+            assert check_operator_system(
+                "symmetric_rbs", OperatorSystem(fx.fix_a(QQ), R, S)).passed
+            assert not check_operator_system(
+                "symmetric_rbs", OperatorSystem(fx.dual_numbers(QQ), R, S)).passed
+            assert [check_operator_system(
+                "rb_weight", OperatorSystem(fx.fix_a(QQ), minus, weight=w)).passed
+                for w in (0, 1, -1)] == [False, True, False]
+
+
+def test_verdict_computed_under_a_fault_is_not_stored(QQ):
+    A = fx.fix_a(QQ)
+    R, S = fx.gc_maps()
+    with shared_verdicts():
+        with seeded_fault("eq:ea0#1", 0):
+            assert not check_operator_system(
+                "symmetric_rbs", OperatorSystem(A, R, S)).passed
+        assert _VERDICTS.get() == {}
+        assert check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)).passed
+
+
+def test_shared_verdicts_scope_is_per_thread(QQ):
+    A = fx.fix_a(QQ)
+    R, S = fx.gc_maps()
+    opened, checked = threading.Event(), threading.Event()
+    seen = {}
+
+    def owner():
+        with shared_verdicts():
+            seen["owner"] = _VERDICTS.get()
+            opened.set()
+            checked.wait(timeout=30)
+
+    def other():
+        seen["other"] = _VERDICTS.get()
+        check_operator_system("symmetric_rbs", OperatorSystem(A, R, S))
+
+    first = threading.Thread(target=owner)
+    first.start()
+    assert opened.wait(timeout=30)
+    second = threading.Thread(target=other)
+    second.start()
+    second.join(timeout=30)
+    checked.set()
+    first.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert seen["owner"] == {} and seen["other"] is None
+    assert _VERDICTS.get() is None
