@@ -486,7 +486,21 @@ def _ws_with(field, items):
     return ws
 
 
+# the number of names each derivation takes
+_DERIVE_ARITY = {"dendriform": 3, "products": 3, "weight-embed": 2, "commutator": 1,
+                 "cocommutator": 1, "dual": 1, "coboundary": 2, "double": 6}
+
+
 def run_derive(ws, what, names, weight=None, quasi=False):
+    if what not in _DERIVE_ARITY:
+        raise PayloadError(f"unknown derivation {what!r}")
+    arity = _DERIVE_ARITY[what]
+    if len(names) != arity:
+        raise PayloadError(f"derive {what!r} takes {arity} names, got {len(names)}")
+    if weight is not None and what != "weight-embed":
+        raise PayloadError(f"derive {what!r} takes no --weight")
+    if quasi and what != "coboundary":
+        raise PayloadError(f"derive {what!r} takes no --quasi")
     field = ws.field
     if what == "dendriform":
         A, R, S = _alg(ws, names[0]), _map(ws, names[1]), _map(ws, names[2])
@@ -522,16 +536,15 @@ def run_derive(ws, what, names, weight=None, quasi=False):
         mode = "quasitriangular" if quasi else "plain"
         C = coboundary_delta(A, r, mode)
         return _ws_with(field, [("Delta", "coalgebra", C, None)])
-    if what == "double":
-        A, C = _alg(ws, names[0]), _coalg(ws, names[1])
-        R, S, Q, T = (_map(ws, n) for n in names[2:6])
-        dc = double_construction(A, C, R, S, Q, T)
-        big = dc.system.carrier
-        return _ws_with(field, [
-            ("AA", "algebra", big, None),
-            ("RR", "map", dc.system.R, "AA"), ("SS", "map", dc.system.S, "AA"),
-            ("Bd", "form", dc.form, "AA")])
-    raise PayloadError(f"unknown derivation {what!r}")
+    # double
+    A, C = _alg(ws, names[0]), _coalg(ws, names[1])
+    R, S, Q, T = (_map(ws, n) for n in names[2:])
+    dc = double_construction(A, C, R, S, Q, T)
+    big = dc.system.carrier
+    return _ws_with(field, [
+        ("AA", "algebra", big, None),
+        ("RR", "map", dc.system.R, "AA"), ("SS", "map", dc.system.S, "AA"),
+        ("Bd", "form", dc.form, "AA")])
 
 
 # ---------------------------------------------------------------------------

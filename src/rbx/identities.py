@@ -113,7 +113,7 @@ def seeded_fault(tag: str, term: int = 0):
 
 def fault_open() -> bool:
     """Whether a `seeded_fault` is open: verdicts computed now are not the
-    structure's own and must not be memoised or served from a memo."""
+    data's own and must not be shared."""
     return bool(_FAULTS)
 
 
@@ -124,18 +124,33 @@ _VERDICTS: ContextVar[dict | None] = ContextVar("rbx_shared_verdicts", default=N
 @contextmanager
 def shared_verdicts():
     """Share checker verdicts while the context is open: inside it,
-    `systems.check_operator_system` and `systems.check_cosystem` compute
-    each verdict once and serve repeats from a memo that is dropped when
-    the outermost scope closes.  Scopes nest, an inner one reusing the
-    outer memo.  The memo lives in a `ContextVar`, so a scope is seen only
-    by its own thread (and context), and it is never pickled: a worker
-    process opens its own.  It is bypassed while a seeded fault is open."""
+    `structures.check_axioms`, `systems.check_operator_system` and
+    `systems.check_cosystem` compute each verdict once (`shared`) and serve
+    repeats from a memo that is dropped when the outermost scope closes.
+    Scopes nest, an inner one reusing the outer memo.  The memo lives in a
+    `ContextVar`, so a scope is seen only by its own thread (and context),
+    and it is never pickled: a worker process opens its own.  It is
+    bypassed while a seeded fault is open."""
     memo = _VERDICTS.get()
     token = _VERDICTS.set({} if memo is None else memo)
     try:
         yield
     finally:
         _VERDICTS.reset(token)
+
+
+def shared(key, compute, hold):
+    """`compute()`, computed once per `key` inside a `shared_verdicts` scope.
+    The entry keeps `hold` alive (the objects whose ids the key names), so
+    those ids cannot be reused while it lives.  Outside every scope, or
+    while a seeded fault is open, the memo is neither read nor written."""
+    memo = _VERDICTS.get()
+    if memo is None or fault_open():
+        return compute()
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (compute(), hold)
+    return hit[0]
 
 
 def _neg(value):

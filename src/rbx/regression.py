@@ -2,10 +2,11 @@
 parametric families at exact random rational points, the fixture
 constructions, and the exhaustive GF(2) equivalence scans.
 
-Each scan runs both checkers on up to 512 instances that hold only 32
-distinct (R, S) and 32 distinct (Q, T) pairs, so it runs inside one
-`identities.shared_verdicts` scope: each operator-system and cosystem
-verdict is computed once per scan and dropped when the scan returns."""
+The four scans share one body (`_scan`), which compares a bridge checker
+with a bisystem checker on every instance inside one
+`identities.shared_verdicts` scope: each axiom, operator-system and
+cosystem verdict is computed once per scan and dropped when the scan
+returns."""
 
 from __future__ import annotations
 
@@ -44,71 +45,51 @@ def _gf2_maps():
 
 
 @shared_verdicts()
+def _scan(row, carriers, bridge, bisystem, check, weighted):
+    """Whether the `bridge` checker agrees with the bisystem `check` on every
+    GF(2) instance of the carrier pair: weighted scans run lam over GF(2)
+    with S = R + lam*id and T = Q + lam*id, averaging scans take S = T = 0.
+    The up to 512 instances hold only 32 distinct (R, S) and 32 distinct
+    (Q, T) pairs, and the scan runs in one `shared_verdicts` scope."""
+    F2, mats = _gf2_maps()
+    A, C = (make(F2) for make in carriers)
+    eye, zero = Matrix.identity(F2, 2), Matrix.zero(F2, 2)
+    bad = []
+    for lam in (F2.zero(), F2.one()) if weighted else (None,):
+        for R in mats:
+            for Q in mats:
+                if weighted:
+                    left = bridge(A, C, R, Q, lam).passed
+                    S, T = R + eye.scale(lam), Q + eye.scale(lam)
+                else:
+                    left = bridge(A, C, R, Q).passed
+                    S = T = zero
+                if left != check(bisystem(A, C, R, S, Q, T)).passed:
+                    detail = f"R={R} Q={Q}"
+                    bad.append(_mismatch(row, f"lam={lam} {detail}" if weighted else detail))
+    return make_report(f"scan:{row}-equivalence", bad)
+
+
 def scan_weighted_equivalence():
     """Weighted bridge checker agrees with the embedded bisystem checker on
     every GF(2) instance of the bundled carrier pair."""
-    F2, mats = _gf2_maps()
-    A, C = fx.fix_a(F2), fx.fix_c(F2)
-    eye = Matrix.identity(F2, 2)
-    bad = []
-    for lam in (F2.zero(), F2.one()):
-        for R in mats:
-            for Q in mats:
-                S = R + eye.scale(lam)
-                T = Q + eye.scale(lam)
-                left = check_weighted_rb_asi(A, C, R, Q, lam).passed
-                right = check_bisystem(ASIBisystem(A, C, R, S, Q, T)).passed
-                if left != right:
-                    bad.append(_mismatch("weighted", f"lam={lam} R={R} Q={Q}"))
-    return make_report("scan:weighted-equivalence", bad)
+    return _scan("weighted", (fx.fix_a, fx.fix_c), check_weighted_rb_asi,
+                 ASIBisystem, check_bisystem, weighted=True)
 
 
-@shared_verdicts()
 def scan_averaging_equivalence():
-    F2, mats = _gf2_maps()
-    A, C = fx.fix_a(F2), fx.fix_c(F2)
-    Z = Matrix.zero(F2, 2)
-    bad = []
-    for R in mats:
-        for Q in mats:
-            left = check_averaging_asi(A, C, R, Q).passed
-            right = check_bisystem(ASIBisystem(A, C, R, Z, Q, Z)).passed
-            if left != right:
-                bad.append(_mismatch("averaging", f"R={R} Q={Q}"))
-    return make_report("scan:averaging-equivalence", bad)
+    return _scan("averaging", (fx.fix_a, fx.fix_c), check_averaging_asi,
+                 ASIBisystem, check_bisystem, weighted=False)
 
 
-@shared_verdicts()
 def scan_averaging_lie_equivalence():
-    F2, mats = _gf2_maps()
-    g, dl = fx.fix_lie(F2), fx.fix_delta(F2)
-    Z = Matrix.zero(F2, 2)
-    bad = []
-    for R in mats:
-        for Q in mats:
-            left = check_averaging_lie_bialgebra(g, dl, R, Q).passed
-            right = check_lie_bisystem(LieBisystem(g, dl, R, Z, Q, Z)).passed
-            if left != right:
-                bad.append(_mismatch("averaging-lie", f"R={R} Q={Q}"))
-    return make_report("scan:averaging-lie-equivalence", bad)
+    return _scan("averaging-lie", (fx.fix_lie, fx.fix_delta), check_averaging_lie_bialgebra,
+                 LieBisystem, check_lie_bisystem, weighted=False)
 
 
-@shared_verdicts()
 def scan_weighted_lie_equivalence():
-    F2, mats = _gf2_maps()
-    g, dl = fx.fix_lie(F2), fx.fix_delta(F2)
-    eye = Matrix.identity(F2, 2)
-    bad = []
-    for lam in (F2.zero(), F2.one()):
-        for R in mats:
-            for Q in mats:
-                S = R + eye.scale(lam)
-                T = Q + eye.scale(lam)
-                left = check_weighted_rb_lie_bialgebra(g, dl, R, Q, lam).passed
-                right = check_lie_bisystem(LieBisystem(g, dl, R, S, Q, T)).passed
-                if left != right:
-                    bad.append(_mismatch("weighted-lie", f"lam={lam} R={R} Q={Q}"))
-    return make_report("scan:weighted-lie-equivalence", bad)
+    return _scan("weighted-lie", (fx.fix_lie, fx.fix_delta), check_weighted_rb_lie_bialgebra,
+                 LieBisystem, check_lie_bisystem, weighted=True)
 
 
 # fixture rows

@@ -14,15 +14,15 @@ and tests each row as soon as its highest entry is assigned: a row that is
 linear in that entry is solved for it, any other is tried at the p values.
 The survivors come out in candidate index order, and each is re-verified
 through the public checkers, which run the same catalog entries in full
-and return the full report.  Inside one shard, survivors that share an
-(R, S) or (Q, T) pair, as the hits of a bisystem do, share its
-operator-system or cosystem verdict (`identities.shared_verdicts`); the
-memo is dropped when the shard returns and is never pickled.  The
-independent second opinion on a hit set is the brute-force oracles of
-the test suite.  Work is partitioned across shards by the index of the
-first component, which makes shards embarrassingly parallel and the merged
-result independent of the shard count; `run_search` compiles a job once
-for all of its shards.
+and return the full report.  Inside one shard, survivors that share a
+verdict share it (`identities.shared_verdicts`): a bisystem's hits check
+their carriers' ASI-bialgebra axioms once, and each distinct (R, S) or
+(Q, T) pair once; the memo is dropped when the shard returns and is never
+pickled.  The independent second opinion on a hit set is the brute-force
+oracles of the test suite.  Work is partitioned across shards by the index
+of the first component, which makes shards embarrassingly parallel and the
+merged result independent of the shard count; `run_search` builds and
+compiles a job's groups once for all of its shards.
 """
 
 from __future__ import annotations
@@ -479,13 +479,14 @@ def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
 def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) -> list[Hit]:
     """All shards, merged in candidate order; shards may run in parallel on
     at most `os.cpu_count()` worker processes (None runs them serially).  A
-    bad job is refused before any shard starts, and the job is compiled
-    once here for all of its shards."""
+    bad job is refused before any shard starts: `_admit` checks its kind,
+    field, cocarrier, budget and shards, and the compile applies the
+    checkers' payload rules.  The job's groups are built and compiled once
+    here for all of its shards."""
     if shards < 1:
         raise PayloadError(f"need at least one shard, got {shards}")
     if processes is not None and processes < 1:
         raise PayloadError(f"need at least one process, got {processes}")
-    fast_predicate(job)
     jobs = [replace(job, shard=(k, shards)) for k in range(shards)]
     for j in jobs:
         _admit(j)

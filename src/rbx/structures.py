@@ -18,14 +18,13 @@ import itertools
 from .errors import PayloadError, StructureError
 from .kernel import (Matrix, Tensor2, Tensor3, bv, leg_apply, nonzero_terms,
                      reduce_entries, vadd, vneg, vsub)
-from .identities import Ctx, fault_open, identity, run_groups
+from .identities import Ctx, identity, run_groups, shared
 from .report import Violation, make_report
 
 
 class _Table:
     """A dim x dim x dim table of structure constants in stored form, with
-    basis labels, cached basis vectors and the verdict memo of
-    `check_axioms`."""
+    basis labels and cached basis vectors."""
 
     def __init__(self, field, table, basis, what):
         self.field = field
@@ -38,12 +37,6 @@ class _Table:
         if len(self.basis) != self.dim:
             raise ValueError("basis label count mismatch")
         self._basis_vectors = tuple(bv(field, self.dim, i) for i in range(self.dim))
-        self._axiom_memo = {}
-
-    def __getstate__(self):
-        # memo keys are ids of objects in this process, so a copy, or the
-        # structure unpickled in a worker process, starts with an empty memo
-        return {**self.__dict__, "_axiom_memo": {}}
 
 
 class _Multiplicative(_Table):
@@ -728,28 +721,21 @@ def _axiom_groups(kind, payload):
 def check_axioms(kind, payload):
     """Run the defining identities of one axiom kind; report every violation.
 
-    Structures are immutable, so the verdict is memoised on the first
-    structure of the payload, keyed by the kind and the identity of the
-    other members.  The memo holds those members too, so their ids cannot
-    be reused while the entry lives, and it dies with the structure.  It is
-    neither read nor written while a seeded fault is open.
+    Inside `identities.shared_verdicts` the verdict is computed once per
+    kind and payload, keyed by the identity of every payload member;
+    structures are immutable, and the entry holds the members, so their ids
+    cannot be reused while it lives.
     """
+    def report():
+        rep = run_groups(f"axioms:{kind}", _axiom_groups(kind, payload))
+        if kind == "frobenius":
+            _, B = payload
+            if not B.is_nondegenerate():
+                extra = (Violation("frobenius:nondegenerate", (), (str(B.gram.det()),)),)
+                rep = make_report(rep.check, rep.violations + extra)
+        return rep
     members = payload if isinstance(payload, tuple) else (payload,)
-    first = members[0] if members else None
-    memo = None if fault_open() else getattr(first, "_axiom_memo", None)
-    key = (kind,) + tuple(id(m) for m in members[1:])
-    if memo is not None and key in memo:
-        return memo[key][0]
-    groups = _axiom_groups(kind, payload)
-    rep = run_groups(f"axioms:{kind}", groups)
-    if kind == "frobenius":
-        _, B = payload
-        if not B.is_nondegenerate():
-            extra = (Violation("frobenius:nondegenerate", (), (str(B.gram.det()),)),)
-            rep = make_report(rep.check, rep.violations + extra)
-    if memo is not None:
-        memo[key] = (rep, members[1:])
-    return rep
+    return shared(("axioms", kind) + tuple(map(id, members)), report, members)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import PayloadError, PreconditionError
 from .kernel import Matrix, Tensor2, leg_apply, vadd, vneg, vscale, vsub
-from .identities import _VERDICTS, Ctx, fault_open, identity, run_identities
+from .identities import Ctx, identity, run_identities, shared
 from .report import Violation, make_report
 from .structures import (Algebra, LieAlgebra, LieCoalgebra,
                          _Comultiplicative, _Multiplicative, commutator,
@@ -265,21 +265,13 @@ def operator_system_identities(kind: str, sys: OperatorSystem):
 
 
 def _shared(check, tags, ctx, carrier, first, second, weight):
-    """`run_identities(check, tags, ctx)`, computed once per distinct system
-    inside a `shared_verdicts` scope.  The key is the check, the carrier's
-    id and the maps' entries (payload rules have already tied the maps to
-    the carrier's field and dimension); each entry holds the carrier, so its
-    id cannot be reused while the entry lives.  The memo is neither read
-    nor written while a seeded fault is open."""
-    memo = _VERDICTS.get()
-    if memo is None or fault_open():
-        return run_identities(check, tags, ctx)
+    """`run_identities(check, tags, ctx)` through `identities.shared`, keyed
+    by the check, the carrier's id and the maps' entries (payload rules
+    have already tied the maps to the carrier's field and dimension) and
+    the weight; the entry holds the carrier."""
     key = (check, id(carrier), first.entries,
            None if second is None else second.entries, weight)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (run_identities(check, tags, ctx), carrier)
-    return hit[0]
+    return shared(key, lambda: run_identities(check, tags, ctx), carrier)
 
 
 def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":

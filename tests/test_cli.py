@@ -415,6 +415,35 @@ def test_cli_refuses_unused_options(capsys, argv, message):
     assert out.err.startswith("error:") and message in out.err
 
 
+# `rbx derive` refuses a wrong name count or an option its derivation does
+# not use, instead of a traceback or a silent pass
+
+@pytest.mark.parametrize("argv, message", [
+    (["dendriform"], "takes 3 names, got 0"),
+    (["products", "A", "R0"], "takes 3 names, got 2"),
+    (["coboundary", "A"], "takes 2 names, got 1"),
+    (["double", "A", "C", "R", "S"], "takes 6 names, got 4"),
+    (["commutator", "A", "C"], "takes 1 names, got 2"),
+    (["dendriform", "A", "R0", "S0", "--weight", "1"], "--weight"),
+    (["commutator", "A", "--quasi"], "--quasi"),
+    (["nonsense", "A"], "unknown derivation"),
+])
+def test_cli_derive_bad_arguments_rejected(capsys, argv, message):
+    code = main(["derive", *argv, "--builtin"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and message in out.err
+    assert "Traceback" not in out.err
+
+
+def test_cli_derive_options_where_used(capsys):
+    assert main(["derive", "weight-embed", "A", "R", "--weight", "1", "--builtin"]) == 0
+    assert {"Rw", "Sw"} <= set(parse(capsys.readouterr().out).order)
+    assert main(["derive", "coboundary", "A", "r2", "--quasi", "--builtin"]) == 0
+    assert "Delta" in parse(capsys.readouterr().out).order
+
+
 def test_cli_weighted_search_kinds_take_a_weight(capsys):
     for kind, carrier in (("rb-weight", "A"), ("rb-coalgebra-weight", "C")):
         assert main(["search", kind, "--carrier", carrier, "--field", "GF3",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rbx import fixtures as fx
 from rbx.errors import PayloadError, StructureError
+from rbx.identities import _VERDICTS, seeded_fault, shared_verdicts
 from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2
 from rbx.structures import (Algebra, BilinearForm, LieAlgebra,
                             check_axioms, cocommutator, commutator, dualize,
@@ -215,68 +216,100 @@ def test_lie_construction_rejects_bad_bracket(QQ):
         LieAlgebra(QQ, table)
 
 
-# the verdict memo of check_axioms
+# check_axioms shares its verdicts only inside `identities.shared_verdicts`
 
 def test_axiom_memo_never_hides_a_seeded_fault(QQ):
-    from rbx.identities import seeded_fault
     A, C = fx.fix_a(QQ), fx.fix_c(QQ)
-    assert check_axioms("asi_bialgebra", (A, C)).passed   # memoised
-    assert check_axioms("asi_bialgebra", (A, C)).passed   # served from the memo
-    with seeded_fault("de:cv#1", 0):
-        assert not check_axioms("asi_bialgebra", (A, C)).passed
-    with seeded_fault("associativity", 0):
-        # memoised at construction time, and still re-checked under the fault
-        assert not check_axioms("associative", A).passed
-    other = fx.fix_c(QQ)
-    with seeded_fault("de:cv#1", 0):
-        assert not check_axioms("asi_bialgebra", (A, other)).passed
-    # verdicts computed under a fault were not memoised
-    assert check_axioms("asi_bialgebra", (A, C)).passed
-    assert check_axioms("asi_bialgebra", (A, other)).passed
-    assert check_axioms("associative", A).passed
+    with shared_verdicts():
+        assert check_axioms("asi_bialgebra", (A, C)).passed   # memoised
+        assert check_axioms("asi_bialgebra", (A, C)).passed   # served from the memo
+        assert check_axioms("associative", A).passed
+        with seeded_fault("de:cv#1", 0):
+            assert not check_axioms("asi_bialgebra", (A, C)).passed
+        with seeded_fault("associativity", 0):
+            # memoised above, and still re-checked under the fault
+            assert not check_axioms("associative", A).passed
+        other = fx.fix_c(QQ)
+        with seeded_fault("de:cv#1", 0):
+            assert not check_axioms("asi_bialgebra", (A, other)).passed
+        # verdicts computed under a fault were not memoised
+        assert check_axioms("asi_bialgebra", (A, C)).passed
+        assert check_axioms("asi_bialgebra", (A, other)).passed
+        assert check_axioms("associative", A).passed
 
 
 def test_axiom_memo_keyed_by_each_cocarrier(QQ):
     import gc
+    import weakref
     A = fx.fix_a(QQ)
     good, bad = fx.fix_c(QQ), fx.grouplike_coalgebra(QQ)
-    assert check_axioms("asi_bialgebra", (A, good)).passed
-    assert not check_axioms("asi_bialgebra", (A, bad)).passed
-    assert check_axioms("asi_bialgebra", (A, good)).passed
-    assert check_axioms("coassociative", bad).passed  # another kind, another key
-    # the memo holds the cocarriers it has seen, so their ids are never
-    # reused for another object while its entry lives
-    gone = id(good)
-    del good
-    gc.collect()
-    fresh = [type(bad)(QQ, bad.table, basis=bad.basis, raw=True) for _ in range(200)]
-    assert all(id(c) != gone for c in fresh)
-    assert not any(check_axioms("asi_bialgebra", (A, c)).passed for c in fresh)
+    with shared_verdicts():
+        assert check_axioms("asi_bialgebra", (A, good)).passed
+        assert not check_axioms("asi_bialgebra", (A, bad)).passed
+        assert check_axioms("asi_bialgebra", (A, good)).passed
+        assert check_axioms("coassociative", bad).passed  # another kind, another key
+        # the memo holds the cocarriers it has seen, so their ids are never
+        # reused for another object while its entry lives
+        gone, held = id(good), weakref.ref(good)
+        del good
+        gc.collect()
+        assert held() is not None
+        fresh = [type(bad)(QQ, bad.table, basis=bad.basis, raw=True) for _ in range(200)]
+        assert all(id(c) != gone for c in fresh)
+        assert not any(check_axioms("asi_bialgebra", (A, c)).passed for c in fresh)
 
 
 def test_axiom_memo_dies_with_its_structure(QQ):
+    # the scope's memo holds the structures it has seen until it closes
     import gc
     import weakref
     A, C = fx.fix_a(QQ), fx.fix_c(QQ)
-    check_axioms("asi_bialgebra", (A, C))
+    with shared_verdicts():
+        check_axioms("asi_bialgebra", (A, C))
+        check_axioms("asi_bialgebra", (A, C))
     refs = [weakref.ref(A), weakref.ref(C)]
     del A, C
     gc.collect()
     assert all(r() is None for r in refs)
 
 
-def test_axiom_memo_not_carried_by_copies(QQ):
-    # memo keys are object ids, which mean nothing in another process
+def test_structures_carry_no_verdict_state(QQ):
     import copy
     import pickle
     A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    state = set(vars(A))
     check_axioms("asi_bialgebra", (A, C))
-    assert A._axiom_memo
+    with shared_verdicts():
+        check_axioms("asi_bialgebra", (A, C))
+    assert set(vars(A)) == state
+    assert not any(isinstance(v, dict) for v in vars(A).values())
     for twin in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A), copy.copy(A)):
-        assert twin._axiom_memo == {} and twin == A
+        assert twin == A and set(vars(twin)) == state
         assert check_axioms("asi_bialgebra", (twin, C)).passed
         assert not check_axioms("asi_bialgebra", (twin, fx.grouplike_coalgebra(QQ))).passed
-    assert A._axiom_memo
+
+
+def test_axiom_verdicts_shared_only_inside_a_scope(QQ, monkeypatch):
+    import collections
+    from rbx import structures
+    counts = collections.Counter()
+    real = structures.run_groups
+
+    def spy(check, groups, provenance=None):
+        counts[check] += 1
+        return real(check, groups, provenance)
+    monkeypatch.setattr(structures, "run_groups", spy)
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    counts.clear()  # construction checked A and C
+    first = check_axioms("asi_bialgebra", (A, C))
+    assert check_axioms("asi_bialgebra", (A, C)) == first
+    assert counts == {"axioms:asi_bialgebra": 2}
+    counts.clear()
+    with shared_verdicts():
+        inner = check_axioms("asi_bialgebra", (A, C))
+        assert check_axioms("asi_bialgebra", (A, C)) is inner
+    assert inner == first and counts == {"axioms:asi_bialgebra": 1}
+    assert _VERDICTS.get() is None
 
 
 # placement_product against the oracle's nested loop, on a random raw table

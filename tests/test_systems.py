@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from rbx import bisystems, bridges, regression, systems
+from rbx import bisystems, bridges, regression, structures, systems
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import PayloadError, PreconditionError
@@ -584,20 +584,31 @@ def test_search_kinds_declare_quadratic_tags():
 
 
 # ---------------------------------------------------------------------------
-# operator-system and cosystem verdicts shared inside one scope
+# axiom, operator-system and cosystem verdicts shared inside one scope
+
+def _count_checks(monkeypatch, module, name):
+    """Counts, by check name, the reports that `module.name` computes."""
+    counts = collections.Counter()
+    real = getattr(module, name)
+
+    def spy(check, *args, **kwargs):
+        counts[check] += 1
+        return real(check, *args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return counts
+
 
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts, by check name, the operator-system and cosystem verdicts that
     are evaluated rather than served from a shared memo."""
-    counts = collections.Counter()
-    real = systems.run_identities
+    return _count_checks(monkeypatch, systems, "run_identities")
 
-    def spy(check, tags, ctx, provenance=None):
-        counts[check] += 1
-        return real(check, tags, ctx, provenance)
-    monkeypatch.setattr(systems, "run_identities", spy)
-    return counts
+
+@pytest.fixture
+def axiom_evaluations(monkeypatch):
+    """The same count for `check_axioms` verdicts."""
+    return _count_checks(monkeypatch, structures, "run_groups")
 
 
 _OPS = ("operator-system:", "cosystem:")
@@ -611,13 +622,18 @@ _OPS = ("operator-system:", "cosystem:")
     (regression.scan_averaging_lie_equivalence, 16, ("lie_rbs", "lie_rb_cosystem")),
     (regression.scan_weighted_lie_equivalence, 32, ("lie_rbs", "lie_rb_cosystem")),
 ])
-def test_scans_evaluate_each_verdict_once(evaluations, scan, per_kind, kinds):
-    # up to 512 instances per scan, but only 16 or 32 distinct maps per kind
+def test_scans_evaluate_each_verdict_once(evaluations, axiom_evaluations, scan,
+                                         per_kind, kinds):
+    # up to 512 instances per scan, but only 16 or 32 distinct maps per kind,
+    # and one carrier pair whose axioms are checked once
     assert scan().passed
     assert _VERDICTS.get() is None
     got = {check.split(":", 1)[1]: n for check, n in evaluations.items()
            if check.startswith(_OPS)}
     assert got == dict.fromkeys(kinds, per_kind)
+    axioms = (("lie", "lie_coalgebra", "lie_bialgebra") if "lie" in scan.__name__
+              else ("associative", "coassociative", "asi_bialgebra"))
+    assert axiom_evaluations == {f"axioms:{kind}": 1 for kind in axioms}
 
 
 @pytest.mark.parametrize("scan, kinds", [(regression.scan_averaging_equivalence, 4),
