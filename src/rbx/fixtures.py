@@ -137,16 +137,11 @@ def zero_coalgebra(field=None, dim=2):
 # parametric map families on the dim-2 carriers
 
 def _nonzero(name):
-    return Constraint(f"{name} != 0", lambda pr, n=name: bool(pr[n]), denominator=True)
-
-
-def _stated_nonzero(name):
-    return Constraint(f"{name} != 0", lambda pr, n=name: bool(pr[n]), denominator=False)
+    return Constraint(f"{name} != 0", lambda pr, n=name: bool(pr[n]))
 
 
 def _distinct(a, b):
-    return Constraint(f"{a} != {b}",
-                      lambda pr, x=a, y=b: pr[x] != pr[y], denominator=False)
+    return Constraint(f"{a} != {b}", lambda pr, x=a, y=b: pr[x] != pr[y])
 
 
 def _fam(name, kind, params, constraints, build):
@@ -210,12 +205,12 @@ def _cee_h(field, pr):
 CEE_FAMILIES = (
     _fam("cee-a", "symmetric_rbs", ("p1", "p2", "p3"), (_nonzero("p1"),), _cee_a),
     _fam("cee-b", "symmetric_rbs", ("p1", "p2"), (), _cee_b),
-    _fam("cee-c", "symmetric_rbs", ("p1", "p2"), (_stated_nonzero("p1"),), _cee_c),
+    _fam("cee-c", "symmetric_rbs", ("p1", "p2"), (_nonzero("p1"),), _cee_c),
     _fam("cee-d", "symmetric_rbs", ("p1", "p2"), (_distinct("p2", "p1"),), _cee_d),
-    _fam("cee-e", "symmetric_rbs", ("p1", "p2"), (_stated_nonzero("p2"),), _cee_e),
-    _fam("cee-f", "symmetric_rbs", ("p1", "p2"), (_stated_nonzero("p2"),), _cee_f),
-    _fam("cee-g", "symmetric_rbs", ("p1",), (_stated_nonzero("p1"),), _cee_g),
-    _fam("cee-h", "symmetric_rbs", ("p1",), (_stated_nonzero("p1"),), _cee_h),
+    _fam("cee-e", "symmetric_rbs", ("p1", "p2"), (_nonzero("p2"),), _cee_e),
+    _fam("cee-f", "symmetric_rbs", ("p1", "p2"), (_nonzero("p2"),), _cee_f),
+    _fam("cee-g", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _cee_g),
+    _fam("cee-h", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _cee_h),
 )
 
 
@@ -272,12 +267,12 @@ def _cuu_h(field, pr):
 CUU_FAMILIES = (
     _fam("cuu-a", "symmetric_rb_cosystem", ("q1", "q2", "q3"), (_nonzero("q1"),), _cuu_a),
     _fam("cuu-b", "symmetric_rb_cosystem", ("q1", "q2"), (), _cuu_b),
-    _fam("cuu-c", "symmetric_rb_cosystem", ("q1", "q2"), (_stated_nonzero("q1"),), _cuu_c),
+    _fam("cuu-c", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_c),
     _fam("cuu-d", "symmetric_rb_cosystem", ("q1", "q2"), (_distinct("q2", "q1"),), _cuu_d),
-    _fam("cuu-e", "symmetric_rb_cosystem", ("q1", "q2"), (_stated_nonzero("q1"),), _cuu_e),
-    _fam("cuu-f", "symmetric_rb_cosystem", ("q1", "q2"), (_stated_nonzero("q1"),), _cuu_f),
-    _fam("cuu-g", "symmetric_rb_cosystem", ("q1",), (_stated_nonzero("q1"),), _cuu_g),
-    _fam("cuu-h", "symmetric_rb_cosystem", ("q1",), (_stated_nonzero("q1"),), _cuu_h),
+    _fam("cuu-e", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_e),
+    _fam("cuu-f", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_f),
+    _fam("cuu-g", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _cuu_g),
+    _fam("cuu-h", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _cuu_h),
 )
 
 FAMILIES = {fam.name: fam for fam in CEE_FAMILIES + CUU_FAMILIES}

@@ -3,9 +3,10 @@
 Every checkable identity in the toolkit is registered here under a stable
 tag.  An entry computes the list of summands of the residual at one tuple
 of basis indices; the identity holds iff the summands add to zero at every
-tuple.  Checkers assemble reports by running catalog entries, search
-builds its early-exit predicates from the same entries (`predicate`), and
-the fault-injection hook (used by the mutation-sensitivity tests) flips the
+tuple.  Checkers assemble reports by running catalog entries
+(`run_identities`), search compiles the same entries into GF(p) rows, one
+per residual entry of each (tag, basis tuple) step (`steps`), and the
+fault-injection hook (used by the mutation-sensitivity tests) flips the
 sign of a single summand of a single identity.  One function may be
 registered under several tags; each tag keeps its own faults.
 """
@@ -235,31 +236,6 @@ def steps(tags, ctx: Ctx) -> tuple:
         (tag, idx) for tag in tags
         for idx in itertools.product(
             *(range(len(ctx.spaces[s])) for s in CATALOG[tag].spaces)))
-
-
-def predicate(tags, ctx: Ctx) -> Callable:
-    """Early-exit form of `run_identities`: `holds(c)` is True iff every tag
-    vanishes at every basis tuple, for any context `c` with the spaces and
-    field of `ctx`.  Each step (tag, basis tuple) goes through `evaluate`, so
-    seeded faults apply; the first nonzero residual ends the call and its
-    step moves to the front of the order.  The order is a tuple replaced
-    whole, so a call running in another thread still sees every step."""
-    field = ctx.field if ctx.field is not None and ctx.field.modulus else None
-    order = steps(tags, ctx)
-
-    def holds(c) -> bool:
-        nonlocal order
-        current = order
-        for k, (tag, idx) in enumerate(current):
-            res = evaluate(tag, c, idx)
-            if field is not None:
-                res = _stored(res, field)
-            if not _is_zero(res):
-                if k:
-                    order = (current[k],) + current[:k] + current[k + 1:]
-                return False
-        return True
-    return holds
 
 
 def run_groups(check: str, groups, provenance=None):

@@ -2,27 +2,31 @@
 
 A job's condition is built from the identity catalog over the tag tuple
 that the kind's checker runs, with one context per group of tags that the
-candidate's components are bound into (`fast_predicate`).  Every such tag
-has total degree at most 2 in all the components that a search binds,
-taken jointly (`identities.identity(..., quadratic=...)`), so a job is one
+candidate's components are bound into (`_groups`).  Every such tag has
+total degree at most 2 in all the components that a search binds, taken
+jointly (`identities.identity(..., quadratic=...)`), so a job is one
 system of quadratic equations over GF(p) in the k*d*d entries of its k
 components.  `_compile` turns each (tag, basis tuple) step into one row of
 GF(p) coefficients per residual entry, over the monomials of all those
 entries, interpolated from probes through `evaluate`, so seeded faults
-reach the rows.  `_solve` assigns the entries depth-first in index order
-and tests each row as soon as its highest entry is assigned: a row that is
-linear in that entry is solved for it, any other is tried at the p values.
-The survivors come out in candidate index order, and each is re-verified
+reach the rows; `fast_predicate` tests one candidate against the same
+rows.  `_solve` assigns the entries depth-first in index order and tests
+each row as soon as its highest entry is assigned: a row that is linear in
+that entry is solved for it, any other is tried at the p values.  The
+survivors come out in candidate index order, and each is re-verified
 through the public checkers, which run the same catalog entries in full
-and return the full report.  Inside one shard, survivors that share a
-verdict share it (`identities.shared_verdicts`): a bisystem's hits check
-their carriers' ASI-bialgebra axioms once, and each distinct (R, S) or
-(Q, T) pair once; the memo is dropped when the shard returns and is never
-pickled.  The independent second opinion on a hit set is the brute-force
-oracles of the test suite.  Work is partitioned across shards by the index
-of the first component, which makes shards embarrassingly parallel and the
-merged result independent of the shard count; `run_search` builds and
-compiles a job's groups once for all of its shards.
+and return the full report.  Survivors that share a verdict share it
+(`identities.shared_verdicts`): a bisystem's hits check their carriers'
+ASI-bialgebra axioms once, and each distinct (R, S) or (Q, T) pair once.
+A serial `run_search` opens one scope around the compile and all of its
+shards, so the compile's axiom verdict serves every shard; a shard in a
+worker process opens its own.  The memo is dropped when the scope closes
+and is never pickled.  The independent second opinion on a hit set is the
+brute-force oracles of the test suite.  Work is partitioned across shards
+by the index of the first component, which makes shards embarrassingly
+parallel and the merged result independent of the shard count;
+`run_search` builds and compiles a job's groups once for all of its
+shards.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bisystems import ASIBisystem, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import (CATALOG, Ctx, _stored, evaluate, predicate,
-                         shared_verdicts, steps)
+from .identities import CATALOG, Ctx, _stored, evaluate, shared_verdicts, steps
 from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
 from .representations import _CK5_TAGS, _CK_TAGS, adjoint_admissible_report
@@ -131,25 +134,23 @@ def _spec(job):
 
 
 # ---------------------------------------------------------------------------
-# predicates from the catalog
+# conditions from the catalog
 
-class _Bound:
-    """One condition of a job: `holds(ctx)` over a checker's tag tuple, the
-    job's one context, and the context names a candidate's components are
-    bound to.  Calling it on a tuple of components binds them into a copy of
-    the context, so the callable can be shared."""
+class _Bound(NamedTuple):
+    """One group of a job's condition: a checker's tag tuple, the job's one
+    context for it, and the context names a candidate's components are
+    bound to."""
+    names: tuple
+    tags: tuple
+    ctx: Ctx
 
-    def __init__(self, names, tags, ctx):
-        self.names = names
-        self.tags = tags
-        self.ctx = ctx
-        self.holds = predicate(tags, ctx)
 
-    def __call__(self, parts) -> bool:
-        ctx = object.__new__(Ctx)
-        ctx.__dict__.update(self.ctx.__dict__)
-        ctx.__dict__.update(zip(self.names, parts))
-        return self.holds(ctx)
+def _fixed(job):
+    """The fixed maps (R, S) of an `adjoint_admissible` job."""
+    fixed = job.fixed or {}
+    if not all(isinstance(fixed.get(k), Matrix) for k in ("R", "S")):
+        raise PayloadError("kind 'adjoint_admissible' needs fixed maps R and S")
+    return fixed["R"], fixed["S"]
 
 
 def _bind(job, kind, carrier) -> _Bound:
@@ -167,10 +168,7 @@ def _bind(job, kind, carrier) -> _Bound:
             carrier, zero, zero if two else None, weight=job.weight))
         return _Bound(("Q", "T")[:1 + two], tags, ctx)
     if kind == "adjoint_admissible":
-        fixed = job.fixed or {}
-        if not all(isinstance(fixed.get(k), Matrix) for k in ("R", "S")):
-            raise PayloadError("kind 'adjoint_admissible' needs fixed maps R and S")
-        R, S = fixed["R"], fixed["S"]
+        R, S = _fixed(job)
         OperatorSystem(carrier, R, S)  # the checker's shape rules
         ctx = Ctx({"A": carrier.basis}, A=carrier, R=R, S=S, Q=zero, T=zero)
         return _Bound(("Q", "T"), _CK_TAGS, ctx)
@@ -178,11 +176,7 @@ def _bind(job, kind, carrier) -> _Bound:
         raise PayloadError(f"kind {kind!r} needs an algebra carrier")
     zero = Tensor2.zero(job.field, carrier.dim)
     if kind == "aybe":
-        bound = _Bound(("r",), _AYBE_TAGS, Ctx({}, A=carrier, r=zero))
-        if job.antisymmetric:
-            aybe = bound.holds
-            bound.holds = lambda ctx: ctx.r.is_antisymmetric() and aybe(ctx)
-        return bound
+        return _Bound(("r",), _AYBE_TAGS, Ctx({}, A=carrier, r=zero))
     return _Bound(("r", "s"), _YBPAIR_TAGS, Ctx({}, A=carrier, r=zero, s=zero))
 
 
@@ -208,11 +202,15 @@ def _groups(job):
 
 
 def fast_predicate(job: SearchJob) -> Callable:
-    """The job's early-exit predicate on a tuple of components, as
-    `decode_candidate` returns them (exposed for oracle-agreement tests)."""
-    ok, groups = _groups(job)
-    return lambda parts: ok and all(bound(parts[first:first + len(bound.names)])
-                                    for bound, first in groups)
+    """The job's condition on a tuple of components, as `decode_candidate`
+    returns them: every row of `_system(job)` vanishes at the candidate's
+    entries, which holds exactly on the candidates that the solver keeps."""
+    rows, p = _system(job), job.field.modulus
+
+    def holds(parts) -> bool:
+        y = [v for part in parts for v in part.entries] + [1]
+        return all(sum(c * y[v] * y[w] for c, v, w in row) % p == 0 for row in rows)
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -401,37 +399,28 @@ def _solve(rows, p, count, first, shard):
 
 def verify_hit(job: SearchJob, parts) -> bool:
     """Public-checker verdict on one candidate: the full report over the same
-    catalog entries that the predicate stops early on."""
-    kind = job.kind
+    catalog entries that the compiled rows come from.  A malformed job, or
+    parts that are not one per component of its kind, raise `PayloadError`
+    (or the checkers' own errors) before any check runs."""
+    kind, comps = job.kind, _spec(job)
+    if len(parts) != len(comps):
+        raise PayloadError(f"kind {kind!r} takes {len(comps)} components, got {len(parts)}")
     if kind == "bisystem":
-        R, S, Q, T = parts
-        return check_bisystem(
-            ASIBisystem(job.carrier, job.cocarrier, R, S, Q, T)).passed
+        return check_bisystem(ASIBisystem(job.carrier, job.cocarrier, *parts)).passed
     if kind == "adjoint_admissible":
-        Q, T = parts
-        return adjoint_admissible_report(job.carrier, job.fixed["R"],
-                                         job.fixed["S"], Q, T).passed
+        return adjoint_admissible_report(job.carrier, *_fixed(job), *parts).passed
     if kind == "aybe":
         (r,) = parts
         if job.antisymmetric and not r.is_antisymmetric():
             return False
         return check_aybe(job.carrier, r).passed
     if kind == "symmetric_ybpair":
-        r, s = parts
-        return check_symmetric_ybpair(job.carrier, r, s).passed
-    if kind in ("symmetric_rb_cosystem", "lie_rb_cosystem"):
-        Q, T = parts
-        return check_cosystem(kind, CoOperatorSystem(job.carrier, Q, T)).passed
-    if kind in ("coaveraging", "rb_coalgebra_weight"):
-        (Q,) = parts
+        return check_symmetric_ybpair(job.carrier, *parts).passed
+    if kind in _COALG_KINDS:
         return check_cosystem(kind, CoOperatorSystem(
-            job.carrier, Q, weight=job.weight)).passed
-    if kind in ("rbs", "symmetric_rbs", "lie_rbs"):
-        R, S = parts
-        return check_operator_system(kind, OperatorSystem(job.carrier, R, S)).passed
-    (R,) = parts
-    return check_operator_system(
-        kind, OperatorSystem(job.carrier, R, weight=job.weight)).passed
+            job.carrier, *parts, weight=job.weight)).passed
+    return check_operator_system(kind, OperatorSystem(
+        job.carrier, *parts, weight=job.weight)).passed
 
 
 def _admit(job):
@@ -453,16 +442,16 @@ def _admit(job):
 def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
     """Run one shard: solve the job's compiled `rows` (compiled here if
     None), re-verify every survivor through the reference checkers, and
-    emit the hits in lexicographic candidate order.  The shard shares
-    operator-system and cosystem verdicts among its survivors
-    (`identities.shared_verdicts`) and drops them when it returns."""
+    emit the hits in lexicographic candidate order.  The compile and the
+    survivors share verdicts (`identities.shared_verdicts`), inside the
+    caller's scope if one is open, else in one that closes on return."""
     _admit(job)
-    if rows is None:
-        rows = _system(job)
     comps = _spec(job)
     p, n = job.field.modulus, job.carrier.dim ** 2
     hits: list[Hit] = []
     with shared_verdicts():
+        if rows is None:
+            rows = _system(job)
         for y in _solve(rows, p, len(comps) * n, n, job.shard):
             index = 0
             for v in y:
@@ -482,7 +471,9 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
     bad job is refused before any shard starts: `_admit` checks its kind,
     field, cocarrier, budget and shards, and the compile applies the
     checkers' payload rules.  The job's groups are built and compiled once
-    here for all of its shards."""
+    here for all of its shards; serial shards share one verdict scope with
+    that compile, while the compile for a pool runs outside any scope, since
+    a forked worker would inherit an open one."""
     if shards < 1:
         raise PayloadError(f"need at least one shard, got {shards}")
     if processes is not None and processes < 1:
@@ -490,14 +481,16 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
     jobs = [replace(job, shard=(k, shards)) for k in range(shards)]
     for j in jobs:
         _admit(j)
-    run = partial(enumerate_hits, rows=_system(job))
     if processes:
         processes = min(processes, shards, os.cpu_count() or 1)
     if processes and processes > 1:
+        run = partial(enumerate_hits, rows=_system(job))
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(run, jobs))
     else:
-        chunks = [run(j) for j in jobs]
+        with shared_verdicts():
+            rows = _system(job)
+            chunks = [enumerate_hits(j, rows=rows) for j in jobs]
     merged = [h for chunk in chunks for h in chunk]
     merged.sort(key=lambda h: h.index)
     return merged
@@ -510,7 +503,6 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
 class Constraint:
     name: str
     holds: Callable
-    denominator: bool = False  # guards a division inside the entry formulas
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ _COALG_KINDS = {
 
 def operator_system_identities(kind: str, sys: OperatorSystem):
     """The tag tuple and context that `check_operator_system` runs, after its
-    payload rules; search builds its predicates from the same pair."""
+    payload rules; search compiles its GF(p) rows from the same pair."""
     if kind not in _ALG_KINDS:
         raise PayloadError(f"unknown operator-system kind {kind!r}")
     tags, nmaps, needs_weight = _ALG_KINDS[kind]
@@ -286,7 +286,7 @@ def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":
 
 def cosystem_identities(kind: str, sys: CoOperatorSystem):
     """The tag tuple and context that `check_cosystem` runs, after its
-    payload rules."""
+    payload rules; search compiles its GF(p) rows from the same pair."""
     if kind not in _COALG_KINDS:
         raise PayloadError(f"unknown cosystem kind {kind!r}")
     tags, nmaps, needs_weight = _COALG_KINDS[kind]

@@ -1,17 +1,16 @@
+import collections
 import contextlib
 import hashlib
 import random
-import sys
-import threading
 from dataclasses import replace
 
 import pytest
 
 from rbx import fixtures as fx
-from rbx import search
+from rbx import search, structures
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
 from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate,
-                            predicate, run_identities, seeded_fault, steps)
+                            seeded_fault, steps)
 from rbx.kernel import Matrix, PrimeField, vscale
 from rbx.representations import _CK_TAGS
 from rbx.search import (FamilySpec, SearchJob, cross_tabulate,
@@ -58,17 +57,21 @@ def test_shard_independence(F3):
     assert [tuple(h.parts) for h in one] == [tuple(h.parts) for h in eight]
 
 
-def test_oracle_agreement_on_subsample(F3):
-    # fast predicate vs reference checkers on a random 1% of the space
-    A = fx.fix_a(F3)
-    job = SearchJob(F3, A, "symmetric_rbs")
-    space = search_space(job)
-    rng = random.Random(13)
-    pred = fast_predicate(job)
-    for _ in range(space // 100):
-        idx = rng.randrange(space)
-        parts = decode_candidate(job, idx)
-        assert pred(parts) == verify_hit(job, parts)
+def test_oracle_agreement_on_subsample():
+    # the compiled rows (fast_predicate) against the public checkers
+    # (verify_hit), for every kind over GF(2) and GF(3): on 200 seeded random
+    # candidates and on every hit
+    for p in (2, 3):
+        F = PrimeField(p)
+        for kind, antisymmetric in [(k, False) for k in ALL_KINDS] + [("aybe", True)]:
+            job = _job(kind, F, antisymmetric)
+            pred, space = fast_predicate(job), search_space(job)
+            rng = random.Random(f"{kind}-{p}-{antisymmetric}")
+            cands = [decode_candidate(job, rng.randrange(space)) for _ in range(200)]
+            hits = [h.parts for h in run_search(job)]
+            assert hits and all(pred(parts) for parts in hits), (kind, p)
+            for parts in cands + hits:
+                assert pred(parts) == verify_hit(job, parts), (kind, p, parts)
 
 
 def test_monotone_sanity(F2):
@@ -267,6 +270,20 @@ def test_search_job_payload_rules(F3):
     assert len(run_search(SearchJob(F3, L, "lie_rbs"))) == 135
 
 
+@pytest.mark.parametrize("case", ["no fixed maps", "no cocarrier", "wrong part count",
+                                  "field mismatch"])
+def test_verify_hit_refuses_a_malformed_job(F3, F5, case):
+    A, (R, S) = fx.fix_a(F3), fx.fix_rs(F3)
+    job, parts, error = {
+        "no fixed maps": (SearchJob(F3, A, "adjoint_admissible"), (R, S), PayloadError),
+        "no cocarrier": (SearchJob(F3, A, "bisystem"), (R, S, R, S), PayloadError),
+        "wrong part count": (SearchJob(F3, A, "symmetric_rbs"), (R, S, R), PayloadError),
+        "field mismatch": (SearchJob(F5, A, "symmetric_rbs"), (R, S), FieldError),
+    }[case]
+    with pytest.raises(error):
+        verify_hit(job, parts)
+
+
 # --- the benchmark's serial jobs, pinned ------------------------------------
 
 def _bench_job(kind):
@@ -434,12 +451,35 @@ def _two_job(kind, F):
                      fixed={"R": R, "S": S} if kind == "adjoint_admissible" else None)
 
 
+def _holds(job):
+    """Early-exit form of the job's catalog condition, the reference for the
+    compiled rows: each (tag, basis tuple) step of each group goes through
+    `evaluate` with the candidate bound into the group's context, so seeded
+    faults reach it, and the first nonzero residual rejects the candidate."""
+    ok, groups = search._groups(job)
+    todo = [(bound, first, steps(bound.tags, bound.ctx)) for bound, first in groups]
+
+    def holds(parts):
+        if not ok or job.kind == "aybe" and job.antisymmetric \
+                and not parts[0].is_antisymmetric():
+            return False
+        for bound, first, group in todo:
+            for name, part in zip(bound.names, parts[first:]):
+                setattr(bound.ctx, name, part)
+            for tag, idx in group:
+                res = _stored(evaluate(tag, bound.ctx, idx), job.field)
+                if any(res if isinstance(res, tuple) else res.entries):
+                    return False
+        return True
+    return holds
+
+
 def _brute(job):
-    """Indices of every candidate that the job's predicate holds on.  The
-    bisystem predicate is a conjunction that starts with the paired system on
-    (R, S) and the paired cosystem on (Q, T), so only candidates made of
-    those two factors' own brute-force hits can satisfy it."""
-    pred = fast_predicate(job)
+    """Indices of every candidate that the job's catalog condition holds on.
+    The bisystem condition is a conjunction that starts with the paired
+    system on (R, S) and the paired cosystem on (Q, T), so only candidates
+    made of those two factors' own brute-force hits can satisfy it."""
+    pred = _holds(job)
     if job.kind != "bisystem":
         return [i for i in range(search_space(job)) if pred(decode_candidate(job, i))]
     rs = _brute(SearchJob(job.field, job.carrier, "symmetric_rbs"))
@@ -489,6 +529,28 @@ def test_bisystem_compiled_once(F2, monkeypatch):
     assert len(compiled) == 1
 
 
+def test_serial_search_shares_one_verdict_scope(F2, F3, monkeypatch):
+    # the compile and every serial shard share one scope, so a bisystem's
+    # carriers have their asi_bialgebra axioms evaluated once per search
+    counts = collections.Counter()
+    real = structures.run_groups
+
+    def spy(check, groups, provenance=None):
+        counts[check] += 1
+        return real(check, groups, provenance)
+
+    monkeypatch.setattr(structures, "run_groups", spy)
+    job = SearchJob(F3, fx.fix_a(F3), "bisystem", cocarrier=fx.fix_c(F3))
+    for shards in (1, 8):
+        counts.clear()
+        assert len(run_search(job, shards=shards)) == 191
+        assert counts["axioms:asi_bialgebra"] == 1, shards
+    counts.clear()
+    job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
+    assert len(enumerate_hits(job)) == 48  # a lone shard compiles in its own scope
+    assert counts["axioms:asi_bialgebra"] == 1
+
+
 # --- every kind compiled into joint quadratic forms -------------------------
 
 ALL_KINDS = sorted(search._KINDS)
@@ -520,7 +582,7 @@ def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
     # each compiled row, evaluated at a candidate's entries (those of all its
     # components), is the stored residual entry that evaluate gives with the
     # candidate bound into the step's group; the solver's rows all vanish
-    # exactly where the job's predicate holds
+    # exactly where the job's catalog condition holds
     F = PrimeField(p)
     job = _job(kind, F, antisymmetric)
     rng = random.Random(f"{kind}-{p}-{fault}")
@@ -529,7 +591,7 @@ def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
         compiled = search._compile(job, groups)
         assert list(compiled) == [step for bound, _ in groups
                                   for step in steps(bound.tags, bound.ctx)]
-        system, pred = search._system(job), fast_predicate(job)
+        system, pred = search._system(job), _holds(job)
         for _ in range(200):
             parts = decode_candidate(job, rng.randrange(search_space(job)))
             y = [v for part in parts for v in part.entries] + [1]
@@ -597,46 +659,3 @@ def test_decode_candidate_refuses_indices_outside_the_space(F3):
     for index in (space, space + 1, -1, -space):
         with pytest.raises(PayloadError, match="outside"):
             decode_candidate(job, index)
-
-
-# --- the early-exit predicate ----------------------------------------------
-
-def test_predicate_shared_between_threads(F3):
-    # more threads than cores share one predicate, each with its own context;
-    # a step lost while another thread reorders would accept a candidate
-    # that only that step rejects, so the candidates fail at most two steps
-    A = fx.fix_a(F3)
-    tags = _ALG_KINDS["symmetric_rbs"][0]
-    zero = Matrix.zero(F3, 2)
-    holds = predicate(tags, Ctx({"A": A.basis}, A=A, R=zero, S=zero))
-    rng = random.Random(11)
-    cands, want = [], []
-    while len(cands) < 60:
-        R, S = (Matrix(F3, 2, 2, [rng.randrange(3) for _ in range(4)]) for _ in range(2))
-        rep = run_identities("srbs", tags, Ctx({"A": A.basis}, A=A, R=R, S=S))
-        if len(rep.violations) <= 2:
-            cands.append((R, S))
-            want.append(rep.passed)
-    assert any(want) and not all(want)
-    wrong = []
-
-    def work(offset):
-        ctx = Ctx({"A": A.basis}, A=A, R=zero, S=zero)
-        for k in range(25 * len(cands)):
-            n = (k + offset) % len(cands)
-            ctx.R, ctx.S = cands[n]
-            if holds(ctx) != want[n]:
-                wrong.append(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
