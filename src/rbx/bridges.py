@@ -3,7 +3,13 @@ bialgebras (associative and Lie), Lie bisystems, special apre-perm
 bialgebras, and covariant bialgebras from Yang-Baxter pairs.
 
 Each bridge has a direct checker; the equivalences with the corresponding
-(co)system checkers are asserted as properties in the test suite.
+(co)system checkers are asserted as properties in the test suite.  A bridge
+tag that restates an operator-system, cosystem or admissibility condition on
+another carrier is registered on that condition's body: `de:he#2/#3` and
+`de:ev#2a/#3a` in `systems`, the Lie bisystem tags `eq:emm*` in
+`representations`, and `de:he#4a`, `de:ev#2b/#2c/#3b/#3c` on this module's
+`eq:er2`, `eq:et3#*` and `eq:et5#*`.  Each tag keeps its own spaces and its
+own seeded faults.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
 from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
                       check_operator_system, check_ybpair)
 from .bisystems import ASIBisystem, check_bisystem
+from .representations import _act
 
 
 # ---------------------------------------------------------------------------
-# identity catalog: weighted and averaging compatibility
+# identity catalog: weighted and averaging compatibility, with the weighted
+# and averaging Lie bialgebra displays that restate them
 
 @identity("eq:er1", ("A", "A"))
 def _er1(ctx, idx):
@@ -37,6 +45,7 @@ def _er1(ctx, idx):
 
 
 @identity("eq:er2", ("A", "A"))
+@identity("de:he#4a", ("A", "A"))
 def _er2(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
@@ -72,6 +81,7 @@ def _er4(ctx, idx):
 
 
 @identity("eq:et3#1", ("A", "A"))
+@identity("de:ev#2b", ("A", "A"))
 def _et3a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -80,6 +90,7 @@ def _et3a(ctx, idx):
 
 
 @identity("eq:et3#2", ("A", "A"))
+@identity("de:ev#2c", ("A", "A"))
 def _et3b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -104,6 +115,7 @@ def _et4b(ctx, idx):
 
 
 @identity("eq:et5#1", ("A",))
+@identity("de:ev#3b", ("A",))
 def _et5a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -112,6 +124,7 @@ def _et5a(ctx, idx):
 
 
 @identity("eq:et5#2", ("A",))
+@identity("de:ev#3c", ("A",))
 def _et5b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -155,169 +168,7 @@ def _cxx4(ctx, idx):
             -leg_apply(C.delta(S.col(i)), R, 2)]
 
 
-# Lie bisystem compatibility
-
-@identity("eq:emm1#1", ("A", "A"))
-def _emm1a(ctx, idx):
-    i, j = idx
-    g, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [Q.apply(g.mul(R.col(i), y)),
-            vneg(g.mul(R.col(i), Q.col(j))),
-            vneg(T.apply(g.mul(x, Q.col(j))))]
-
-
-@identity("eq:emm1#2", ("A", "A"))
-def _emm1b(ctx, idx):
-    i, j = idx
-    g, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [Q.apply(g.mul(R.col(i), y)),
-            vneg(g.mul(S.col(i), Q.col(j))),
-            vneg(Q.apply(g.mul(x, Q.col(j))))]
-
-
-@identity("eq:emm2#1", ("A", "A"))
-def _emm2a(ctx, idx):
-    i, j = idx
-    g, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [T.apply(g.mul(S.col(i), y)),
-            vneg(g.mul(R.col(i), T.col(j))),
-            vneg(T.apply(g.mul(x, T.col(j))))]
-
-
-@identity("eq:emm2#2", ("A", "A"))
-def _emm2b(ctx, idx):
-    i, j = idx
-    g, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [T.apply(g.mul(S.col(i), y)),
-            vneg(g.mul(S.col(i), T.col(j))),
-            vneg(Q.apply(g.mul(x, T.col(j))))]
-
-
-@identity("eq:emm3#1", ("A",))
-def _emm3a(ctx, idx):
-    (i,) = idx
-    C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 1), -leg_apply(drx, R, 2),
-            -leg_apply(leg_apply(dx, T, 1), R, 2)]
-
-
-@identity("eq:emm3#2", ("A",))
-def _emm3b(ctx, idx):
-    (i,) = idx
-    C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 1), -leg_apply(C.delta(S.col(i)), R, 2),
-            -leg_apply(leg_apply(dx, Q, 1), R, 2)]
-
-
-@identity("eq:emm4#1", ("A",))
-def _emm4a(ctx, idx):
-    (i,) = idx
-    C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 1), -leg_apply(C.delta(R.col(i)), S, 2),
-            -leg_apply(leg_apply(dx, T, 1), S, 2)]
-
-
-@identity("eq:emm4#2", ("A",))
-def _emm4b(ctx, idx):
-    (i,) = idx
-    C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 1), -leg_apply(dsx, S, 2),
-            -leg_apply(leg_apply(dx, Q, 1), S, 2)]
-
-
-# averaging / weighted Lie bialgebra displays
-
-@identity("de:ev#2a", ("A", "A"))
-def _ev2a(ctx, idx):
-    i, j = idx
-    g, R = ctx.A, ctx.R
-    return [g.mul(R.col(i), R.col(j)),
-            vneg(R.apply(g.mul(R.col(i), g.basis_vector(j))))]
-
-
-@identity("de:ev#2b", ("A", "A"))
-def _ev2b(ctx, idx):
-    i, j = idx
-    g, R, Q = ctx.A, ctx.R, ctx.Q
-    return [g.mul(R.col(i), Q.col(j)),
-            vneg(Q.apply(g.mul(R.col(i), g.basis_vector(j))))]
-
-
-@identity("de:ev#2c", ("A", "A"))
-def _ev2c(ctx, idx):
-    i, j = idx
-    g, R, Q = ctx.A, ctx.R, ctx.Q
-    return [g.mul(R.col(i), Q.col(j)),
-            vneg(Q.apply(g.mul(g.basis_vector(i), Q.col(j))))]
-
-
-@identity("de:ev#3a", ("A",))
-def _ev3a(ctx, idx):
-    (i,) = idx
-    C, Q = ctx.C, ctx.Q
-    dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 1)]
-
-
-@identity("de:ev#3b", ("A",))
-def _ev3b(ctx, idx):
-    (i,) = idx
-    C, R, Q = ctx.C, ctx.R, ctx.Q
-    dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), Q, 1)]
-
-
-@identity("de:ev#3c", ("A",))
-def _ev3c(ctx, idx):
-    (i,) = idx
-    C, R, Q = ctx.C, ctx.R, ctx.Q
-    dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), R, 2)]
-
-
-@identity("de:he#2", ("A", "A"))
-def _he2(ctx, idx):
-    i, j = idx
-    g, R, lam = ctx.A, ctx.R, ctx.lam
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [g.mul(R.col(i), R.col(j)),
-            vneg(R.apply(g.mul(R.col(i), y))),
-            vneg(R.apply(g.mul(x, R.col(j)))),
-            vneg(R.apply(vscale(lam, g.product(i, j))))]
-
-
-@identity("de:he#3", ("A",))
-def _he3(ctx, idx):
-    (i,) = idx
-    C, Q, lam = ctx.C, ctx.Q, ctx.lam
-    dx = C.delta_basis(i)
-    dq = C.delta(Q.col(i))
-    return [leg_apply(leg_apply(dx, Q, 1), Q, 2),
-            -leg_apply(dq, Q, 1), -leg_apply(dq, Q, 2), -dq.scale(lam)]
-
-
-@identity("de:he#4a", ("A", "A"))
-def _he4a(ctx, idx):
-    i, j = idx
-    g, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
-    x, y = g.basis_vector(i), g.basis_vector(j)
-    return [Q.apply(g.mul(R.col(i), y)),
-            vneg(g.mul(R.col(i), Q.col(j))),
-            vneg(Q.apply(g.mul(x, Q.col(j)))),
-            vneg(vscale(lam, g.mul(x, Q.col(j))))]
-
+# weighted Lie bialgebra display
 
 @identity("de:he#4b", ("A",))
 def _he4b(ctx, idx):
@@ -332,22 +183,13 @@ def _he4b(ctx, idx):
 
 # Lie-system representation displays (used by the matched-pair property)
 
-def _rho_act(rho, avec, m):
-    out = [rho[0].field.zero()] * rho[0].rows
-    for k, c in enumerate(avec):
-        if c:
-            img = rho[k].apply(m)
-            out = [a + c * b for a, b in zip(out, img)]
-    return tuple(out)
-
-
 @identity("de:eo#1a", ("A", "M"))
 def _eo1a(ctx, idx):
     i, u = idx
     rho, R, al, be = ctx.rho, ctx.R, ctx.alpha, ctx.beta
     m = bv(rho[0].field, rho[0].rows, u)
-    return [_rho_act(rho, R.col(i), al.col(u)),
-            vneg(al.apply(_rho_act(rho, R.col(i), m))),
+    return [_act(rho, R.col(i), al.col(u)),
+            vneg(al.apply(_act(rho, R.col(i), m))),
             vneg(al.apply(rho[i].apply(be.col(u))))]
 
 
@@ -356,8 +198,8 @@ def _eo1b(ctx, idx):
     i, u = idx
     rho, R, S, al = ctx.rho, ctx.R, ctx.S, ctx.alpha
     m = bv(rho[0].field, rho[0].rows, u)
-    return [_rho_act(rho, R.col(i), al.col(u)),
-            vneg(al.apply(_rho_act(rho, S.col(i), m))),
+    return [_act(rho, R.col(i), al.col(u)),
+            vneg(al.apply(_act(rho, S.col(i), m))),
             vneg(al.apply(rho[i].apply(al.col(u))))]
 
 
@@ -366,8 +208,8 @@ def _eo2a(ctx, idx):
     i, u = idx
     rho, R, S, be = ctx.rho, ctx.R, ctx.S, ctx.beta
     m = bv(rho[0].field, rho[0].rows, u)
-    return [_rho_act(rho, S.col(i), be.col(u)),
-            vneg(be.apply(_rho_act(rho, R.col(i), m))),
+    return [_act(rho, S.col(i), be.col(u)),
+            vneg(be.apply(_act(rho, R.col(i), m))),
             vneg(be.apply(rho[i].apply(be.col(u))))]
 
 
@@ -376,8 +218,8 @@ def _eo2b(ctx, idx):
     i, u = idx
     rho, S, al, be = ctx.rho, ctx.S, ctx.alpha, ctx.beta
     m = bv(rho[0].field, rho[0].rows, u)
-    return [_rho_act(rho, S.col(i), be.col(u)),
-            vneg(be.apply(_rho_act(rho, S.col(i), m))),
+    return [_act(rho, S.col(i), be.col(u)),
+            vneg(be.apply(_act(rho, S.col(i), m))),
             vneg(be.apply(rho[i].apply(al.col(u))))]
 
 

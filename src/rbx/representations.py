@@ -18,6 +18,16 @@ from .systems import OperatorSystem, check_operator_system
 from .structures import Algebra
 
 
+def _act(mats, avec, m):
+    """sum_k avec[k] * mats[k](m): the action of the element with
+    coordinates `avec` through the per-basis action matrices `mats`."""
+    out = [mats[0].field.zero()] * mats[0].rows
+    for k, c in enumerate(avec):
+        if c:
+            out = [a + c * b for a, b in zip(out, mats[k].apply(m))]
+    return tuple(out)
+
+
 class Bimodule:
     """Module data: ell(e_i) and r(e_i) as matrices on an mdim-dim space."""
 
@@ -38,20 +48,10 @@ class Bimodule:
         return self.left[0].field if self.left else None
 
     def act_left(self, avec, m):
-        out = [self.left[0].field.zero()] * self.mdim
-        for i, c in enumerate(avec):
-            if c:
-                img = self.left[i].apply(m)
-                out = [a + c * b for a, b in zip(out, img)]
-        return tuple(out)
+        return _act(self.left, avec, m)
 
     def act_right(self, avec, m):
-        out = [self.right[0].field.zero()] * self.mdim
-        for i, c in enumerate(avec):
-            if c:
-                img = self.right[i].apply(m)
-                out = [a + c * b for a, b in zip(out, img)]
-        return tuple(out)
+        return _act(self.right, avec, m)
 
 
 class Representation:
@@ -284,7 +284,11 @@ _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
             "eq:cj2#1", "eq:cj2#2", "eq:cj3#1", "eq:cj3#2")
 
 
+# adjoint and coadjoint admissibility; the Lie bisystem compatibility displays
+# eq:emm1#*-emm4#* restate eq:ck#*, ck2#*, ck5#* and ck7#* on a Lie (co)algebra
+
 @identity("eq:ck#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm1#2", ("A", "A"))
 def _ck_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -294,6 +298,7 @@ def _ck_1(ctx, idx):
 
 
 @identity("eq:ck#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm1#1", ("A", "A"))
 def _ck_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -321,6 +326,7 @@ def _ck1_2(ctx, idx):
 
 
 @identity("eq:ck2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm2#2", ("A", "A"))
 def _ck2_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
@@ -330,6 +336,7 @@ def _ck2_1(ctx, idx):
 
 
 @identity("eq:ck2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm2#1", ("A", "A"))
 def _ck2_2(ctx, idx):
     i, j = idx
     A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
@@ -361,6 +368,7 @@ _CK_TAGS = ("eq:ck#1", "eq:ck#2", "eq:ck1#1", "eq:ck1#2",
 
 
 @identity("eq:ck5#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm3#1", ("A",))
 def _ck5_1(ctx, idx):
     (i,) = idx
     C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
@@ -371,6 +379,7 @@ def _ck5_1(ctx, idx):
 
 
 @identity("eq:ck5#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm3#2", ("A",))
 def _ck5_2(ctx, idx):
     (i,) = idx
     C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
@@ -401,6 +410,7 @@ def _ck6_2(ctx, idx):
 
 
 @identity("eq:ck7#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm4#1", ("A",))
 def _ck7_1(ctx, idx):
     (i,) = idx
     C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
@@ -411,6 +421,7 @@ def _ck7_1(ctx, idx):
 
 
 @identity("eq:ck7#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:emm4#2", ("A",))
 def _ck7_2(ctx, idx):
     (i,) = idx
     C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
@@ -556,12 +567,7 @@ def _prelie_rep1(ctx, idx):
     P, rho = ctx.P, ctx.rho
     m = bv(rho[0].field, rho[0].rows, u)
     comm = vsub(P.product(i, j), P.product(j, i))
-    acted = [rho[0].field.zero()] * rho[0].rows
-    for k, c in enumerate(comm):
-        if c:
-            img = rho[k].apply(m)
-            acted = [a + c * b for a, b in zip(acted, img)]
-    return [tuple(acted),
+    return [_act(rho, comm, m),
             vneg(rho[i].apply(rho[j].apply(m))),
             rho[j].apply(rho[i].apply(m))]
 
@@ -571,13 +577,7 @@ def _prelie_rep2(ctx, idx):
     i, j, u = idx
     P, rho, phi = ctx.P, ctx.rho, ctx.phi
     m = bv(rho[0].field, rho[0].rows, u)
-    prod = P.product(i, j)
-    acted = [rho[0].field.zero()] * rho[0].rows
-    for k, c in enumerate(prod):
-        if c:
-            img = phi[k].apply(m)
-            acted = [a + c * b for a, b in zip(acted, img)]
-    return [tuple(acted),
+    return [_act(phi, P.product(i, j), m),
             vneg(rho[i].apply(phi[j].apply(m))),
             phi[j].apply(rho[i].apply(m)),
             vneg(phi[j].apply(phi[i].apply(m)))]

@@ -58,9 +58,12 @@ class CoOperatorSystem:
 
 
 # ---------------------------------------------------------------------------
-# operator identities on algebras
+# operator identities on algebras; the weighted and averaging Lie bialgebra
+# displays de:he#2/#3 and de:ev#2a/#3a restate the weighted and averaging
+# conditions on a Lie (co)algebra and share their bodies
 
 @identity("eq:cee", ("A", "A"), quadratic=("R", "S"))
+@identity("de:he#2", ("A", "A"))
 def _rb_weight(ctx, idx):
     i, j = idx
     A, R, lam = ctx.A, ctx.R, ctx.lam
@@ -110,6 +113,7 @@ def _ea1b(ctx, idx):
 
 
 @identity("eq:et1#1", ("A", "A"), quadratic=("R", "S"))
+@identity("de:ev#2a", ("A", "A"))
 def _avg1(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
@@ -169,6 +173,7 @@ def _cu1_2(ctx, idx):
 
 
 @identity("rmk:gb#2", ("C",), quadratic=("Q", "T"))
+@identity("de:he#3", ("A",))
 def _rb_coweight(ctx, idx):
     (i,) = idx
     C, Q, lam = ctx.C, ctx.Q, ctx.lam
@@ -179,6 +184,7 @@ def _rb_coweight(ctx, idx):
 
 
 @identity("eq:et2#1", ("C",), quadratic=("Q", "T"))
+@identity("de:ev#3a", ("A",))
 def _coavg1(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q

@@ -372,20 +372,22 @@ def test_family_d_valid_without_distinctness(QQ):
     assert check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)).passed
 
 
-# tags with one body share one registered function, and keep their own faults
+# tags with one body share one registered function, and keep their own faults;
+# one group per module whose bodies carry bridge tags too
 
 @pytest.mark.parametrize("group", [("eq:rbs1", "eq:ea0#1", "eq:gh0"),
                                    ("eq:rbs2", "eq:ea1#1", "eq:gh1"),
-                                   ("eq:cu#1", "eq:ek0"), ("eq:cu1#1", "eq:ek1")])
+                                   ("eq:cu#1", "eq:ek0"), ("eq:cu1#1", "eq:ek1"),
+                                   ("eq:cee", "de:he#2"), ("rmk:gb#2", "de:he#3"),
+                                   ("eq:ck#1", "eq:emm1#2"), ("eq:ck5#1", "eq:emm3#1"),
+                                   ("eq:er2", "de:he#4a")])
 def test_alias_tags_share_one_body_and_fault_alone(QQ, group):
     assert len({CATALOG[tag].terms for tag in group}) == 1
     one = Matrix.identity(QQ, 2)  # every first summand is nonzero at e1
-    if group[0].startswith("eq:cu"):
-        ctx = Ctx({"C": fx.fix_c(QQ).basis}, C=fx.fix_c(QQ), Q=one, T=one)
-        idx = (1,)
-    else:
-        ctx = Ctx({"A": fx.fix_a(QQ).basis}, A=fx.fix_a(QQ), R=one, S=one)
-        idx = (1, 1)
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    ctx = Ctx({"A": A.basis, "C": C.basis}, A=A, C=C, R=one, S=one, Q=one, T=one,
+              lam=QQ.one())
+    idx = (1,) * len(CATALOG[group[0]].spaces)
     clean = {tag: evaluate(tag, ctx, idx) for tag in group}
     assert len({str(v) for v in clean.values()}) == 1
     for faulted in group:
