@@ -14,9 +14,12 @@ from .report import Violation, make_report
 from .structures import (Algebra, BilinearForm, check_axioms, dualize,
                          form_adjoint, pairing_form)
 from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
-                      check_operator_system)
+                      check_operator_system, cosystem_identities,
+                      operator_system_identities)
 from .representations import (Bimodule, Representation,
+                              adjoint_admissible_identities,
                               adjoint_admissible_report,
+                              coadjoint_admissible_identities,
                               coadjoint_admissible_report,
                               check_representation)
 
@@ -132,6 +135,20 @@ class ASIBisystem:
 
     def swap(self):
         return ASIBisystem(self.algebra, self.coalgebra, self.S, self.R, self.T, self.Q)
+
+
+def bisystem_identities(bi: ASIBisystem):
+    """The (name, tags, ctx) parts that `check_bisystem` runs after the
+    bialgebra axioms; search and the regression scans compile them."""
+    A, C, R, S, Q, T = bi.algebra, bi.coalgebra, bi.R, bi.S, bi.Q, bi.T
+    return (
+        ("operator-system", *operator_system_identities(
+            "symmetric_rbs", OperatorSystem(A, R, S))),
+        ("co-operator-system", *cosystem_identities(
+            "symmetric_rb_cosystem", CoOperatorSystem(C, Q, T))),
+        ("adjoint-admissible", *adjoint_admissible_identities(A, R, S, Q, T)),
+        ("coadjoint-admissible", *coadjoint_admissible_identities(A, C, R, S, Q, T)),
+    )
 
 
 def check_bisystem(bi: ASIBisystem):

@@ -2,8 +2,11 @@
 bialgebras (associative and Lie), Lie bisystems, special apre-perm
 bialgebras, and covariant bialgebras from Yang-Baxter pairs.
 
-Each bridge has a direct checker; the equivalences with the corresponding
-(co)system checkers are asserted as properties in the test suite.  A bridge
+Each bridge has a direct checker, which runs its carriers' axioms and then
+the (name, tags, ctx) parts that one helper per checker returns
+(`weighted_rb_asi_identities`, ...); the regression scans compile the same
+parts into GF(p) rows.  The equivalences with the corresponding (co)system
+checkers are asserted as properties in the test suite.  A bridge
 tag that restates an operator-system, cosystem or admissibility condition on
 another carrier is registered on that condition's body: `de:he#2/#3` and
 `de:ev#2a/#3a` in `systems`, the Lie bisystem tags `eq:emm*` in
@@ -19,12 +22,12 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .kernel import Matrix, block_diag, bv, leg_apply, vneg, vscale
-from .identities import Ctx, identity, run_identities
+from .identities import Ctx, identity, run_identities, shared
 from .report import Violation, make_report
 from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
                          check_axioms, commutator, cocommutator, dualize)
-from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
-                      check_operator_system, check_ybpair)
+from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
+                      check_ybpair, cosystem_identities, operator_system_identities)
 from .bisystems import ASIBisystem, check_bisystem
 from .representations import _act
 
@@ -33,7 +36,7 @@ from .representations import _act
 # identity catalog: weighted and averaging compatibility, with the weighted
 # and averaging Lie bialgebra displays that restate them
 
-@identity("eq:er1", ("A", "A"))
+@identity("eq:er1", ("A", "A"), quadratic=("R", "Q"))
 def _er1(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
@@ -44,8 +47,8 @@ def _er1(ctx, idx):
             vneg(vscale(lam, A.mul(Q.col(i), b)))]
 
 
-@identity("eq:er2", ("A", "A"))
-@identity("de:he#4a", ("A", "A"))
+@identity("eq:er2", ("A", "A"), quadratic=("R", "Q"))
+@identity("de:he#4a", ("A", "A"), quadratic=("R", "Q"))
 def _er2(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
@@ -56,7 +59,7 @@ def _er2(ctx, idx):
             vneg(vscale(lam, A.mul(a, Q.col(j))))]
 
 
-@identity("eq:er3", ("A",))
+@identity("eq:er3", ("A",), quadratic=("R", "Q"))
 def _er3(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
@@ -68,7 +71,7 @@ def _er3(ctx, idx):
             -leg_apply(dx, R, 1).scale(lam)]
 
 
-@identity("eq:er4", ("A",))
+@identity("eq:er4", ("A",), quadratic=("R", "Q"))
 def _er4(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
@@ -80,8 +83,8 @@ def _er4(ctx, idx):
             -leg_apply(dx, R, 2).scale(lam)]
 
 
-@identity("eq:et3#1", ("A", "A"))
-@identity("de:ev#2b", ("A", "A"))
+@identity("eq:et3#1", ("A", "A"), quadratic=("R", "Q"))
+@identity("de:ev#2b", ("A", "A"), quadratic=("R", "Q"))
 def _et3a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -89,8 +92,8 @@ def _et3a(ctx, idx):
             vneg(Q.apply(A.mul(R.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et3#2", ("A", "A"))
-@identity("de:ev#2c", ("A", "A"))
+@identity("eq:et3#2", ("A", "A"), quadratic=("R", "Q"))
+@identity("de:ev#2c", ("A", "A"), quadratic=("R", "Q"))
 def _et3b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -98,7 +101,7 @@ def _et3b(ctx, idx):
             vneg(Q.apply(A.mul(A.basis_vector(i), Q.col(j))))]
 
 
-@identity("eq:et4#1", ("A", "A"))
+@identity("eq:et4#1", ("A", "A"), quadratic=("R", "Q"))
 def _et4a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -106,7 +109,7 @@ def _et4a(ctx, idx):
             vneg(Q.apply(A.mul(A.basis_vector(i), R.col(j))))]
 
 
-@identity("eq:et4#2", ("A", "A"))
+@identity("eq:et4#2", ("A", "A"), quadratic=("R", "Q"))
 def _et4b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -114,8 +117,8 @@ def _et4b(ctx, idx):
             vneg(Q.apply(A.mul(Q.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et5#1", ("A",))
-@identity("de:ev#3b", ("A",))
+@identity("eq:et5#1", ("A",), quadratic=("R", "Q"))
+@identity("de:ev#3b", ("A",), quadratic=("R", "Q"))
 def _et5a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -123,8 +126,8 @@ def _et5a(ctx, idx):
     return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), Q, 1)]
 
 
-@identity("eq:et5#2", ("A",))
-@identity("de:ev#3c", ("A",))
+@identity("eq:et5#2", ("A",), quadratic=("R", "Q"))
+@identity("de:ev#3c", ("A",), quadratic=("R", "Q"))
 def _et5b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -132,7 +135,7 @@ def _et5b(ctx, idx):
     return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), R, 2)]
 
 
-@identity("eq:et6#1", ("A",))
+@identity("eq:et6#1", ("A",), quadratic=("R", "Q"))
 def _et6a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -140,7 +143,7 @@ def _et6a(ctx, idx):
     return [leg_apply(leg_apply(dx, R, 1), Q, 2), -leg_apply(C.delta(R.col(i)), R, 1)]
 
 
-@identity("eq:et6#2", ("A",))
+@identity("eq:et6#2", ("A",), quadratic=("R", "Q"))
 def _et6b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -170,7 +173,7 @@ def _cxx4(ctx, idx):
 
 # weighted Lie bialgebra display
 
-@identity("de:he#4b", ("A",))
+@identity("de:he#4b", ("A",), quadratic=("R", "Q"))
 def _he4b(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
@@ -226,44 +229,66 @@ def _eo2b(ctx, idx):
 # ---------------------------------------------------------------------------
 # checkers
 
+def _run_part(name, tags, ctx):
+    """`run_identities(name, tags, ctx)` through `identities.shared`.  A
+    part's context carries at most the carriers A and C, the maps R, S, Q
+    and T and the weight lam, so the key is the name, the tags, the spaces'
+    labels, the carriers' ids (the entry holds the carriers), the maps'
+    entries and the weight."""
+    get = vars(ctx).get
+    A, C = get("A"), get("C")
+    maps = [get(k) for k in "RSQT"]
+    key = (name, tags, *ctx.spaces.values(), id(A), id(C),
+           *[None if m is None else m.entries for m in maps], get("lam"))
+    return shared(key, lambda: run_identities(name, tags, ctx), (A, C))
+
+
+def _bridge_report(check, axioms, carriers, parts):
+    """The carriers' axioms, then each (name, tags, ctx) part, as named
+    sub-reports; inside `identities.shared_verdicts` a repeated part gets
+    the same report object without being evaluated again (`_run_part`)."""
+    sub = [make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)]
+    sub += [_run_part(name, tags, ctx) for name, tags, ctx in parts]
+    return make_report(check, subreports=sub)
+
+
+def weighted_rb_asi_identities(A, C, R: Matrix, Q: Matrix, lam):
+    """The (name, tags, ctx) parts that `check_weighted_rb_asi` runs after
+    the bialgebra axioms; the regression scan compiles the same parts."""
+    lam = A.field.coerce(lam)
+    return (
+        ("rb-algebra", *operator_system_identities(
+            "rb_weight", OperatorSystem(A, R, weight=lam))),
+        ("rb-coalgebra", *cosystem_identities(
+            "rb_coalgebra_weight", CoOperatorSystem(C, Q, weight=lam))),
+        ("compat", ("eq:er1", "eq:er2", "eq:er3", "eq:er4"),
+         Ctx({"A": A.basis}, A=A, C=C, R=R, Q=Q, lam=lam)),
+    )
+
+
 def check_weighted_rb_asi(A, C, R: Matrix, Q: Matrix, lam):
     """Weighted compatible bialgebra: bialgebra axioms, weight-lam operator
     and co-operator, and the four mixed displays."""
-    lam = A.field.coerce(lam)
-    sub = [
-        make_report("asi-bialgebra", check_axioms("asi_bialgebra", (A, C)).violations),
-        make_report("rb-algebra",
-                    check_operator_system(
-                        "rb_weight", OperatorSystem(A, R, weight=lam)).violations),
-        make_report("rb-coalgebra",
-                    check_cosystem(
-                        "rb_coalgebra_weight",
-                        CoOperatorSystem(C, Q, weight=lam)).violations),
-        make_report("compat",
-                    run_identities(
-                        "compat", ("eq:er1", "eq:er2", "eq:er3", "eq:er4"),
-                        Ctx({"A": A.basis}, A=A, C=C, R=R, Q=Q, lam=lam)).violations),
-    ]
-    return make_report("weighted-rb-asi", subreports=sub)
+    return _bridge_report("weighted-rb-asi", "asi_bialgebra", (A, C),
+                          weighted_rb_asi_identities(A, C, R, Q, lam))
+
+
+def averaging_asi_identities(A, C, R: Matrix, Q: Matrix):
+    """The parts that `check_averaging_asi` runs after the bialgebra axioms."""
+    return (
+        ("averaging-algebra", *operator_system_identities("averaging", OperatorSystem(A, R))),
+        ("averaging-coalgebra", *cosystem_identities("coaveraging", CoOperatorSystem(C, Q))),
+        ("compat", ("eq:et3#1", "eq:et3#2", "eq:et4#1", "eq:et4#2",
+                    "eq:et5#1", "eq:et5#2", "eq:et6#1", "eq:et6#2"),
+         Ctx({"A": A.basis}, A=A, C=C, R=R, Q=Q)),
+    )
 
 
 def check_averaging_asi(A, C, R: Matrix, Q: Matrix):
     """Averaging compatible bialgebra: bialgebra axioms, averaging operator
     and co-operator, and the four mixed displays."""
-    sub = [
-        make_report("asi-bialgebra", check_axioms("asi_bialgebra", (A, C)).violations),
-        make_report("averaging-algebra",
-                    check_operator_system("averaging", OperatorSystem(A, R)).violations),
-        make_report("averaging-coalgebra",
-                    check_cosystem("coaveraging", CoOperatorSystem(C, Q)).violations),
-        make_report("compat",
-                    run_identities(
-                        "compat",
-                        ("eq:et3#1", "eq:et3#2", "eq:et4#1", "eq:et4#2",
-                         "eq:et5#1", "eq:et5#2", "eq:et6#1", "eq:et6#2"),
-                        Ctx({"A": A.basis}, A=A, C=C, R=R, Q=Q)).violations),
-    ]
-    return make_report("averaging-asi", subreports=sub)
+    return _bridge_report("averaging-asi", "asi_bialgebra", (A, C),
+                          averaging_asi_identities(A, C, R, Q))
 
 
 def check_crossed_coproducts(C, R: Matrix, S: Matrix):
@@ -300,33 +325,28 @@ class LieBisystem:
     T: Matrix
 
 
+def lie_bisystem_identities(lb: LieBisystem):
+    """The parts that `check_lie_bisystem` runs after the Lie bialgebra
+    axioms: the two paired operator conditions and the two mixed
+    compatibility groups."""
+    g, C = lb.lie, lb.colie
+    return (
+        ("lie-system", *operator_system_identities(
+            "lie_rbs", OperatorSystem(g, lb.R, lb.S))),
+        ("lie-cosystem", *cosystem_identities(
+            "lie_rb_cosystem", CoOperatorSystem(C, lb.Q, lb.T))),
+        ("operator-compat", ("eq:emm1#1", "eq:emm1#2", "eq:emm2#1", "eq:emm2#2"),
+         Ctx({"A": g.basis}, A=g, R=lb.R, S=lb.S, Q=lb.Q, T=lb.T)),
+        ("cooperator-compat", ("eq:emm3#1", "eq:emm3#2", "eq:emm4#1", "eq:emm4#2"),
+         Ctx({"A": g.basis}, C=C, R=lb.R, S=lb.S, Q=lb.Q, T=lb.T)),
+    )
+
+
 def check_lie_bisystem(lb: LieBisystem):
     """Five parts: Lie bialgebra, the two paired operator conditions, and
     the two mixed compatibility groups."""
-    g, C = lb.lie, lb.colie
-    sub = [
-        make_report("lie-bialgebra",
-                    check_axioms("lie_bialgebra", (g, C)).violations),
-        make_report("lie-system",
-                    check_operator_system(
-                        "lie_rbs", OperatorSystem(g, lb.R, lb.S)).violations),
-        make_report("lie-cosystem",
-                    check_cosystem(
-                        "lie_rb_cosystem", CoOperatorSystem(C, lb.Q, lb.T)).violations),
-        make_report("operator-compat",
-                    run_identities(
-                        "operator-compat",
-                        ("eq:emm1#1", "eq:emm1#2", "eq:emm2#1", "eq:emm2#2"),
-                        Ctx({"A": g.basis}, A=g, R=lb.R, S=lb.S,
-                            Q=lb.Q, T=lb.T)).violations),
-        make_report("cooperator-compat",
-                    run_identities(
-                        "cooperator-compat",
-                        ("eq:emm3#1", "eq:emm3#2", "eq:emm4#1", "eq:emm4#2"),
-                        Ctx({"A": g.basis}, C=C, R=lb.R, S=lb.S,
-                            Q=lb.Q, T=lb.T)).violations),
-    ]
-    return make_report("lie-bisystem", subreports=sub)
+    return _bridge_report("lie-bisystem", "lie_bialgebra", (lb.lie, lb.colie),
+                          lie_bisystem_identities(lb))
 
 
 def lie_bisystem_from_asi(bi: ASIBisystem) -> LieBisystem:
@@ -338,41 +358,37 @@ def lie_bisystem_from_asi(bi: ASIBisystem) -> LieBisystem:
                        bi.R, bi.S, bi.Q, bi.T)
 
 
+def averaging_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix):
+    """The parts that `check_averaging_lie_bialgebra` runs after the Lie
+    bialgebra axioms."""
+    return (
+        ("averaging-lie-algebra", ("de:ev#2a", "de:ev#2b", "de:ev#2c"),
+         Ctx({"A": g.basis}, A=g, R=R, Q=Q)),
+        ("averaging-lie-coalgebra", ("de:ev#3a", "de:ev#3b", "de:ev#3c"),
+         Ctx({"A": g.basis}, C=dl, R=R, Q=Q)),
+    )
+
+
 def check_averaging_lie_bialgebra(g, dl, R: Matrix, Q: Matrix):
-    sub = [
-        make_report("lie-bialgebra",
-                    check_axioms("lie_bialgebra", (g, dl)).violations),
-        make_report("averaging-lie-algebra",
-                    run_identities(
-                        "averaging-lie-algebra",
-                        ("de:ev#2a", "de:ev#2b", "de:ev#2c"),
-                        Ctx({"A": g.basis}, A=g, R=R, Q=Q)).violations),
-        make_report("averaging-lie-coalgebra",
-                    run_identities(
-                        "averaging-lie-coalgebra",
-                        ("de:ev#3a", "de:ev#3b", "de:ev#3c"),
-                        Ctx({"A": g.basis}, C=dl, R=R, Q=Q)).violations),
-    ]
-    return make_report("averaging-lie-bialgebra", subreports=sub)
+    return _bridge_report("averaging-lie-bialgebra", "lie_bialgebra", (g, dl),
+                          averaging_lie_bialgebra_identities(g, dl, R, Q))
+
+
+def weighted_rb_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix, lam):
+    """The parts that `check_weighted_rb_lie_bialgebra` runs after the Lie
+    bialgebra axioms."""
+    lam = g.field.coerce(lam)
+    return (
+        ("rb-lie-algebra", ("de:he#2",), Ctx({"A": g.basis}, A=g, R=R, lam=lam)),
+        ("rb-lie-coalgebra", ("de:he#3",), Ctx({"A": g.basis}, C=dl, Q=Q, lam=lam)),
+        ("compat", ("de:he#4a", "de:he#4b"),
+         Ctx({"A": g.basis}, A=g, C=dl, R=R, Q=Q, lam=lam)),
+    )
 
 
 def check_weighted_rb_lie_bialgebra(g, dl, R: Matrix, Q: Matrix, lam):
-    lam = g.field.coerce(lam)
-    sub = [
-        make_report("lie-bialgebra",
-                    check_axioms("lie_bialgebra", (g, dl)).violations),
-        make_report("rb-lie-algebra",
-                    run_identities("rb-lie-algebra", ("de:he#2",),
-                                   Ctx({"A": g.basis}, A=g, R=R, lam=lam)).violations),
-        make_report("rb-lie-coalgebra",
-                    run_identities("rb-lie-coalgebra", ("de:he#3",),
-                                   Ctx({"A": g.basis}, C=dl, Q=Q, lam=lam)).violations),
-        make_report("compat",
-                    run_identities(
-                        "compat", ("de:he#4a", "de:he#4b"),
-                        Ctx({"A": g.basis}, A=g, C=dl, R=R, Q=Q, lam=lam)).violations),
-    ]
-    return make_report("weighted-rb-lie-bialgebra", subreports=sub)
+    return _bridge_report("weighted-rb-lie-bialgebra", "lie_bialgebra", (g, dl),
+                          weighted_rb_lie_bialgebra_identities(g, dl, R, Q, lam))
 
 
 def check_lie_representation(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):

@@ -502,6 +502,16 @@ def det(m: Matrix):
     return m.det()
 
 
+def combine(field, n, coeffs, mat) -> Matrix:
+    """The n x n matrix sum_k coeffs[k] * mat(k) over the nonzero
+    coefficients, summed entry by entry; a coefficient of another field
+    raises `FieldError`."""
+    out = [field.zero()] * (n * n)
+    for k, c in nonzero_terms(field, coeffs):
+        out = [a + c * b for a, b in zip(out, mat(k).entries)]
+    return Matrix._make(field, n, n, reduce_entries(field, out))
+
+
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     same_field(a.field, b.field)
     n, m = a.rows, b.rows

@@ -1,34 +1,46 @@
 """The bundled regression suite behind `verify-paper`: the sixteen
 parametric families at exact random rational points, the fixture
-constructions, and the exhaustive GF(2) equivalence scans.
+constructions, and the four GF(2) equivalence scans.
 
-The four scans share one body (`_scan`), which compares a bridge checker
-with a bisystem checker on every instance inside one
-`identities.shared_verdicts` scope: each axiom, operator-system and
-cosystem verdict is computed once per scan and dropped when the scan
-returns."""
+A scan asks whether a bridge checker and a bisystem checker agree on every
+instance (lam, R, Q) of a carrier pair.  It is solved, not enumerated: for
+each lam, each side's condition is the parts that its checker runs
+(`bridges.weighted_rb_asi_identities`, `bisystems.bisystem_identities`,
+...), which `search.solve_parts` compiles into one GF(p) quadratic system
+in the entries of (R, Q) and solves, the bisystem side binding S to
+R + lam*id and T to Q + lam*id (or keeping S = T = 0 on an averaging
+scan).  Every survivor of either side goes through both public checkers,
+and an instance on which the checkers disagree is a mismatch; every other
+instance fails both sides' rows, and so both checkers.  A scan runs in one
+`identities.shared_verdicts` scope, so each axiom, operator-system,
+cosystem and bridge-part verdict is computed once per scan and dropped
+when the scan returns.  `_mismatches` takes the field (GF(2) for the
+rows)."""
 
 from __future__ import annotations
 
-import itertools
 import time
+from typing import Callable, NamedTuple
 
 from .identities import shared_verdicts
 from .kernel import Matrix, PrimeField, Rationals
 from .report import Violation, make_report
 from . import fixtures as fx
-from .structures import form_adjoint, pairing_form
+from .structures import check_axioms, form_adjoint, pairing_form
 from .systems import (check_crossed_products, check_operator_system,
                       check_cosystem, commutator_lift, cocommutator_lift,
                       nijenhuis_from_srbs)
 from .representations import adjoint_admissible_report
-from .bisystems import (ASIBisystem, bisystem_matched_pair, check_bisystem,
-                        check_matched_pair_srbs, double_construction,
-                        projection_srbs)
-from .bridges import (LieBisystem, check_averaging_asi,
+from .bisystems import (ASIBisystem, bisystem_identities, bisystem_matched_pair,
+                        check_bisystem, check_matched_pair_srbs,
+                        double_construction, projection_srbs)
+from .bridges import (LieBisystem, averaging_asi_identities,
+                      averaging_lie_bialgebra_identities, check_averaging_asi,
                       check_averaging_lie_bialgebra, check_lie_bisystem,
-                      check_weighted_rb_asi, check_weighted_rb_lie_bialgebra)
-from .search import verify_family
+                      check_weighted_rb_asi, check_weighted_rb_lie_bialgebra,
+                      lie_bisystem_identities, weighted_rb_asi_identities,
+                      weighted_rb_lie_bialgebra_identities)
+from .search import solve_parts, verify_family
 
 FAMILY_SEED = 20250809
 FAMILY_SAMPLES = 20
@@ -38,58 +50,118 @@ def _mismatch(name, detail):
     return Violation("equivalence-mismatch", (name,), (detail,))
 
 
-def _gf2_maps():
-    F2 = PrimeField(2)
-    return F2, [Matrix(F2, 2, 2, [F2.of(b) for b in bits])
-                for bits in itertools.product(range(2), repeat=4)]
+class _Scan(NamedTuple):
+    """One equivalence scan: its carrier pair's constructors, the bridge
+    checker and its parts, the bisystem class with its checker and parts,
+    the carriers' axioms, and whether lam runs over the field with
+    S = R + lam*id and T = Q + lam*id (else S = T = 0)."""
+    carriers: tuple
+    bridge: Callable
+    bridge_parts: Callable
+    bisystem: type
+    check: Callable
+    bisystem_parts: Callable
+    axioms: str
+    weighted: bool
+
+
+_ASI = (ASIBisystem, check_bisystem, bisystem_identities, "asi_bialgebra")
+_LIE = (LieBisystem, check_lie_bisystem, lie_bisystem_identities, "lie_bialgebra")
+_SCANS = {
+    "weighted": _Scan((fx.fix_a, fx.fix_c), check_weighted_rb_asi,
+                      weighted_rb_asi_identities, *_ASI, True),
+    "averaging": _Scan((fx.fix_a, fx.fix_c), check_averaging_asi,
+                       averaging_asi_identities, *_ASI, False),
+    "averaging-lie": _Scan((fx.fix_lie, fx.fix_delta), check_averaging_lie_bialgebra,
+                           averaging_lie_bialgebra_identities, *_LIE, False),
+    "weighted-lie": _Scan((fx.fix_lie, fx.fix_delta), check_weighted_rb_lie_bialgebra,
+                          weighted_rb_lie_bialgebra_identities, *_LIE, True),
+}
+
+# both sides solve for the components (R, Q)
+_OWN = {"R": (0, None), "Q": (1, None)}
+
+
+def _sides(scan, A, C, lam):
+    """The bridge side's and the bisystem side's (parts, binding) at one lam
+    (None on an averaging scan): on a weighted scan the bisystem side binds
+    S to R + lam*id and T to Q + lam*id, and on an averaging scan its S and
+    T stay zero."""
+    zero = Matrix.zero(A.field, A.dim)
+    bisystem = scan.bisystem_parts(scan.bisystem(A, C, zero, zero, zero, zero))
+    if lam is None:
+        return (scan.bridge_parts(A, C, zero, zero), _OWN), (bisystem, _OWN)
+    shift = Matrix.identity(A.field, A.dim).scale(lam)
+    return ((scan.bridge_parts(A, C, zero, zero, lam), _OWN),
+            (bisystem, dict(_OWN, S=(0, shift), T=(1, shift))))
+
+
+def _survivors(scan, A, C):
+    """(lam, the bridge side's survivors, the bisystem side's survivors) for
+    each lam, the survivors as sets of (R, Q) entry tuples.  Neither side
+    keeps anything unless the carriers pass their axioms."""
+    ok = check_axioms(scan.axioms, (A, C)).passed
+    for lam in range(A.field.modulus) if scan.weighted else (None,):
+        yield lam, *[set(solve_parts(A.field, A.dim, parts, binding)) if ok else set()
+                     for parts, binding in _sides(scan, A, C, lam)]
 
 
 @shared_verdicts()
-def _scan(row, carriers, bridge, bisystem, check, weighted):
-    """Whether the `bridge` checker agrees with the bisystem `check` on every
-    GF(2) instance of the carrier pair: weighted scans run lam over GF(2)
-    with S = R + lam*id and T = Q + lam*id, averaging scans take S = T = 0.
-    The up to 512 instances hold only 32 distinct (R, S) and 32 distinct
-    (Q, T) pairs, and the scan runs in one `shared_verdicts` scope."""
-    F2, mats = _gf2_maps()
-    A, C = (make(F2) for make in carriers)
-    eye, zero = Matrix.identity(F2, 2), Matrix.zero(F2, 2)
+def _mismatches(row, field):
+    """The instances (lam, R, Q) over `field` on which the row's two
+    checkers disagree, as mismatch strings.  Every instance that either
+    side's rows keep (`_survivors`) goes through both public checkers, in
+    (lam, R, Q) order, and a checker that disagrees with its own side's rows
+    raises `RuntimeError`; every other instance fails both sides' rows, and
+    so both checkers."""
+    scan = _SCANS[row]
+    A, C = (make(field) for make in scan.carriers)
+    d = A.dim
+    n, zero, eye = d * d, Matrix.zero(field, d), Matrix.identity(field, d)
     bad = []
-    for lam in (F2.zero(), F2.one()) if weighted else (None,):
-        for R in mats:
-            for Q in mats:
-                if weighted:
-                    left = bridge(A, C, R, Q, lam).passed
-                    S, T = R + eye.scale(lam), Q + eye.scale(lam)
-                else:
-                    left = bridge(A, C, R, Q).passed
-                    S = T = zero
-                if left != check(bisystem(A, C, R, S, Q, T)).passed:
-                    detail = f"R={R} Q={Q}"
-                    bad.append(_mismatch(row, f"lam={lam} {detail}" if weighted else detail))
-    return make_report(f"scan:{row}-equivalence", bad)
+    for lam, *found in _survivors(scan, A, C):
+        for y in sorted(found[0] | found[1]):
+            R, Q = Matrix._make(field, d, d, y[:n]), Matrix._make(field, d, d, y[n:])
+            if lam is None:
+                detail = f"R={R} Q={Q}"
+                left = scan.bridge(A, C, R, Q).passed
+                right = scan.check(scan.bisystem(A, C, R, zero, Q, zero)).passed
+            else:
+                detail = f"lam={lam} R={R} Q={Q}"
+                left = scan.bridge(A, C, R, Q, lam).passed
+                shift = eye.scale(lam)
+                right = scan.check(scan.bisystem(A, C, R, R + shift, Q, Q + shift)).passed
+            if (left, right) != (y in found[0], y in found[1]):
+                raise RuntimeError(f"compiled rows and reference checkers disagree at "
+                                   f"{row} {detail}")
+            if left != right:
+                bad.append(detail)
+    return bad
+
+
+def _scan(row):
+    """Whether the bridge checker agrees with the bisystem checker on every
+    GF(2) instance of the row's carrier pair (`_mismatches`)."""
+    bad = _mismatches(row, PrimeField(2))
+    return make_report(f"scan:{row}-equivalence", [_mismatch(row, detail) for detail in bad])
 
 
 def scan_weighted_equivalence():
     """Weighted bridge checker agrees with the embedded bisystem checker on
     every GF(2) instance of the bundled carrier pair."""
-    return _scan("weighted", (fx.fix_a, fx.fix_c), check_weighted_rb_asi,
-                 ASIBisystem, check_bisystem, weighted=True)
+    return _scan("weighted")
 
 
 def scan_averaging_equivalence():
-    return _scan("averaging", (fx.fix_a, fx.fix_c), check_averaging_asi,
-                 ASIBisystem, check_bisystem, weighted=False)
+    return _scan("averaging")
 
 
 def scan_averaging_lie_equivalence():
-    return _scan("averaging-lie", (fx.fix_lie, fx.fix_delta), check_averaging_lie_bialgebra,
-                 LieBisystem, check_lie_bisystem, weighted=False)
+    return _scan("averaging-lie")
 
 
 def scan_weighted_lie_equivalence():
-    return _scan("weighted-lie", (fx.fix_lie, fx.fix_delta), check_weighted_rb_lie_bialgebra,
-                 LieBisystem, check_lie_bisystem, weighted=True)
+    return _scan("weighted-lie")
 
 
 # fixture rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PayloadError, PreconditionError
-from .kernel import Matrix, block_diag, bv, kron, leg_apply, vneg, vsub
+from .kernel import Matrix, block_diag, bv, combine, kron, leg_apply, vneg, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .systems import OperatorSystem, check_operator_system
@@ -288,7 +288,7 @@ _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
 # eq:emm1#*-emm4#* restate eq:ck#*, ck2#*, ck5#* and ck7#* on a Lie (co)algebra
 
 @identity("eq:ck#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm1#2", ("A", "A"))
+@identity("eq:emm1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_1(ctx, idx):
     i, j = idx
     A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
@@ -298,7 +298,7 @@ def _ck_1(ctx, idx):
 
 
 @identity("eq:ck#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm1#1", ("A", "A"))
+@identity("eq:emm1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_2(ctx, idx):
     i, j = idx
     A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
@@ -326,7 +326,7 @@ def _ck1_2(ctx, idx):
 
 
 @identity("eq:ck2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm2#2", ("A", "A"))
+@identity("eq:emm2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_1(ctx, idx):
     i, j = idx
     A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
@@ -336,7 +336,7 @@ def _ck2_1(ctx, idx):
 
 
 @identity("eq:ck2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm2#1", ("A", "A"))
+@identity("eq:emm2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_2(ctx, idx):
     i, j = idx
     A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
@@ -368,7 +368,7 @@ _CK_TAGS = ("eq:ck#1", "eq:ck#2", "eq:ck1#1", "eq:ck1#2",
 
 
 @identity("eq:ck5#1", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm3#1", ("A",))
+@identity("eq:emm3#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_1(ctx, idx):
     (i,) = idx
     C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
@@ -379,7 +379,7 @@ def _ck5_1(ctx, idx):
 
 
 @identity("eq:ck5#2", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm3#2", ("A",))
+@identity("eq:emm3#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_2(ctx, idx):
     (i,) = idx
     C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
@@ -410,7 +410,7 @@ def _ck6_2(ctx, idx):
 
 
 @identity("eq:ck7#1", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm4#1", ("A",))
+@identity("eq:emm4#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_1(ctx, idx):
     (i,) = idx
     C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
@@ -421,7 +421,7 @@ def _ck7_1(ctx, idx):
 
 
 @identity("eq:ck7#2", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm4#2", ("A",))
+@identity("eq:emm4#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_2(ctx, idx):
     (i,) = idx
     C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
@@ -612,9 +612,14 @@ def check_module_admissible(sys: OperatorSystem, M: Bimodule, xi: Matrix,
     return run_identities("module-admissible", _CJ_TAGS, ctx)
 
 
+def adjoint_admissible_identities(A, R, S, Q, T):
+    """The tag tuple and context that `adjoint_admissible_report` runs;
+    search compiles its GF(p) rows from the same pair."""
+    return _CK_TAGS, Ctx({"A": A.basis}, A=A, R=R, S=S, Q=Q, T=T)
+
+
 def adjoint_admissible_report(A, R, S, Q, T) -> "Report":
-    ctx = Ctx({"A": A.basis}, A=A, R=R, S=S, Q=Q, T=T)
-    return run_identities("adjoint-admissible", _CK_TAGS, ctx)
+    return run_identities("adjoint-admissible", *adjoint_admissible_identities(A, R, S, Q, T))
 
 
 def check_adjoint_admissible(A, R, S, Q, T) -> "Report":
@@ -624,9 +629,14 @@ def check_adjoint_admissible(A, R, S, Q, T) -> "Report":
     return adjoint_admissible_report(A, R, S, Q, T)
 
 
+def coadjoint_admissible_identities(A, C, R, S, Q, T):
+    """The tag tuple and context that `coadjoint_admissible_report` runs."""
+    return _CK5_TAGS, Ctx({"A": A.basis}, A=A, C=C, R=R, S=S, Q=Q, T=T)
+
+
 def coadjoint_admissible_report(A, C, R, S, Q, T) -> "Report":
-    ctx = Ctx({"A": A.basis}, A=A, C=C, R=R, S=S, Q=Q, T=T)
-    return run_identities("coadjoint-admissible", _CK5_TAGS, ctx)
+    return run_identities("coadjoint-admissible",
+                          *coadjoint_admissible_identities(A, C, R, S, Q, T))
 
 
 def check_dn_conditions(M: Bimodule, A, Q, T, alpha, beta, xi, zeta) -> "Report":
@@ -744,11 +754,7 @@ def hat_structures(sys: OperatorSystem, rep: Representation) -> HatStructures:
     star, starp, bullet, bulletp = derived_products(A, R, S)
 
     def act_combo(mats, col):
-        out = Matrix.zero(A.field, M.mdim)
-        for k, c in enumerate(col):
-            if c:
-                out = out + mats[k].scale(c)
-        return out
+        return combine(A.field, M.mdim, col, mats.__getitem__)
 
     left1 = [act_combo(M.left, R.col(i)) + M.left[i] @ be for i in range(A.dim)]
     right1 = [act_combo(M.right, S.col(i)) + M.right[i] @ al for i in range(A.dim)]

@@ -2,17 +2,23 @@
 
 A job's condition is built from the identity catalog over the tag tuple
 that the kind's checker runs, with one context per group of tags that the
-candidate's components are bound into (`_groups`).  Every such tag has
-total degree at most 2 in all the components that a search binds, taken
-jointly (`identities.identity(..., quadratic=...)`), so a job is one
-system of quadratic equations over GF(p) in the k*d*d entries of its k
-components.  `_compile` turns each (tag, basis tuple) step into one row of
-GF(p) coefficients per residual entry, over the monomials of all those
-entries, interpolated from probes through `evaluate`, so seeded faults
-reach the rows; `fast_predicate` tests one candidate against the same
-rows.  `_solve` assigns the entries depth-first in index order and tests
-each row as soon as its highest entry is assigned: a row that is linear in
-that entry is solved for it, any other is tried at the p values.  The
+candidate's components are bound into (`_groups`).  A group binds each of
+its names to one component plus a constant map (`_Bound`); a search job
+binds each name to its own component, and the regression scans bind
+S = R + lam*id.  Every such tag has total degree at most 2 in all the
+names that its group binds, taken jointly (`identities.identity(...,
+quadratic=...)`), and an affine substitution keeps that degree, so a job
+is one system of quadratic equations over GF(p) in the k*d*d entries of
+its k components.  `_compile` turns each (tag, basis tuple) step into one
+row of GF(p) coefficients per residual entry, over the monomials of all
+those entries, interpolated from probes through `evaluate`, so seeded
+faults reach the rows; `_rows` scales and de-duplicates them for the
+solver, and `fast_predicate` tests one candidate against a job's rows.
+`solve_parts` solves a condition given as a checker's parts under any
+such binding, which is how the regression scans are decided.  `_solve`
+assigns the entries depth-first in index order and tests each row as
+soon as its highest entry is assigned: a row that is linear in that
+entry is solved for it, any other is tried at the p values.  The
 survivors come out in candidate index order, and each is re-verified
 through the public checkers, which run the same catalog entries in full
 and return the full report.  Survivors that share a verdict share it
@@ -40,12 +46,12 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .bisystems import ASIBisystem, check_bisystem
+from .bisystems import ASIBisystem, bisystem_identities, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
 from .identities import CATALOG, Ctx, _stored, evaluate, shared_verdicts, steps
 from .kernel import Matrix, Tensor2, same_field
 from .report import make_report
-from .representations import _CK5_TAGS, _CK_TAGS, adjoint_admissible_report
+from .representations import adjoint_admissible_identities, adjoint_admissible_report
 from .structures import _Multiplicative, check_axioms
 from .systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS, CoOperatorSystem,
                       OperatorSystem, check_cosystem, check_operator_system,
@@ -137,12 +143,37 @@ def _spec(job):
 # conditions from the catalog
 
 class _Bound(NamedTuple):
-    """One group of a job's condition: a checker's tag tuple, the job's one
-    context for it, and the context names a candidate's components are
-    bound to."""
+    """One group of a condition: a checker's tag tuple, one context for it,
+    the context names that a candidate binds, and what each is bound to, a
+    (component, constant) pair: the name is that component of the candidate
+    plus the constant map (None for none), as S = R + lam*id binds S to R's
+    component plus lam*id.  An affine substitution keeps every degree, so a
+    tag declared quadratic in the names is quadratic in the components."""
     names: tuple
     tags: tuple
     ctx: Ctx
+    on: tuple
+
+    def bind(self, parts):
+        """Set each name to its component of `parts` plus its constant."""
+        for name, (k, const) in zip(self.names, self.on):
+            setattr(self.ctx, name, parts[k] if const is None else parts[k] + const)
+
+
+def _on(names, tags, ctx) -> _Bound:
+    """A group whose names are components 0, 1, ... of a candidate."""
+    return _Bound(names, tags, ctx, tuple((k, None) for k in range(len(names))))
+
+
+def _by_name(tags, ctx, binding) -> _Bound:
+    """A group that binds each name of `binding`, a {name: (component,
+    constant)} dict, that the context carries a map for."""
+    names = tuple(name for name in binding if getattr(ctx, name, None) is not None)
+    return _Bound(names, tags, ctx, tuple(binding[name] for name in names))
+
+
+# a bisystem's maps (R, S, Q, T) are its components 0 to 3
+_BISYSTEM = {"R": (0, None), "S": (1, None), "Q": (2, None), "T": (3, None)}
 
 
 def _fixed(job):
@@ -161,44 +192,39 @@ def _bind(job, kind, carrier) -> _Bound:
         two = _ALG_KINDS[kind][1] == 2
         tags, ctx = operator_system_identities(kind, OperatorSystem(
             carrier, zero, zero if two else None, weight=job.weight))
-        return _Bound(("R", "S")[:1 + two], tags, ctx)
+        return _on(("R", "S")[:1 + two], tags, ctx)
     if kind in _COALG_KINDS:
         two = _COALG_KINDS[kind][1] == 2
         tags, ctx = cosystem_identities(kind, CoOperatorSystem(
             carrier, zero, zero if two else None, weight=job.weight))
-        return _Bound(("Q", "T")[:1 + two], tags, ctx)
+        return _on(("Q", "T")[:1 + two], tags, ctx)
     if kind == "adjoint_admissible":
         R, S = _fixed(job)
         OperatorSystem(carrier, R, S)  # the checker's shape rules
-        ctx = Ctx({"A": carrier.basis}, A=carrier, R=R, S=S, Q=zero, T=zero)
-        return _Bound(("Q", "T"), _CK_TAGS, ctx)
+        return _on(("Q", "T"), *adjoint_admissible_identities(carrier, R, S, zero, zero))
     if not isinstance(carrier, _Multiplicative):
         raise PayloadError(f"kind {kind!r} needs an algebra carrier")
     zero = Tensor2.zero(job.field, carrier.dim)
     if kind == "aybe":
-        return _Bound(("r",), _AYBE_TAGS, Ctx({}, A=carrier, r=zero))
-    return _Bound(("r", "s"), _YBPAIR_TAGS, Ctx({}, A=carrier, r=zero, s=zero))
+        return _on(("r",), _AYBE_TAGS, Ctx({}, A=carrier, r=zero))
+    return _on(("r", "s"), _YBPAIR_TAGS, Ctx({}, A=carrier, r=zero, s=zero))
 
 
 def _groups(job):
     """(ok, groups): whether any candidate can hold at all, and the job's
-    condition as (condition, first) pairs, the condition's names being the
-    components first, first + 1, ... of a candidate.  A bisystem has three
-    groups: the paired system on (R, S), the paired cosystem on (Q, T) and
-    both admissibility tag tuples on all four maps; it has no hit unless
-    its carriers form an ASI bialgebra."""
+    condition as groups.  A bisystem's groups are the parts of
+    `check_bisystem` (`bisystems.bisystem_identities`): the paired system
+    on (R, S), the paired cosystem on (Q, T) and the two admissibility tag
+    tuples on all four maps; it has no hit unless its carriers form an ASI
+    bialgebra."""
     _spec(job)
     if job.kind != "bisystem":
-        return True, ((_bind(job, job.kind, job.carrier), 0),)
+        return True, (_bind(job, job.kind, job.carrier),)
     A, C = job.carrier, job.cocarrier
-    srbs = _bind(job, "symmetric_rbs", A)
-    cosys = _bind(job, "symmetric_rb_cosystem", C)
     zero = Matrix.zero(job.field, A.dim)
-    ASIBisystem(A, C, zero, zero, zero, zero)  # the checker's shape rules
-    ck = _Bound(("R", "S", "Q", "T"), _CK_TAGS + _CK5_TAGS,
-                Ctx({"A": A.basis}, A=A, C=C, R=zero, S=zero, Q=zero, T=zero))
+    parts = bisystem_identities(ASIBisystem(A, C, zero, zero, zero, zero))
     ok = check_axioms("asi_bialgebra", (A, C)).passed
-    return ok, ((srbs, 0), (cosys, 2), (ck, 0))
+    return ok, tuple(_by_name(tags, ctx, _BISYSTEM) for _, tags, ctx in parts)
 
 
 def fast_predicate(job: SearchJob) -> Callable:
@@ -216,11 +242,10 @@ def fast_predicate(job: SearchJob) -> Callable:
 # ---------------------------------------------------------------------------
 # candidates
 
-def _component(job, flavor, entries):
-    d = job.carrier.dim
+def _component(field, d, flavor, entries):
     if flavor == "map":
-        return Matrix._make(job.field, d, d, entries)
-    return Tensor2._make(job.field, d, entries)
+        return Matrix._make(field, d, d, entries)
+    return Tensor2._make(field, d, entries)
 
 
 def decode_candidate(job: SearchJob, index: int):
@@ -238,7 +263,8 @@ def decode_candidate(job: SearchJob, index: int):
         index, digit = divmod(index, p)
         digits.append(digit)
     digits.reverse()
-    return tuple(_component(job, flavor, tuple(digits[k * width:(k + 1) * width]))
+    return tuple(_component(job.field, job.carrier.dim, flavor,
+                            tuple(digits[k * width:(k + 1) * width]))
                  for k, flavor in enumerate(comps))
 
 
@@ -249,43 +275,44 @@ def decode_candidate(job: SearchJob, index: int):
 # variables read as base-p digits.  A row is a tuple of monomials (c, v, w),
 # c * y_v * y_w with v >= w, where the index -1 stands for the constant 1.
 
-def _compile(job, groups) -> dict:
+def _compile(field, d, flavors, groups) -> dict:
     """{(tag, basis tuple): rows} for every step of the groups, one row per
-    residual entry.  With the other data fixed, an entry of a tag declared
-    quadratic in a group's names is c + sum a_v y_v + sum b_v y_v^2 +
-    sum_{v<w} q_vw y_v y_w in the entries y_v of those components; probing
-    `evaluate` at Y = 0, +E_v, -E_v and E_v + E_w for the unit values E_v
-    gives its coefficients.  Over GF(2), where -E_v = E_v and y^2 = y, each
-    square folds into its linear term, which is exact on GF(2)^n.  A tag
-    that does not declare every name of its group is refused: its rows
-    would not be exact."""
-    field, flavors = job.field, _spec(job)
-    p, n = field.modulus, job.carrier.dim ** 2
+    residual entry, over the entries of the components that `flavors`
+    lists ("map" or "tensor", each d x d).  With the other data fixed, an
+    entry of a tag declared quadratic in a group's names is c + sum a_v y_v
+    + sum b_v y_v^2 + sum_{v<w} q_vw y_v y_w in the entries y_v of the
+    components that the names are bound to; probing `evaluate` at Y = 0,
+    +E_v, -E_v and E_v + E_w for the unit values E_v, each name set to its
+    component's probe value plus its constant, gives its coefficients.
+    Over GF(2), where -E_v = E_v and y^2 = y, each square folds into its
+    linear term, which is exact on GF(2)^n.  A tag that does not declare
+    every name of its group is refused: its rows would not be exact."""
+    p, n = field.modulus, d * d
     half = (p + 1) // 2
     compiled = {}
-    for bound, first in groups:
+    for bound in groups:
         names, ctx = bound.names, bound.ctx
         for tag in bound.tags:
             if not set(names) <= CATALOG[tag].quadratic:
                 raise RuntimeError(f"{tag} is not declared quadratic in {names}")
-        m = len(names) * n
-        var = range(first * n, first * n + m)
+        comps = sorted({k for k, _ in bound.on})
+        m = len(comps) * n
+        var = [k * n + e for k in comps for e in range(n)]
         pairs = tuple(itertools.combinations(range(m), 2))
 
         def at(*units):
             y = [0] * m
             for u, value in units:
                 y[u] = value
-            return [_component(job, flavors[first + k], tuple(y[k * n:(k + 1) * n]))
-                    for k in range(len(names))]
+            return {k: _component(field, d, flavors[k], tuple(y[c * n:(c + 1) * n]))
+                    for c, k in enumerate(comps)}
         probes = ([at()] + [at((u, 1)) for u in range(m)]
                   + [at((u, p - 1)) for u in range(m) if p > 2]
                   + [at((u, 1), (w, 1)) for u, w in pairs])
         todo = steps(bound.tags, ctx)
         values = []
         for probe in probes:
-            for name, value in zip(names, probe):
-                setattr(ctx, name, value)
+            bound.bind(probe)
             values.append([_entries(tag, ctx, idx, field) for tag, idx in todo])
         for s, step in enumerate(todo):
             rows = []
@@ -313,23 +340,9 @@ def _entries(tag, ctx, idx, field):
     return res if isinstance(res, tuple) else res.entries
 
 
-def _system(job) -> tuple:
-    """The rows that the solver needs: every compiled row, plus r[i,j] +
-    r[j,i] = 0 for i <= j when `aybe` asks for antisymmetric r (exactly
-    `Tensor2.is_antisymmetric`), each scaled to a leading coefficient 1,
-    with zero and duplicate rows dropped.  Plain int tuples, so the rows of
-    one compile can be handed to every shard.  A bisystem on carriers that
-    form no ASI bialgebra gets the one row 1 = 0."""
-    ok, groups = _groups(job)
-    if not ok:
-        return (((1, -1, -1),),)
-    p = job.field.modulus
-    rows = [row for rows in _compile(job, groups).values() for row in rows]
-    if job.kind == "aybe" and job.antisymmetric:
-        d = job.carrier.dim
-        rows += [((2 % p, i * d + i, -1),) if i == j else
-                 ((1, j * d + i, -1), (1, i * d + j, -1))
-                 for i in range(d) for j in range(i, d)]
+def _unique(rows, p) -> tuple:
+    """The rows, each scaled to a leading coefficient 1, with zero and
+    duplicate rows dropped."""
     unique = {}
     for row in rows:
         row = sorted((t for t in row if t[0] % p), key=lambda t: t[1:])
@@ -337,6 +350,45 @@ def _system(job) -> tuple:
             inv = pow(row[-1][0], -1, p)
             unique[tuple((c * inv % p, v, w) for c, v, w in row)] = None
     return tuple(unique)
+
+
+def _rows(field, d, flavors, groups) -> tuple:
+    """The rows that the solver needs for `groups` (`_compile`), through
+    `_unique`.  Plain int tuples, so the rows of one compile can be handed
+    to every shard."""
+    compiled = _compile(field, d, flavors, groups)
+    return _unique((row for rows in compiled.values() for row in rows), field.modulus)
+
+
+def _system(job) -> tuple:
+    """The job's rows (`_rows`), plus r[i,j] + r[j,i] = 0 for i <= j when
+    `aybe` asks for antisymmetric r (exactly `Tensor2.is_antisymmetric`).
+    A bisystem on carriers that form no ASI bialgebra gets the one row
+    1 = 0."""
+    ok, groups = _groups(job)
+    if not ok:
+        return (((1, -1, -1),),)
+    d = job.carrier.dim
+    rows = _rows(job.field, d, _spec(job), groups)
+    if job.kind == "aybe" and job.antisymmetric:
+        p = job.field.modulus
+        rows = _unique(rows + tuple(
+            ((2 % p, i * d + i, -1),) if i == j else ((1, j * d + i, -1), (1, i * d + j, -1))
+            for i in range(d) for j in range(i, d)), p)
+    return rows
+
+
+def solve_parts(field, d, parts, binding) -> list:
+    """The survivors of a condition given as a checker's (name, tags, ctx)
+    parts, such as `bridges.lie_bisystem_identities` returns: every
+    assignment of the entries of the d x d map components that `binding`
+    binds on which every compiled row vanishes, in lexicographic order.
+    `binding` is a {name: (component, constant)} dict, and a part binds each
+    of its names that its context carries a map for (`_by_name`)."""
+    groups = [_by_name(tags, ctx, binding) for _, tags, ctx in parts]
+    count = 1 + max(k for k, _ in binding.values())
+    rows = _rows(field, d, ("map",) * count, groups)
+    return list(_solve(rows, field.modulus, count * d * d, 0, (0, 1)))
 
 
 def _solve(rows, p, count, first, shard):
@@ -447,7 +499,8 @@ def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
     caller's scope if one is open, else in one that closes on return."""
     _admit(job)
     comps = _spec(job)
-    p, n = job.field.modulus, job.carrier.dim ** 2
+    p, d = job.field.modulus, job.carrier.dim
+    n = d * d
     hits: list[Hit] = []
     with shared_verdicts():
         if rows is None:
@@ -456,7 +509,7 @@ def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
             index = 0
             for v in y:
                 index = index * p + v
-            parts = tuple(_component(job, flavor, y[k * n:(k + 1) * n])
+            parts = tuple(_component(job.field, d, flavor, y[k * n:(k + 1) * n])
                           for k, flavor in enumerate(comps))
             if not verify_hit(job, parts):
                 raise RuntimeError(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, bv, leg_apply, nonzero_terms,
-                     reduce_entries, vadd, vneg, vsub)
+from .kernel import (Matrix, Tensor2, Tensor3, bv, combine, leg_apply,
+                     nonzero_terms, reduce_entries, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_groups, shared
 from .report import Violation, make_report
 
@@ -92,18 +92,11 @@ class _Multiplicative(_Table):
 
     def left_mult(self, x) -> Matrix:
         """Matrix of y -> x . y."""
-        return self._mult_matrix(self.left_mult_basis, x)
+        return combine(self.field, self.dim, x, self.left_mult_basis)
 
     def right_mult(self, x) -> Matrix:
         """Matrix of y -> y . x."""
-        return self._mult_matrix(self.right_mult_basis, x)
-
-    def _mult_matrix(self, basis_matrix, x):
-        d = self.dim
-        out = [self.field.zero()] * (d * d)
-        for i, xi in nonzero_terms(self.field, x):
-            out = [a + xi * b for a, b in zip(out, basis_matrix(i).entries)]
-        return Matrix._make(self.field, d, d, reduce_entries(self.field, out))
+        return combine(self.field, self.dim, x, self.right_mult_basis)
 
     def is_commutative(self):
         return all(self.table[i][j] == self.table[j][i]

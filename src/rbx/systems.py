@@ -63,7 +63,7 @@ class CoOperatorSystem:
 # conditions on a Lie (co)algebra and share their bodies
 
 @identity("eq:cee", ("A", "A"), quadratic=("R", "S"))
-@identity("de:he#2", ("A", "A"))
+@identity("de:he#2", ("A", "A"), quadratic=("R",))
 def _rb_weight(ctx, idx):
     i, j = idx
     A, R, lam = ctx.A, ctx.R, ctx.lam
@@ -113,7 +113,7 @@ def _ea1b(ctx, idx):
 
 
 @identity("eq:et1#1", ("A", "A"), quadratic=("R", "S"))
-@identity("de:ev#2a", ("A", "A"))
+@identity("de:ev#2a", ("A", "A"), quadratic=("R", "Q"))
 def _avg1(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
@@ -173,7 +173,7 @@ def _cu1_2(ctx, idx):
 
 
 @identity("rmk:gb#2", ("C",), quadratic=("Q", "T"))
-@identity("de:he#3", ("A",))
+@identity("de:he#3", ("A",), quadratic=("Q",))
 def _rb_coweight(ctx, idx):
     (i,) = idx
     C, Q, lam = ctx.C, ctx.Q, ctx.lam
@@ -184,7 +184,7 @@ def _rb_coweight(ctx, idx):
 
 
 @identity("eq:et2#1", ("C",), quadratic=("Q", "T"))
-@identity("de:ev#3a", ("A",))
+@identity("de:ev#3a", ("A",), quadratic=("R", "Q"))
 def _coavg1(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q

@@ -1,10 +1,16 @@
 import json
 
+import pytest
+
 from rbx import fixtures as fx
 from rbx import regression
+from rbx.bridges import LieBisystem, check_averaging_lie_bialgebra, check_lie_bisystem
 from rbx.cli import main, parse, run_check
 from rbx.identities import seeded_fault
+from rbx.kernel import Matrix, PrimeField
+from rbx.report import Violation, make_report
 from rbx.structures import check_axioms, pairing_form
+from conftest import all_matrices
 
 
 def test_paper_rows_cover_spec_surface():
@@ -20,6 +26,80 @@ def test_paper_rows_cover_spec_surface():
                      "scan:averaging-lie-equivalence",
                      "scan:weighted-lie-equivalence"):
         assert expected in names
+
+
+# the four equivalence scans over larger fields: instances that each side
+# passes, summed over lam on the weighted rows
+
+SCAN_HITS = {"averaging": (17, 49, 97), "averaging-lie": (17, 49, 97),
+             "weighted": (71, 261, 619), "weighted-lie": (103, 453, 1195)}
+
+
+def _hits(row, F):
+    """The instances (lam, R, Q) that each side's rows keep, bridge side
+    first, as entry tuples (lam, R entries + Q entries)."""
+    scan = regression._SCANS[row]
+    A, C = (make(F) for make in scan.carriers)
+    hits = ([], [])
+    for lam, *found in regression._survivors(scan, A, C):
+        for side, ys in zip(hits, found):
+            side += [(lam, y) for y in sorted(ys)]
+    return hits
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("row", sorted(SCAN_HITS))
+def test_scan_hits_over_larger_fields(row, p):
+    # `_mismatches` raises unless both checkers agree with their own side's
+    # rows, so the survivors are the instances that each checker passes
+    F = PrimeField(p)
+    assert regression._mismatches(row, F) == []
+    left, right = _hits(row, F)
+    assert len(left) == SCAN_HITS[row][(3, 5, 7).index(p)]
+    assert left == right
+
+
+def _brute_averaging_lie(F):
+    """(hits, mismatches) of the averaging-lie scan from both public
+    checkers on every instance, in `_hits` and `regression._mismatches`
+    form."""
+    g, dl, zero = fx.fix_lie(F), fx.fix_delta(F), Matrix.zero(F, 2)
+    hits, bad = ([], []), []
+    for R in all_matrices(F):
+        for Q in all_matrices(F):
+            left = check_averaging_lie_bialgebra(g, dl, R, Q).passed
+            right = check_lie_bisystem(LieBisystem(g, dl, R, zero, Q, zero)).passed
+            for side, held in zip(hits, (left, right)):
+                if held:
+                    side.append((None, R.entries + Q.entries))
+            if left != right:
+                bad.append(f"R={R} Q={Q}")
+    return hits, bad
+
+
+@pytest.mark.parametrize("tag", ["de:ev#2b", "eq:emm1#1"])
+def test_solved_scan_matches_brute_force_under_a_fault(tag):
+    # a bridge-side and a bisystem-side fault over GF(3), where a sign flip
+    # shows (over GF(2), -x = x); both reach the compiled rows and both
+    # checkers, so the solved scan reports the brute force's mismatches
+    F3 = PrimeField(3)
+    with seeded_fault(tag, 1):
+        bad = regression._mismatches("averaging-lie", F3)
+        got = _hits("averaging-lie", F3), bad
+        want = _brute_averaging_lie(F3)
+    assert got == want
+    assert len(bad) == 8
+
+
+def test_scan_refuses_rows_that_disagree_with_a_checker(monkeypatch):
+    # a bridge checker that passes nothing disagrees with the rows' survivors
+    def never(*args):
+        return make_report("never", [Violation("never", (), ())])
+
+    scan = regression._SCANS["averaging-lie"]
+    monkeypatch.setitem(regression._SCANS, "averaging-lie", scan._replace(bridge=never))
+    with pytest.raises(RuntimeError, match="disagree"):
+        regression.scan_averaging_lie_equivalence()
 
 
 def test_family_rows_localize_operator_fault():

@@ -457,15 +457,14 @@ def _holds(job):
     `evaluate` with the candidate bound into the group's context, so seeded
     faults reach it, and the first nonzero residual rejects the candidate."""
     ok, groups = search._groups(job)
-    todo = [(bound, first, steps(bound.tags, bound.ctx)) for bound, first in groups]
+    todo = [(bound, steps(bound.tags, bound.ctx)) for bound in groups]
 
     def holds(parts):
         if not ok or job.kind == "aybe" and job.antisymmetric \
                 and not parts[0].is_antisymmetric():
             return False
-        for bound, first, group in todo:
-            for name, part in zip(bound.names, parts[first:]):
-                setattr(bound.ctx, name, part)
+        for bound, group in todo:
+            bound.bind(parts)
             for tag, idx in group:
                 res = _stored(evaluate(tag, bound.ctx, idx), job.field)
                 if any(res if isinstance(res, tuple) else res.entries):
@@ -516,9 +515,9 @@ def test_bisystem_compiled_once(F2, monkeypatch):
     compiled = []
     compile_ = search._compile
 
-    def spy(job, groups):
-        compiled.append(job.shard)
-        return compile_(job, groups)
+    def spy(*args):
+        compiled.append(args)
+        return compile_(*args)
 
     monkeypatch.setattr(search, "_compile", spy)
     job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
@@ -588,16 +587,15 @@ def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
     rng = random.Random(f"{kind}-{p}-{fault}")
     with seeded_fault(fault, 0) if fault else contextlib.nullcontext():
         _, groups = search._groups(job)
-        compiled = search._compile(job, groups)
-        assert list(compiled) == [step for bound, _ in groups
+        compiled = search._compile(F, job.carrier.dim, search._KINDS[kind], groups)
+        assert list(compiled) == [step for bound in groups
                                   for step in steps(bound.tags, bound.ctx)]
         system, pred = search._system(job), _holds(job)
         for _ in range(200):
             parts = decode_candidate(job, rng.randrange(search_space(job)))
             y = [v for part in parts for v in part.entries] + [1]
-            for bound, first in groups:
-                for name, part in zip(bound.names, parts[first:]):
-                    setattr(bound.ctx, name, part)
+            for bound in groups:
+                bound.bind(parts)
                 for tag, idx in steps(bound.tags, bound.ctx):
                     res = _stored(evaluate(tag, bound.ctx, idx), F)
                     want = res if isinstance(res, tuple) else res.entries
@@ -621,9 +619,9 @@ def test_compile_is_exact_with_a_constant_term(p, monkeypatch):
     F = PrimeField(p)
     A, zero = fx.fix_a(F), Matrix.zero(F, 2)
     job = SearchJob(F, A, "symmetric_rbs")
-    bound = search._Bound(("R", "S"), ("test:constant",),
-                          Ctx({"A": A.basis}, A=A, R=zero, S=zero, lam=F.of(2)))
-    compiled = search._compile(job, ((bound, 0),))
+    bound = search._on(("R", "S"), ("test:constant",),
+                       Ctx({"A": A.basis}, A=A, R=zero, S=zero, lam=F.of(2)))
+    compiled = search._compile(F, 2, ("map", "map"), (bound,))
     assert any(m[1:] == (-1, -1) for rows in compiled.values() for row in rows for m in row)
     rng = random.Random(p)
     for _ in range(100):

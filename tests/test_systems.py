@@ -5,10 +5,11 @@ import threading
 
 import pytest
 
-from rbx import bisystems, bridges, regression, structures, systems
+from rbx import bridges, identities, regression, structures, systems
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import PayloadError, PreconditionError
+from rbx.bridges import LieBisystem
 from rbx.identities import (_VERDICTS, CATALOG, Ctx, evaluate, seeded_fault,
                             shared_verdicts)
 from rbx.kernel import Matrix, PrimeField, Tensor2, bv
@@ -24,6 +25,7 @@ from rbx.representations import _CK5_TAGS, _CK_TAGS
 from rbx.search import _KINDS, SearchJob, enumerate_hits
 from rbx.yangbaxter import _AYBE_TAGS
 from conftest import all_matrices, all_tensors
+from test_golden_reports import _scan_instances
 
 
 def test_fixture_pair_is_symmetric(QQ):
@@ -470,11 +472,11 @@ def test_affine_declarations_hold(tag):
         # no compiled row of the tag multiplies two entries of the component
         job = _search_job(kind, PrimeField(p))
         ok, groups = search._groups(job)
-        ((bound, _),) = groups
+        (bound,) = groups
         k = bound.names.index(name)
         own = range(4 * k, 4 * k + 4)
-        rows = [row for (t, _), rows in search._compile(job, groups).items()
-                if t == tag for row in rows]
+        compiled = search._compile(job.field, 2, search._KINDS[kind], groups)
+        rows = [row for (t, _), rows in compiled.items() if t == tag for row in rows]
         assert ok and rows
         assert [m for row in rows for m in row if m[1] in own and m[2] in own] == []
 
@@ -583,83 +585,162 @@ def test_search_kinds_declare_quadratic_tags():
         for tags, names in groups:
             for tag in tags:
                 assert set(names) <= CATALOG[tag].quadratic, (kind, tag)
+    # and every tag of every group that the four equivalence scans solve
+    F3 = PrimeField(3)
+    for row, scan in regression._SCANS.items():
+        A, C = (make(F3) for make in scan.carriers)
+        for lam in (0, 2) if scan.weighted else (None,):
+            for parts, binding in regression._sides(scan, A, C, lam):
+                for _, tags, ctx in parts:
+                    names = search._by_name(tags, ctx, binding).names
+                    assert names, (row, tags)
+                    for tag in tags:
+                        assert set(names) <= CATALOG[tag].quadratic, (row, tag)
 
 
 # ---------------------------------------------------------------------------
 # axiom, operator-system and cosystem verdicts shared inside one scope
 
-def _count_checks(monkeypatch, module, name):
-    """Counts, by check name, the reports that `module.name` computes."""
+def _count_checks(monkeypatch, modules, name):
+    """Counts, by check name, the reports that `module.name` computes, over
+    the modules."""
     counts = collections.Counter()
-    real = getattr(module, name)
+    for module in modules:
+        real = getattr(module, name)
 
-    def spy(check, *args, **kwargs):
-        counts[check] += 1
-        return real(check, *args, **kwargs)
-    monkeypatch.setattr(module, name, spy)
+        def spy(check, *args, real=real, **kwargs):
+            counts[check] += 1
+            return real(check, *args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
     return counts
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts, by check name, the operator-system and cosystem verdicts that
-    are evaluated rather than served from a shared memo."""
-    return _count_checks(monkeypatch, systems, "run_identities")
+    """Counts, by check name, the operator-system, cosystem and bridge-part
+    verdicts that are evaluated rather than served from a shared memo."""
+    return _count_checks(monkeypatch, (systems, bridges), "run_identities")
 
 
 @pytest.fixture
 def axiom_evaluations(monkeypatch):
     """The same count for `check_axioms` verdicts."""
-    return _count_checks(monkeypatch, structures, "run_groups")
+    return _count_checks(monkeypatch, (structures,), "run_groups")
 
 
-_OPS = ("operator-system:", "cosystem:")
+# what the verdict of each single-map-pair part of a scan's checkers reads
+# of an instance (lam, R, Q); every other part reads R and Q
+_READS = {"rb-algebra": "R", "rb-coalgebra": "Q", "averaging-algebra": "R",
+          "averaging-coalgebra": "Q", "rb-lie-algebra": "R", "rb-lie-coalgebra": "Q",
+          "lie-system": "R", "lie-cosystem": "Q", "operator-system:symmetric_rbs": "R",
+          "cosystem:symmetric_rb_cosystem": "Q"}
+
+
+def _row(scan):
+    return scan.__name__[len("scan_"):-len("_equivalence")].replace("_", "-")
+
+
+def _axioms(scan):
+    return (("lie", "lie_coalgebra", "lie_bialgebra") if "lie" in scan.__name__
+            else ("associative", "coassociative", "asi_bialgebra"))
 
 
 @pytest.mark.parametrize("scan, per_kind, kinds", [
     (regression.scan_weighted_equivalence, 32,
-     ("rb_weight", "symmetric_rbs", "rb_coalgebra_weight", "symmetric_rb_cosystem")),
+     ("rb-algebra", "rb-coalgebra", "operator-system:symmetric_rbs",
+      "cosystem:symmetric_rb_cosystem")),
     (regression.scan_averaging_equivalence, 16,
-     ("averaging", "symmetric_rbs", "coaveraging", "symmetric_rb_cosystem")),
-    (regression.scan_averaging_lie_equivalence, 16, ("lie_rbs", "lie_rb_cosystem")),
-    (regression.scan_weighted_lie_equivalence, 32, ("lie_rbs", "lie_rb_cosystem")),
+     ("averaging-algebra", "averaging-coalgebra", "operator-system:symmetric_rbs",
+      "cosystem:symmetric_rb_cosystem")),
+    (regression.scan_averaging_lie_equivalence, 16, ("lie-system", "lie-cosystem")),
+    (regression.scan_weighted_lie_equivalence, 32,
+     ("rb-lie-algebra", "rb-lie-coalgebra", "lie-system", "lie-cosystem")),
 ])
 def test_scans_evaluate_each_verdict_once(evaluations, axiom_evaluations, scan,
                                          per_kind, kinds):
-    # up to 512 instances per scan, but only 16 or 32 distinct maps per kind,
+    # both checkers on every GF(2) instance of a scan inside one scope: up to
+    # 512 instances, but only 16 or 32 distinct maps per single-map-pair part,
     # and one carrier pair whose axioms are checked once
-    assert scan().passed
+    with shared_verdicts():
+        pairs = list(_scan_instances(_row(scan)))
     assert _VERDICTS.get() is None
-    got = {check.split(":", 1)[1]: n for check, n in evaluations.items()
-           if check.startswith(_OPS)}
-    assert got == dict.fromkeys(kinds, per_kind)
-    axioms = (("lie", "lie_coalgebra", "lie_bialgebra") if "lie" in scan.__name__
-              else ("associative", "coassociative", "asi_bialgebra"))
-    assert axiom_evaluations == {f"axioms:{kind}": 1 for kind in axioms}
+    assert all(left.passed == right.passed for left, right in pairs)
+    got = dict(evaluations)
+    assert {kind: got.pop(kind) for kind in kinds} == dict.fromkeys(kinds, per_kind)
+    assert set(got.values()) == {len(pairs)}  # the parts on both maps
+    # the instances also build the other scans' carriers, and so check their
+    # associativity and coassociativity
+    assert set(axiom_evaluations.values()) == {1}
+    assert {f"axioms:{kind}" for kind in _axioms(scan)} <= set(axiom_evaluations)
+
+
+@pytest.mark.parametrize("scan", [
+    regression.scan_weighted_equivalence, regression.scan_averaging_equivalence,
+    regression.scan_averaging_lie_equivalence, regression.scan_weighted_lie_equivalence])
+def test_solved_scans_evaluate_each_survivor_verdict_once(evaluations, axiom_evaluations,
+                                                         scan):
+    # the solved scan runs both checkers on the instances that either side's
+    # rows keep, and computes one verdict per distinct map among them
+    F2, row = PrimeField(2), _row(scan)
+    A, C = (make(F2) for make in regression._SCANS[row].carriers)
+    hits = []
+    for lam, left, right in regression._survivors(regression._SCANS[row], A, C):
+        assert left == right
+        hits += [(lam, y) for y in left]
+    evaluations.clear()
+    axiom_evaluations.clear()
+    assert regression._mismatches(row, F2) == []
+    assert _VERDICTS.get() is None
+
+    def key(check, lam, y):
+        reads = _READS.get(check, "RQ")
+        return lam, y[:4] if "R" in reads else None, y[4:] if "Q" in reads else None
+    assert len(evaluations) >= 4
+    assert evaluations == {check: len({key(check, *hit) for hit in hits})
+                           for check in evaluations}
+    assert axiom_evaluations == {f"axioms:{kind}": 1 for kind in _axioms(scan)}
+
+
+def test_bridge_parts_carry_only_keyed_data():
+    # a bridge checker's part verdict is keyed by the carriers A and C, the
+    # maps R, S, Q and T and the weight lam (`bridges._run_part`), so no
+    # part's context may carry any other datum
+    F3 = PrimeField(3)
+    keyed = {"spaces", "field", "A", "C", "R", "S", "Q", "T", "lam"}
+    lie = regression._SCANS["averaging-lie"]
+    g, dl = (make(F3) for make in lie.carriers)
+    zero = Matrix.zero(F3, 2)
+    parts = list(lie.bisystem_parts(LieBisystem(g, dl, zero, zero, zero, zero)))
+    for scan in regression._SCANS.values():
+        A, C = (make(F3) for make in scan.carriers)
+        parts += scan.bridge_parts(A, C, zero, zero, *((2,) if scan.weighted else ()))
+    assert len(parts) == 4 + 3 + 3 + 2 + 3
+    for name, _, ctx in parts:
+        assert set(vars(ctx)) <= keyed, name
 
 
 @pytest.mark.parametrize("scan, kinds", [(regression.scan_averaging_equivalence, 4),
                                          (regression.scan_averaging_lie_equivalence, 2)])
 def test_scoped_scan_reports_equal_unscoped_ones(monkeypatch, scan, kinds):
+    # over all 256 instances, the reports built inside one scope share their
+    # single-map-pair verdicts and equal the reports built outside any scope
     calls = []
+    real = identities.shared
 
-    def recording(module, name):
-        real = getattr(module, name)
-
-        def wrapper(kind, sys):
-            rep = real(kind, sys)
-            calls.append((real, kind, sys, rep))
-            return rep
-        monkeypatch.setattr(module, name, wrapper)
-    for module in (bisystems, bridges):
-        recording(module, "check_operator_system")
-        recording(module, "check_cosystem")
-    assert scan().passed
+    def spy(key, compute, hold):
+        rep = real(key, compute, hold)
+        calls.append((key[0], rep))
+        return rep
+    for module in (systems, bridges):
+        monkeypatch.setattr(module, "shared", spy)
+    with shared_verdicts():
+        scoped = list(_scan_instances(_row(scan)))
     monkeypatch.undo()
-    assert len(calls) == 256 * kinds
-    assert len({id(rep) for *_, rep in calls}) == 16 * kinds  # shared objects
-    for real, kind, sys, rep in calls:
-        assert real(kind, sys) == rep
+    assert len(scoped) == 256
+    ops = [rep for check, rep in calls if check in _READS]
+    assert len(ops) == 256 * kinds
+    assert len({id(rep) for rep in ops}) == 16 * kinds  # shared objects
+    assert scoped == list(_scan_instances(_row(scan)))
 
 
 def test_search_shares_verdicts_and_drops_them(F2, evaluations):
