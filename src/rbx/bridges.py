@@ -11,8 +11,11 @@ tag that restates an operator-system, cosystem or admissibility condition on
 another carrier is registered on that condition's body: `de:he#2/#3` and
 `de:ev#2a/#3a` in `systems`, the Lie bisystem tags `eq:emm*` in
 `representations`, and `de:he#4a`, `de:ev#2b/#2c/#3b/#3c` on this module's
-`eq:er2`, `eq:et3#*` and `eq:et5#*`.  Each tag keeps its own spaces and its
-own seeded faults.
+`eq:er2`, `eq:et3#*` and `eq:et5#*`.  The Lie-representation displays
+`de:eo#1a/#1b/#2a/#2b` sit on `representations`' `eq:cf#1/#2` and
+`eq:cf1#1/#2`: `check_lie_representation` runs them on a `Bimodule` whose
+left actions are the Lie action.  Each tag keeps its own spaces and its own
+seeded faults.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .kernel import Matrix, block_diag, bv, leg_apply, vneg, vscale
+from .kernel import Matrix, block_diag, leg_apply, vneg, vscale
 from .identities import Ctx, identity, run_identities, shared
 from .report import Violation, make_report
 from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
@@ -29,7 +32,7 @@ from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
 from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
                       check_ybpair, cosystem_identities, operator_system_identities)
 from .bisystems import ASIBisystem, check_bisystem
-from .representations import _act
+from .representations import Bimodule
 
 
 # ---------------------------------------------------------------------------
@@ -182,48 +185,6 @@ def _he4b(ctx, idx):
     return [leg_apply(leg_apply(dx, R, 1), Q, 2),
             leg_apply(drx, R, 1), -leg_apply(drx, Q, 2),
             leg_apply(dx, R, 1).scale(lam)]
-
-
-# Lie-system representation displays (used by the matched-pair property)
-
-@identity("de:eo#1a", ("A", "M"))
-def _eo1a(ctx, idx):
-    i, u = idx
-    rho, R, al, be = ctx.rho, ctx.R, ctx.alpha, ctx.beta
-    m = bv(rho[0].field, rho[0].rows, u)
-    return [_act(rho, R.col(i), al.col(u)),
-            vneg(al.apply(_act(rho, R.col(i), m))),
-            vneg(al.apply(rho[i].apply(be.col(u))))]
-
-
-@identity("de:eo#1b", ("A", "M"))
-def _eo1b(ctx, idx):
-    i, u = idx
-    rho, R, S, al = ctx.rho, ctx.R, ctx.S, ctx.alpha
-    m = bv(rho[0].field, rho[0].rows, u)
-    return [_act(rho, R.col(i), al.col(u)),
-            vneg(al.apply(_act(rho, S.col(i), m))),
-            vneg(al.apply(rho[i].apply(al.col(u))))]
-
-
-@identity("de:eo#2a", ("A", "M"))
-def _eo2a(ctx, idx):
-    i, u = idx
-    rho, R, S, be = ctx.rho, ctx.R, ctx.S, ctx.beta
-    m = bv(rho[0].field, rho[0].rows, u)
-    return [_act(rho, S.col(i), be.col(u)),
-            vneg(be.apply(_act(rho, R.col(i), m))),
-            vneg(be.apply(rho[i].apply(be.col(u))))]
-
-
-@identity("de:eo#2b", ("A", "M"))
-def _eo2b(ctx, idx):
-    i, u = idx
-    rho, S, al, be = ctx.rho, ctx.S, ctx.alpha, ctx.beta
-    m = bv(rho[0].field, rho[0].rows, u)
-    return [_act(rho, S.col(i), be.col(u)),
-            vneg(be.apply(_act(rho, S.col(i), m))),
-            vneg(be.apply(rho[i].apply(al.col(u))))]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +354,12 @@ def check_weighted_rb_lie_bialgebra(g, dl, R: Matrix, Q: Matrix, lam):
 
 def check_lie_representation(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):
     """Module conditions of a Lie-side paired system; rho is a per-basis
-    action matrix list."""
-    labels = tuple(f"m{i}" for i in range(rho[0].rows))
-    ctx = Ctx({"A": sys.carrier.basis, "M": labels},
-              rho=tuple(rho), R=sys.R, S=sys.S, alpha=alpha, beta=beta)
+    action matrix list, run as the left actions of a module whose right
+    actions are zero (the four displays read none)."""
+    n = rho[0].rows
+    M = Bimodule(n, rho, [Matrix.zero(rho[0].field, n)] * len(rho))
+    ctx = Ctx({"A": sys.carrier.basis, "M": M.labels},
+              M=M, R=sys.R, S=sys.S, alpha=alpha, beta=beta)
     return run_identities("lie-representation",
                           ("de:eo#1a", "de:eo#1b", "de:eo#2a", "de:eo#2b"), ctx)
 

@@ -381,8 +381,21 @@ def _tensor(ws, n):
     return ws.get(n, ("tensor",))
 
 
+def _system_handler(kind, nmaps, coalgebra):
+    """(arity, handler) of the check of one operator-system or cosystem
+    kind: a carrier, then `nmaps` maps, and a weight when the kind takes
+    one."""
+    carrier, build, check = ((_coalg, CoOperatorSystem, check_cosystem) if coalgebra
+                             else (_alg, OperatorSystem, check_operator_system))
+    return 1 + nmaps, lambda ws, a, w=None: check(
+        kind, build(carrier(ws, a[0]), *(_map(ws, n) for n in a[1:]), weight=w))
+
+
 def _check_handlers():
-    return {
+    systems = {kind.replace("_", "-"): _system_handler(kind, nmaps, coalgebra)
+               for kinds, coalgebra in ((_ALG_KINDS, False), (_COALG_KINDS, True))
+               for kind, (_, nmaps, _) in kinds.items()}
+    return systems | {
         "associative": (1, lambda ws, a: check_axioms("associative", _alg(ws, a[0]))),
         "coassociative": (1, lambda ws, a: check_axioms("coassociative", _coalg(ws, a[0]))),
         "lie": (1, lambda ws, a: check_axioms("lie", _alg(ws, a[0]))),
@@ -397,30 +410,6 @@ def _check_handlers():
             "lie_bialgebra", (_alg(ws, a[0]), _coalg(ws, a[1])))),
         "frobenius": (2, lambda ws, a: check_axioms(
             "frobenius", (_alg(ws, a[0]), ws.get(a[1], ("form",))))),
-        "rbs": (3, lambda ws, a: check_operator_system(
-            "rbs", OperatorSystem(_alg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])))),
-        "symmetric-rbs": (3, lambda ws, a: check_operator_system(
-            "symmetric_rbs",
-            OperatorSystem(_alg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])))),
-        "lie-rbs": (3, lambda ws, a: check_operator_system(
-            "lie_rbs", OperatorSystem(_alg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])))),
-        "averaging": (2, lambda ws, a: check_operator_system(
-            "averaging", OperatorSystem(_alg(ws, a[0]), _map(ws, a[1])))),
-        "nijenhuis": (2, lambda ws, a: check_operator_system(
-            "nijenhuis", OperatorSystem(_alg(ws, a[0]), _map(ws, a[1])))),
-        "rb-weight": (2, lambda ws, a, w=None: check_operator_system(
-            "rb_weight", OperatorSystem(_alg(ws, a[0]), _map(ws, a[1]), weight=w))),
-        "symmetric-rb-cosystem": (3, lambda ws, a: check_cosystem(
-            "symmetric_rb_cosystem",
-            CoOperatorSystem(_coalg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])))),
-        "lie-rb-cosystem": (3, lambda ws, a: check_cosystem(
-            "lie_rb_cosystem",
-            CoOperatorSystem(_coalg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])))),
-        "coaveraging": (2, lambda ws, a: check_cosystem(
-            "coaveraging", CoOperatorSystem(_coalg(ws, a[0]), _map(ws, a[1])))),
-        "rb-coalgebra-weight": (2, lambda ws, a, w=None: check_cosystem(
-            "rb_coalgebra_weight",
-            CoOperatorSystem(_coalg(ws, a[0]), _map(ws, a[1]), weight=w))),
         "adjoint-admissible": (5, lambda ws, a: adjoint_admissible_report(
             _alg(ws, a[0]), *(_map(ws, n) for n in a[1:]))),
         "bisystem": (6, lambda ws, a: check_bisystem(ASIBisystem(
@@ -452,12 +441,12 @@ def _check_handlers():
     }
 
 
-_WEIGHTED_KINDS = {"rb-weight", "rb-coalgebra-weight", "weighted-rb-asi",
-                   "weighted-rb-lie-bialgebra"}
-
 # the search kinds whose checker takes a weight
 _WEIGHTED_SEARCH_KINDS = {kind for kind, (_, _, weighted)
                           in {**_ALG_KINDS, **_COALG_KINDS}.items() if weighted}
+
+_WEIGHTED_KINDS = ({kind.replace("_", "-") for kind in _WEIGHTED_SEARCH_KINDS}
+                   | {"weighted-rb-asi", "weighted-rb-lie-bialgebra"})
 
 
 def run_check(ws, kind, names, weight=None):

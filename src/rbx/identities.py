@@ -99,27 +99,30 @@ class Ctx:
 
 _FAULTS: dict[str, int] = {}
 
+# the open `shared_verdicts` scope's memo, or None outside every scope
+_VERDICTS: ContextVar[dict | None] = ContextVar("rbx_shared_verdicts", default=None)
+
 
 @contextmanager
 def seeded_fault(tag: str, term: int = 0):
-    """Flip the sign of one summand of one identity while the context is open."""
+    """Flip the sign of one summand of one identity while the context is
+    open.  Inside a `shared_verdicts` scope, the fault's lifetime gets a
+    fresh memo, so no verdict computed under the fault outlives it and no
+    verdict computed without it is served under it; the outer memo is
+    restored when the fault closes.  Faults are process-global test
+    tooling: every thread evaluates under them, but only the opening
+    thread's memo is swapped, so open none while another thread shares
+    verdicts."""
     if tag not in CATALOG:
         raise KeyError(f"unknown identity tag {tag!r}")
+    token = None if _VERDICTS.get() is None else _VERDICTS.set({})
     _FAULTS[tag] = term
     try:
         yield
     finally:
         _FAULTS.pop(tag, None)
-
-
-def fault_open() -> bool:
-    """Whether a `seeded_fault` is open: verdicts computed now are not the
-    data's own and must not be shared."""
-    return bool(_FAULTS)
-
-
-# the open `shared_verdicts` scope's memo, or None outside every scope
-_VERDICTS: ContextVar[dict | None] = ContextVar("rbx_shared_verdicts", default=None)
+        if token is not None:
+            _VERDICTS.reset(token)
 
 
 @contextmanager
@@ -130,8 +133,8 @@ def shared_verdicts():
     repeats from a memo that is dropped when the outermost scope closes.
     Scopes nest, an inner one reusing the outer memo.  The memo lives in a
     `ContextVar`, so a scope is seen only by its own thread (and context),
-    and it is never pickled: a worker process opens its own.  It is
-    bypassed while a seeded fault is open."""
+    and it is never pickled: a worker process opens its own.  A seeded
+    fault opened inside a scope swaps in a memo of its own."""
     memo = _VERDICTS.get()
     token = _VERDICTS.set({} if memo is None else memo)
     try:
@@ -143,10 +146,10 @@ def shared_verdicts():
 def shared(key, compute, hold):
     """`compute()`, computed once per `key` inside a `shared_verdicts` scope.
     The entry keeps `hold` alive (the objects whose ids the key names), so
-    those ids cannot be reused while it lives.  Outside every scope, or
-    while a seeded fault is open, the memo is neither read nor written."""
+    those ids cannot be reused while it lives.  Outside every scope the
+    memo is neither read nor written."""
     memo = _VERDICTS.get()
-    if memo is None or fault_open():
+    if memo is None:
         return compute()
     hit = memo.get(key)
     if hit is None:

@@ -4,6 +4,12 @@ induced module structures (semidirect products, End(M), hat actions).
 Right actions are stored as matrices applied to column vectors, with the
 composition convention m.r(ab) = (m.r(a)).r(b) encoded as r(b) @ r(a); the
 convention is fixed here once and exercised by the bimodule axioms.
+
+Each of the five display families of 8 (`eq:cf*`, `eq:cj*`, `eq:ck*`,
+`eq:ck5*`-`eq:ck8*`, `eq:dn*`) has one term helper (`_cf_terms`, ...), in
+which a is the display's basis element and m the basis vector of M.  Each
+tag keeps its own `def`, which calls its family's helper, and its own
+summand order, which seeded faults index.
 """
 
 from __future__ import annotations
@@ -116,168 +122,113 @@ def _cb_mixed(ctx, idx):
             vneg(M.right[j].apply(M.left[i].apply(m)))]
 
 
-@identity("eq:cf#1", ("A", "M"))
-def _cf_1(ctx, idx):
+def _cf_terms(ctx, idx, acts, outer, y, inner, w):
+    """act(outer(a), y(m)) - y(act(inner(a), m)) - y(a.w(m)) through the
+    per-basis action matrices `acts` (M's left or right actions)."""
     i, u = idx
-    M, R, al, be = ctx.M, ctx.R, ctx.alpha, ctx.beta
     m = _mv(ctx, u)
-    return [M.act_left(R.col(i), al.col(u)),
-            vneg(al.apply(M.act_left(R.col(i), m))),
-            vneg(al.apply(M.left[i].apply(be.col(u))))]
+    return [_act(acts, outer.col(i), y.col(u)),
+            vneg(y.apply(_act(acts, inner.col(i), m))),
+            vneg(y.apply(acts[i].apply(w.col(u))))]
+
+
+@identity("eq:cf#1", ("A", "M"))
+@identity("de:eo#1a", ("A", "M"))
+def _cf_1(ctx, idx):
+    return _cf_terms(ctx, idx, ctx.M.left, ctx.R, ctx.alpha, ctx.R, ctx.beta)
 
 
 @identity("eq:cf#2", ("A", "M"))
+@identity("de:eo#1b", ("A", "M"))
 def _cf_2(ctx, idx):
-    i, u = idx
-    M, R, S, al = ctx.M, ctx.R, ctx.S, ctx.alpha
-    m = _mv(ctx, u)
-    return [M.act_left(R.col(i), al.col(u)),
-            vneg(al.apply(M.act_left(S.col(i), m))),
-            vneg(al.apply(M.left[i].apply(al.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.left, ctx.R, ctx.alpha, ctx.S, ctx.alpha)
 
 
 @identity("eq:cf2#1", ("A", "M"))
 def _cf2_1(ctx, idx):
-    i, u = idx
-    M, R, al, be = ctx.M, ctx.R, ctx.alpha, ctx.beta
-    m = _mv(ctx, u)
-    return [M.act_right(R.col(i), al.col(u)),
-            vneg(al.apply(M.act_right(R.col(i), m))),
-            vneg(al.apply(M.right[i].apply(be.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.right, ctx.R, ctx.alpha, ctx.R, ctx.beta)
 
 
 @identity("eq:cf2#2", ("A", "M"))
 def _cf2_2(ctx, idx):
-    i, u = idx
-    M, R, S, al = ctx.M, ctx.R, ctx.S, ctx.alpha
-    m = _mv(ctx, u)
-    return [M.act_right(R.col(i), al.col(u)),
-            vneg(al.apply(M.act_right(S.col(i), m))),
-            vneg(al.apply(M.right[i].apply(al.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.right, ctx.R, ctx.alpha, ctx.S, ctx.alpha)
 
 
 @identity("eq:cf1#1", ("A", "M"))
+@identity("de:eo#2a", ("A", "M"))
 def _cf1_1(ctx, idx):
-    i, u = idx
-    M, R, S, be = ctx.M, ctx.R, ctx.S, ctx.beta
-    m = _mv(ctx, u)
-    return [M.act_left(S.col(i), be.col(u)),
-            vneg(be.apply(M.act_left(R.col(i), m))),
-            vneg(be.apply(M.left[i].apply(be.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.left, ctx.S, ctx.beta, ctx.R, ctx.beta)
 
 
 @identity("eq:cf1#2", ("A", "M"))
+@identity("de:eo#2b", ("A", "M"))
 def _cf1_2(ctx, idx):
-    i, u = idx
-    M, S, al, be = ctx.M, ctx.S, ctx.alpha, ctx.beta
-    m = _mv(ctx, u)
-    return [M.act_left(S.col(i), be.col(u)),
-            vneg(be.apply(M.act_left(S.col(i), m))),
-            vneg(be.apply(M.left[i].apply(al.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.left, ctx.S, ctx.beta, ctx.S, ctx.alpha)
 
 
 @identity("eq:cf3#1", ("A", "M"))
 def _cf3_1(ctx, idx):
-    i, u = idx
-    M, R, S, be = ctx.M, ctx.R, ctx.S, ctx.beta
-    m = _mv(ctx, u)
-    return [M.act_right(S.col(i), be.col(u)),
-            vneg(be.apply(M.act_right(R.col(i), m))),
-            vneg(be.apply(M.right[i].apply(be.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.right, ctx.S, ctx.beta, ctx.R, ctx.beta)
 
 
 @identity("eq:cf3#2", ("A", "M"))
 def _cf3_2(ctx, idx):
-    i, u = idx
-    M, S, al, be = ctx.M, ctx.S, ctx.alpha, ctx.beta
-    m = _mv(ctx, u)
-    return [M.act_right(S.col(i), be.col(u)),
-            vneg(be.apply(M.act_right(S.col(i), m))),
-            vneg(be.apply(M.right[i].apply(al.col(u))))]
+    return _cf_terms(ctx, idx, ctx.M.right, ctx.S, ctx.beta, ctx.S, ctx.alpha)
 
 
 _CF_TAGS = ("eq:cf#1", "eq:cf#2", "eq:cf2#1", "eq:cf2#2",
             "eq:cf1#1", "eq:cf1#2", "eq:cf3#1", "eq:cf3#2")
 
 
+def _cj_terms(ctx, idx, acts, y, outer, v, inner, swap=False):
+    """y(act(outer(a), m)), -v(a.y(m)) and -act(inner(a), y(m)) through
+    `acts`; `swap` lists the last two summands the other way round."""
+    i, u = idx
+    m = _mv(ctx, u)
+    first = y.apply(_act(acts, outer.col(i), m))
+    by_v = vneg(v.apply(acts[i].apply(y.col(u))))
+    by_inner = vneg(_act(acts, inner.col(i), y.col(u)))
+    return [first, by_inner, by_v] if swap else [first, by_v, by_inner]
+
+
 @identity("eq:cj#1", ("A", "M"))
 def _cj_1(ctx, idx):
-    i, u = idx
-    M, R, S, xi = ctx.M, ctx.R, ctx.S, ctx.xi
-    m = _mv(ctx, u)
-    return [xi.apply(M.act_left(R.col(i), m)),
-            vneg(xi.apply(M.left[i].apply(xi.col(u)))),
-            vneg(M.act_left(S.col(i), xi.col(u)))]
+    return _cj_terms(ctx, idx, ctx.M.left, ctx.xi, ctx.R, ctx.xi, ctx.S)
 
 
 @identity("eq:cj#2", ("A", "M"))
 def _cj_2(ctx, idx):
-    i, u = idx
-    M, R, xi, ze = ctx.M, ctx.R, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [xi.apply(M.act_left(R.col(i), m)),
-            vneg(M.act_left(R.col(i), xi.col(u))),
-            vneg(ze.apply(M.left[i].apply(xi.col(u))))]
+    return _cj_terms(ctx, idx, ctx.M.left, ctx.xi, ctx.R, ctx.zeta, ctx.R, swap=True)
 
 
 @identity("eq:cj1#1", ("A", "M"))
 def _cj1_1(ctx, idx):
-    i, u = idx
-    M, R, S, xi = ctx.M, ctx.R, ctx.S, ctx.xi
-    m = _mv(ctx, u)
-    return [xi.apply(M.act_right(R.col(i), m)),
-            vneg(xi.apply(M.right[i].apply(xi.col(u)))),
-            vneg(M.act_right(S.col(i), xi.col(u)))]
+    return _cj_terms(ctx, idx, ctx.M.right, ctx.xi, ctx.R, ctx.xi, ctx.S)
 
 
 @identity("eq:cj1#2", ("A", "M"))
 def _cj1_2(ctx, idx):
-    i, u = idx
-    M, R, xi, ze = ctx.M, ctx.R, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [xi.apply(M.act_right(R.col(i), m)),
-            vneg(M.act_right(R.col(i), xi.col(u))),
-            vneg(ze.apply(M.right[i].apply(xi.col(u))))]
+    return _cj_terms(ctx, idx, ctx.M.right, ctx.xi, ctx.R, ctx.zeta, ctx.R, swap=True)
 
 
 @identity("eq:cj2#1", ("A", "M"))
 def _cj2_1(ctx, idx):
-    i, u = idx
-    M, S, xi, ze = ctx.M, ctx.S, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.act_left(S.col(i), m)),
-            vneg(xi.apply(M.left[i].apply(ze.col(u)))),
-            vneg(M.act_left(S.col(i), ze.col(u)))]
+    return _cj_terms(ctx, idx, ctx.M.left, ctx.zeta, ctx.S, ctx.xi, ctx.S)
 
 
 @identity("eq:cj2#2", ("A", "M"))
 def _cj2_2(ctx, idx):
-    i, u = idx
-    M, R, S, ze = ctx.M, ctx.R, ctx.S, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.act_left(S.col(i), m)),
-            vneg(M.act_left(R.col(i), ze.col(u))),
-            vneg(ze.apply(M.left[i].apply(ze.col(u))))]
+    return _cj_terms(ctx, idx, ctx.M.left, ctx.zeta, ctx.S, ctx.zeta, ctx.R, swap=True)
 
 
 @identity("eq:cj3#1", ("A", "M"))
 def _cj3_1(ctx, idx):
-    i, u = idx
-    M, S, xi, ze = ctx.M, ctx.S, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.act_right(S.col(i), m)),
-            vneg(xi.apply(M.right[i].apply(ze.col(u)))),
-            vneg(M.act_right(S.col(i), ze.col(u)))]
+    return _cj_terms(ctx, idx, ctx.M.right, ctx.zeta, ctx.S, ctx.xi, ctx.S)
 
 
 @identity("eq:cj3#2", ("A", "M"))
 def _cj3_2(ctx, idx):
-    i, u = idx
-    M, R, S, ze = ctx.M, ctx.R, ctx.S, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.act_right(S.col(i), m)),
-            vneg(M.act_right(R.col(i), ze.col(u))),
-            vneg(ze.apply(M.right[i].apply(ze.col(u))))]
+    return _cj_terms(ctx, idx, ctx.M.right, ctx.zeta, ctx.S, ctx.zeta, ctx.R, swap=True)
 
 
 _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
@@ -287,252 +238,176 @@ _CJ_TAGS = ("eq:cj#1", "eq:cj#2", "eq:cj1#1", "eq:cj1#2",
 # adjoint and coadjoint admissibility; the Lie bisystem compatibility displays
 # eq:emm1#*-emm4#* restate eq:ck#*, ck2#*, ck5#* and ck7#* on a Lie (co)algebra
 
+def _ck_terms(ctx, idx, y, outer, v, inner, opposite=False, swap=False):
+    """y(outer(a).b), -v(a.y(b)) and -inner(a).y(b), where a = e_i and
+    b = e_j; with `opposite`, every product is taken in the other order and
+    a = e_j, b = e_i.  `swap` lists the last two summands the other way round."""
+    mul = ctx.A.mul
+    i, j = idx[::-1] if opposite else idx
+    ea, eb, oa, ia, yb = _ev(ctx, i), _ev(ctx, j), outer.col(i), inner.col(i), y.col(j)
+    if opposite:
+        first, by_v, by_inner = mul(eb, oa), mul(yb, ea), mul(yb, ia)
+    else:
+        first, by_v, by_inner = mul(oa, eb), mul(ea, yb), mul(ia, yb)
+    first, by_v, by_inner = y.apply(first), vneg(v.apply(by_v)), vneg(by_inner)
+    return [first, by_inner, by_v] if swap else [first, by_v, by_inner]
+
+
 @identity("eq:ck#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_1(ctx, idx):
-    i, j = idx
-    A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
-    return [Q.apply(A.mul(R.col(i), _ev(ctx, j))),
-            vneg(Q.apply(A.mul(_ev(ctx, i), Q.col(j)))),
-            vneg(A.mul(S.col(i), Q.col(j)))]
+    return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.Q, ctx.S)
 
 
 @identity("eq:ck#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck_2(ctx, idx):
-    i, j = idx
-    A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
-    return [Q.apply(A.mul(R.col(i), _ev(ctx, j))),
-            vneg(A.mul(R.col(i), Q.col(j))),
-            vneg(T.apply(A.mul(_ev(ctx, i), Q.col(j))))]
+    return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.T, ctx.R, swap=True)
 
 
 @identity("eq:ck1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck1_1(ctx, idx):
-    i, j = idx
-    A, R, S, Q = ctx.A, ctx.R, ctx.S, ctx.Q
-    return [Q.apply(A.mul(_ev(ctx, i), R.col(j))),
-            vneg(Q.apply(A.mul(Q.col(i), _ev(ctx, j)))),
-            vneg(A.mul(Q.col(i), S.col(j)))]
+    return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.Q, ctx.S, opposite=True)
 
 
 @identity("eq:ck1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck1_2(ctx, idx):
-    i, j = idx
-    A, R, Q, T = ctx.A, ctx.R, ctx.Q, ctx.T
-    return [Q.apply(A.mul(_ev(ctx, i), R.col(j))),
-            vneg(A.mul(Q.col(i), R.col(j))),
-            vneg(T.apply(A.mul(Q.col(i), _ev(ctx, j))))]
+    return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.T, ctx.R, opposite=True, swap=True)
 
 
 @identity("eq:ck2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_1(ctx, idx):
-    i, j = idx
-    A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
-    return [T.apply(A.mul(S.col(i), _ev(ctx, j))),
-            vneg(Q.apply(A.mul(_ev(ctx, i), T.col(j)))),
-            vneg(A.mul(S.col(i), T.col(j)))]
+    return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.Q, ctx.S)
 
 
 @identity("eq:ck2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck2_2(ctx, idx):
-    i, j = idx
-    A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
-    return [T.apply(A.mul(S.col(i), _ev(ctx, j))),
-            vneg(T.apply(A.mul(_ev(ctx, i), T.col(j)))),
-            vneg(A.mul(R.col(i), T.col(j)))]
+    return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.T, ctx.R)
 
 
 @identity("eq:ck3#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck3_1(ctx, idx):
-    i, j = idx
-    A, S, Q, T = ctx.A, ctx.S, ctx.Q, ctx.T
-    return [T.apply(A.mul(_ev(ctx, i), S.col(j))),
-            vneg(Q.apply(A.mul(T.col(i), _ev(ctx, j)))),
-            vneg(A.mul(T.col(i), S.col(j)))]
+    return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.Q, ctx.S, opposite=True)
 
 
 @identity("eq:ck3#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
 def _ck3_2(ctx, idx):
-    i, j = idx
-    A, R, S, T = ctx.A, ctx.R, ctx.S, ctx.T
-    return [T.apply(A.mul(_ev(ctx, i), S.col(j))),
-            vneg(T.apply(A.mul(T.col(i), _ev(ctx, j)))),
-            vneg(A.mul(T.col(i), R.col(j)))]
+    return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.T, ctx.R, opposite=True)
 
 
 _CK_TAGS = ("eq:ck#1", "eq:ck#2", "eq:ck1#1", "eq:ck1#2",
             "eq:ck2#1", "eq:ck2#2", "eq:ck3#1", "eq:ck3#2")
 
 
+def _ck5_terms(ctx, idx, leg, y, x, w, v):
+    """y on leg `leg` of Delta(x(a)), -x on the other leg of Delta(w(a)),
+    and -(v on leg `leg`, x on the other)Delta(a), where a = e_i."""
+    (i,) = idx
+    C = ctx.C
+    dxa = C.delta(x.col(i))
+    dwa = dxa if w is x else C.delta(w.col(i))
+    first, second = (v, x) if leg == 1 else (x, v)
+    return [leg_apply(dxa, y, leg), -leg_apply(dwa, x, 3 - leg),
+            -leg_apply(leg_apply(C.delta_basis(i), first, 1), second, 2)]
+
+
 @identity("eq:ck5#1", ("A",), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm3#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_1(ctx, idx):
-    (i,) = idx
-    C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 1), -leg_apply(drx, R, 2),
-            -leg_apply(leg_apply(dx, T, 1), R, 2)]
+    return _ck5_terms(ctx, idx, 1, ctx.Q, ctx.R, ctx.R, ctx.T)
 
 
 @identity("eq:ck5#2", ("A",), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm3#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck5_2(ctx, idx):
-    (i,) = idx
-    C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 1), -leg_apply(C.delta(S.col(i)), R, 2),
-            -leg_apply(leg_apply(dx, Q, 1), R, 2)]
+    return _ck5_terms(ctx, idx, 1, ctx.Q, ctx.R, ctx.S, ctx.Q)
 
 
 @identity("eq:ck6#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck6_1(ctx, idx):
-    (i,) = idx
-    C, R, S, Q = ctx.C, ctx.R, ctx.S, ctx.Q
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 2), -leg_apply(C.delta(S.col(i)), R, 1),
-            -leg_apply(leg_apply(dx, R, 1), Q, 2)]
+    return _ck5_terms(ctx, idx, 2, ctx.Q, ctx.R, ctx.S, ctx.Q)
 
 
 @identity("eq:ck6#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck6_2(ctx, idx):
-    (i,) = idx
-    C, R, Q, T = ctx.C, ctx.R, ctx.Q, ctx.T
-    drx = C.delta(R.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 2), -leg_apply(drx, R, 1),
-            -leg_apply(leg_apply(dx, R, 1), T, 2)]
+    return _ck5_terms(ctx, idx, 2, ctx.Q, ctx.R, ctx.R, ctx.T)
 
 
 @identity("eq:ck7#1", ("A",), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm4#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_1(ctx, idx):
-    (i,) = idx
-    C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 1), -leg_apply(C.delta(R.col(i)), S, 2),
-            -leg_apply(leg_apply(dx, T, 1), S, 2)]
+    return _ck5_terms(ctx, idx, 1, ctx.T, ctx.S, ctx.R, ctx.T)
 
 
 @identity("eq:ck7#2", ("A",), quadratic=("R", "S", "Q", "T"))
 @identity("eq:emm4#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck7_2(ctx, idx):
-    (i,) = idx
-    C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 1), -leg_apply(dsx, S, 2),
-            -leg_apply(leg_apply(dx, Q, 1), S, 2)]
+    return _ck5_terms(ctx, idx, 1, ctx.T, ctx.S, ctx.S, ctx.Q)
 
 
 @identity("eq:ck8#1", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck8_1(ctx, idx):
-    (i,) = idx
-    C, S, Q, T = ctx.C, ctx.S, ctx.Q, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 2), -leg_apply(dsx, S, 1),
-            -leg_apply(leg_apply(dx, S, 1), Q, 2)]
+    return _ck5_terms(ctx, idx, 2, ctx.T, ctx.S, ctx.S, ctx.Q)
 
 
 @identity("eq:ck8#2", ("A",), quadratic=("R", "S", "Q", "T"))
 def _ck8_2(ctx, idx):
-    (i,) = idx
-    C, R, S, T = ctx.C, ctx.R, ctx.S, ctx.T
-    dsx = C.delta(S.col(i))
-    dx = C.delta_basis(i)
-    return [leg_apply(dsx, T, 2), -leg_apply(C.delta(R.col(i)), S, 1),
-            -leg_apply(leg_apply(dx, S, 1), T, 2)]
+    return _ck5_terms(ctx, idx, 2, ctx.T, ctx.S, ctx.R, ctx.T)
 
 
 _CK5_TAGS = ("eq:ck5#1", "eq:ck5#2", "eq:ck6#1", "eq:ck6#2",
              "eq:ck7#1", "eq:ck7#2", "eq:ck8#1", "eq:ck8#2")
 
 
+def _dn_terms(ctx, idx, acts, y, w, v, x, z):
+    """y(a.w(m)) - v(act(x(a), m)) - act(x(a), z(m)) through `acts`."""
+    i, u = idx
+    m = _mv(ctx, u)
+    return [y.apply(acts[i].apply(w.col(u))),
+            vneg(v.apply(_act(acts, x.col(i), m))),
+            vneg(_act(acts, x.col(i), z.col(u)))]
+
+
 @identity("eq:dn#1", ("A", "M"))
 def _dn_1(ctx, idx):
-    i, u = idx
-    M, Q, al, be, xi = ctx.M, ctx.Q, ctx.alpha, ctx.beta, ctx.xi
-    m = _mv(ctx, u)
-    return [xi.apply(M.right[i].apply(al.col(u))),
-            vneg(xi.apply(M.act_right(Q.col(i), m))),
-            vneg(M.act_right(Q.col(i), be.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.right, ctx.xi, ctx.alpha, ctx.xi, ctx.Q, ctx.beta)
 
 
 @identity("eq:dn#2", ("A", "M"))
 def _dn_2(ctx, idx):
-    i, u = idx
-    M, Q, al, xi, ze = ctx.M, ctx.Q, ctx.alpha, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [xi.apply(M.right[i].apply(al.col(u))),
-            vneg(ze.apply(M.act_right(Q.col(i), m))),
-            vneg(M.act_right(Q.col(i), al.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.right, ctx.xi, ctx.alpha, ctx.zeta, ctx.Q, ctx.alpha)
 
 
 @identity("eq:dn1#1", ("A", "M"))
 def _dn1_1(ctx, idx):
-    i, u = idx
-    M, Q, al, xi, ze = ctx.M, ctx.Q, ctx.alpha, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [xi.apply(M.left[i].apply(al.col(u))),
-            vneg(ze.apply(M.act_left(Q.col(i), m))),
-            vneg(M.act_left(Q.col(i), al.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.left, ctx.xi, ctx.alpha, ctx.zeta, ctx.Q, ctx.alpha)
 
 
 @identity("eq:dn1#2", ("A", "M"))
 def _dn1_2(ctx, idx):
-    i, u = idx
-    M, Q, al, be, xi = ctx.M, ctx.Q, ctx.alpha, ctx.beta, ctx.xi
-    m = _mv(ctx, u)
-    return [xi.apply(M.left[i].apply(al.col(u))),
-            vneg(xi.apply(M.act_left(Q.col(i), m))),
-            vneg(M.act_left(Q.col(i), be.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.left, ctx.xi, ctx.alpha, ctx.xi, ctx.Q, ctx.beta)
 
 
 @identity("eq:dn2#1", ("A", "M"))
 def _dn2_1(ctx, idx):
-    i, u = idx
-    M, T, be, xi, ze = ctx.M, ctx.T, ctx.beta, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.right[i].apply(be.col(u))),
-            vneg(xi.apply(M.act_right(T.col(i), m))),
-            vneg(M.act_right(T.col(i), be.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.right, ctx.zeta, ctx.beta, ctx.xi, ctx.T, ctx.beta)
 
 
 @identity("eq:dn2#2", ("A", "M"))
 def _dn2_2(ctx, idx):
-    i, u = idx
-    M, T, al, be, ze = ctx.M, ctx.T, ctx.alpha, ctx.beta, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.right[i].apply(be.col(u))),
-            vneg(ze.apply(M.act_right(T.col(i), m))),
-            vneg(M.act_right(T.col(i), al.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.right, ctx.zeta, ctx.beta, ctx.zeta, ctx.T, ctx.alpha)
 
 
 @identity("eq:dn3#1", ("A", "M"))
 def _dn3_1(ctx, idx):
-    i, u = idx
-    M, T, al, be, ze = ctx.M, ctx.T, ctx.alpha, ctx.beta, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.left[i].apply(be.col(u))),
-            vneg(ze.apply(M.act_left(T.col(i), m))),
-            vneg(M.act_left(T.col(i), al.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.left, ctx.zeta, ctx.beta, ctx.zeta, ctx.T, ctx.alpha)
 
 
 @identity("eq:dn3#2", ("A", "M"))
 def _dn3_2(ctx, idx):
-    i, u = idx
-    M, T, be, xi, ze = ctx.M, ctx.T, ctx.beta, ctx.xi, ctx.zeta
-    m = _mv(ctx, u)
-    return [ze.apply(M.left[i].apply(be.col(u))),
-            vneg(xi.apply(M.act_left(T.col(i), m))),
-            vneg(M.act_left(T.col(i), be.col(u)))]
+    return _dn_terms(ctx, idx, ctx.M.left, ctx.zeta, ctx.beta, ctx.xi, ctx.T, ctx.beta)
 
 
 _DN_TAGS = ("eq:dn#1", "eq:dn#2", "eq:dn1#1", "eq:dn1#2",

@@ -86,16 +86,8 @@ class Hit:
 
 # kind -> its components: "map" is a dim x dim matrix, "tensor" a 2-tensor
 _KINDS = {
-    "rb_weight": ("map",),
-    "rbs": ("map", "map"),
-    "symmetric_rbs": ("map", "map"),
-    "averaging": ("map",),
-    "nijenhuis": ("map",),
-    "lie_rbs": ("map", "map"),
-    "symmetric_rb_cosystem": ("map", "map"),
-    "coaveraging": ("map",),
-    "rb_coalgebra_weight": ("map",),
-    "lie_rb_cosystem": ("map", "map"),
+    **{kind: ("map",) * nmaps
+       for kind, (_, nmaps, _) in {**_ALG_KINDS, **_COALG_KINDS}.items()},
     "adjoint_admissible": ("map", "map"),
     "bisystem": ("map", "map", "map", "map"),
     "aybe": ("tensor",),

@@ -6,7 +6,7 @@ from rbx import fixtures as fx
 from rbx import regression
 from rbx.bridges import LieBisystem, check_averaging_lie_bialgebra, check_lie_bisystem
 from rbx.cli import main, parse, run_check
-from rbx.identities import seeded_fault
+from rbx.identities import seeded_fault, shared_verdicts
 from rbx.kernel import Matrix, PrimeField
 from rbx.report import Violation, make_report
 from rbx.structures import check_axioms, pairing_form
@@ -62,18 +62,19 @@ def test_scan_hits_over_larger_fields(row, p):
 def _brute_averaging_lie(F):
     """(hits, mismatches) of the averaging-lie scan from both public
     checkers on every instance, in `_hits` and `regression._mismatches`
-    form."""
+    form; the instances share verdicts in one scope."""
     g, dl, zero = fx.fix_lie(F), fx.fix_delta(F), Matrix.zero(F, 2)
     hits, bad = ([], []), []
-    for R in all_matrices(F):
-        for Q in all_matrices(F):
-            left = check_averaging_lie_bialgebra(g, dl, R, Q).passed
-            right = check_lie_bisystem(LieBisystem(g, dl, R, zero, Q, zero)).passed
-            for side, held in zip(hits, (left, right)):
-                if held:
-                    side.append((None, R.entries + Q.entries))
-            if left != right:
-                bad.append(f"R={R} Q={Q}")
+    with shared_verdicts():
+        for R in all_matrices(F):
+            for Q in all_matrices(F):
+                left = check_averaging_lie_bialgebra(g, dl, R, Q).passed
+                right = check_lie_bisystem(LieBisystem(g, dl, R, zero, Q, zero)).passed
+                for side, held in zip(hits, (left, right)):
+                    if held:
+                        side.append((None, R.entries + Q.entries))
+                if left != right:
+                    bad.append(f"R={R} Q={Q}")
     return hits, bad
 
 

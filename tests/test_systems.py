@@ -770,14 +770,14 @@ def test_shared_verdicts_never_hide_a_seeded_fault(QQ, evaluations):
         assert clean.passed and len(memo) == 1
         with seeded_fault("eq:ea0#1", 0):
             assert not check().passed
-            assert not check().passed
+            assert not check().passed  # served from the fault's own memo
         assert check() is clean
         with shared_verdicts():
             assert _VERDICTS.get() is memo  # an inner scope reuses the memo
             assert check() is clean
         assert len(memo) == 1
     assert _VERDICTS.get() is None
-    assert evaluations["operator-system:symmetric_rbs"] == 3
+    assert evaluations["operator-system:symmetric_rbs"] == 2
 
 
 def test_shared_verdicts_keep_carriers_and_weights_apart(QQ):
