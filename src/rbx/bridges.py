@@ -39,7 +39,7 @@ from .representations import Bimodule
 # identity catalog: weighted and averaging compatibility, with the weighted
 # and averaging Lie bialgebra displays that restate them
 
-@identity("eq:er1", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:er1", ("A", "A"))
 def _er1(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
@@ -50,8 +50,8 @@ def _er1(ctx, idx):
             vneg(vscale(lam, A.mul(Q.col(i), b)))]
 
 
-@identity("eq:er2", ("A", "A"), quadratic=("R", "Q"))
-@identity("de:he#4a", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:er2", ("A", "A"))
+@identity("de:he#4a", ("A", "A"))
 def _er2(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
@@ -62,7 +62,7 @@ def _er2(ctx, idx):
             vneg(vscale(lam, A.mul(a, Q.col(j))))]
 
 
-@identity("eq:er3", ("A",), quadratic=("R", "Q"))
+@identity("eq:er3", ("A",))
 def _er3(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
@@ -74,7 +74,7 @@ def _er3(ctx, idx):
             -leg_apply(dx, R, 1).scale(lam)]
 
 
-@identity("eq:er4", ("A",), quadratic=("R", "Q"))
+@identity("eq:er4", ("A",))
 def _er4(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
@@ -86,8 +86,8 @@ def _er4(ctx, idx):
             -leg_apply(dx, R, 2).scale(lam)]
 
 
-@identity("eq:et3#1", ("A", "A"), quadratic=("R", "Q"))
-@identity("de:ev#2b", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:et3#1", ("A", "A"))
+@identity("de:ev#2b", ("A", "A"))
 def _et3a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -95,8 +95,8 @@ def _et3a(ctx, idx):
             vneg(Q.apply(A.mul(R.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et3#2", ("A", "A"), quadratic=("R", "Q"))
-@identity("de:ev#2c", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:et3#2", ("A", "A"))
+@identity("de:ev#2c", ("A", "A"))
 def _et3b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -104,7 +104,7 @@ def _et3b(ctx, idx):
             vneg(Q.apply(A.mul(A.basis_vector(i), Q.col(j))))]
 
 
-@identity("eq:et4#1", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:et4#1", ("A", "A"))
 def _et4a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -112,7 +112,7 @@ def _et4a(ctx, idx):
             vneg(Q.apply(A.mul(A.basis_vector(i), R.col(j))))]
 
 
-@identity("eq:et4#2", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:et4#2", ("A", "A"))
 def _et4b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
@@ -120,8 +120,8 @@ def _et4b(ctx, idx):
             vneg(Q.apply(A.mul(Q.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et5#1", ("A",), quadratic=("R", "Q"))
-@identity("de:ev#3b", ("A",), quadratic=("R", "Q"))
+@identity("eq:et5#1", ("A",))
+@identity("de:ev#3b", ("A",))
 def _et5a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -129,8 +129,8 @@ def _et5a(ctx, idx):
     return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), Q, 1)]
 
 
-@identity("eq:et5#2", ("A",), quadratic=("R", "Q"))
-@identity("de:ev#3c", ("A",), quadratic=("R", "Q"))
+@identity("eq:et5#2", ("A",))
+@identity("de:ev#3c", ("A",))
 def _et5b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -138,7 +138,7 @@ def _et5b(ctx, idx):
     return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), R, 2)]
 
 
-@identity("eq:et6#1", ("A",), quadratic=("R", "Q"))
+@identity("eq:et6#1", ("A",))
 def _et6a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -146,7 +146,7 @@ def _et6a(ctx, idx):
     return [leg_apply(leg_apply(dx, R, 1), Q, 2), -leg_apply(C.delta(R.col(i)), R, 1)]
 
 
-@identity("eq:et6#2", ("A",), quadratic=("R", "Q"))
+@identity("eq:et6#2", ("A",))
 def _et6b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
@@ -176,7 +176,7 @@ def _cxx4(ctx, idx):
 
 # weighted Lie bialgebra display
 
-@identity("de:he#4b", ("A",), quadratic=("R", "Q"))
+@identity("de:he#4b", ("A",))
 def _he4b(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam

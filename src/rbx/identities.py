@@ -48,22 +48,18 @@ class Identity:
     tag: str
     spaces: tuple[str, ...]
     terms: Callable
-    quadratic: frozenset = frozenset()
 
 
-def identity(tag: str, spaces: tuple[str, ...] = (), quadratic: tuple[str, ...] = ()):
-    """Register `terms` under `tag`.  `quadratic` names the context data in
-    which every summand has total degree at most 2, taken jointly over all
-    the names listed while the other data stay fixed (a name the entry does
-    not read counts too).  Every tag of a search kind lists every datum
-    that the search binds: search compiles each step of the tag into GF(p)
-    quadratic forms in the entries of all of them at once and solves those
-    forms.  A sign-flipped summand keeps its degree, so seeded faults leave
-    the declaration true."""
+def identity(tag: str, spaces: tuple[str, ...] = ()):
+    """Register `terms` under `tag`, quantified over the basis tuples of
+    `spaces`.  Search compiles a tag's steps into GF(p) quadratic rows by
+    evaluating each step once on maps whose entries are variables, and it
+    refuses a step whose residual has degree above 2 in them; a seeded
+    fault flips a summand's sign and keeps its degree."""
     def register(fn):
         if tag in CATALOG:
             raise ValueError(f"duplicate identity tag {tag!r}")
-        CATALOG[tag] = Identity(tag, tuple(spaces), fn, frozenset(quadratic))
+        CATALOG[tag] = Identity(tag, tuple(spaces), fn)
         return fn
     return register
 

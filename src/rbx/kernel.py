@@ -10,6 +10,9 @@ Conventions used throughout the toolkit:
 * `GFElement` is the public GF(p) scalar returned by `of`, `parse` and
   `elements`; `coerce` turns it (or any int) into the stored int and
   refuses a scalar of another field;
+* `_Quadratic`, a polynomial scalar of degree at most 2, is private to the
+  search compile; GF(p) containers hold it as they are handed it, since
+  `PrimeField.coerce` passes it through on its own modulus;
 * vectors are plain tuples of scalars.  The vector helpers (`vadd`, `vneg`,
   ...) know no field and do not reduce, so over GF(p) they may return ints
   outside [0, p); every matrix and structure operation accepts such
@@ -133,6 +136,106 @@ class GFElement:
         return str(self.val)
 
 
+class _Quadratic:
+    """Polynomial of total degree at most 2 in numbered variables, over GF(p)
+    (`p` its modulus) or over Q (`p` None); private to the search compile,
+    which evaluates each identity step once on components whose entries are
+    variables.  `terms` maps each monomial, () or (v,) or (v, w) with
+    v >= w, to its nonzero coefficient, reduced mod p.  Over GF(2) a square
+    y*y folds into y, which is exact on GF(2)^n.  A product of degree above
+    2 raises `RuntimeError`, and a scalar of another field `FieldError`.  A
+    result without terms is the int 0."""
+
+    __slots__ = ("terms", "p")
+
+    def __init__(self, terms: dict, p):
+        self.terms = terms
+        self.p = p
+
+    def _terms(self, other):
+        """`other` as terms, or None for a type that this class leaves alone."""
+        if type(other) is _Quadratic:
+            if other.p != self.p:
+                raise FieldError(f"mixing {self._field()} with {other._field()}")
+            return other.terms
+        if isinstance(other, GFElement):
+            if other.p != self.p:
+                raise FieldError(f"GF({other.p}) element in {self._field()} context")
+            other = other.val
+        elif isinstance(other, Fraction):
+            if self.p:
+                raise FieldError(f"rational {other} in {self._field()} context")
+        elif not isinstance(other, int):
+            return None
+        return {(): other} if other else {}
+
+    def _field(self):
+        return f"GF({self.p})" if self.p else "Q"
+
+    def _new(self, terms):
+        return _Quadratic(terms, self.p) if terms else 0
+
+    def _plus(self, other, sign):
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out, p = self.terms.copy(), self.p
+        for m, c in terms.items():
+            c = out.get(m, 0) + sign * c
+            if p:
+                c %= p
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        p = self.p
+        return _Quadratic({m: -c % p if p else -c for m, c in self.terms.items()}, p)
+
+    def __mul__(self, other):
+        p = self.p
+        if type(other) is int:
+            if p:
+                other %= p
+            return self._new({m: c * other % p if p else c * other
+                              for m, c in self.terms.items()} if other else {})
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out = {}
+        for m, a in self.terms.items():
+            for n, b in terms.items():
+                key = tuple(sorted(set(m + n) if p == 2 else m + n, reverse=True))  # y^2 = y
+                if len(key) > 2:
+                    raise RuntimeError("a product of degree above 2")
+                c = out.get(key, 0) + a * b
+                out[key] = c % p if p else c
+        return self._new({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __mod__(self, modulus):
+        if modulus != self.p:
+            raise FieldError(f"reducing {self._field()} modulo {modulus}")
+        return self
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
@@ -220,6 +323,10 @@ class PrimeField:
             return x.val
         if isinstance(x, int):
             return int(x) % self.modulus
+        if isinstance(x, _Quadratic):  # the search compile's scalar stays as it is
+            if x.p != self.modulus:
+                raise FieldError(f"{x._field()} polynomial in GF({self.modulus}) context")
+            return x
         raise FieldError(f"cannot coerce {x!r} into GF({self.modulus})")
 
     def reduce(self, values) -> tuple:

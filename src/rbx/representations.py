@@ -253,46 +253,46 @@ def _ck_terms(ctx, idx, y, outer, v, inner, opposite=False, swap=False):
     return [first, by_inner, by_v] if swap else [first, by_v, by_inner]
 
 
-@identity("eq:ck#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck#1", ("A", "A"))
+@identity("eq:emm1#2", ("A", "A"))
 def _ck_1(ctx, idx):
     return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.Q, ctx.S)
 
 
-@identity("eq:ck#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck#2", ("A", "A"))
+@identity("eq:emm1#1", ("A", "A"))
 def _ck_2(ctx, idx):
     return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.T, ctx.R, swap=True)
 
 
-@identity("eq:ck1#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck1#1", ("A", "A"))
 def _ck1_1(ctx, idx):
     return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.Q, ctx.S, opposite=True)
 
 
-@identity("eq:ck1#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck1#2", ("A", "A"))
 def _ck1_2(ctx, idx):
     return _ck_terms(ctx, idx, ctx.Q, ctx.R, ctx.T, ctx.R, opposite=True, swap=True)
 
 
-@identity("eq:ck2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck2#1", ("A", "A"))
+@identity("eq:emm2#2", ("A", "A"))
 def _ck2_1(ctx, idx):
     return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.Q, ctx.S)
 
 
-@identity("eq:ck2#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm2#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck2#2", ("A", "A"))
+@identity("eq:emm2#1", ("A", "A"))
 def _ck2_2(ctx, idx):
     return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.T, ctx.R)
 
 
-@identity("eq:ck3#1", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck3#1", ("A", "A"))
 def _ck3_1(ctx, idx):
     return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.Q, ctx.S, opposite=True)
 
 
-@identity("eq:ck3#2", ("A", "A"), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck3#2", ("A", "A"))
 def _ck3_2(ctx, idx):
     return _ck_terms(ctx, idx, ctx.T, ctx.S, ctx.T, ctx.R, opposite=True)
 
@@ -313,46 +313,46 @@ def _ck5_terms(ctx, idx, leg, y, x, w, v):
             -leg_apply(leg_apply(C.delta_basis(i), first, 1), second, 2)]
 
 
-@identity("eq:ck5#1", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm3#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck5#1", ("A",))
+@identity("eq:emm3#1", ("A",))
 def _ck5_1(ctx, idx):
     return _ck5_terms(ctx, idx, 1, ctx.Q, ctx.R, ctx.R, ctx.T)
 
 
-@identity("eq:ck5#2", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm3#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck5#2", ("A",))
+@identity("eq:emm3#2", ("A",))
 def _ck5_2(ctx, idx):
     return _ck5_terms(ctx, idx, 1, ctx.Q, ctx.R, ctx.S, ctx.Q)
 
 
-@identity("eq:ck6#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck6#1", ("A",))
 def _ck6_1(ctx, idx):
     return _ck5_terms(ctx, idx, 2, ctx.Q, ctx.R, ctx.S, ctx.Q)
 
 
-@identity("eq:ck6#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck6#2", ("A",))
 def _ck6_2(ctx, idx):
     return _ck5_terms(ctx, idx, 2, ctx.Q, ctx.R, ctx.R, ctx.T)
 
 
-@identity("eq:ck7#1", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm4#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck7#1", ("A",))
+@identity("eq:emm4#1", ("A",))
 def _ck7_1(ctx, idx):
     return _ck5_terms(ctx, idx, 1, ctx.T, ctx.S, ctx.R, ctx.T)
 
 
-@identity("eq:ck7#2", ("A",), quadratic=("R", "S", "Q", "T"))
-@identity("eq:emm4#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck7#2", ("A",))
+@identity("eq:emm4#2", ("A",))
 def _ck7_2(ctx, idx):
     return _ck5_terms(ctx, idx, 1, ctx.T, ctx.S, ctx.S, ctx.Q)
 
 
-@identity("eq:ck8#1", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck8#1", ("A",))
 def _ck8_1(ctx, idx):
     return _ck5_terms(ctx, idx, 2, ctx.T, ctx.S, ctx.S, ctx.Q)
 
 
-@identity("eq:ck8#2", ("A",), quadratic=("R", "S", "Q", "T"))
+@identity("eq:ck8#2", ("A",))
 def _ck8_2(ctx, idx):
     return _ck5_terms(ctx, idx, 2, ctx.T, ctx.S, ctx.R, ctx.T)
 

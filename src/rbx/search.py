@@ -5,15 +5,16 @@ that the kind's checker runs, with one context per group of tags that the
 candidate's components are bound into (`_groups`).  A group binds each of
 its names to one component plus a constant map (`_Bound`); a search job
 binds each name to its own component, and the regression scans bind
-S = R + lam*id.  Every such tag has total degree at most 2 in all the
-names that its group binds, taken jointly (`identities.identity(...,
-quadratic=...)`), and an affine substitution keeps that degree, so a job
-is one system of quadratic equations over GF(p) in the k*d*d entries of
-its k components.  `_compile` turns each (tag, basis tuple) step into one
-row of GF(p) coefficients per residual entry, over the monomials of all
-those entries, interpolated from probes through `evaluate`, so seeded
-faults reach the rows; `_rows` scales and de-duplicates them for the
-solver, and `fast_predicate` tests one candidate against a job's rows.
+S = R + lam*id.  `_compile` binds each group's names to components whose
+entries are variables, one per entry of the candidate's k components,
+and evaluates each (tag, basis tuple) step once through `evaluate` (so
+seeded faults reach the rows) over a private polynomial scalar
+(`kernel._Quadratic`): each residual entry comes out as one row of GF(p)
+coefficients over the monomials of degree at most 2 in the k*d*d
+entries, and a step of higher degree is refused, so a job is one system
+of quadratic equations over GF(p).  `_rows` scales and de-duplicates the
+rows for the solver, and `fast_predicate` tests one candidate against a
+job's rows.
 `solve_parts` solves a condition given as a checker's parts under any
 such binding, which is how the regression scans are decided.  `_solve`
 assigns the entries depth-first in index order and tests each row as
@@ -48,8 +49,8 @@ from typing import Callable, NamedTuple
 
 from .bisystems import ASIBisystem, bisystem_identities, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import CATALOG, Ctx, _stored, evaluate, shared_verdicts, steps
-from .kernel import Matrix, Tensor2, same_field
+from .identities import Ctx, _stored, evaluate, shared_verdicts, steps
+from .kernel import Matrix, Tensor2, _Quadratic, same_field
 from .report import make_report
 from .representations import adjoint_admissible_identities, adjoint_admissible_report
 from .structures import _Multiplicative, check_axioms
@@ -139,8 +140,7 @@ class _Bound(NamedTuple):
     the context names that a candidate binds, and what each is bound to, a
     (component, constant) pair: the name is that component of the candidate
     plus the constant map (None for none), as S = R + lam*id binds S to R's
-    component plus lam*id.  An affine substitution keeps every degree, so a
-    tag declared quadratic in the names is quadratic in the components."""
+    component plus lam*id."""
     names: tuple
     tags: tuple
     ctx: Ctx
@@ -270,66 +270,33 @@ def decode_candidate(job: SearchJob, index: int):
 def _compile(field, d, flavors, groups) -> dict:
     """{(tag, basis tuple): rows} for every step of the groups, one row per
     residual entry, over the entries of the components that `flavors`
-    lists ("map" or "tensor", each d x d).  With the other data fixed, an
-    entry of a tag declared quadratic in a group's names is c + sum a_v y_v
-    + sum b_v y_v^2 + sum_{v<w} q_vw y_v y_w in the entries y_v of the
-    components that the names are bound to; probing `evaluate` at Y = 0,
-    +E_v, -E_v and E_v + E_w for the unit values E_v, each name set to its
-    component's probe value plus its constant, gives its coefficients.
-    Over GF(2), where -E_v = E_v and y^2 = y, each square folds into its
-    linear term, which is exact on GF(2)^n.  A tag that does not declare
-    every name of its group is refused: its rows would not be exact."""
+    lists ("map" or "tensor", each d x d).  Each group's names are bound to
+    components whose entries are variables (`kernel._Quadratic`), each name
+    plus its constant, and each step goes through `evaluate` once: every
+    residual entry comes out as its own polynomial in those variables,
+    exact over GF(2), where y^2 = y, too.  A step whose residual has degree
+    above 2 in them raises `RuntimeError`: it has no rows."""
     p, n = field.modulus, d * d
-    half = (p + 1) // 2
     compiled = {}
     for bound in groups:
-        names, ctx = bound.names, bound.ctx
-        for tag in bound.tags:
-            if not set(names) <= CATALOG[tag].quadratic:
-                raise RuntimeError(f"{tag} is not declared quadratic in {names}")
-        comps = sorted({k for k, _ in bound.on})
-        m = len(comps) * n
-        var = [k * n + e for k in comps for e in range(n)]
-        pairs = tuple(itertools.combinations(range(m), 2))
-
-        def at(*units):
-            y = [0] * m
-            for u, value in units:
-                y[u] = value
-            return {k: _component(field, d, flavors[k], tuple(y[c * n:(c + 1) * n]))
-                    for c, k in enumerate(comps)}
-        probes = ([at()] + [at((u, 1)) for u in range(m)]
-                  + [at((u, p - 1)) for u in range(m) if p > 2]
-                  + [at((u, 1), (w, 1)) for u, w in pairs])
-        todo = steps(bound.tags, ctx)
-        values = []
-        for probe in probes:
-            bound.bind(probe)
-            values.append([_entries(tag, ctx, idx, field) for tag, idx in todo])
-        for s, step in enumerate(todo):
-            rows = []
-            for f in zip(*(v[s] for v in values)):
-                c, plus = f[0], f[1:m + 1]
-                row = [(c, -1, -1)]
-                if p > 2:
-                    minus = f[m + 1:2 * m + 1]
-                    for v, u, w in zip(var, plus, minus):
-                        row += [((u - w) * half % p, v, -1),
-                                (((u + w) * half - c) % p, v, v)]
-                else:
-                    row += [((u - c) % p, v, -1) for v, u in zip(var, plus)]
-                cross = f[len(f) - len(pairs):]
-                row += [((x - plus[u] - plus[w] + c) % p, var[w], var[u])
-                        for (u, w), x in zip(pairs, cross)]
-                rows.append(tuple(t for t in row if t[0]))
-            compiled[step] = tuple(rows)
+        bound.bind({k: _component(field, d, flavors[k],
+                                  tuple(_Quadratic({(k * n + e,): 1}, p) for e in range(n)))
+                    for k, _ in bound.on})
+        for tag, idx in steps(bound.tags, bound.ctx):
+            try:
+                res = _stored(evaluate(tag, bound.ctx, idx), field)
+            except RuntimeError as exc:
+                raise RuntimeError(f"{tag} at {idx} in {bound.names}: {exc}") from exc
+            compiled[tag, idx] = tuple(
+                _row(x) for x in (res if isinstance(res, tuple) else res.entries))
     return compiled
 
 
-def _entries(tag, ctx, idx, field):
-    """The stored entries of one step's residual."""
-    res = _stored(evaluate(tag, ctx, idx), field)
-    return res if isinstance(res, tuple) else res.entries
+def _row(x) -> tuple:
+    """The monomials (c, v, w) of one stored residual entry."""
+    if type(x) is int:
+        return ((x, -1, -1),) if x else ()
+    return tuple((c, *(m + (-1, -1))[:2]) for m, c in x.terms.items())
 
 
 def _unique(rows, p) -> tuple:

@@ -62,8 +62,8 @@ class CoOperatorSystem:
 # displays de:he#2/#3 and de:ev#2a/#3a restate the weighted and averaging
 # conditions on a Lie (co)algebra and share their bodies
 
-@identity("eq:cee", ("A", "A"), quadratic=("R", "S"))
-@identity("de:he#2", ("A", "A"), quadratic=("R",))
+@identity("eq:cee", ("A", "A"))
+@identity("de:he#2", ("A", "A"))
 def _rb_weight(ctx, idx):
     i, j = idx
     A, R, lam = ctx.A, ctx.R, ctx.lam
@@ -88,46 +88,46 @@ def _paired_terms(ctx, idx, outer, first, second):
 # one body each for R(a)R(b) = R(R(a)b + aS(b)) and its S mirror, under the
 # tags of the plain, symmetric and Lie kinds
 
-@identity("eq:rbs1", ("A", "A"), quadratic=("R", "S"))
-@identity("eq:ea0#1", ("A", "A"), quadratic=("R", "S"))
-@identity("eq:gh0", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:rbs1", ("A", "A"))
+@identity("eq:ea0#1", ("A", "A"))
+@identity("eq:gh0", ("A", "A"))
 def _r_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.R, ctx.S)
 
 
-@identity("eq:rbs2", ("A", "A"), quadratic=("R", "S"))
-@identity("eq:ea1#1", ("A", "A"), quadratic=("R", "S"))
-@identity("eq:gh1", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:rbs2", ("A", "A"))
+@identity("eq:ea1#1", ("A", "A"))
+@identity("eq:gh1", ("A", "A"))
 def _s_rs(ctx, idx):
     return _paired_terms(ctx, idx, ctx.S, ctx.R, ctx.S)
 
 
-@identity("eq:ea0#2", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:ea0#2", ("A", "A"))
 def _ea0b(ctx, idx):
     return _paired_terms(ctx, idx, ctx.R, ctx.S, ctx.R)
 
 
-@identity("eq:ea1#2", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:ea1#2", ("A", "A"))
 def _ea1b(ctx, idx):
     return _paired_terms(ctx, idx, ctx.S, ctx.S, ctx.R)
 
 
-@identity("eq:et1#1", ("A", "A"), quadratic=("R", "S"))
-@identity("de:ev#2a", ("A", "A"), quadratic=("R", "Q"))
+@identity("eq:et1#1", ("A", "A"))
+@identity("de:ev#2a", ("A", "A"))
 def _avg1(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
     return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(R.col(i), A.basis_vector(j))))]
 
 
-@identity("eq:et1#2", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:et1#2", ("A", "A"))
 def _avg2(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
     return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(A.basis_vector(i), R.col(j))))]
 
 
-@identity("eq:ew1", ("A", "A"), quadratic=("R", "S"))
+@identity("eq:ew1", ("A", "A"))
 def _nijenhuis(ctx, idx):
     i, j = idx
     A, N = ctx.A, ctx.R
@@ -150,30 +150,30 @@ def _cos_terms(ctx, i, outer, first, second):
             -leg_apply(douter, second, 2)]
 
 
-@identity("eq:cu#1", ("C",), quadratic=("Q", "T"))
-@identity("eq:ek0", ("C",), quadratic=("Q", "T"))
+@identity("eq:cu#1", ("C",))
+@identity("eq:ek0", ("C",))
 def _q_qt(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.Q, ctx.Q, ctx.T)
 
 
-@identity("eq:cu#2", ("C",), quadratic=("Q", "T"))
+@identity("eq:cu#2", ("C",))
 def _cu2(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.Q, ctx.T, ctx.Q)
 
 
-@identity("eq:cu1#1", ("C",), quadratic=("Q", "T"))
-@identity("eq:ek1", ("C",), quadratic=("Q", "T"))
+@identity("eq:cu1#1", ("C",))
+@identity("eq:ek1", ("C",))
 def _t_qt(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.T, ctx.Q, ctx.T)
 
 
-@identity("eq:cu1#2", ("C",), quadratic=("Q", "T"))
+@identity("eq:cu1#2", ("C",))
 def _cu1_2(ctx, idx):
     return _cos_terms(ctx, idx[0], ctx.T, ctx.T, ctx.Q)
 
 
-@identity("rmk:gb#2", ("C",), quadratic=("Q", "T"))
-@identity("de:he#3", ("A",), quadratic=("Q",))
+@identity("rmk:gb#2", ("C",))
+@identity("de:he#3", ("A",))
 def _rb_coweight(ctx, idx):
     (i,) = idx
     C, Q, lam = ctx.C, ctx.Q, ctx.lam
@@ -183,8 +183,8 @@ def _rb_coweight(ctx, idx):
             -leg_apply(dq, Q, 1), -leg_apply(dq, Q, 2), -dq.scale(lam)]
 
 
-@identity("eq:et2#1", ("C",), quadratic=("Q", "T"))
-@identity("de:ev#3a", ("A",), quadratic=("R", "Q"))
+@identity("eq:et2#1", ("C",))
+@identity("de:ev#3a", ("A",))
 def _coavg1(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q
@@ -192,7 +192,7 @@ def _coavg1(ctx, idx):
     return [leg_apply(leg_apply(d, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 1)]
 
 
-@identity("eq:et2#2", ("C",), quadratic=("Q", "T"))
+@identity("eq:et2#2", ("C",))
 def _coavg2(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q
@@ -202,7 +202,7 @@ def _coavg2(ctx, idx):
 
 # symmetric Yang-Baxter pairs; placements multiply in the shared leg
 
-@identity("de:eh#1a", (), quadratic=("r", "s"))
+@identity("de:eh#1a", ())
 def _ybs_1a(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, r, (1, 2), r, (2, 3)),
@@ -210,7 +210,7 @@ def _ybs_1a(ctx, idx):
             -placement_product(A, s, (2, 3), r, (1, 3))]
 
 
-@identity("de:eh#1b", (), quadratic=("r", "s"))
+@identity("de:eh#1b", ())
 def _ybs_1b(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, r, (1, 2), r, (2, 3)),
@@ -218,7 +218,7 @@ def _ybs_1b(ctx, idx):
             -placement_product(A, r, (2, 3), r, (1, 3))]
 
 
-@identity("de:eh#2a", (), quadratic=("r", "s"))
+@identity("de:eh#2a", ())
 def _ybs_2a(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, s, (1, 2), s, (2, 3)),
@@ -226,7 +226,7 @@ def _ybs_2a(ctx, idx):
             -placement_product(A, s, (2, 3), s, (1, 3))]
 
 
-@identity("de:eh#2b", (), quadratic=("r", "s"))
+@identity("de:eh#2b", ())
 def _ybs_2b(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
     return [placement_product(A, s, (1, 2), s, (2, 3)),

@@ -26,7 +26,7 @@ from .representations import (Bimodule, Representation,
 from .bisystems import ASIBisystem
 
 
-@identity("eq:db4", (), quadratic=("r",))
+@identity("eq:db4", ())
 def _aybe(ctx, idx):
     A, r = ctx.A, ctx.r
     return [placement_product(A, r, (1, 2), r, (1, 3)),

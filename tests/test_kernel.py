@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rbx.errors import FieldError
 from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
-                        field_make, leg_apply, det)
+                        _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
 
 
@@ -176,6 +176,27 @@ def test_gf_coerce_refuses_other_fields():
         F3.coerce(Fraction(1, 2))
     with pytest.raises(FieldError):
         Rationals().coerce(GFElement(1, 3))
+
+
+def test_compile_scalar_refuses_other_fields():
+    # the search compile's polynomial scalar combines with ints and its own
+    # field only; GF(p) data pass it through unchanged
+    F3 = PrimeField(3)
+    y, z = _Quadratic({(0,): 1}, 3), _Quadratic({(1,): 2}, 3)
+    assert (y * z + 4 - y).terms == {(1, 0): 2, (): 1, (0,): 2}
+    assert F3.coerce(y) is y and F3.reduce((y, 4)) == (y, 1) and y % 3 is y
+    assert y - y == 0 and y * 3 == 0
+    with pytest.raises(RuntimeError, match="degree above 2"):
+        y * y * z
+    assert (_Quadratic({(0,): 1}, 2) * _Quadratic({(0,): 1, (1,): 1}, 2)).terms \
+        == {(0,): 1, (1, 0): 1}  # y^2 = y over GF(2)
+    other = _Quadratic({(0,): 1}, 5)
+    for mix in (lambda: y + other, lambda: y * other, lambda: other - y,
+                lambda: y * GFElement(1, 5), lambda: GFElement(1, 5) + y,
+                lambda: y + Fraction(1, 2), lambda: PrimeField(5).coerce(y),
+                lambda: y % 5, lambda: Matrix(PrimeField(5), 1, 1, [y])):
+        with pytest.raises(FieldError):
+            mix()
 
 
 def test_gf_vectors_with_public_scalars_are_unboxed():

@@ -2,12 +2,13 @@ import collections
 import contextlib
 import hashlib
 import random
+import unittest.mock
 from dataclasses import replace
 
 import pytest
 
 from rbx import fixtures as fx
-from rbx import search, structures
+from rbx import regression, search, structures
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
 from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate,
                             seeded_fault, steps)
@@ -615,7 +616,7 @@ def test_compile_is_exact_with_a_constant_term(p, monkeypatch):
                 A.mul(S.col(i), S.col(1 - i)), vscale(ctx.lam, R.apply(R.col(i)))]
 
     monkeypatch.setitem(CATALOG, "test:constant",
-                        Identity("test:constant", ("A",), terms, frozenset("RS")))
+                        Identity("test:constant", ("A",), terms))
     F = PrimeField(p)
     A, zero = fx.fix_a(F), Matrix.zero(F, 2)
     job = SearchJob(F, A, "symmetric_rbs")
@@ -631,6 +632,67 @@ def test_compile_is_exact_with_a_constant_term(p, monkeypatch):
         for (tag, idx), rows in compiled.items():
             res = _stored(evaluate(tag, bound.ctx, idx), F)
             assert [_value(row, y, p) for row in rows] == list(res)
+
+
+def _row_set_digests():
+    """{case: first 16 hex digits of the sha256 of its sorted `_unique` row
+    sets over GF(2), GF(3) and GF(5)}: each search kind's `_system` (`aybe`
+    also antisymmetric), and the rows that `solve_parts` builds for both
+    sides of each equivalence scan at every lam."""
+    texts = collections.defaultdict(list)
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        for kind, anti in [(k, False) for k in ALL_KINDS] + [("aybe", True)]:
+            rows = search._system(_job(kind, F, anti))
+            texts[kind + "-antisymmetric" * anti].append(repr(sorted(rows)))
+        for row, scan in regression._SCANS.items():
+            A, C = (make(F) for make in scan.carriers)
+            for lam in range(p) if scan.weighted else (None,):
+                for parts, binding in regression._sides(scan, A, C, lam):
+                    built = []
+                    with unittest.mock.patch.object(
+                            search, "_solve", lambda rows, *_: built.append(rows) or ()):
+                        search.solve_parts(F, A.dim, parts, binding)
+                    texts[f"scan:{row}"].append(repr(sorted(built[0])))
+    return {case: hashlib.sha256("\n".join(t).encode()).hexdigest()[:16]
+            for case, t in texts.items()}
+
+
+# computed before the compile evaluated each step once over polynomial
+# scalars, when it still interpolated every step from probes
+ROW_SET_DIGESTS = {
+    "adjoint_admissible": "457d4e047196cfe8", "averaging": "e1c76d1eee3a12f8",
+    "aybe": "3d1a2bdacc64665b", "aybe-antisymmetric": "0b1fb776d01145c2",
+    "bisystem": "535dfd698b5f9281", "coaveraging": "d8a43ef4a04b79ed",
+    "lie_rb_cosystem": "e598d46db80b5e45", "lie_rbs": "66c13f2def143a22",
+    "nijenhuis": "8e0295846cd06ee3", "rb_coalgebra_weight": "026f375f7b6a6f22",
+    "rb_weight": "026f375f7b6a6f22", "rbs": "26be7f4601a51809",
+    "symmetric_rb_cosystem": "c3202f9768d737eb", "symmetric_rbs": "c22d0b94a235a4df",
+    "symmetric_ybpair": "2be690a98d09468d",
+    "scan:averaging": "308bfb86a59faa70", "scan:averaging-lie": "a6ca90811f7865cc",
+    "scan:weighted": "95c8ffc1980365a0", "scan:weighted-lie": "43d725606b433f2d",
+}
+
+
+def test_compiled_row_sets_are_pinned():
+    assert _row_set_digests() == ROW_SET_DIGESTS
+
+
+def test_search_results_hold_plain_ints(F2, monkeypatch):
+    # the compile's polynomial scalar stays inside the compile: hits, the
+    # parts that verify_hit sees and solve_parts' survivors are plain ints
+    seen, real = [], search.verify_hit
+    monkeypatch.setattr(search, "verify_hit",
+                        lambda job, parts: seen.append(parts) or real(job, parts))
+    hits = [h for kind in ALL_KINDS for h in run_search(_job(kind, F2))]
+    assert hits and [h.parts for h in hits] == seen
+    assert all(type(x) is int for parts in seen for part in parts for x in part.entries)
+    survivors = []
+    for scan in regression._SCANS.values():
+        A, C = (make(F2) for make in scan.carriers)
+        for _, *found in regression._survivors(scan, A, C):
+            survivors += [y for side in found for y in side]
+    assert survivors and all(type(x) is int for y in survivors for x in y)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -454,10 +454,11 @@ def _affine_failures(tag, name, ctx, rng):
 
 
 def _search_job(kind, F):
-    carrier = {"lie_rbs": fx.fix_lie, "lie_rb_cosystem": fx.fix_delta,
-               "symmetric_rb_cosystem": fx.fix_c}.get(kind, fx.fix_a)(F)
+    carrier = {"lie_rbs": fx.fix_lie, "lie_rb_cosystem": fx.fix_delta}.get(
+        kind, fx.fix_c if kind in _COALG_KINDS else fx.fix_a)(F)
     R, S = fx.fix_rs(F)
-    return SearchJob(F, carrier, kind, fixed={"R": R, "S": S})
+    return SearchJob(F, carrier, kind, cocarrier=fx.fix_c(F), weight=F.one(),
+                     fixed={"R": R, "S": S})
 
 
 @pytest.mark.parametrize("tag", AFFINE_TAGS)
@@ -488,10 +489,44 @@ def test_affine_check_catches_a_quadratic_summand():
     assert _affine_failures("eq:ea1#1", "S", ctx, rng)
 
 
-# every summand of a tag has degree at most 2 in each context name that the
-# tag declares quadratic
+# every summand of a tag that search compiles has degree at most 2 in all
+# the names that its search kinds and equivalence scans bind, taken jointly;
+# the compile refuses any step that has not, and this test looks for such a
+# summand at random contexts beyond the fixtures that searches run on
 
-QUADRATIC_TAGS = sorted(tag for tag, ident in CATALOG.items() if ident.quadratic)
+# kind -> the (tags, names) groups that its search binds
+SEARCHED = {kind: [(tags, "RS"[:n])] for kind, (tags, n, _) in _ALG_KINDS.items()}
+SEARCHED.update((kind, [(tags, "QT"[:n])]) for kind, (tags, n, _) in _COALG_KINDS.items())
+SEARCHED.update(aybe=[(_AYBE_TAGS, "r")], symmetric_ybpair=[(_YBPAIR_TAGS, "rs")],
+                adjoint_admissible=[(_CK_TAGS, "QT")],
+                bisystem=SEARCHED["symmetric_rbs"] + SEARCHED["symmetric_rb_cosystem"]
+                + [(_CK_TAGS + _CK5_TAGS, "RSQT")])
+
+
+def _scan_groups():
+    """The groups of both sides of each equivalence scan over GF(3), at
+    lam = 0 and 2 on a weighted scan."""
+    F3 = PrimeField(3)
+    for scan in regression._SCANS.values():
+        A, C = (make(F3) for make in scan.carriers)
+        for lam in (0, 2) if scan.weighted else (None,):
+            for parts, binding in regression._sides(scan, A, C, lam):
+                for _, tags, ctx in parts:
+                    yield search._by_name(tags, ctx, binding)
+
+
+def _bound_names():
+    """{tag: every name that some search kind or scan binds in its group}."""
+    names = collections.defaultdict(set)
+    groups = [group for kind in SEARCHED for group in SEARCHED[kind]]
+    for tags, bound in groups + [(g.tags, g.names) for g in _scan_groups()]:
+        for tag in tags:
+            names[tag].update(bound)
+    return names
+
+
+BOUND_NAMES = _bound_names()
+QUADRATIC_TAGS = sorted(BOUND_NAMES)
 
 
 def _cubic_failures(terms, spaces, names, ctx, rng):
@@ -543,59 +578,66 @@ def test_quadratic_declarations_hold(tag):
         for lie in (False, True):
             for _ in range(3):
                 ctx = _random_ctx(PrimeField(p), rng, lie)
-                assert _cubic_failures(ident.terms, ident.spaces, ident.quadratic,
+                assert _cubic_failures(ident.terms, ident.spaces, sorted(BOUND_NAMES[tag]),
                                        ctx, rng) == [], (p, lie)
 
 
-def test_quadratic_check_catches_a_cubic_summand():
+def _cubic(ctx, idx):
     # R(R(R(e_i))) is cubic in R; it is not a catalog entry
-    def cubic(ctx, idx):
-        return [ctx.R.apply(ctx.R.apply(ctx.R.col(idx[0])))]
+    return [ctx.R.apply(ctx.R.apply(ctx.R.col(idx[0])))]
 
+
+def _joint(ctx, idx):
+    # R(S(Q(e_i))) is affine in each of R, S and Q, and cubic in them jointly
+    return [ctx.R.apply(ctx.S.apply(ctx.Q.col(idx[0])))]
+
+
+def test_quadratic_check_catches_a_cubic_summand():
     rng = random.Random(7)
     for p in (5, 7):
         ctx = _random_ctx(PrimeField(p), rng, False)
-        assert _cubic_failures(cubic, ("A",), ("R",), ctx, rng)
+        assert _cubic_failures(_cubic, ("A",), ("R",), ctx, rng)
 
 
 def test_quadratic_check_catches_a_jointly_cubic_summand():
-    # R(S(Q(e_i))) is affine in each of R, S and Q, and cubic in them jointly
-    def joint(ctx, idx):
-        return [ctx.R.apply(ctx.S.apply(ctx.Q.col(idx[0])))]
-
     rng = random.Random(11)
     for p in (5, 7):
         ctx = _random_ctx(PrimeField(p), rng, False)
         for name in "RSQ":
-            assert _cubic_failures(joint, ("A",), (name,), ctx, rng) == []
-        assert _cubic_failures(joint, ("A",), ("R", "S"), ctx, rng) == []
-        assert _cubic_failures(joint, ("A",), ("R", "S", "Q"), ctx, rng)
+            assert _cubic_failures(_joint, ("A",), (name,), ctx, rng) == []
+        assert _cubic_failures(_joint, ("A",), ("R", "S"), ctx, rng) == []
+        assert _cubic_failures(_joint, ("A",), ("R", "S", "Q"), ctx, rng)
+
+
+def test_compile_refuses_a_cubic_summand(monkeypatch):
+    # the compile measures each step's degree as it evaluates it: the cubic
+    # entry raises, naming its step, and the jointly cubic one raises once
+    # R, S and Q are all bound
+    for tag, terms in (("test:cubic", _cubic), ("test:joint", _joint)):
+        monkeypatch.setitem(CATALOG, tag, identities.Identity(tag, ("A",), terms))
+    for p in (3, 5):
+        F = PrimeField(p)
+        A, zero = fx.fix_a(F), Matrix.zero(F, 2)
+        ctx = Ctx({"A": A.basis}, A=A, R=zero, S=zero, Q=Matrix.identity(F, 2))
+        with pytest.raises(RuntimeError, match=r"test:cubic at \(0,\)"):
+            search._compile(F, 2, ("map",), (search._on(("R",), ("test:cubic",), ctx),))
+        two, three = (search._on(names, ("test:joint",), ctx)
+                      for names in (("R", "S"), ("R", "S", "Q")))
+        assert any(search._compile(F, 2, ("map",) * 2, (two,)).values())
+        with pytest.raises(RuntimeError, match="test:joint"):
+            search._compile(F, 2, ("map",) * 3, (three,))
 
 
 def test_search_kinds_declare_quadratic_tags():
-    # every tag of every kind declares every name that its search binds
-    bound = {kind: [(tags, "RS"[:n])] for kind, (tags, n, _) in _ALG_KINDS.items()}
-    bound.update((kind, [(tags, "QT"[:n])]) for kind, (tags, n, _) in _COALG_KINDS.items())
-    bound.update(aybe=[(_AYBE_TAGS, "r")], symmetric_ybpair=[(_YBPAIR_TAGS, "rs")],
-                 adjoint_admissible=[(_CK_TAGS, "QT")],
-                 bisystem=bound["symmetric_rbs"] + bound["symmetric_rb_cosystem"]
-                 + [(_CK_TAGS + _CK5_TAGS, "RSQT")])
-    assert set(bound) == set(_KINDS)
-    for kind, groups in bound.items():
-        for tags, names in groups:
-            for tag in tags:
-                assert set(names) <= CATALOG[tag].quadratic, (kind, tag)
-    # and every tag of every group that the four equivalence scans solve
+    # SEARCHED, whose names the degree test covers, is what each kind's
+    # search binds, and every group of every scan binds some name
     F3 = PrimeField(3)
-    for row, scan in regression._SCANS.items():
-        A, C = (make(F3) for make in scan.carriers)
-        for lam in (0, 2) if scan.weighted else (None,):
-            for parts, binding in regression._sides(scan, A, C, lam):
-                for _, tags, ctx in parts:
-                    names = search._by_name(tags, ctx, binding).names
-                    assert names, (row, tags)
-                    for tag in tags:
-                        assert set(names) <= CATALOG[tag].quadratic, (row, tag)
+    assert set(SEARCHED) == set(_KINDS)
+    for kind, groups in SEARCHED.items():
+        _, bound = search._groups(_search_job(kind, F3))
+        assert {tag: "".join(g.names) for g in bound for tag in g.tags} == {
+            tag: names for tags, names in groups for tag in tags}, kind
+    assert all(g.names for g in _scan_groups())
 
 
 # ---------------------------------------------------------------------------
