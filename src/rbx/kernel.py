@@ -2,11 +2,18 @@
 
 Conventions used throughout the toolkit:
 
-* a field handle fixes the stored form of its scalars: `fractions.Fraction`
-  over the rationals, plain ints in [0, p) over GF(p).  Matrices, tensors
-  and structure tables hold their entries in that form, and every kernel
-  operation reduces each output entry once, so arithmetic never rounds and
-  equality is structural;
+* a field handle fixes the stored form of its scalars: plain ints in
+  [0, p) over GF(p), and over the rationals `_QFraction`, a private
+  subclass of `fractions.Fraction`.  Matrices, tensors and structure tables
+  hold their entries in that form, and every kernel operation reduces each
+  output entry once, so arithmetic never rounds and equality is
+  structural;
+* a Q entry is still a `Fraction` to every caller: `isinstance`, `==`,
+  `hash` and `str` are `Fraction`'s, and `repr` reads `Fraction(n, d)`.
+  The subclass exists for speed alone: +, -, * and / with its own type or
+  an int go straight from numerators and denominators to the result in
+  lowest terms, since `Fraction`'s generic operator dispatch and
+  normalising constructor cost more than the arithmetic on small values;
 * `GFElement` is the public GF(p) scalar returned by `of`, `parse` and
   `elements`; `coerce` turns it (or any int) into the stored int and
   refuses a scalar of another field;
@@ -25,7 +32,10 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 from .errors import FieldError
@@ -236,15 +246,143 @@ class _Quadratic:
         return bool(self.terms)
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> _QFraction:
+    """The stored rational n/d, which must be in lowest terms with d > 0."""
+    x = _new(_QFraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _q_sum(na, da, nb, db):
+    """na/da + nb/db in lowest terms (Knuth, TAOCP Vol. 2, 4.5.1)."""
+    if db == 1:
+        n, d = na + nb * da, da
+    elif da == 1:
+        n, d = na * db + nb, db
+    else:
+        g = gcd(da, db)
+        if g == 1:
+            n, d = na * db + nb * da, da * db
+        else:
+            s = da // g
+            n, d = na * (db // g) + nb * s, s * db
+            g = gcd(n, g)
+            if g > 1:
+                n //= g
+                d //= g
+    x = _new(_QFraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _q_prod(na, da, nb, db):
+    """(na/da) * (nb/db) in lowest terms, for da, db > 0."""
+    g = gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    x = _new(_QFraction)
+    x._numerator = na * nb
+    x._denominator = da * db
+    return x
+
+
+class _QFraction(Fraction):
+    """The stored form of a rational scalar: a `Fraction` whose +, -, * and /
+    with its own type or an int compute the lowest-terms result directly,
+    without `Fraction`'s generic operator dispatch and normalising
+    constructor.  Every other operand goes to `Fraction`'s own operator, so
+    mixed arithmetic stays exact (and returns a plain `Fraction`).
+    Equality, hashing and `str` are `Fraction`'s, and `repr` reads
+    `Fraction(n, d)`."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is _QFraction:
+            return _q_sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return _q(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        if type(b) is int:
+            return _q(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is _QFraction:
+            return _q_sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if type(b) is int:
+            return _q(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _q(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if type(b) is _QFraction:
+            return _q_prod(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return _q_prod(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        if type(b) is int:
+            return _q_prod(a._numerator, a._denominator, b, 1)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        if type(b) is _QFraction:
+            nb, db = b._numerator, b._denominator
+        elif type(b) is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb > 0:
+            return _q_prod(a._numerator, a._denominator, db, nb)
+        if nb < 0:
+            return _q_prod(a._numerator, a._denominator, -db, -nb)
+        return Fraction.__truediv__(a, b)  # Fraction's own ZeroDivisionError
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+_Q_ZERO, _Q_ONE = _q(0, 1), _q(1, 1)
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _digit_limit() -> int:
+    """Python's int/str conversion limit in digits; 0 means none."""
+    get = getattr(sys, "get_int_max_str_digits", None)  # Python >= 3.10.7
+    return get() if get else 4300
 
 
 class Rationals:
-    """Handle for the rational field; scalars are `fractions.Fraction`."""
+    """Handle for the rational field.  Scalars are `fractions.Fraction`s;
+    the stored form is the private subclass `_QFraction`, whose arithmetic
+    with its own type and with ints skips `Fraction`'s generic dispatch.
+    `of`, `coerce`, `parse` and `reduce` return it, so a container built
+    from plain `Fraction` or int entries converts them once."""
 
     char = 0
     modulus = None
-    stored = Fraction
+    stored = _QFraction
 
     def zero(self):
         return _Q_ZERO
@@ -253,27 +391,46 @@ class Rationals:
         return _Q_ONE
 
     def of(self, num, den=1):
-        return Fraction(num, den)
+        return _QFraction(num, den)
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is _QFraction:
             return x
+        if isinstance(x, Fraction):
+            return _q(x._numerator, x._denominator)
         if isinstance(x, int):
-            return Fraction(x)
+            return _q(int(x), 1)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def reduce(self, values) -> tuple:
         """The values as a tuple of stored scalars."""
-        return tuple([x if type(x) is Fraction else self.coerce(x) for x in values])
+        stored = self.stored
+        return tuple([x if type(x) is stored else self.coerce(x) for x in values])
 
     def div(self, a, b):
         return a / b
 
     def parse(self, text: str):
+        """A literal such as `3/7`, `-1.5` or `2e3`, read as `Fraction` reads
+        it.  A literal whose power of ten, numerator or denominator would
+        have more digits than `sys.get_int_max_str_digits()` is refused, so
+        the value it gives can be rendered, and the exponent is checked
+        before any power is computed, so a huge one cannot hang the parse."""
+        limit = _digit_limit()
+        exp = _EXPONENT.search(text)
+        if limit and exp:
+            digits = exp.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise FieldError(f"bad rational literal {text!r}: its power of ten "
+                                 f"has more than {limit} digits")
         try:
-            return Fraction(text)
+            x = _QFraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
+        big = max(abs(x._numerator), x._denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise FieldError(f"bad rational literal {text!r}: more than {limit} digits")
+        return x
 
     def elements(self):
         raise FieldError("the rational field is infinite")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -362,11 +363,11 @@ def test_cli_search_bad_budget_rejected(monkeypatch, capsys, env, extra, message
     assert "exceeds" not in out.err
 
 
-def _python_m_rbx(*argv):
+def _python_m_rbx(*argv, timeout=120):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run([sys.executable, "-m", "rbx", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # a file that cannot be read or written ends in a ToolkitError, not a traceback
@@ -383,6 +384,23 @@ def test_cli_file_errors_exit_2(argv):
     assert out.stdout == ""  # a failed export prints no "pass" document
     assert out.stderr.startswith("error:") and argv[-1] in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# a Q literal too large to convert to str, or whose power of ten would take
+# minutes to compute, is a parse error at its column, not a traceback or a hang
+
+@pytest.mark.parametrize("literal", ["2e4301", "1e999999999"])
+def test_cli_huge_rational_literal_exit_2(tmp_path, literal):
+    ws = tmp_path / "ws.rbx"
+    ws.write_text(FIX_A_SOURCE + f"map R on A\nR e = {literal} e + -1 f\n")
+    start = time.perf_counter()
+    out = _python_m_rbx("check", "rb-weight", "A", "R", "--weight", "0", "--witness",
+                        "-i", str(ws), timeout=30)
+    assert time.perf_counter() - start < 5
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and literal in out.stderr
+    assert "(line 6, col 7)" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_cli_export_to_stdout_follows_the_document(capsys):

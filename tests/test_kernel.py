@@ -1,4 +1,8 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -288,3 +292,91 @@ def test_gf_of_denominator_divisible_by_p_raises_field_error():
     with pytest.raises(FieldError):
         F3.parse("1/3")
     assert F3.of(1, 2) == 2 and F3.of(2, -1) == 1
+
+
+# the stored Q scalar: exact +, -, *, / with its own type and with ints,
+# equal in value, hash and normal form to `Fraction`'s results
+
+_BIG = 2 ** 64
+_NUMS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(_BIG, _BIG ** 2), st.integers(-_BIG ** 2, -_BIG))
+_DENS = st.one_of(st.just(1), st.integers(1, 10 ** 6), st.integers(_BIG, _BIG ** 2))
+_QPAIRS = st.tuples(_NUMS, _DENS)
+
+
+def _same_as_fraction(got, want):
+    assert type(got) is Rationals.stored
+    assert got == want and hash(got) == hash(want)
+    assert gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QPAIRS, _QPAIRS, _NUMS)
+def test_stored_scalar_matches_fraction(a, b, k):
+    QQ = Rationals()
+    x, y, fa, fb = QQ.of(*a), QQ.of(*b), Fraction(*a), Fraction(*b)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same_as_fraction(op(x, y), op(fa, fb))
+        _same_as_fraction(op(x, k), op(fa, k))
+        _same_as_fraction(op(k, x), op(k, fa))
+    _same_as_fraction(-x, -fa)
+    for divisor, plain in ((y, fb), (k, k)):
+        if plain:
+            _same_as_fraction(x / divisor, fa / plain)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / divisor
+    # a plain Fraction operand takes Fraction's own operator, exactly
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(x, fb) == op(fa, fb) == op(fa, y)
+    if fb:
+        assert x / fb == fa / fb == fa / y
+    assert repr(x) == repr(fa) and str(x) == str(fa)
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        _same_as_fraction(copied, fa)
+
+
+def test_stored_scalar_refuses_gf_elements():
+    QQ, g = Rationals(), GFElement(1, 3)
+    x = QQ.of(1, 2)
+    for mix in (lambda: x + g, lambda: g + x, lambda: x * g, lambda: g * x,
+                lambda: x - g, lambda: g - x):
+        with pytest.raises(TypeError):
+            mix()
+    with pytest.raises(FieldError, match=r"cannot coerce Fraction\(1, 2\) into GF\(3\)"):
+        PrimeField(3).coerce(x)
+    with pytest.raises(FieldError):
+        QQ.coerce(g)
+
+
+def test_q_entry_points_yield_the_stored_type():
+    # a plain Fraction left in a container is exact but takes the slow path
+    QQ = Rationals()
+    m = Matrix(QQ, 2, 2, [Fraction(1, 2), 3, Fraction(-2), 1])
+    t = Tensor2(QQ, 2, [1, Fraction(1, 3), 0, Fraction(-5, 7)])
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    v = (Fraction(1, 2), 3)
+    scalars = [QQ.zero(), QQ.one(), QQ.of(3, -6), QQ.parse("-1.5"),
+               QQ.coerce(Fraction(2, 3)), QQ.coerce(4), QQ.div(QQ.of(1, 2), QQ.of(3)),
+               m.det(), det(m)]
+    vectors = [m.entries, t.entries, m.inverse().entries, m.scale(Fraction(1, 2)).entries,
+               t.scale(2).entries, (m @ m).entries, m.apply(v), A.mul(v, v),
+               C.delta(v).entries, leg_apply(t, m, 1).entries, leg_apply(t, m, 2).entries,
+               QQ.reduce([Fraction(1, 2), 2, True])]
+    vectors += [cell for table in (A.table, C.table) for row in table for cell in row]
+    assert all(type(x) is QQ.stored for x in scalars)
+    assert all(type(x) is QQ.stored for vec in vectors for x in vec)
+
+
+@pytest.mark.parametrize("text", ["3/7", "-1.5", "2e3", " 4/2 ", "-1.25e-2",
+                                  "2e4299", "6/4", "0.0", "+7"])
+def test_rational_literals_read_as_fraction(text):
+    x = Rationals().parse(text)
+    assert type(x) is Rationals.stored and x == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["2e4301", "1e999999999", "1e-4300", "0e5000",
+                                  "1" * 4301])
+def test_rational_literals_beyond_the_digit_limit_refused(text):
+    with pytest.raises(FieldError, match="bad rational literal"):
+        Rationals().parse(text)
