@@ -4,23 +4,26 @@ Frobenius double construction.
 The equivalence theorems relating these checkers assert equality of
 satisfaction, so hypothesis failures surface as failing named sub-reports
 rather than exceptions; only structure-returning constructors refuse.
+
+`check_bisystem` runs the bialgebra axioms and then the (name, tags, ctx)
+parts of `bisystem_identities`, the same parts that search compiles, through
+`_bridge_report`; the bridge checkers in `bridges` share that helper.
 """
 
 from __future__ import annotations
 
 from .errors import PayloadError, PreconditionError
+from .identities import run_identities, shared
 from .kernel import Matrix, block_diag
 from .report import Violation, make_report
 from .structures import (Algebra, BilinearForm, check_axioms, dualize,
                          form_adjoint, pairing_form)
-from .systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
-                      check_operator_system, cosystem_identities,
-                      operator_system_identities)
+from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
+                      cosystem_identities, operator_system_identities)
 from .representations import (Bimodule, Representation,
                               adjoint_admissible_identities,
                               adjoint_admissible_report,
                               coadjoint_admissible_identities,
-                              coadjoint_admissible_report,
                               check_representation)
 
 
@@ -151,27 +154,34 @@ def bisystem_identities(bi: ASIBisystem):
     )
 
 
+def _run_part(name, tags, ctx):
+    """`run_identities(name, tags, ctx)` through `identities.shared`.  A
+    part's context carries at most the carriers A and C, the maps R, S, Q
+    and T and the weight lam, so the key is the name, the tags, the spaces'
+    labels, the carriers' ids (the entry holds the carriers), the maps'
+    entries and the weight."""
+    get = vars(ctx).get
+    A, C = get("A"), get("C")
+    maps = [get(k) for k in "RSQT"]
+    key = (name, tags, *ctx.spaces.values(), id(A), id(C),
+           *[None if m is None else m.entries for m in maps], get("lam"))
+    return shared(key, lambda: run_identities(name, tags, ctx), (A, C))
+
+
+def _bridge_report(check, axioms, carriers, parts):
+    """The carriers' axioms, then each (name, tags, ctx) part, as named
+    sub-reports; inside `identities.shared_verdicts` a repeated part gets
+    the same report object without being evaluated again (`_run_part`)."""
+    sub = [make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)]
+    sub += [_run_part(name, tags, ctx) for name, tags, ctx in parts]
+    return make_report(check, subreports=sub)
+
+
 def check_bisystem(bi: ASIBisystem):
     """Five-part conjunction: compatible bialgebra, paired system, paired
     cosystem, adjoint admissibility, and its comultiplication form."""
-    A, C = bi.algebra, bi.coalgebra
-    sub = [
-        make_report("asi-bialgebra",
-                    check_axioms("asi_bialgebra", (A, C)).violations),
-        make_report("operator-system",
-                    check_operator_system(
-                        "symmetric_rbs", OperatorSystem(A, bi.R, bi.S)).violations),
-        make_report("co-operator-system",
-                    check_cosystem(
-                        "symmetric_rb_cosystem",
-                        CoOperatorSystem(C, bi.Q, bi.T)).violations),
-        make_report("adjoint-admissible",
-                    adjoint_admissible_report(A, bi.R, bi.S, bi.Q, bi.T).violations),
-        make_report("coadjoint-admissible",
-                    coadjoint_admissible_report(
-                        A, C, bi.R, bi.S, bi.Q, bi.T).violations),
-    ]
-    return make_report("bisystem", subreports=sub)
+    return _bridge_report("bisystem", "asi_bialgebra", (bi.algebra, bi.coalgebra),
+                          bisystem_identities(bi))
 
 
 def dual_actions_pair(A, C, maps_a=None, maps_b=None) -> MatchedPairData:

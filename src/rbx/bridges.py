@@ -4,8 +4,9 @@ bialgebras, and covariant bialgebras from Yang-Baxter pairs.
 
 Each bridge has a direct checker, which runs its carriers' axioms and then
 the (name, tags, ctx) parts that one helper per checker returns
-(`weighted_rb_asi_identities`, ...); the regression scans compile the same
-parts into GF(p) rows.  The equivalences with the corresponding (co)system
+(`weighted_rb_asi_identities`, ...) through `bisystems._bridge_report`, as
+`check_bisystem` does; the regression scans compile the same parts into
+GF(p) rows.  The equivalences with the corresponding (co)system
 checkers are asserted as properties in the test suite.  A bridge
 tag that restates an operator-system, cosystem or admissibility condition on
 another carrier is registered on that condition's body: `de:he#2/#3` and
@@ -25,13 +26,13 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .kernel import Matrix, block_diag, leg_apply, vneg, vscale
-from .identities import Ctx, identity, run_identities, shared
+from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
                          check_axioms, commutator, cocommutator, dualize)
 from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
                       check_ybpair, cosystem_identities, operator_system_identities)
-from .bisystems import ASIBisystem, check_bisystem
+from .bisystems import ASIBisystem, _bridge_report, check_bisystem
 from .representations import Bimodule
 
 
@@ -189,29 +190,6 @@ def _he4b(ctx, idx):
 
 # ---------------------------------------------------------------------------
 # checkers
-
-def _run_part(name, tags, ctx):
-    """`run_identities(name, tags, ctx)` through `identities.shared`.  A
-    part's context carries at most the carriers A and C, the maps R, S, Q
-    and T and the weight lam, so the key is the name, the tags, the spaces'
-    labels, the carriers' ids (the entry holds the carriers), the maps'
-    entries and the weight."""
-    get = vars(ctx).get
-    A, C = get("A"), get("C")
-    maps = [get(k) for k in "RSQT"]
-    key = (name, tags, *ctx.spaces.values(), id(A), id(C),
-           *[None if m is None else m.entries for m in maps], get("lam"))
-    return shared(key, lambda: run_identities(name, tags, ctx), (A, C))
-
-
-def _bridge_report(check, axioms, carriers, parts):
-    """The carriers' axioms, then each (name, tags, ctx) part, as named
-    sub-reports; inside `identities.shared_verdicts` a repeated part gets
-    the same report object without being evaluated again (`_run_part`)."""
-    sub = [make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)]
-    sub += [_run_part(name, tags, ctx) for name, tags, ctx in parts]
-    return make_report(check, subreports=sub)
-
 
 def weighted_rb_asi_identities(A, C, R: Matrix, Q: Matrix, lam):
     """The (name, tags, ctx) parts that `check_weighted_rb_asi` runs after

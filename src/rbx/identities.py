@@ -21,7 +21,7 @@ from functools import reduce
 from operator import add
 from typing import Callable
 
-from .kernel import Matrix, Tensor2, Tensor3, same_field
+from .kernel import _Container, same_field, show
 from .report import Violation, make_report
 
 CATALOG: dict[str, "Identity"] = {}
@@ -169,26 +169,17 @@ def _sum(terms):
 def _is_zero(value):
     if isinstance(value, tuple):
         return not any(value)
-    if isinstance(value, (Tensor2, Tensor3, Matrix)):
+    if isinstance(value, _Container):
         return value.is_zero()
     return not value
 
 
 def _render(value):
     if isinstance(value, tuple):
-        return tuple(str(x) for x in value)
-    if isinstance(value, Tensor2):
-        d = value.dim
-        return tuple(f"[{i},{j}]={value[i, j]}" for i in range(d) for j in range(d)
-                     if value[i, j]) or ("0",)
-    if isinstance(value, Tensor3):
-        d = value.dim
-        return tuple(f"[{i},{j},{k}]={value[i, j, k]}" for i in range(d) for j in range(d)
-                     for k in range(d) if value[i, j, k]) or ("0",)
-    if isinstance(value, Matrix):
-        return tuple(f"[{i},{j}]={value[i, j]}" for i in range(value.rows)
-                     for j in range(value.cols) if value[i, j]) or ("0",)
-    return (str(value),)
+        return tuple(map(show, value))
+    if isinstance(value, _Container):
+        return value.render() or ("0",)
+    return (show(value),)
 
 
 def evaluate(tag: str, ctx: Ctx, idx: tuple[int, ...]):
@@ -206,7 +197,7 @@ def _stored(value, field):
     helpers leave ints outside [0, p) (containers are always reduced)."""
     if isinstance(value, tuple):
         return field.reduce(value)
-    if isinstance(value, (Tensor2, Tensor3, Matrix)):
+    if isinstance(value, _Container):
         return value
     return field.coerce(value)
 

@@ -17,9 +17,9 @@ Conventions used throughout the toolkit:
 * `GFElement` is the public GF(p) scalar returned by `of`, `parse` and
   `elements`; `coerce` turns it (or any int) into the stored int and
   refuses a scalar of another field;
-* `_Quadratic`, a polynomial scalar of degree at most 2, is private to the
-  search compile; GF(p) containers hold it as they are handed it, since
-  `PrimeField.coerce` passes it through on its own modulus;
+* `_Quadratic`, a GF(p) polynomial scalar of degree at most 2, is private
+  to the search compile; GF(p) containers hold it as they are handed it,
+  since `PrimeField.coerce` passes it through on its own modulus;
 * vectors are plain tuples of scalars.  The vector helpers (`vadd`, `vneg`,
   ...) know no field and do not reduce, so over GF(p) they may return ints
   outside [0, p); every matrix and structure operation accepts such
@@ -27,7 +27,12 @@ Conventions used throughout the toolkit:
 * a linear map is a square `Matrix` whose column j is the image of basis
   vector j, so map composition is matrix multiplication and applying a map
   to a vector is `m.apply(v)`;
-* containers over different fields never combine: `FieldError`.
+* `Matrix`, `Tensor2` and `Tensor3` share one private base, `_Container`,
+  which holds their common contract: entrywise +, -, negation and
+  `scale`, the zero test, equality and hash, and `render()`, the nonzero
+  entries as `[i,j]=x`.  Containers over different fields never combine:
+  `FieldError`.  `show` renders one scalar; an integer part past Python's
+  int/str digit limit reads as its digit count instead of raising.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .errors import FieldError
 
@@ -147,18 +153,18 @@ class GFElement:
 
 
 class _Quadratic:
-    """Polynomial of total degree at most 2 in numbered variables, over GF(p)
-    (`p` its modulus) or over Q (`p` None); private to the search compile,
-    which evaluates each identity step once on components whose entries are
-    variables.  `terms` maps each monomial, () or (v,) or (v, w) with
-    v >= w, to its nonzero coefficient, reduced mod p.  Over GF(2) a square
-    y*y folds into y, which is exact on GF(2)^n.  A product of degree above
-    2 raises `RuntimeError`, and a scalar of another field `FieldError`.  A
-    result without terms is the int 0."""
+    """Polynomial of total degree at most 2 in numbered variables over GF(p),
+    `p` its modulus; private to the search compile, which evaluates each
+    identity step once on components whose entries are variables.  `terms`
+    maps each monomial, () or (v,) or (v, w) with v >= w, to its nonzero
+    coefficient, reduced mod p.  Over GF(2) a square y*y folds into y, which
+    is exact on GF(2)^n.  A product of degree above 2 raises `RuntimeError`,
+    and a scalar of another field `FieldError`.  A result without terms is
+    the int 0."""
 
     __slots__ = ("terms", "p")
 
-    def __init__(self, terms: dict, p):
+    def __init__(self, terms: dict, p: int):
         self.terms = terms
         self.p = p
 
@@ -166,21 +172,17 @@ class _Quadratic:
         """`other` as terms, or None for a type that this class leaves alone."""
         if type(other) is _Quadratic:
             if other.p != self.p:
-                raise FieldError(f"mixing {self._field()} with {other._field()}")
+                raise FieldError(f"mixing GF({self.p}) with GF({other.p})")
             return other.terms
         if isinstance(other, GFElement):
             if other.p != self.p:
-                raise FieldError(f"GF({other.p}) element in {self._field()} context")
+                raise FieldError(f"GF({other.p}) element in GF({self.p}) context")
             other = other.val
         elif isinstance(other, Fraction):
-            if self.p:
-                raise FieldError(f"rational {other} in {self._field()} context")
+            raise FieldError(f"rational {other} in GF({self.p}) context")
         elif not isinstance(other, int):
             return None
         return {(): other} if other else {}
-
-    def _field(self):
-        return f"GF({self.p})" if self.p else "Q"
 
     def _new(self, terms):
         return _Quadratic(terms, self.p) if terms else 0
@@ -191,9 +193,7 @@ class _Quadratic:
             return NotImplemented
         out, p = self.terms.copy(), self.p
         for m, c in terms.items():
-            c = out.get(m, 0) + sign * c
-            if p:
-                c %= p
+            c = (out.get(m, 0) + sign * c) % p
             if c:
                 out[m] = c
             else:
@@ -213,15 +213,14 @@ class _Quadratic:
 
     def __neg__(self):
         p = self.p
-        return _Quadratic({m: -c % p if p else -c for m, c in self.terms.items()}, p)
+        return _Quadratic({m: -c % p for m, c in self.terms.items()}, p)
 
     def __mul__(self, other):
         p = self.p
         if type(other) is int:
-            if p:
-                other %= p
-            return self._new({m: c * other % p if p else c * other
-                              for m, c in self.terms.items()} if other else {})
+            other %= p
+            return self._new({m: c * other % p for m, c in self.terms.items()}
+                             if other else {})
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
@@ -231,15 +230,14 @@ class _Quadratic:
                 key = tuple(sorted(set(m + n) if p == 2 else m + n, reverse=True))  # y^2 = y
                 if len(key) > 2:
                     raise RuntimeError("a product of degree above 2")
-                c = out.get(key, 0) + a * b
-                out[key] = c % p if p else c
+                out[key] = (out.get(key, 0) + a * b) % p
         return self._new({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __mod__(self, modulus):
         if modulus != self.p:
-            raise FieldError(f"reducing {self._field()} modulo {modulus}")
+            raise FieldError(f"reducing GF({self.p}) modulo {modulus}")
         return self
 
     def __bool__(self):
@@ -482,7 +480,7 @@ class PrimeField:
             return int(x) % self.modulus
         if isinstance(x, _Quadratic):  # the search compile's scalar stays as it is
             if x.p != self.modulus:
-                raise FieldError(f"{x._field()} polynomial in GF({self.modulus}) context")
+                raise FieldError(f"GF({x.p}) polynomial in GF({self.modulus}) context")
             return x
         raise FieldError(f"cannot coerce {x!r} into GF({self.modulus})")
 
@@ -581,31 +579,167 @@ def vscale(c, u):
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# containers
 
-class Matrix:
-    """Dense matrix over one field, row-major immutable storage."""
+def show(x) -> str:
+    """`str(x)` of a scalar, except that a numerator or denominator past
+    Python's int/str digit limit reads as its sign and digit count, as in
+    `-<8001 digits>/3`: an exact residual can outgrow the limit that parsed
+    literals keep to."""
+    try:
+        return str(x)
+    except ValueError:
+        n, d = x.numerator, x.denominator
+        return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        m = abs(n)
+        d = int(m.bit_length() * 0.30103)  # about log10(m), then exact
+        while 10 ** d <= m:
+            d += 1
+        while 10 ** (d - 1) > m:
+            d -= 1
+        return f"{'-' if n < 0 else ''}<{d} digits>"
+
+
+class _Container:
+    """The contract of the kernel's containers `Matrix`, `Tensor2` and
+    `Tensor3`: `entries`, an immutable tuple of stored scalars of one
+    `field`, row-major on a fixed shape.
+
+    * `+` and `-` take a container of the same type, field and shape and
+      work entry by entry, as negation and `scale` do; each result entry is
+      reduced once.  Another type gives `TypeError`, another field
+      `FieldError`, and another shape `_mismatch` (`TypeError`, or
+      `ValueError` for a `Matrix`);
+    * two containers are equal when type, field, shape and entries agree;
+      the hash is that of `_key`, the shape and then the entries;
+    * `render()` gives the nonzero entries as `[i,j]=x` strings, the form
+      that violations and tensor reprs print.
+
+    A subclass's own slots are its shape, which `_key` and `_head` (the
+    field and the shape, as `_make` takes them) read.  The constructors
+    here are the tensors', with `dim ** _order` entries; `Matrix` replaces
+    them with its `rows` x `cols` ones."""
+
+    __slots__ = ("field", "entries")
+    _mismatch = TypeError
+
+    def __init_subclass__(cls):
+        shape = cls.__slots__
+        cls._key = attrgetter(*shape, "entries")
+        cls._head = attrgetter("field", *shape)
+
+    def __init__(self, field, dim, entries):
+        self.field = field
+        self.dim = dim
+        self.entries = self._reduced(field, entries, dim ** self._order)
+
+    def _reduced(self, field, entries, size) -> tuple:
+        """The entries reduced; refused unless there are `size` of them."""
+        entries = field.reduce(entries)
+        if len(entries) != size:
+            shape = "x".join(map(str, self._axes()))
+            raise ValueError(f"{shape} {type(self).__name__.lower()} needs {size} "
+                             f"entries, got {len(entries)}")
+        return entries
+
+    @classmethod
+    def _make(cls, field, dim, entries):
+        """Trusted constructor: `entries` is already a tuple of stored scalars."""
+        t = _new(cls)
+        t.field = field
+        t.dim = dim
+        t.entries = entries
+        return t
+
+    @classmethod
+    def zero(cls, field, dim):
+        return cls._make(field, dim, (field.zero(),) * dim ** cls._order)
+
+    def _axes(self) -> tuple:
+        """The range of each index."""
+        return (self.dim,) * self._order
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        same_field(self.field, other.field)
+        head = self._head(self)
+        if head != other._head(other):  # the fields are equal by now
+            raise self._mismatch("shape mismatch")
+        out = list(map(op, self.entries, other.entries))
+        return self._make(*head, reduce_entries(self.field, out))
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return self._make(*self._head(self),
+                          reduce_entries(self.field, [-a for a in self.entries]))
+
+    def scale(self, c):
+        c = self.field.coerce(c)
+        return self._make(*self._head(self),
+                          reduce_entries(self.field, [c * a for a in self.entries]))
+
+    def is_zero(self):
+        return not any(self.entries)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self._key(self) == other._key(other))
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def render(self) -> tuple:
+        """The nonzero entries as `[i,j]=x` strings (`[i,j,k]=x` in a
+        `Tensor3`), in row-major order."""
+        index = product(*map(range, self._axes()))
+        return tuple(f"[{','.join(map(str, i))}]={show(x)}"
+                     for i, x in zip(index, self.entries) if x)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(self.render()) or '0'})"
+
+
+class Matrix(_Container):
+    """Dense matrix over one field, `rows` x `cols`, row-major."""
+
+    __slots__ = ("rows", "cols")
+    _mismatch = ValueError
 
     def __init__(self, field, rows, cols, entries):
-        entries = field.reduce(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.entries = self._reduced(field, entries, rows * cols)
 
     @classmethod
     def _make(cls, field, rows, cols, entries):
         """Trusted constructor: `entries` is already a tuple of stored scalars."""
-        m = object.__new__(cls)
+        m = _new(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
         m.entries = entries
         return m
+
+    @classmethod
+    def zero(cls, field, n, m=None):
+        m = n if m is None else m
+        return cls._make(field, n, m, (field.zero(),) * (n * m))
+
+    def _axes(self) -> tuple:
+        return self.rows, self.cols
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -618,11 +752,6 @@ class Matrix:
     @classmethod
     def from_cols(cls, field, cols):
         return cls.from_rows(field, cols).transpose()
-
-    @classmethod
-    def zero(cls, field, n, m=None):
-        m = n if m is None else m
-        return cls._make(field, n, m, (field.zero(),) * (n * m))
 
     @classmethod
     def identity(cls, field, n):
@@ -676,37 +805,10 @@ class Matrix:
                 out.append(acc)
         return Matrix._make(self.field, self.rows, m, reduce_entries(self.field, out))
 
-    def _combine(self, other, op):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = list(map(op, self.entries, other.entries))
-        return Matrix._make(self.field, self.rows, self.cols, reduce_entries(self.field, out))
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def __neg__(self):
-        return Matrix._make(self.field, self.rows, self.cols,
-                            reduce_entries(self.field, [-a for a in self.entries]))
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        return Matrix._make(self.field, self.rows, self.cols,
-                            reduce_entries(self.field, [c * a for a in self.entries]))
-
     def transpose(self):
         ent, n = self.entries, self.cols
         return Matrix._make(self.field, n, self.rows,
                             tuple(x for j in range(n) for x in ent[j::n]))
-
-    def is_zero(self):
-        return not any(self.entries)
 
     def det(self):
         if self.rows != self.cols:
@@ -749,16 +851,8 @@ class Matrix:
                     work[r] = F.reduce([a - f * b for a, b in zip(work[r], work[c])])
         return Matrix.from_rows(F, [row[n:] for row in work])
 
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self):
-        rows = [" ".join(str(x) for x in self.row(i)) for i in range(self.rows)]
+        rows = [" ".join(show(x) for x in self.row(i)) for i in range(self.rows)]
         return "[" + "; ".join(rows) + "]"
 
 
@@ -805,31 +899,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # tensors
 
-class Tensor2:
+class Tensor2(_Container):
     """Element of V (x) V on a chosen basis; entry (i, j) weights e_i (x) e_j."""
 
-    __slots__ = ("field", "dim", "entries")
-
-    def __init__(self, field, dim, entries):
-        entries = field.reduce(entries)
-        if len(entries) != dim * dim:
-            raise ValueError("tensor entry count mismatch")
-        self.field = field
-        self.dim = dim
-        self.entries = entries
-
-    @classmethod
-    def _make(cls, field, dim, entries):
-        """Trusted constructor: `entries` is already a tuple of stored scalars."""
-        t = object.__new__(cls)
-        t.field = field
-        t.dim = dim
-        t.entries = entries
-        return t
-
-    @classmethod
-    def zero(cls, field, dim):
-        return cls._make(field, dim, (field.zero(),) * (dim * dim))
+    __slots__ = ("dim",)
+    _order = 2
 
     @classmethod
     def from_terms(cls, field, dim, terms):
@@ -843,34 +917,9 @@ class Tensor2:
         i, j = ij
         return self.entries[i * self.dim + j]
 
-    def _combine(self, other, op):
-        if not isinstance(other, Tensor2) or other.dim != self.dim:
-            return NotImplemented
-        same_field(self.field, other.field)
-        out = list(map(op, self.entries, other.entries))
-        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def __neg__(self):
-        out = [-a for a in self.entries]
-        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        return Tensor2._make(self.field, self.dim,
-                             reduce_entries(self.field, [c * a for a in self.entries]))
-
     def flip(self):
         ent, d = self.entries, self.dim
         return Tensor2._make(self.field, d, tuple(x for j in range(d) for x in ent[j::d]))
-
-    def is_zero(self):
-        return not any(self.entries)
 
     def is_antisymmetric(self):
         return self.flip() == -self
@@ -882,65 +931,16 @@ class Tensor2:
         """Read the grid as a map from the dual space: e_i* maps to sum_j t[i][j] e_j."""
         return Matrix._make(self.field, self.dim, self.dim, self.entries).transpose()
 
-    def __eq__(self, other):
-        return (isinstance(other, Tensor2) and self.dim == other.dim
-                and self.field == other.field and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.dim, self.entries))
-
-    def __repr__(self):
-        terms = [f"[{i},{j}]={self[i, j]}" for i in range(self.dim)
-                 for j in range(self.dim) if self[i, j]]
-        return "Tensor2(" + (", ".join(terms) or "0") + ")"
-
-
-class Tensor3:
+class Tensor3(_Container):
     """Element of V (x) V (x) V; entry (i, j, k) weights e_i (x) e_j (x) e_k."""
 
-    __slots__ = ("field", "dim", "entries")
-
-    def __init__(self, field, dim, entries):
-        entries = field.reduce(entries)
-        if len(entries) != dim ** 3:
-            raise ValueError("tensor entry count mismatch")
-        self.field = field
-        self.dim = dim
-        self.entries = entries
-
-    @classmethod
-    def _make(cls, field, dim, entries):
-        """Trusted constructor: `entries` is already a tuple of stored scalars."""
-        t = object.__new__(cls)
-        t.field = field
-        t.dim = dim
-        t.entries = entries
-        return t
-
-    @classmethod
-    def zero(cls, field, dim):
-        return cls._make(field, dim, (field.zero(),) * dim ** 3)
+    __slots__ = ("dim",)
+    _order = 3
 
     def __getitem__(self, ijk):
         i, j, k = ijk
         return self.entries[(i * self.dim + j) * self.dim + k]
-
-    def _combine(self, other, op):
-        if not isinstance(other, Tensor3) or other.dim != self.dim:
-            return NotImplemented
-        same_field(self.field, other.field)
-        out = list(map(op, self.entries, other.entries))
-        return Tensor3._make(self.field, self.dim, reduce_entries(self.field, out))
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def __neg__(self):
-        out = [-a for a in self.entries]
-        return Tensor3._make(self.field, self.dim, reduce_entries(self.field, out))
 
     def permute(self, sigma):
         """Entry (i0,i1,i2) of the result is entry (i_sigma[0], i_sigma[1], i_sigma[2])."""
@@ -953,22 +953,6 @@ class Tensor3:
                     src = (idx[sigma[0]], idx[sigma[1]], idx[sigma[2]])
                     out.append(self[src])
         return Tensor3._make(self.field, d, tuple(out))
-
-    def is_zero(self):
-        return not any(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor3) and self.dim == other.dim
-                and self.field == other.field and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.dim, self.entries))
-
-    def __repr__(self):
-        d = self.dim
-        terms = [f"[{i},{j},{k}]={self[i, j, k]}" for i in range(d) for j in range(d)
-                 for k in range(d) if self[i, j, k]]
-        return "Tensor3(" + (", ".join(terms) or "0") + ")"
 
 
 def flip(t: Tensor2) -> Tensor2:

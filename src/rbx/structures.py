@@ -2,10 +2,11 @@
 
 An `Algebra` stores a rank-3 coefficient tensor c with e_i . e_j =
 sum_k c[i][j][k] e_k; a `Coalgebra` stores d with Delta(e_i) =
-sum_{j,k} d[i][j][k] e_j (x) e_k.  Construction verifies the defining
-axioms (associativity / coassociativity, or the Lie counterparts) unless
-the caller tags the data `raw`, which is how candidate products awaiting
-checks are carried around.
+sum_{j,k} d[i][j][k] e_j (x) e_k.  Both families share one base, `_Table`,
+which stores and checks the table, gives equality and hash, and on
+construction verifies the class's defining axioms (associativity /
+coassociativity, or the Lie counterparts) unless the caller tags the data
+`raw`, which is how candidate products awaiting checks are carried around.
 
 All identities are checked on basis tuples only; multilinearity makes that
 exhaustive.
@@ -24,33 +25,45 @@ from .report import Violation, make_report
 
 class _Table:
     """A dim x dim x dim table of structure constants in stored form, with
-    basis labels and cached basis vectors."""
+    basis labels and cached basis vectors; the base of both families of
+    (co)algebras.  Construction checks the table's shape, sets the
+    family's derived data (`_derive`), and then runs the class's axiom kind
+    `_axiom`, refusing a failing table with `_refusal`, unless the caller
+    passes `raw`.  Two tables are equal when type, field, table and basis
+    agree."""
 
-    def __init__(self, field, table, basis, what):
+    _what = "structure-constant table"
+
+    def __init__(self, field, table, basis=None, raw=False):
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(field.reduce(cell) for cell in row) for row in table)
         for row in self.table:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValueError(f"{what} must be dim x dim x dim")
+                raise ValueError(f"{self._what} must be dim x dim x dim")
         self.basis = tuple(basis) if basis else tuple(f"e{i}" for i in range(self.dim))
         if len(self.basis) != self.dim:
             raise ValueError("basis label count mismatch")
         self._basis_vectors = tuple(bv(field, self.dim, i) for i in range(self.dim))
+        self._derive()
+        if not raw:
+            rep = check_axioms(self._axiom, self)
+            if not rep.passed:
+                raise StructureError(self._refusal, rep)
+
+    def basis_vector(self, i):
+        return self._basis_vectors[i]
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.table == other.table and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.table))
 
 
 class _Multiplicative(_Table):
-    """Shared storage for a bilinear product given by structure constants."""
-
-    def __init__(self, field, table, basis=None, raw=False):
-        super().__init__(field, table, basis, "structure-constant table")
-        self._left = None
-        self._right = None
-        if not raw:
-            self._check_construction()
-
-    def _check_construction(self):
-        raise NotImplementedError
+    """A bilinear product given by structure constants."""
 
     def product(self, i, j):
         """Product of basis vectors e_i and e_j, as a coefficient tuple."""
@@ -71,8 +84,8 @@ class _Multiplicative(_Table):
         z = F.zero()
         return reduce_entries(F, [z if o is None else o for o in out])
 
-    def basis_vector(self, i):
-        return self._basis_vectors[i]
+    def _derive(self):
+        self._left = self._right = None  # built on first use
 
     def left_mult_basis(self, i) -> Matrix:
         if self._left is None:
@@ -102,13 +115,6 @@ class _Multiplicative(_Table):
         return all(self.table[i][j] == self.table[j][i]
                    for i in range(self.dim) for j in range(self.dim))
 
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.field == other.field
-                and self.table == other.table and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.table))
-
     def __repr__(self):
         terms = []
         for i in range(self.dim):
@@ -120,36 +126,25 @@ class _Multiplicative(_Table):
 
 
 class Algebra(_Multiplicative):
-    def _check_construction(self):
-        rep = check_axioms("associative", self)
-        if not rep.passed:
-            raise StructureError("product is not associative", rep)
+    _axiom, _refusal = "associative", "product is not associative"
 
 
 class LieAlgebra(_Multiplicative):
-    def _check_construction(self):
-        rep = check_axioms("lie", self)
-        if not rep.passed:
-            raise StructureError("bracket is not a Lie bracket", rep)
+    _axiom, _refusal = "lie", "bracket is not a Lie bracket"
 
     def bracket(self, x, y):
         return self.mul(x, y)
 
 
 class _Comultiplicative(_Table):
-    """Shared storage for a comultiplication given by structure constants."""
+    """A comultiplication given by structure constants."""
 
-    def __init__(self, field, table, basis=None, raw=False):
-        super().__init__(field, table, basis, "comultiplication table")
-        self._deltas = tuple(
-            Tensor2._make(field, self.dim, tuple(x for row in self.table[i] for x in row))
-            for i in range(self.dim)
-        )
-        if not raw:
-            self._check_construction()
+    _what = "comultiplication table"
 
-    def _check_construction(self):
-        raise NotImplementedError
+    def _derive(self):
+        self._deltas = tuple(Tensor2._make(self.field, self.dim,
+                                           tuple(x for row in cell for x in row))
+                             for cell in self.table)
 
     def delta_basis(self, i) -> Tensor2:
         return self._deltas[i]
@@ -162,51 +157,27 @@ class _Comultiplicative(_Table):
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
         """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
-        d = self.dim
-        z = self.field.zero()
-        out = [z] * d ** 3
-        for u in range(d):
-            for v in range(d):
-                c = t[u, v]
-                if not c:
-                    continue
-                du = self._deltas[u]
-                for a in range(d):
-                    for b in range(d):
-                        x = du[a, b]
-                        if x:
-                            flat = (a * d + b) * d + v
-                            out[flat] = out[flat] + c * x
-        return Tensor3._make(self.field, d, reduce_entries(self.field, out))
+        return self._coapply(t, True)
 
     def coapply_second(self, t: Tensor2) -> Tensor3:
         """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v)."""
+        return self._coapply(t, False)
+
+    def _coapply(self, t: Tensor2, first) -> Tensor3:
         d = self.dim
-        z = self.field.zero()
-        out = [z] * d ** 3
-        for u in range(d):
-            for v in range(d):
-                c = t[u, v]
-                if not c:
-                    continue
-                dv = self._deltas[v]
-                for a in range(d):
-                    for b in range(d):
-                        x = dv[a, b]
-                        if x:
-                            flat = (u * d + a) * d + b
-                            out[flat] = out[flat] + c * x
+        out = [self.field.zero()] * d ** 3
+        for (u, v), c in zip(itertools.product(range(d), repeat=2), t.entries):
+            if c:
+                # entry f of Delta(e_k) lands at f*d + v in Delta(e_u) (x) e_v,
+                # and at u*d*d + f in e_u (x) Delta(e_v)
+                k, stride, base = (u, d, v) if first else (v, 1, u * d * d)
+                for f, x in enumerate(self._deltas[k].entries):
+                    if x:
+                        out[base + f * stride] += c * x
         return Tensor3._make(self.field, d, reduce_entries(self.field, out))
 
     def is_cocommutative(self):
         return all(self._deltas[i].is_symmetric() for i in range(self.dim))
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.field == other.field
-                and self.table == other.table and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.table))
 
     def __repr__(self):
         terms = []
@@ -219,17 +190,11 @@ class _Comultiplicative(_Table):
 
 
 class Coalgebra(_Comultiplicative):
-    def _check_construction(self):
-        rep = check_axioms("coassociative", self)
-        if not rep.passed:
-            raise StructureError("comultiplication is not coassociative", rep)
+    _axiom, _refusal = "coassociative", "comultiplication is not coassociative"
 
 
 class LieCoalgebra(_Comultiplicative):
-    def _check_construction(self):
-        rep = check_axioms("lie_coalgebra", self)
-        if not rep.passed:
-            raise StructureError("cobracket is not a Lie cobracket", rep)
+    _axiom, _refusal = "lie_coalgebra", "cobracket is not a Lie cobracket"
 
 
 class BilinearForm:
@@ -621,19 +586,20 @@ def _mult_payload(payload, kind):
     return _expect(payload, _Multiplicative, kind)
 
 
-def add_products(p: _Multiplicative, q: _Multiplicative) -> Algebra:
-    """Entrywise sum of two products on the same space, as a raw algebra."""
+def _table_sum(p: _Table, q: _Table, cls, what):
+    """Entrywise sum of two tables on the same space, as a raw `cls`."""
     if p.dim != q.dim or p.field != q.field:
-        raise PayloadError("products live on different spaces")
-    table = [[vadd(p.table[i][j], q.table[i][j]) for j in range(p.dim)] for i in range(p.dim)]
-    return Algebra(p.field, table, basis=p.basis, raw=True)
+        raise PayloadError(f"{what} live on different spaces")
+    table = [[vadd(a, b) for a, b in zip(rp, rq)] for rp, rq in zip(p.table, q.table)]
+    return cls(p.field, table, basis=p.basis, raw=True)
+
+
+def add_products(p: _Multiplicative, q: _Multiplicative) -> Algebra:
+    return _table_sum(p, q, Algebra, "products")
 
 
 def add_comults(p: _Comultiplicative, q: _Comultiplicative) -> Coalgebra:
-    if p.dim != q.dim or p.field != q.field:
-        raise PayloadError("comultiplications live on different spaces")
-    table = [[vadd(p.table[i][j], q.table[i][j]) for j in range(p.dim)] for i in range(p.dim)]
-    return Coalgebra(p.field, table, basis=p.basis, raw=True)
+    return _table_sum(p, q, Coalgebra, "comultiplications")
 
 
 def _axiom_groups(kind, payload):

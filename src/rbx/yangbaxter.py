@@ -292,10 +292,7 @@ def check_admissible_aybe(A, R, S, Q, T, r: Tensor2):
 def _antisymmetry_report(r: Tensor2):
     if r.is_antisymmetric():
         return make_report("antisymmetric", ())
-    diff = r + r.flip()
-    vio = Violation("antisymmetric-tensor", (),
-                    tuple(f"[{i},{j}]={diff[i, j]}" for i in range(r.dim)
-                          for j in range(r.dim) if diff[i, j]))
+    vio = Violation("antisymmetric-tensor", (), (r + r.flip()).render())
     return make_report("antisymmetric", (vio,))
 
 

@@ -403,6 +403,21 @@ def test_cli_huge_rational_literal_exit_2(tmp_path, literal):
     assert "(line 6, col 7)" in out.stderr and "Traceback" not in out.stderr
 
 
+# a literal within the limit can give a residual past it: the check still
+# ends in its verdict, which renders that entry by its sign and digit count
+
+def test_cli_residual_past_the_digit_limit_is_a_verdict(tmp_path):
+    ws = tmp_path / "ws.rbx"
+    ws.write_text(FIX_A_SOURCE + "map R on A\nR e = 2e4000 e + -1 f\n")
+    out = _python_m_rbx("check", "rb-weight", "A", "R", "--weight", "0", "--witness",
+                        "-i", str(ws))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["status"] == "fail"
+    assert doc["violations"][0]["residual"][0] == "-<8001 digits>"  # -4 * 10^8000
+
+
 def test_cli_export_to_stdout_follows_the_document(capsys):
     code = main(["search", "rbs", "--builtin", "--carrier", "A", "--field", "GF2",
                  "--export", "-"])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import operator
 import pickle
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rbx.errors import FieldError
 from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
-                        _Quadratic, field_make, leg_apply, det)
+                        Tensor3, _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
 
 
@@ -380,3 +381,90 @@ def test_rational_literals_read_as_fraction(text):
 def test_rational_literals_beyond_the_digit_limit_refused(text):
     with pytest.raises(FieldError, match="bad rational literal"):
         Rationals().parse(text)
+
+
+# the container contract that Matrix, Tensor2 and Tensor3 share: entrywise
+# +, - and negation, the zero test, eq/hash within and across types, the
+# mismatch errors, pickling (the search pool ships containers) and the
+# rendered nonzero entries
+
+_ORDER = {Matrix: 2, Tensor2: 2, Tensor3: 3}
+
+
+def _container(cls, field, values, dim=2):
+    values = list(values)[:dim ** _ORDER[cls]]
+    return Matrix(field, dim, dim, values) if cls is Matrix else cls(field, dim, values)
+
+
+@pytest.mark.parametrize("cls", [Matrix, Tensor2, Tensor3])
+@pytest.mark.parametrize("field", [PrimeField(3), Rationals()], ids=["GF3", "Q"])
+def test_container_contract(cls, field):
+    half = field.of(1, 2)
+    a = _container(cls, field, [1, 0, half, -1, 0, 2, 0, half])
+    b = _container(cls, field, [2, half, 0, 1, 1, 0, -1, 0])
+    other = PrimeField(3) if field.modulus is None else Rationals()
+    assert all(type(x) is field.stored for x in a.entries + b.entries)
+
+    def entries(values):
+        return field.reduce(list(values))
+
+    for got, want in ((a + b, map(operator.add, a.entries, b.entries)),
+                      (a - b, map(operator.sub, a.entries, b.entries)),
+                      (-a, (-x for x in a.entries))):
+        assert type(got) is cls and got.field == field
+        assert got.entries == entries(want)
+    if hasattr(cls, "scale"):
+        assert a.scale(half).entries == entries(half * x for x in a.entries)
+
+    zero = cls.zero(field, 2)
+    assert zero.is_zero() and (a - a).is_zero() and not a.is_zero()
+    assert a - a == zero and a + zero == a and -(-a) == a
+
+    twin = _container(cls, field, [1, 0, half, -1, 0, 2, 0, half])
+    assert a == twin and not a != twin and hash(a) == hash(twin) and a != b
+    shape = (2, 2) if cls is Matrix else (2,)
+    assert hash(a) == hash(shape + (a.entries,))
+    ones = [1] * 8
+    for kin in (Matrix, Tensor2, Tensor3):
+        if kin is not cls:
+            assert _container(cls, field, ones) != _container(kin, field, ones)
+            assert _container(kin, field, ones) != _container(cls, field, ones)
+            with pytest.raises(TypeError):
+                a + _container(kin, field, ones)
+    assert _container(cls, field, ones) != _container(cls, other, ones)
+    with pytest.raises(TypeError):
+        a - 1
+    bigger = _container(cls, field, [1] * 27, dim=3)
+    with pytest.raises(ValueError if cls is Matrix else TypeError):
+        a + bigger
+    with pytest.raises(ValueError if cls is Matrix else TypeError):
+        a - bigger
+    mixed = _container(cls, other, ones)
+    for mix in (lambda: a + mixed, lambda: a - mixed, lambda: mixed + a):
+        with pytest.raises(FieldError):
+            mix()
+
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(copied) is cls and copied == a and hash(copied) == hash(a)
+        assert all(type(x) is field.stored for x in copied.entries)
+
+    from rbx.identities import _render
+    index = itertools.product(range(2), repeat=_ORDER[cls])
+    shown = tuple(f"[{','.join(map(str, i))}]={x}" for i, x in zip(index, a.entries) if x)
+    assert shown and _render(a) == shown and _render(zero) == ("0",)
+    if cls is not Matrix:
+        assert repr(a) == f"{cls.__name__}({', '.join(shown)})"
+        assert repr(zero) == f"{cls.__name__}(0)"
+
+
+def test_show_renders_parts_past_the_digit_limit_by_their_size():
+    import sys
+    from rbx.kernel import show
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("no int/str digit limit")
+    QQ, top = Rationals(), 10 ** limit  # the least int of limit + 1 digits
+    assert show(top - 1) == "9" * limit and show(QQ.of(1, 2)) == "1/2" and show(-5) == "-5"
+    assert show(top) == show(QQ.of(top)) == f"<{limit + 1} digits>"
+    assert show(QQ.of(-3 * top - 1, 7)) == f"-<{limit + 1} digits>/7"
+    assert show(QQ.of(2, 70 * top + 1)) == f"2/<{limit + 2} digits>"

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from rbx import bridges, identities, regression, structures, systems
+from rbx import bisystems, identities, regression, structures, systems
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import PayloadError, PreconditionError
@@ -659,9 +659,10 @@ def _count_checks(monkeypatch, modules, name):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts, by check name, the operator-system, cosystem and bridge-part
-    verdicts that are evaluated rather than served from a shared memo."""
-    return _count_checks(monkeypatch, (systems, bridges), "run_identities")
+    """Counts, by check name, the operator-system, cosystem, bisystem-part
+    and bridge-part verdicts that are evaluated rather than served from a
+    shared memo."""
+    return _count_checks(monkeypatch, (systems, bisystems), "run_identities")
 
 
 @pytest.fixture
@@ -674,8 +675,8 @@ def axiom_evaluations(monkeypatch):
 # of an instance (lam, R, Q); every other part reads R and Q
 _READS = {"rb-algebra": "R", "rb-coalgebra": "Q", "averaging-algebra": "R",
           "averaging-coalgebra": "Q", "rb-lie-algebra": "R", "rb-lie-coalgebra": "Q",
-          "lie-system": "R", "lie-cosystem": "Q", "operator-system:symmetric_rbs": "R",
-          "cosystem:symmetric_rb_cosystem": "Q"}
+          "lie-system": "R", "lie-cosystem": "Q", "operator-system": "R",
+          "co-operator-system": "Q"}
 
 
 def _row(scan):
@@ -689,11 +690,10 @@ def _axioms(scan):
 
 @pytest.mark.parametrize("scan, per_kind, kinds", [
     (regression.scan_weighted_equivalence, 32,
-     ("rb-algebra", "rb-coalgebra", "operator-system:symmetric_rbs",
-      "cosystem:symmetric_rb_cosystem")),
+     ("rb-algebra", "rb-coalgebra", "operator-system", "co-operator-system")),
     (regression.scan_averaging_equivalence, 16,
-     ("averaging-algebra", "averaging-coalgebra", "operator-system:symmetric_rbs",
-      "cosystem:symmetric_rb_cosystem")),
+     ("averaging-algebra", "averaging-coalgebra", "operator-system",
+      "co-operator-system")),
     (regression.scan_averaging_lie_equivalence, 16, ("lie-system", "lie-cosystem")),
     (regression.scan_weighted_lie_equivalence, 32,
      ("rb-lie-algebra", "rb-lie-coalgebra", "lie-system", "lie-cosystem")),
@@ -745,18 +745,20 @@ def test_solved_scans_evaluate_each_survivor_verdict_once(evaluations, axiom_eva
 
 def test_bridge_parts_carry_only_keyed_data():
     # a bridge checker's part verdict is keyed by the carriers A and C, the
-    # maps R, S, Q and T and the weight lam (`bridges._run_part`), so no
-    # part's context may carry any other datum
+    # maps R, S, Q and T and the weight lam (`bisystems._run_part`), as is a
+    # part of `check_bisystem`, so no part's context may carry any other datum
     F3 = PrimeField(3)
     keyed = {"spaces", "field", "A", "C", "R", "S", "Q", "T", "lam"}
     lie = regression._SCANS["averaging-lie"]
     g, dl = (make(F3) for make in lie.carriers)
     zero = Matrix.zero(F3, 2)
     parts = list(lie.bisystem_parts(LieBisystem(g, dl, zero, zero, zero, zero)))
+    parts += bisystems.bisystem_identities(
+        bisystems.ASIBisystem(fx.fix_a(F3), fx.fix_c(F3), zero, zero, zero, zero))
     for scan in regression._SCANS.values():
         A, C = (make(F3) for make in scan.carriers)
         parts += scan.bridge_parts(A, C, zero, zero, *((2,) if scan.weighted else ()))
-    assert len(parts) == 4 + 3 + 3 + 2 + 3
+    assert len(parts) == 4 + 4 + 3 + 3 + 2 + 3
     for name, _, ctx in parts:
         assert set(vars(ctx)) <= keyed, name
 
@@ -773,7 +775,7 @@ def test_scoped_scan_reports_equal_unscoped_ones(monkeypatch, scan, kinds):
         rep = real(key, compute, hold)
         calls.append((key[0], rep))
         return rep
-    for module in (systems, bridges):
+    for module in (systems, bisystems):
         monkeypatch.setattr(module, "shared", spy)
     with shared_verdicts():
         scoped = list(_scan_instances(_row(scan)))
@@ -786,8 +788,9 @@ def test_scoped_scan_reports_equal_unscoped_ones(monkeypatch, scan, kinds):
 
 
 def test_search_shares_verdicts_and_drops_them(F2, evaluations):
-    # a bisystem hit re-verifies its (R, S) and (Q, T); repeats come from the
-    # shard's memo, which is gone when the shard returns
+    # a bisystem hit re-verifies its (R, S), its (Q, T) and the two
+    # admissibility parts on all four maps; repeats come from the shard's
+    # memo, which is gone when the shard returns
     job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
     runs = []
     for _ in range(2):
@@ -797,9 +800,10 @@ def test_search_shares_verdicts_and_drops_them(F2, evaluations):
         runs.append(dict(evaluations))
     assert len(hits) == 48
     assert runs[0] == runs[1] == {
-        "operator-system:symmetric_rbs": len({h.parts[:2] for h in hits}),
-        "cosystem:symmetric_rb_cosystem": len({h.parts[2:] for h in hits})}
-    assert runs[0]["operator-system:symmetric_rbs"] < len(hits)
+        "operator-system": len({h.parts[:2] for h in hits}),
+        "co-operator-system": len({h.parts[2:] for h in hits}),
+        "adjoint-admissible": len(hits), "coadjoint-admissible": len(hits)}
+    assert runs[0]["operator-system"] < len(hits)
 
 
 def test_shared_verdicts_never_hide_a_seeded_fault(QQ, evaluations):
