@@ -7,13 +7,15 @@ rather than exceptions; only structure-returning constructors refuse.
 
 `check_bisystem` runs the bialgebra axioms and then the (name, tags, ctx)
 parts of `bisystem_identities`, the same parts that search compiles, through
-`_bridge_report`; the bridge checkers in `bridges` share that helper.
+`_bridge_report`; the bridge checkers in `bridges` share that helper.  Each
+part is one `run_identities` call, so inside `identities.shared_verdicts`
+a repeated part is served from the memo.
 """
 
 from __future__ import annotations
 
 from .errors import PayloadError, PreconditionError
-from .identities import run_identities, shared
+from .identities import run_identities
 from .kernel import Matrix, block_diag
 from .report import Violation, make_report
 from .structures import (Algebra, BilinearForm, check_axioms, dualize,
@@ -154,26 +156,11 @@ def bisystem_identities(bi: ASIBisystem):
     )
 
 
-def _run_part(name, tags, ctx):
-    """`run_identities(name, tags, ctx)` through `identities.shared`.  A
-    part's context carries at most the carriers A and C, the maps R, S, Q
-    and T and the weight lam, so the key is the name, the tags, the spaces'
-    labels, the carriers' ids (the entry holds the carriers), the maps'
-    entries and the weight."""
-    get = vars(ctx).get
-    A, C = get("A"), get("C")
-    maps = [get(k) for k in "RSQT"]
-    key = (name, tags, *ctx.spaces.values(), id(A), id(C),
-           *[None if m is None else m.entries for m in maps], get("lam"))
-    return shared(key, lambda: run_identities(name, tags, ctx), (A, C))
-
-
 def _bridge_report(check, axioms, carriers, parts):
     """The carriers' axioms, then each (name, tags, ctx) part, as named
-    sub-reports; inside `identities.shared_verdicts` a repeated part gets
-    the same report object without being evaluated again (`_run_part`)."""
+    sub-reports."""
     sub = [make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)]
-    sub += [_run_part(name, tags, ctx) for name, tags, ctx in parts]
+    sub += [run_identities(name, tags, ctx) for name, tags, ctx in parts]
     return make_report(check, subreports=sub)
 
 

@@ -155,26 +155,6 @@ def _et6b(ctx, idx):
     return [leg_apply(leg_apply(dx, R, 1), Q, 2), -leg_apply(C.delta(R.col(i)), Q, 2)]
 
 
-@identity("eq:cxx3", ("A",))
-def _cxx3(ctx, idx):
-    (i,) = idx
-    C, R, S = ctx.C, ctx.R, ctx.S
-    dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, R, 1), S, 2),
-            -leg_apply(C.delta(S.col(i)), R, 1),
-            -leg_apply(C.delta(R.col(i)), S, 2)]
-
-
-@identity("eq:cxx4", ("A",))
-def _cxx4(ctx, idx):
-    (i,) = idx
-    C, R, S = ctx.C, ctx.R, ctx.S
-    dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, S, 1), R, 2),
-            -leg_apply(C.delta(R.col(i)), S, 1),
-            -leg_apply(C.delta(S.col(i)), R, 2)]
-
-
 # weighted Lie bialgebra display
 
 @identity("de:he#4b", ("A",))
@@ -228,12 +208,6 @@ def check_averaging_asi(A, C, R: Matrix, Q: Matrix):
     and co-operator, and the four mixed displays."""
     return _bridge_report("averaging-asi", "asi_bialgebra", (A, C),
                           averaging_asi_identities(A, C, R, Q))
-
-
-def check_crossed_coproducts(C, R: Matrix, S: Matrix):
-    """(R (x) S)Delta = (R (x) id)Delta S + (id (x) S)Delta R and its mirror."""
-    ctx = Ctx({"A": C.basis}, C=C, R=R, S=S)
-    return run_identities("crossed-coproducts", ("eq:cxx3", "eq:cxx4"), ctx)
 
 
 def averaging_from_bisystem(bi: ASIBisystem):

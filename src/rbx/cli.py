@@ -129,7 +129,6 @@ class _PendingStruct:
         self.raw = raw
         self.line = line
         self.index = {b: i for i, b in enumerate(basis)}
-        z = None
         self.table = [[None] * dim for _ in range(dim)]
 
     def finalize(self, ws):
@@ -305,60 +304,64 @@ def parse(text: str) -> Workspace:
     return ws
 
 
-def _coeff_str(c):
-    return str(c)
-
-
 def _sum_str(labels, vec, pair=False):
     if pair:
         dim = len(labels)
-        terms = [f"{_coeff_str(vec[j][k])} ({labels[j]},{labels[k]})"
+        terms = [f"{vec[j][k]} ({labels[j]},{labels[k]})"
                  for j in range(dim) for k in range(dim) if vec[j][k]]
     else:
-        terms = [f"{_coeff_str(c)} {labels[k]}" for k, c in enumerate(vec) if c]
+        terms = [f"{c} {labels[k]}" for k, c in enumerate(vec) if c]
     return " + ".join(terms)
 
 
+def _item_lines(ws: Workspace, name) -> list:
+    """The declaration and entry lines of one workspace item."""
+    kind, obj, carrier = ws.items[name]
+    if kind in _STRUCT_KINDS:
+        out = [f"{kind} {name} dim {obj.dim} basis " + " ".join(obj.basis)]
+        if kind in ("algebra", "liealgebra"):
+            for i in range(obj.dim):
+                for j in range(obj.dim):
+                    s = _sum_str(obj.basis, obj.table[i][j])
+                    if s:
+                        out.append(f"mul {obj.basis[i]} {obj.basis[j]} = {s}")
+        else:
+            for i in range(obj.dim):
+                s = _sum_str(obj.basis, obj.table[i], pair=True)
+                if s:
+                    out.append(f"comul {obj.basis[i]} = {s}")
+        return out
+    cobj = ws.get(carrier)
+    if kind == "map":
+        out = [f"map {name} on {carrier}"]
+        for j in range(obj.cols):
+            s = _sum_str(cobj.basis, obj.col(j))
+            if s:
+                out.append(f"{name} {cobj.basis[j]} = {s}")
+        return out
+    if kind == "form":
+        out = [f"form {name} on {carrier}"]
+        for i in range(obj.dim):
+            s = _sum_str(cobj.basis, obj.gram.row(i))
+            if s:
+                out.append(f"{name} {cobj.basis[i]} = {s}")
+        return out
+    grid = [[obj[i, j] for j in range(obj.dim)] for i in range(obj.dim)]
+    s = _sum_str(cobj.basis, grid, pair=True) or f"0 ({cobj.basis[0]},{cobj.basis[0]})"
+    return [f"tensor {name} on {carrier} = {s}"]
+
+
 def print_workspace(ws: Workspace) -> str:
+    """The workspace as text that `parse` reads back.  An item with a
+    coefficient past Python's int/str digit limit, which `parse` refuses,
+    is refused: `PayloadError`."""
     out = [f"field {ws.field!r}"]
     for name in ws.order:
-        kind, obj, carrier = ws.items[name]
-        out.append("")
-        if kind in _STRUCT_KINDS:
-            decl = f"{kind} {name} dim {obj.dim} basis " + " ".join(obj.basis)
-            out.append(decl)
-            if kind in ("algebra", "liealgebra"):
-                for i in range(obj.dim):
-                    for j in range(obj.dim):
-                        s = _sum_str(obj.basis, obj.table[i][j])
-                        if s:
-                            out.append(f"mul {obj.basis[i]} {obj.basis[j]} = {s}")
-            else:
-                for i in range(obj.dim):
-                    s = _sum_str(obj.basis, obj.table[i], pair=True)
-                    if s:
-                        out.append(f"comul {obj.basis[i]} = {s}")
-        elif kind == "map":
-            cobj = ws.get(carrier)
-            out.append(f"map {name} on {carrier}")
-            for j in range(obj.cols):
-                s = _sum_str(cobj.basis, obj.col(j))
-                if s:
-                    out.append(f"{name} {cobj.basis[j]} = {s}")
-        elif kind == "form":
-            cobj = ws.get(carrier)
-            out.append(f"form {name} on {carrier}")
-            for i in range(obj.dim):
-                s = _sum_str(cobj.basis, obj.gram.row(i))
-                if s:
-                    out.append(f"{name} {cobj.basis[i]} = {s}")
-        elif kind == "tensor":
-            cobj = ws.get(carrier)
-            grid = [[obj[i, j] for j in range(obj.dim)] for i in range(obj.dim)]
-            s = _sum_str(cobj.basis, grid, pair=True)
-            if not s:
-                s = f"0 ({cobj.basis[0]},{cobj.basis[0]})"
-            out.append(f"tensor {name} on {carrier} = {s}")
+        try:
+            out += ["", *_item_lines(ws, name)]
+        except ValueError:
+            raise PayloadError(f"cannot print {name!r}: a coefficient has more digits "
+                               "than a workspace literal may have") from None
     return "\n".join(out) + "\n"
 
 

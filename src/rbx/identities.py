@@ -4,11 +4,13 @@ Every checkable identity in the toolkit is registered here under a stable
 tag.  An entry computes the list of summands of the residual at one tuple
 of basis indices; the identity holds iff the summands add to zero at every
 tuple.  Checkers assemble reports by running catalog entries
-(`run_identities`), search compiles the same entries into GF(p) rows, one
-per residual entry of each (tag, basis tuple) step (`steps`), and the
-fault-injection hook (used by the mutation-sensitivity tests) flips the
-sign of a single summand of a single identity.  One function may be
-registered under several tags; each tag keeps its own faults.
+(`run_identities`, which inside a `shared_verdicts` scope computes each
+report once, under a key read off the whole context), search compiles the
+same entries into GF(p) rows, one per residual entry of each (tag, basis
+tuple) step (`steps`), and the fault-injection hook (used by the
+mutation-sensitivity tests) flips the sign of a single summand of a single
+identity.  One function may be registered under several tags; each tag
+keeps its own faults.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import Callable
 
-from .kernel import _Container, same_field, show
+from .kernel import (GFElement, Matrix, Tensor2, Tensor3, _Container, _QFraction,
+                     same_field, show)
 from .report import Violation, make_report
 
 CATALOG: dict[str, "Identity"] = {}
@@ -74,8 +78,11 @@ class Ctx:
     `spaces` maps a space name (e.g. "A", "C", "M") to its basis labels;
     identities quantify over the spaces they declare.  `field` is the one
     field of every datum that has one (tuples of data are looked into);
-    data over two different fields raise `FieldError`.
+    data over two different fields raise `FieldError`.  Both are slots, so
+    `vars(ctx)` holds exactly the data, each under its name.
     """
+
+    __slots__ = ("spaces", "field", "__dict__")
 
     def __init__(self, spaces=None, **data):
         self.spaces = {k: tuple(v) for k, v in (spaces or {}).items()}
@@ -124,13 +131,12 @@ def seeded_fault(tag: str, term: int = 0):
 @contextmanager
 def shared_verdicts():
     """Share checker verdicts while the context is open: inside it,
-    `structures.check_axioms`, `systems.check_operator_system` and
-    `systems.check_cosystem` compute each verdict once (`shared`) and serve
-    repeats from a memo that is dropped when the outermost scope closes.
-    Scopes nest, an inner one reusing the outer memo.  The memo lives in a
-    `ContextVar`, so a scope is seen only by its own thread (and context),
-    and it is never pickled: a worker process opens its own.  A seeded
-    fault opened inside a scope swaps in a memo of its own."""
+    `run_identities` computes each report once and serves repeats from a
+    memo that is dropped when the outermost scope closes.  Scopes nest, an
+    inner one reusing the outer memo.  The memo lives in a `ContextVar`, so
+    a scope is seen only by its own thread (and context), and it is never
+    pickled: a worker process opens its own.  A seeded fault opened inside
+    a scope swaps in a memo of its own."""
     memo = _VERDICTS.get()
     token = _VERDICTS.set({} if memo is None else memo)
     try:
@@ -139,18 +145,17 @@ def shared_verdicts():
         _VERDICTS.reset(token)
 
 
-def shared(key, compute, hold):
-    """`compute()`, computed once per `key` inside a `shared_verdicts` scope.
-    The entry keeps `hold` alive (the objects whose ids the key names), so
-    those ids cannot be reused while it lives.  Outside every scope the
-    memo is neither read nor written."""
-    memo = _VERDICTS.get()
-    if memo is None:
-        return compute()
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (compute(), hold)
-    return hit[0]
+def _itself(value):
+    return value
+
+
+# how a datum of each kernel type keys a shared verdict: a container by its
+# class, shape and entries, read in C (its field is the context's, which the
+# key names), a scalar by value; a datum of any other type, a tuple of
+# containers included, keys it by identity (`id`)
+_KEY_OF = {cls: attrgetter("__class__", *cls.__slots__, "entries")
+           for cls in (Matrix, Tensor2, Tensor3)}
+_KEY_OF.update(dict.fromkeys((int, GFElement, _QFraction, Fraction), _itself))
 
 
 def _neg(value):
@@ -202,8 +207,8 @@ def _stored(value, field):
     return field.coerce(value)
 
 
-def run_identities(check: str, tags, ctx: Ctx, provenance=None):
-    """Evaluate a tag list over all basis tuples; report every violation."""
+def _run(check: str, tags, ctx: Ctx):
+    """The report of `run_identities`, evaluated afresh."""
     field = ctx.field if ctx.field is not None and ctx.field.modulus else None
     violations = []
     for tag in tags:
@@ -216,7 +221,28 @@ def run_identities(check: str, tags, ctx: Ctx, provenance=None):
             if not _is_zero(res):
                 inputs = tuple(label_sets[k][i] for k, i in enumerate(idx))
                 violations.append(Violation(tag, inputs, _render(res)))
-    return make_report(check, violations, provenance=provenance)
+    return make_report(check, violations)
+
+
+def run_identities(check: str, tags, ctx: Ctx):
+    """Evaluate a tag tuple over all basis tuples; report every violation.
+
+    Inside a `shared_verdicts` scope the report is computed once per key,
+    and a repeat gets the same object.  The key is the check, the tags, each
+    space with its labels, the field and every datum of `ctx` under its
+    name (`_KEY_OF`); the entry holds the data, and through them the field,
+    so no id that the key names is reused while the entry lives.  Outside
+    every scope no key is built."""
+    memo = _VERDICTS.get()
+    if memo is None:
+        return _run(check, tags, ctx)
+    data = vars(ctx)
+    key = (check, tags, tuple(ctx.spaces.items()), id(ctx.field), tuple(data),
+           *[_KEY_OF.get(type(v), id)(v) for v in data.values()])
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (_run(check, tags, ctx), tuple(data.values()))
+    return hit[0]
 
 
 def steps(tags, ctx: Ctx) -> tuple:
@@ -226,12 +252,3 @@ def steps(tags, ctx: Ctx) -> tuple:
         (tag, idx) for tag in tags
         for idx in itertools.product(
             *(range(len(ctx.spaces[s])) for s in CATALOG[tag].spaces)))
-
-
-def run_groups(check: str, groups, provenance=None):
-    """Like run_identities, for a list of (tags, ctx) groups sharing one report."""
-    violations = []
-    for tags, ctx in groups:
-        rep = run_identities(check, tags, ctx)
-        violations.extend(rep.violations)
-    return make_report(check, violations, provenance=provenance)

@@ -7,6 +7,9 @@ which stores and checks the table, gives equality and hash, and on
 construction verifies the class's defining axioms (associativity /
 coassociativity, or the Lie counterparts) unless the caller tags the data
 `raw`, which is how candidate products awaiting checks are carried around.
+`check_axioms` runs one (tags, ctx) per axiom kind (`_axiom_identities`)
+through `identities.run_identities`, which shares the verdict inside a
+`shared_verdicts` scope.
 
 All identities are checked on basis tuples only; multilinearity makes that
 exhaustive.
@@ -19,7 +22,7 @@ import itertools
 from .errors import PayloadError, StructureError
 from .kernel import (Matrix, Tensor2, Tensor3, bv, combine, leg_apply,
                      nonzero_terms, reduce_entries, vadd, vneg, vsub)
-from .identities import Ctx, identity, run_groups, shared
+from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
 
@@ -602,99 +605,84 @@ def add_comults(p: _Comultiplicative, q: _Comultiplicative) -> Coalgebra:
     return _table_sum(p, q, Coalgebra, "comultiplications")
 
 
-def _axiom_groups(kind, payload):
+# the apre-perm algebra and coalgebra identities, in report order
+_HF_TAGS = ("de:hf#1", "associativity", "perm:leftcommutativity", "de:hf#3a", "de:hf#3b")
+_HG_TAGS = ("de:hg#1", "de:hg#2", "de:hg#3", "de:hg#4", "de:hg#5")
+
+
+def _axiom_identities(kind, payload):
+    """The (tags, ctx) that `check_axioms` runs for one axiom kind, after
+    its payload rules."""
     if kind == "associative":
         A = _mult_payload(payload, kind)
-        return [(("associativity",), Ctx({"A": A.basis}, A=A))]
+        return ("associativity",), Ctx({"A": A.basis}, A=A)
     if kind == "coassociative":
         C = _expect(payload, _Comultiplicative, kind)
-        return [(("coassociativity",), Ctx({"C": C.basis}, C=C))]
+        return ("coassociativity",), Ctx({"C": C.basis}, C=C)
     if kind == "lie":
         A = _mult_payload(payload, kind)
-        return [(("lie:antisymmetry", "lie:jacobi"), Ctx({"A": A.basis}, A=A))]
+        return ("lie:antisymmetry", "lie:jacobi"), Ctx({"A": A.basis}, A=A)
     if kind == "lie_coalgebra":
         C = _expect(payload, _Comultiplicative, kind)
-        return [(("colie:antisymmetry", "colie:jacobi"), Ctx({"C": C.basis}, C=C))]
+        return ("colie:antisymmetry", "colie:jacobi"), Ctx({"C": C.basis}, C=C)
     if kind == "dendriform":
         prec, succ = _pair(payload, kind, _Multiplicative, _Multiplicative)
-        return [(("eq:1.2a", "eq:1.2b", "eq:1.2c"),
-                 Ctx({"A": prec.basis}, prec=prec, succ=succ))]
+        return (("eq:1.2a", "eq:1.2b", "eq:1.2c"),
+                Ctx({"A": prec.basis}, prec=prec, succ=succ))
     if kind == "prelie":
         A = _mult_payload(payload, kind)
-        return [(("prelie",), Ctx({"A": A.basis}, A=A))]
+        return ("prelie",), Ctx({"A": A.basis}, A=A)
     if kind == "perm":
         A = _mult_payload(payload, kind)
-        return [(("associativity", "perm:leftcommutativity"), Ctx({"A": A.basis}, A=A))]
+        return ("associativity", "perm:leftcommutativity"), Ctx({"A": A.basis}, A=A)
     if kind == "asi_bialgebra":
         A, C = _pair(payload, kind, _Multiplicative, _Comultiplicative)
-        ctx = Ctx({"A": A.basis, "C": C.basis}, A=A, C=C)
-        return [(("associativity",), ctx), (("coassociativity",), ctx),
-                (("de:cv#1", "de:cv#2"), ctx)]
+        return (("associativity", "coassociativity", "de:cv#1", "de:cv#2"),
+                Ctx({"A": A.basis, "C": C.basis}, A=A, C=C))
     if kind == "lie_bialgebra":
         g, C = _pair(payload, kind, _Multiplicative, _Comultiplicative)
-        ctx = Ctx({"A": g.basis, "C": C.basis}, A=g, C=C)
-        return [(("lie:antisymmetry", "lie:jacobi"), ctx),
-                (("colie:antisymmetry", "colie:jacobi"), ctx),
-                (("lie-bialgebra:cocycle",), ctx)]
+        return (("lie:antisymmetry", "lie:jacobi", "colie:antisymmetry", "colie:jacobi",
+                 "lie-bialgebra:cocycle"), Ctx({"A": g.basis, "C": C.basis}, A=g, C=C))
     if kind == "apreperm_algebra":
         gt, lt = _pair(payload, kind, _Multiplicative, _Multiplicative)
         circ = add_products(gt, lt)
-        ctx = Ctx({"A": gt.basis}, gt=gt, lt=lt, circ=circ)
-        perm_ctx = Ctx({"A": circ.basis}, A=circ)
-        return [(("de:hf#1",), ctx),
-                (("associativity", "perm:leftcommutativity"), perm_ctx),
-                (("de:hf#3a", "de:hf#3b"), ctx)]
+        return _HF_TAGS, Ctx({"A": gt.basis}, gt=gt, lt=lt, circ=circ, A=circ)
     if kind == "apreperm_coalgebra":
         vartheta, theta = _pair(payload, kind, _Comultiplicative, _Comultiplicative)
         eta = add_comults(theta, vartheta)
-        ctx = Ctx({"C": eta.basis}, eta=eta, theta=theta, vartheta=vartheta)
-        return [(("de:hg#1", "de:hg#2", "de:hg#3", "de:hg#4", "de:hg#5"), ctx)]
+        return _HG_TAGS, Ctx({"C": eta.basis}, eta=eta, theta=theta, vartheta=vartheta)
     if kind == "apreperm_bialgebra":
         if not (isinstance(payload, tuple) and len(payload) == 4):
             raise PayloadError("kind 'apreperm_bialgebra' expects (gt, lt, vartheta, theta)")
         gt, lt, vartheta, theta = payload
-        groups = _axiom_groups("apreperm_algebra", (gt, lt))
-        groups += _axiom_groups("apreperm_coalgebra", (vartheta, theta))
-        circ = add_products(gt, lt)
-        eta = add_comults(theta, vartheta)
-        ctx = Ctx({"A": gt.basis}, gt=gt, lt=lt, circ=circ, eta=eta, theta=theta)
-        groups.append((tuple(f"de:hi#{k}" for k in range(1, 8)), ctx))
-        return groups
+        _, alg = _axiom_identities("apreperm_algebra", (gt, lt))
+        _, coalg = _axiom_identities("apreperm_coalgebra", (vartheta, theta))
+        return (_HF_TAGS + _HG_TAGS + tuple(f"de:hi#{k}" for k in range(1, 8)),
+                Ctx(alg.spaces | coalg.spaces, **vars(alg), **vars(coalg)))
     if kind == "covariant_bialgebra":
         if not (isinstance(payload, tuple) and len(payload) == 4):
             raise PayloadError("kind 'covariant_bialgebra' expects (A, d1, d2, Delta)")
         A, d1, d2, DT = payload
-        ctx = Ctx({"A": A.basis, "C": DT.basis}, A=A, d1=d1, d2=d2, DT=DT, C=DT)
-        return [(("associativity",), ctx), (("coassociativity",), ctx),
-                (("de:1.1#deriv1", "de:1.1#deriv2", "de:1.1#cov1", "de:1.1#cov2"), ctx)]
+        return (("associativity", "coassociativity", "de:1.1#deriv1", "de:1.1#deriv2",
+                 "de:1.1#cov1", "de:1.1#cov2"),
+                Ctx({"A": A.basis, "C": DT.basis}, A=A, d1=d1, d2=d2, DT=DT, C=DT))
     if kind == "frobenius":
         A, B = payload if isinstance(payload, tuple) else (None, None)
         if not (isinstance(A, _Multiplicative) and isinstance(B, BilinearForm)):
             raise PayloadError("kind 'frobenius' expects (Algebra, BilinearForm)")
         if A.dim != B.dim:
             raise PayloadError("form dimension does not match the algebra")
-        return [(("frobenius:invariance",), Ctx({"A": A.basis}, A=A, B=B))]
+        return ("frobenius:invariance",), Ctx({"A": A.basis}, A=A, B=B)
     raise PayloadError(f"unknown axiom kind {kind!r}")
 
 
 def check_axioms(kind, payload):
-    """Run the defining identities of one axiom kind; report every violation.
-
-    Inside `identities.shared_verdicts` the verdict is computed once per
-    kind and payload, keyed by the identity of every payload member;
-    structures are immutable, and the entry holds the members, so their ids
-    cannot be reused while it lives.
-    """
-    def report():
-        rep = run_groups(f"axioms:{kind}", _axiom_groups(kind, payload))
-        if kind == "frobenius":
-            _, B = payload
-            if not B.is_nondegenerate():
-                extra = (Violation("frobenius:nondegenerate", (), (str(B.gram.det()),)),)
-                rep = make_report(rep.check, rep.violations + extra)
-        return rep
-    members = payload if isinstance(payload, tuple) else (payload,)
-    return shared(("axioms", kind) + tuple(map(id, members)), report, members)
+    """Run the defining identities of one axiom kind; report every violation."""
+    rep = run_identities(f"axioms:{kind}", *_axiom_identities(kind, payload))
+    if kind == "frobenius" and not payload[1].is_nondegenerate():
+        extra = Violation("frobenius:nondegenerate", (), (str(payload[1].gram.det()),))
+        rep = make_report(rep.check, rep.violations + (extra,))
+    return rep
 
 
 # ---------------------------------------------------------------------------

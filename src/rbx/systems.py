@@ -4,14 +4,17 @@ An `OperatorSystem` bundles a carrier algebra (associative or Lie) with one
 or two linear maps and, for weighted kinds, a weight.  The checkers
 evaluate the defining identities on every basis pair; the constructive
 operations re-verify their hypotheses before building anything, so garbage
-never propagates silently.
+never propagates silently.  `check_operator_system` and `check_cosystem`
+are one `run_identities` call each, on the (tags, ctx) that search also
+compiles, so inside `identities.shared_verdicts` a repeat is served from
+the memo.
 """
 
 from __future__ import annotations
 
 from .errors import PayloadError, PreconditionError
 from .kernel import Matrix, Tensor2, leg_apply, vadd, vneg, vscale, vsub
-from .identities import Ctx, identity, run_identities, shared
+from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .structures import (Algebra, LieAlgebra, LieCoalgebra,
                          _Comultiplicative, _Multiplicative, commutator,
@@ -270,24 +273,10 @@ def operator_system_identities(kind: str, sys: OperatorSystem):
     return tags, ctx
 
 
-def _shared(check, tags, ctx, carrier, first, second, weight):
-    """`run_identities(check, tags, ctx)` through `identities.shared`, keyed
-    by the check, the carrier's id and the maps' entries (payload rules
-    have already tied the maps to the carrier's field and dimension) and
-    the weight; the entry holds the carrier."""
-    key = (check, id(carrier), first.entries,
-           None if second is None else second.entries, weight)
-    return shared(key, lambda: run_identities(check, tags, ctx), carrier)
-
-
 def check_operator_system(kind: str, sys: OperatorSystem) -> "Report":
     """Run the defining identities of one operator-system kind on every
-    basis pair.  Inside `identities.shared_verdicts` (the search shards and
-    the regression scans open one), a repeated (kind, carrier, R, S,
-    weight) gets the same report object without being evaluated again."""
-    tags, ctx = operator_system_identities(kind, sys)
-    return _shared(f"operator-system:{kind}", tags, ctx,
-                   sys.carrier, sys.R, sys.S, sys.weight)
+    basis pair."""
+    return run_identities(f"operator-system:{kind}", *operator_system_identities(kind, sys))
 
 
 def cosystem_identities(kind: str, sys: CoOperatorSystem):
@@ -308,11 +297,8 @@ def cosystem_identities(kind: str, sys: CoOperatorSystem):
 
 def check_cosystem(kind: str, sys: CoOperatorSystem) -> "Report":
     """Run the defining identities of one cosystem kind on every basis
-    element; shared inside `identities.shared_verdicts` like
-    `check_operator_system`."""
-    tags, ctx = cosystem_identities(kind, sys)
-    return _shared(f"cosystem:{kind}", tags, ctx,
-                   sys.carrier, sys.Q, sys.T, sys.weight)
+    element."""
+    return run_identities(f"cosystem:{kind}", *cosystem_identities(kind, sys))
 
 
 def check_ybpair(A, r: Tensor2, s: Tensor2) -> "Report":

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from rbx import fixtures as fx
@@ -7,13 +5,12 @@ from rbx.errors import PreconditionError
 from rbx.kernel import Matrix, Tensor2
 from rbx.search import SearchJob, enumerate_hits
 from rbx.identities import seeded_fault
-from rbx.structures import check_axioms, commutator, cocommutator, dualize
-from rbx.systems import OperatorSystem, check_crossed_products, check_operator_system
+from rbx.structures import check_axioms, commutator, cocommutator
+from rbx.systems import OperatorSystem, check_operator_system
 from rbx.bisystems import ASIBisystem, check_bisystem
 from rbx.bridges import (LieBisystem, apreperm_from_averaging,
                          averaging_from_bisystem, check_averaging_asi,
-                         check_averaging_lie_bialgebra, check_crossed_coproducts,
-                         check_lie_bisystem,
+                         check_averaging_lie_bialgebra, check_lie_bisystem,
                          check_weighted_rb_asi, check_weighted_rb_lie_bialgebra,
                          covariant_from_ybpair, lie_bisystem_from_asi,
                          lie_matched_pair_report)
@@ -325,49 +322,3 @@ def test_covariant_gate(QQ):
         covariant_from_ybpair(A, r, r)
 
 
-# crossed coproducts (eq:cxx3, eq:cxx4) are the crossed products of the dual
-# algebra under the transposed maps
-
-def _crossed_agree(C, R, S):
-    left = check_crossed_coproducts(C, R, S).passed
-    assert left == check_crossed_products(dualize(C), R.transpose(), S.transpose()).passed
-    return left
-
-
-@pytest.mark.parametrize("carrier, passing", [(fx.fix_c, 40), (fx.fix_delta, 50)])
-def test_crossed_coproducts_dual_to_crossed_products_gf2(F2, carrier, passing):
-    C = carrier(F2)
-    mats = all_matrices(F2)
-    assert sum(_crossed_agree(C, R, S) for R in mats for S in mats) == passing
-
-
-def test_crossed_coproducts_dual_to_crossed_products_gf3_sample(F3):
-    C = fx.fix_delta(F3)
-    mats = all_matrices(F3)
-    rng = random.Random(20261018)
-    passed = sum(_crossed_agree(C, rng.choice(mats), rng.choice(mats))
-                 for _ in range(600))
-    assert passed  # the sample holds passing pairs as well as failing ones
-
-
-# one GF(3) fix_delta pair (R, S), as row-major entries, for each summand of
-# eq:cxx3 and eq:cxx4: it passes, and fails once that summand's sign flips
-CROSSED_FAULT_WITNESSES = {
-    ("eq:cxx3", 0): ((0, 0, 0, 1), (1, 0, 0, 0)),
-    ("eq:cxx3", 1): ((0, 0, 1, 0), (0, 0, 1, 0)),
-    ("eq:cxx3", 2): ((0, 0, 0, 1), (1, 0, 0, 0)),
-    ("eq:cxx4", 0): ((0, 0, 0, 1), (1, 0, 0, 0)),
-    ("eq:cxx4", 1): ((0, 0, 0, 1), (1, 0, 0, 0)),
-    ("eq:cxx4", 2): ((0, 0, 1, 0), (0, 0, 1, 0)),
-}
-
-
-@pytest.mark.parametrize("tag, term", sorted(CROSSED_FAULT_WITNESSES))
-def test_crossed_coproduct_summands_are_fault_sensitive(F3, tag, term):
-    C = fx.fix_delta(F3)
-    R, S = (Matrix(F3, 2, 2, e) for e in CROSSED_FAULT_WITNESSES[tag, term])
-    assert check_crossed_coproducts(C, R, S).passed
-    with seeded_fault(tag, term):
-        rep = check_crossed_coproducts(C, R, S)
-    assert not rep.passed
-    assert {v.identity for v in rep.violations} == {tag}

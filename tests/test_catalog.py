@@ -17,10 +17,9 @@ TAGS_BY_SPACES = {
          "eq:dg#2", "eq:dh", "eq:dh1"),
     ("A",): ("de:ev#3a", "de:ev#3b", "de:ev#3c", "de:he#3", "de:he#4b",
              "eq:ck5#1", "eq:ck5#2", "eq:ck6#1", "eq:ck6#2", "eq:ck7#1",
-             "eq:ck7#2", "eq:ck8#1", "eq:ck8#2", "eq:cxx3", "eq:cxx4", "eq:db2",
-             "eq:db5", "eq:de", "eq:de1", "eq:de1de1", "eq:de2", "eq:de2de2",
-             "eq:de3", "eq:de3de3", "eq:de4", "eq:de4de4", "eq:de5", "eq:de5de5",
-             "eq:dede", "eq:dm1#1", "eq:dm1#2", "eq:emm3#1", "eq:emm3#2",
+             "eq:ck7#2", "eq:ck8#1", "eq:ck8#2", "eq:db2", "eq:db5", "eq:de",
+             "eq:de1", "eq:de1de1", "eq:de2", "eq:de2de2", "eq:de3", "eq:de3de3",
+             "eq:de4", "eq:de4de4", "eq:de5", "eq:de5de5", "eq:dede", "eq:dm1#1", "eq:dm1#2", "eq:emm3#1", "eq:emm3#2",
              "eq:emm4#1", "eq:emm4#2", "eq:er3", "eq:er4", "eq:et5#1", "eq:et5#2",
              "eq:et6#1", "eq:et6#2"),
     ("A", "A"): ("de:1.1#cov1", "de:1.1#cov2", "de:1.1#deriv1", "de:1.1#deriv2",
@@ -58,7 +57,7 @@ TAGS_BY_SPACES = {
 def test_catalog_tags_and_spaces_are_pinned():
     pinned = sorted((tag, spaces) for spaces, tags in TAGS_BY_SPACES.items()
                     for tag in tags)
-    assert len(pinned) == 171
+    assert len(pinned) == 169
     assert sorted((tag, ident.spaces) for tag, ident in CATALOG.items()) == pinned
 
 
@@ -170,7 +169,6 @@ SUMMAND_DIGESTS = {
     "eq:cu#1": "481c534767f04bb6", "eq:cu#2": "471264f39a289270",
     "eq:cu1#1": "d74d7a2a2f0d7a32", "eq:cu1#2": "f97a472dd1c22750",
     "eq:cxx1": "9441fc6a3b8eb655", "eq:cxx2": "1c66fe39d06c4a46",
-    "eq:cxx3": "2f65ce7c410d890b", "eq:cxx4": "e7ee97309b7c4e87",
     "eq:dn#1": "5c20d4ddf4ac8029", "eq:dn#2": "85cc7fef3d8bdca0",
     "eq:dn1#1": "da45bc76c45c6923", "eq:dn1#2": "045e41f032f30032",
     "eq:dn2#1": "c0ba25f28316fe7e", "eq:dn2#2": "0d96cc0217c9c335",

@@ -477,6 +477,22 @@ def test_cli_derive_options_where_used(capsys):
     assert "Delta" in parse(capsys.readouterr().out).order
 
 
+# a derivation whose output holds a coefficient past the int/str digit
+# limit would print text that `parse` refuses: it is refused, naming the item
+
+def test_cli_derive_refuses_an_unprintable_coefficient(tmp_path):
+    nines = "9" * 4300  # the longest literal that parses
+    ws = tmp_path / "ws.rbx"
+    ws.write_text(f"field Q\nalgebra A dim 1 basis e\nmul e e = 1 e\n\n"
+                  f"map R on A\nR e = {nines} e\n")
+    out = _python_m_rbx("derive", "weight-embed", "A", "R", "--weight", nines,
+                        "-i", str(ws))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "'Sw'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_weighted_search_kinds_take_a_weight(capsys):
     for kind, carrier in (("rb-weight", "A"), ("rb-coalgebra-weight", "C")):
         assert main(["search", kind, "--carrier", carrier, "--field", "GF3",

@@ -32,3 +32,24 @@ def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert re.findall(r"^dependencies\s*=.*$", project, re.M) == ["dependencies = []"]
+
+
+# the verdict memo and the helpers that key and fill it, which only
+# `identities.run_identities` may use
+MEMO_HELPERS = {"_VERDICTS", "_KEY_OF", "_run"}
+
+
+def test_only_identities_shares_verdicts():
+    # one key rule: no other module reads the memo or imports a helper of it
+    # to build a verdict key of its own
+    scanned = []
+    for path in sorted((ROOT / "src" / "rbx").glob("*.py")):
+        if path.name == "identities.py":
+            continue
+        text = path.read_text()
+        scanned.append(path.name)
+        assert "_VERDICTS" not in text, path.name
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("identities"):
+                assert not {alias.name for alias in node.names} & MEMO_HELPERS, path.name
+    assert {"structures.py", "systems.py", "bisystems.py", "search.py"} <= set(scanned)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from rbx import fixtures as fx
-from rbx import regression, search, structures
+from rbx import identities, regression, search
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
 from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate,
                             seeded_fault, steps)
@@ -533,13 +533,13 @@ def test_serial_search_shares_one_verdict_scope(F2, F3, monkeypatch):
     # the compile and every serial shard share one scope, so a bisystem's
     # carriers have their asi_bialgebra axioms evaluated once per search
     counts = collections.Counter()
-    real = structures.run_groups
+    real = identities._run
 
-    def spy(check, groups, provenance=None):
+    def spy(check, tags, ctx):
         counts[check] += 1
-        return real(check, groups, provenance)
+        return real(check, tags, ctx)
 
-    monkeypatch.setattr(structures, "run_groups", spy)
+    monkeypatch.setattr(identities, "_run", spy)
     job = SearchJob(F3, fx.fix_a(F3), "bisystem", cocarrier=fx.fix_c(F3))
     for shards in (1, 8):
         counts.clear()

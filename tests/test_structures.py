@@ -291,14 +291,14 @@ def test_structures_carry_no_verdict_state(QQ):
 
 def test_axiom_verdicts_shared_only_inside_a_scope(QQ, monkeypatch):
     import collections
-    from rbx import structures
+    from rbx import identities
     counts = collections.Counter()
-    real = structures.run_groups
+    real = identities._run
 
-    def spy(check, groups, provenance=None):
+    def spy(check, tags, ctx):
         counts[check] += 1
-        return real(check, groups, provenance)
-    monkeypatch.setattr(structures, "run_groups", spy)
+        return real(check, tags, ctx)
+    monkeypatch.setattr(identities, "_run", spy)
     A, C = fx.fix_a(QQ), fx.fix_c(QQ)
     counts.clear()  # construction checked A and C
     first = check_axioms("asi_bialgebra", (A, C))

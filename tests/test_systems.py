@@ -5,13 +5,12 @@ import threading
 
 import pytest
 
-from rbx import bisystems, identities, regression, structures, systems
+from rbx import identities, regression
 from rbx import fixtures as fx
 from rbx import search
 from rbx.errors import PayloadError, PreconditionError
-from rbx.bridges import LieBisystem
-from rbx.identities import (_VERDICTS, CATALOG, Ctx, evaluate, seeded_fault,
-                            shared_verdicts)
+from rbx.identities import (_VERDICTS, CATALOG, Ctx, evaluate, run_identities,
+                            seeded_fault, shared_verdicts)
 from rbx.kernel import Matrix, PrimeField, Tensor2, bv
 from rbx.structures import Algebra, check_axioms
 from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS,
@@ -21,7 +20,7 @@ from rbx.systems import (_ALG_KINDS, _COALG_KINDS, _YBPAIR_TAGS,
                          cocommutator_lift, commutator_lift, derived_products,
                          nijenhuis_from_srbs, split_dendriform,
                          srbs_from_central, srbs_from_ybpair, weight_embed)
-from rbx.representations import _CK5_TAGS, _CK_TAGS
+from rbx.representations import _CK5_TAGS, _CK_TAGS, adjoint_bimodule
 from rbx.search import _KINDS, SearchJob, enumerate_hits
 from rbx.yangbaxter import _AYBE_TAGS
 from conftest import all_matrices, all_tensors
@@ -643,32 +642,33 @@ def test_search_kinds_declare_quadratic_tags():
 # ---------------------------------------------------------------------------
 # axiom, operator-system and cosystem verdicts shared inside one scope
 
-def _count_checks(monkeypatch, modules, name):
-    """Counts, by check name, the reports that `module.name` computes, over
-    the modules."""
+def _count_evaluations(monkeypatch, axioms):
+    """Counts, by check name, the reports that `identities._run` evaluates
+    rather than `run_identities` serving them from a shared memo: those of
+    `check_axioms` if `axioms`, else every other."""
     counts = collections.Counter()
-    for module in modules:
-        real = getattr(module, name)
+    real = identities._run
 
-        def spy(check, *args, real=real, **kwargs):
+    def spy(check, tags, ctx):
+        if check.startswith("axioms:") == axioms:
             counts[check] += 1
-            return real(check, *args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
+        return real(check, tags, ctx)
+    monkeypatch.setattr(identities, "_run", spy)
     return counts
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts, by check name, the operator-system, cosystem, bisystem-part
-    and bridge-part verdicts that are evaluated rather than served from a
-    shared memo."""
-    return _count_checks(monkeypatch, (systems, bisystems), "run_identities")
+    """Counts, by check name, the operator-system, cosystem, bisystem-part,
+    bridge-part and other verdicts that are evaluated rather than served
+    from a shared memo."""
+    return _count_evaluations(monkeypatch, axioms=False)
 
 
 @pytest.fixture
 def axiom_evaluations(monkeypatch):
     """The same count for `check_axioms` verdicts."""
-    return _count_checks(monkeypatch, (structures,), "run_groups")
+    return _count_evaluations(monkeypatch, axioms=True)
 
 
 # what the verdict of each single-map-pair part of a scan's checkers reads
@@ -743,47 +743,29 @@ def test_solved_scans_evaluate_each_survivor_verdict_once(evaluations, axiom_eva
     assert axiom_evaluations == {f"axioms:{kind}": 1 for kind in _axioms(scan)}
 
 
-def test_bridge_parts_carry_only_keyed_data():
-    # a bridge checker's part verdict is keyed by the carriers A and C, the
-    # maps R, S, Q and T and the weight lam (`bisystems._run_part`), as is a
-    # part of `check_bisystem`, so no part's context may carry any other datum
-    F3 = PrimeField(3)
-    keyed = {"spaces", "field", "A", "C", "R", "S", "Q", "T", "lam"}
-    lie = regression._SCANS["averaging-lie"]
-    g, dl = (make(F3) for make in lie.carriers)
-    zero = Matrix.zero(F3, 2)
-    parts = list(lie.bisystem_parts(LieBisystem(g, dl, zero, zero, zero, zero)))
-    parts += bisystems.bisystem_identities(
-        bisystems.ASIBisystem(fx.fix_a(F3), fx.fix_c(F3), zero, zero, zero, zero))
-    for scan in regression._SCANS.values():
-        A, C = (make(F3) for make in scan.carriers)
-        parts += scan.bridge_parts(A, C, zero, zero, *((2,) if scan.weighted else ()))
-    assert len(parts) == 4 + 4 + 3 + 3 + 2 + 3
-    for name, _, ctx in parts:
-        assert set(vars(ctx)) <= keyed, name
-
-
 @pytest.mark.parametrize("scan, kinds", [(regression.scan_averaging_equivalence, 4),
                                          (regression.scan_averaging_lie_equivalence, 2)])
 def test_scoped_scan_reports_equal_unscoped_ones(monkeypatch, scan, kinds):
     # over all 256 instances, the reports built inside one scope share their
-    # single-map-pair verdicts and equal the reports built outside any scope
-    calls = []
-    real = identities.shared
+    # single-map-pair verdicts, each the object of one evaluation, and equal
+    # the reports built outside any scope
+    made = []
+    real = identities._run
 
-    def spy(key, compute, hold):
-        rep = real(key, compute, hold)
-        calls.append((key[0], rep))
-        return rep
-    for module in (systems, bisystems):
-        monkeypatch.setattr(module, "shared", spy)
+    def spy(check, tags, ctx):
+        made.append(real(check, tags, ctx))
+        return made[-1]
+    monkeypatch.setattr(identities, "_run", spy)
     with shared_verdicts():
         scoped = list(_scan_instances(_row(scan)))
     monkeypatch.undo()
     assert len(scoped) == 256
-    ops = [rep for check, rep in calls if check in _READS]
+    ops = [sub for pair in scoped for rep in pair for sub in rep.subreports
+           if sub.check in _READS]
     assert len(ops) == 256 * kinds
-    assert len({id(rep) for rep in ops}) == 16 * kinds  # shared objects
+    shared = {id(rep) for rep in ops}
+    assert len(shared) == 16 * kinds  # shared objects
+    assert shared == {id(rep) for rep in made if rep.check in _READS}
     assert scoped == list(_scan_instances(_row(scan)))
 
 
@@ -804,6 +786,32 @@ def test_search_shares_verdicts_and_drops_them(F2, evaluations):
         "co-operator-system": len({h.parts[2:] for h in hits}),
         "adjoint-admissible": len(hits), "coadjoint-admissible": len(hits)}
     assert runs[0]["operator-system"] < len(hits)
+
+
+def test_verdict_key_reads_every_datum(QQ, evaluations):
+    # inside one scope, contexts that differ in exactly one datum get verdicts
+    # of their own, whatever the datum and whether or not a tag reads it;
+    # equal contexts share one report object; outside a scope nothing is kept
+    A = fx.fix_a(QQ)
+    R, S = fx.gc_maps()
+    data = dict(A=A, R=R, r=Tensor2.from_terms(QQ, 2, [(0, 1, 1)]), lam=QQ.coerce(1),
+                M=adjoint_bimodule(A), alpha=S)
+    other = dict(A=fx.fix_a(QQ), R=S, r=Tensor2.from_terms(QQ, 2, [(1, 0, 1)]),
+                 lam=QQ.coerce(2), M=adjoint_bimodule(A), alpha=R)
+    run = lambda **changed: run_identities(
+        "key", ("associativity",), Ctx({"A": A.basis}, **{**data, **changed}))
+    with shared_verdicts():
+        first = run()
+        assert run() is first
+        assert run(R=Matrix(QQ, 2, 2, R.entries), lam=QQ.coerce(1)) is first
+        reports = [run(**{name: value}) for name, value in other.items()]
+        assert len({id(rep) for rep in [first, *reports]}) == 1 + len(other)
+        assert all(run(**{name: value}) is rep
+                   for (name, value), rep in zip(other.items(), reports))
+        assert len(_VERDICTS.get()) == 1 + len(other)
+    assert evaluations["key"] == 1 + len(other)
+    assert run() is not run() and _VERDICTS.get() is None
+    assert evaluations["key"] == 3 + len(other)
 
 
 def test_shared_verdicts_never_hide_a_seeded_fault(QQ, evaluations):
