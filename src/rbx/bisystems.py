@@ -3,126 +3,59 @@ Frobenius double construction.
 
 The equivalence theorems relating these checkers assert equality of
 satisfaction, so hypothesis failures surface as failing named sub-reports
-rather than exceptions; only structure-returning constructors refuse.
+rather than exceptions; only structure-returning constructors refuse,
+through `errors.require`.
 
-`check_bisystem` runs the bialgebra axioms and then the (name, tags, ctx)
-parts of `bisystem_identities`, the same parts that search compiles, through
-`_bridge_report`; the bridge checkers in `bridges` share that helper.  Each
-part is one `run_identities` call, so inside `identities.shared_verdicts`
-a repeated part is served from the memo.
+Every composite here is one `identities.run_parts` call: a condition that
+renames a catalog check is a (name, tags, ctx) part, and anything else a
+ready `Report`.  `check_bisystem` runs the bialgebra axioms (`check_axioms`,
+whose verdict search shares) and then the parts of `bisystem_identities`,
+the same parts that search compiles, through `_bridge_report`; the bridge
+checkers in `bridges` share that helper.  Each part is one `run_identities`
+call, so inside `identities.shared_verdicts` a repeated part is served from
+the memo.  The matched-pair product is `representations.bowtie`, the one
+direct-sum table of the toolkit, with `MatchedPairData`.
 """
 
 from __future__ import annotations
 
-from .errors import PayloadError, PreconditionError
-from .identities import run_identities
+from .errors import PayloadError, require
+from .identities import run_parts
 from .kernel import Matrix, block_diag
 from .report import Violation, make_report
-from .structures import (Algebra, BilinearForm, check_axioms, dualize,
-                         form_adjoint, pairing_form)
-from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
-                      cosystem_identities, operator_system_identities)
-from .representations import (Bimodule, Representation,
+from .structures import (BilinearForm, _axiom_identities, check_axioms, dualize,
+                         form_adjoint, pairing_form, square_on)
+from .systems import (CoOperatorSystem, OperatorSystem, cosystem_identities,
+                      operator_system_identities)
+from .representations import (MatchedPairData, Representation,
                               adjoint_admissible_identities,
-                              adjoint_admissible_report,
+                              adjoint_admissible_report, bowtie,
                               coadjoint_admissible_identities,
-                              check_representation)
-
-
-class MatchedPairData:
-    """Two carriers with mutual actions; optionally a map pair on each side.
-
-    Actions follow the module storage convention: `left_a[i]` is the matrix
-    of the action of the i-th basis vector of A on B, `right_a[i]` its right
-    counterpart, and `left_b`/`right_b` act on A.
-    """
-
-    def __init__(self, A, B, left_a, right_a, left_b, right_b,
-                 maps_a=None, maps_b=None):
-        self.A = A
-        self.B = B
-        self.left_a = tuple(left_a)
-        self.right_a = tuple(right_a)
-        self.left_b = tuple(left_b)
-        self.right_b = tuple(right_b)
-        if len(self.left_a) != A.dim or len(self.right_a) != A.dim:
-            raise PayloadError("A-action list length must equal dim A")
-        if len(self.left_b) != B.dim or len(self.right_b) != B.dim:
-            raise PayloadError("B-action list length must equal dim B")
-        for m in self.left_a + self.right_a:
-            if m.rows != B.dim or m.cols != B.dim:
-                raise PayloadError("A acts on B; matrices must be dim-B square")
-        for m in self.left_b + self.right_b:
-            if m.rows != A.dim or m.cols != A.dim:
-                raise PayloadError("B acts on A; matrices must be dim-A square")
-        self.maps_a = maps_a  # (R_A, S_A)
-        self.maps_b = maps_b  # (R_B, S_B)
-
-    def module_over_a(self) -> Bimodule:
-        return Bimodule(self.B.dim, self.left_a, self.right_a, labels=self.B.basis)
-
-    def module_over_b(self) -> Bimodule:
-        return Bimodule(self.A.dim, self.left_b, self.right_b, labels=self.A.basis)
-
-
-def bowtie(mp: MatchedPairData) -> Algebra:
-    """Product on A + B built from the mutual actions, as a raw algebra;
-    the matched-pair condition is exactly its associativity."""
-    A, B = mp.A, mp.B
-    n, m = A.dim, B.dim
-    dim = n + m
-    z = A.field.zero()
-
-    def emb_a(vec):
-        return tuple(vec) + (z,) * m
-
-    def emb_b(vec):
-        return (z,) * n + tuple(vec)
-
-    table = [[(z,) * dim] * dim for _ in range(dim)]
-    table = [list(row) for row in table]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = emb_a(A.product(i, j))
-        for v in range(m):
-            # e_i . f_v = e_i r_B(f_v) + ell_A(e_i) f_v
-            table[i][n + v] = tuple(mp.right_b[v].col(i)) + tuple(mp.left_a[i].col(v))
-    for u in range(m):
-        for j in range(n):
-            # f_u . e_j = ell_B(f_u) e_j + f_u r_A(e_j)
-            table[n + u][j] = tuple(mp.left_b[u].col(j)) + tuple(mp.right_a[j].col(u))
-        for v in range(m):
-            table[n + u][n + v] = emb_b(B.product(u, v))
-    basis = A.basis + B.basis
-    return Algebra(A.field, table, basis=basis, raw=True)
+                              representation_identities)
 
 
 def check_matched_pair_srbs(mp: MatchedPairData):
     """Matched pair of paired operator systems: both constituent systems,
     both cross representations, associativity of the assembled product and
-    the paired identities of the summed maps, as named sub-reports."""
+    the paired identities of the summed maps, as named parts."""
     if mp.maps_a is None or mp.maps_b is None:
         raise PayloadError("matched-pair check needs map pairs on both sides")
     RA, SA = mp.maps_a
     RB, SB = mp.maps_b
     sys_a = OperatorSystem(mp.A, RA, SA)
     sys_b = OperatorSystem(mp.B, RB, SB)
-    sub = []
-    ra = check_operator_system("symmetric_rbs", sys_a)
-    rb = check_operator_system("symmetric_rbs", sys_b)
-    sub.append(make_report("system-a", ra.violations))
-    sub.append(make_report("system-b", rb.violations))
-    rep_b = check_representation(sys_a, Representation(mp.module_over_a(), RB, SB))
-    sub.append(make_report("action-on-b", rep_b.all_violations()))
-    rep_a = check_representation(sys_b, Representation(mp.module_over_b(), RA, SA))
-    sub.append(make_report("action-on-a", rep_a.all_violations()))
     big = bowtie(mp)
-    assoc = check_axioms("associative", big)
-    sub.append(make_report("sum-associative", assoc.violations))
     big_sys = OperatorSystem(big, block_diag(RA, RB), block_diag(SA, SB))
-    srbs = check_operator_system("symmetric_rbs", big_sys)
-    sub.append(make_report("sum-system", srbs.violations))
-    return make_report("matched-pair", subreports=sub)
+    return run_parts("matched-pair", (
+        ("system-a", *operator_system_identities("symmetric_rbs", sys_a)),
+        ("system-b", *operator_system_identities("symmetric_rbs", sys_b)),
+        ("action-on-b", *representation_identities(
+            sys_a, Representation(mp.module_over_a(), RB, SB))),
+        ("action-on-a", *representation_identities(
+            sys_b, Representation(mp.module_over_b(), RA, SA))),
+        ("sum-associative", *_axiom_identities("associative", big)),
+        ("sum-system", *operator_system_identities("symmetric_rbs", big_sys)),
+    ))
 
 
 class ASIBisystem:
@@ -131,9 +64,7 @@ class ASIBisystem:
     def __init__(self, algebra, coalgebra, R, S, Q, T):
         if algebra.dim != coalgebra.dim:
             raise PayloadError("algebra and coalgebra dimensions differ")
-        for m in (R, S, Q, T):
-            if m.rows != algebra.dim or m.cols != algebra.dim:
-                raise PayloadError("map dimension does not match the carrier")
+        square_on(algebra, R, S, Q, T)
         self.algebra = algebra
         self.coalgebra = coalgebra
         self.R, self.S, self.Q, self.T = R, S, Q, T
@@ -157,11 +88,11 @@ def bisystem_identities(bi: ASIBisystem):
 
 
 def _bridge_report(check, axioms, carriers, parts):
-    """The carriers' axioms, then each (name, tags, ctx) part, as named
-    sub-reports."""
-    sub = [make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)]
-    sub += [run_identities(name, tags, ctx) for name, tags, ctx in parts]
-    return make_report(check, subreports=sub)
+    """The carriers' axioms, renamed from one `check_axioms` call (whose
+    verdict search and the regression scans share), then `parts`, through
+    `run_parts`."""
+    own = make_report(axioms.replace("_", "-"), check_axioms(axioms, carriers).violations)
+    return run_parts(check, (own, *parts))
 
 
 def check_bisystem(bi: ASIBisystem):
@@ -202,28 +133,19 @@ def double_construction(A, C, R, S, Q, T) -> DoubleConstruction:
     canonical pairing form; report associativity, form invariance and the
     paired identities."""
     mp = dual_actions_pair(A, C)
+    Qt, Tt = Q.transpose(), T.transpose()
+    sys_a, sys_dual = OperatorSystem(A, R, S), OperatorSystem(mp.B, Qt, Tt)
     big = bowtie(mp)
-    RR = block_diag(R, Q.transpose())
-    SS = block_diag(S, T.transpose())
+    system = OperatorSystem(big, block_diag(R, Qt), block_diag(S, Tt))
     form = pairing_form(A.field, A.dim)
-    sub = [
-        make_report("system-a",
-                    check_operator_system(
-                        "symmetric_rbs", OperatorSystem(A, R, S)).violations),
-        make_report("system-dual",
-                    check_operator_system(
-                        "symmetric_rbs",
-                        OperatorSystem(mp.B, Q.transpose(), T.transpose())).violations),
-        make_report("sum-associative",
-                    check_axioms("associative", big).violations),
-        make_report("form-invariant",
-                    check_axioms("frobenius", (big, form)).violations),
-        make_report("sum-system",
-                    check_operator_system(
-                        "symmetric_rbs", OperatorSystem(big, RR, SS)).violations),
-    ]
-    report = make_report("double-construction", subreports=sub)
-    return DoubleConstruction(OperatorSystem(big, RR, SS), form, report)
+    report = run_parts("double-construction", (
+        ("system-a", *operator_system_identities("symmetric_rbs", sys_a)),
+        ("system-dual", *operator_system_identities("symmetric_rbs", sys_dual)),
+        ("sum-associative", *_axiom_identities("associative", big)),
+        make_report("form-invariant", check_axioms("frobenius", (big, form)).violations),
+        ("sum-system", *operator_system_identities("symmetric_rbs", system)),
+    ))
+    return DoubleConstruction(system, form, report)
 
 
 def check_frobenius_srbs(A, R, S, B: BilinearForm):
@@ -233,9 +155,8 @@ def check_frobenius_srbs(A, R, S, B: BilinearForm):
         raise PayloadError("form dimension does not match the algebra")
     sub = [
         make_report("frobenius", check_axioms("frobenius", (A, B)).violations),
-        make_report("operator-system",
-                    check_operator_system(
-                        "symmetric_rbs", OperatorSystem(A, R, S)).violations),
+        ("operator-system", *operator_system_identities(
+            "symmetric_rbs", OperatorSystem(A, R, S))),
     ]
     adjoints = None
     if not B.is_nondegenerate():
@@ -245,28 +166,15 @@ def check_frobenius_srbs(A, R, S, B: BilinearForm):
     elif not B.is_symmetric():
         sub.append(make_report("adjoint-admissible", not_applicable=True))
     else:
-        rhat = form_adjoint(B, R)
-        shat = form_adjoint(B, S)
-        adjoints = (rhat, shat)
-        sub.append(make_report(
-            "adjoint-admissible",
-            adjoint_admissible_report(A, R, S, rhat, shat).violations))
-    return make_report("frobenius-system", subreports=sub), adjoints
+        adjoints = form_adjoint(B, R), form_adjoint(B, S)
+        sub.append(adjoint_admissible_report(A, R, S, *adjoints))
+    return run_parts("frobenius-system", sub), adjoints
 
 
 def projection_srbs(mp: MatchedPairData) -> OperatorSystem:
     """On an associative A + B product: keep the A part, negate the B part."""
     big = bowtie(mp)
-    assoc = check_axioms("associative", big)
-    if not assoc.passed:
-        raise PreconditionError("assembled product is not associative", assoc)
-    field = big.field
-    n, m = mp.A.dim, mp.B.dim
-    z, o = field.zero(), field.one()
-    RR = Matrix(field, n + m, n + m,
-                [o if (i == j and i < n) else z
-                 for i in range(n + m) for j in range(n + m)])
-    SS = Matrix(field, n + m, n + m,
-                [-o if (i == j and i >= n) else z
-                 for i in range(n + m) for j in range(n + m)])
-    return OperatorSystem(big, RR, SS)
+    require(check_axioms("associative", big), "assembled product is not associative")
+    F, n, m = big.field, mp.A.dim, mp.B.dim
+    return OperatorSystem(big, block_diag(Matrix.identity(F, n), Matrix.zero(F, m)),
+                          block_diag(Matrix.zero(F, n), -Matrix.identity(F, m)))

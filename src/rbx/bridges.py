@@ -6,7 +6,10 @@ Each bridge has a direct checker, which runs its carriers' axioms and then
 the (name, tags, ctx) parts that one helper per checker returns
 (`weighted_rb_asi_identities`, ...) through `bisystems._bridge_report`, as
 `check_bisystem` does; the regression scans compile the same parts into
-GF(p) rows.  The equivalences with the corresponding (co)system
+GF(p) rows.  `lie_matched_pair_report` runs its four conditions as parts
+of `identities.run_parts` too, on the bracket that `representations.bowtie`
+builds from the coadjoint actions, and the constructions refuse through
+`errors.require`.  The equivalences with the corresponding (co)system
 checkers are asserted as properties in the test suite.  A bridge
 tag that restates an operator-system, cosystem or admissibility condition on
 another carrier is registered on that condition's body: `de:he#2/#3` and
@@ -24,16 +27,17 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import require
 from .kernel import Matrix, block_diag, leg_apply, vneg, vscale
-from .identities import Ctx, identity, run_identities
+from .identities import Ctx, identity, run_identities, run_parts
 from .report import Violation, make_report
 from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
-                         check_axioms, commutator, cocommutator, dualize)
-from .systems import (CoOperatorSystem, OperatorSystem, check_operator_system,
-                      check_ybpair, cosystem_identities, operator_system_identities)
+                         _axiom_identities, check_axioms, commutator,
+                         cocommutator, dualize, square_on)
+from .systems import (CoOperatorSystem, OperatorSystem, check_ybpair,
+                      cosystem_identities, operator_system_identities)
 from .bisystems import ASIBisystem, _bridge_report, check_bisystem
-from .representations import Bimodule
+from .representations import Bimodule, MatchedPairData, bowtie
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +222,8 @@ def averaging_from_bisystem(bi: ASIBisystem):
         violations.append(Violation("map-equality", ("Q", "-S"), ("mismatch",)))
     if bi.T != -bi.R:
         violations.append(Violation("map-equality", ("T", "-R"), ("mismatch",)))
-    if violations:
-        raise PreconditionError("co-maps are not the negated maps",
-                                make_report("negated-maps", violations))
-    base = check_bisystem(bi)
-    if not base.passed:
-        raise PreconditionError("input is not a valid bisystem", base)
+    require(make_report("negated-maps", violations), "co-maps are not the negated maps")
+    require(check_bisystem(bi), "input is not a valid bisystem")
     P = bi.R - bi.S
     return bi.algebra, bi.coalgebra, P
 
@@ -264,9 +264,7 @@ def check_lie_bisystem(lb: LieBisystem):
 
 def lie_bisystem_from_asi(bi: ASIBisystem) -> LieBisystem:
     """Commutator bracket and cocommutator cobracket with the same maps."""
-    base = check_bisystem(bi)
-    if not base.passed:
-        raise PreconditionError("input is not a valid bisystem", base)
+    require(check_bisystem(bi), "input is not a valid bisystem")
     return LieBisystem(commutator(bi.algebra), cocommutator(bi.coalgebra),
                        bi.R, bi.S, bi.Q, bi.T)
 
@@ -274,6 +272,7 @@ def lie_bisystem_from_asi(bi: ASIBisystem) -> LieBisystem:
 def averaging_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix):
     """The parts that `check_averaging_lie_bialgebra` runs after the Lie
     bialgebra axioms."""
+    square_on(g, R, Q)
     return (
         ("averaging-lie-algebra", ("de:ev#2a", "de:ev#2b", "de:ev#2c"),
          Ctx({"A": g.basis}, A=g, R=R, Q=Q)),
@@ -290,6 +289,7 @@ def check_averaging_lie_bialgebra(g, dl, R: Matrix, Q: Matrix):
 def weighted_rb_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix, lam):
     """The parts that `check_weighted_rb_lie_bialgebra` runs after the Lie
     bialgebra axioms."""
+    square_on(g, R, Q)
     lam = g.field.coerce(lam)
     return (
         ("rb-lie-algebra", ("de:he#2",), Ctx({"A": g.basis}, A=g, R=R, lam=lam)),
@@ -304,16 +304,21 @@ def check_weighted_rb_lie_bialgebra(g, dl, R: Matrix, Q: Matrix, lam):
                           weighted_rb_lie_bialgebra_identities(g, dl, R, Q, lam))
 
 
-def check_lie_representation(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):
-    """Module conditions of a Lie-side paired system; rho is a per-basis
-    action matrix list, run as the left actions of a module whose right
-    actions are zero (the four displays read none)."""
+def lie_representation_identities(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):
+    """The tag tuple and context that `check_lie_representation` runs."""
     n = rho[0].rows
     M = Bimodule(n, rho, [Matrix.zero(rho[0].field, n)] * len(rho))
     ctx = Ctx({"A": sys.carrier.basis, "M": M.labels},
               M=M, R=sys.R, S=sys.S, alpha=alpha, beta=beta)
+    return ("de:eo#1a", "de:eo#1b", "de:eo#2a", "de:eo#2b"), ctx
+
+
+def check_lie_representation(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):
+    """Module conditions of a Lie-side paired system; rho is a per-basis
+    action matrix list, run as the left actions of a module whose right
+    actions are zero (the four displays read none)."""
     return run_identities("lie-representation",
-                          ("de:eo#1a", "de:eo#1b", "de:eo#2a", "de:eo#2b"), ctx)
+                          *lie_representation_identities(sys, rho, alpha, beta))
 
 
 def coadjoint_actions(g) -> tuple[Matrix, ...]:
@@ -324,41 +329,21 @@ def coadjoint_actions(g) -> tuple[Matrix, ...]:
 def lie_matched_pair_report(lb: LieBisystem):
     """Matched pair of the Lie system with its dual under coadjoint actions:
     the two module conditions plus the combined bracket being a Lie bracket."""
-    g, C = lb.lie, lb.colie
-    gd = dualize(C)
-    rho_g = coadjoint_actions(g)
-    rho_gd = coadjoint_actions(gd)
-    sub = [
-        make_report("action-on-dual",
-                    check_lie_representation(
-                        OperatorSystem(g, lb.R, lb.S), rho_g,
-                        lb.Q.transpose(), lb.T.transpose()).violations),
-        make_report("action-on-primal",
-                    check_lie_representation(
-                        OperatorSystem(gd, lb.Q.transpose(), lb.T.transpose()),
-                        rho_gd, lb.R, lb.S).violations),
-    ]
-    n = g.dim
-    dim = 2 * n
-    z = g.field.zero()
-    table = [[(z,) * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = tuple(g.product(i, j)) + (z,) * n
-            table[n + i][n + j] = (z,) * n + tuple(gd.product(i, j))
-    for i in range(n):
-        for u in range(n):
-            # [x, xi] = coad(x) xi - coad(xi) x
-            table[i][n + u] = tuple(vneg(rho_gd[u].col(i))) + tuple(rho_g[i].col(u))
-            table[n + u][i] = tuple(rho_gd[u].col(i)) + tuple(vneg(rho_g[i].col(u)))
-    big = LieAlgebra(g.field, table, basis=g.basis + gd.basis, raw=True)
-    sub.append(make_report("sum-lie", check_axioms("lie", big).violations))
-    big_sys = OperatorSystem(big,
-                             block_diag(lb.R, lb.Q.transpose()),
-                             block_diag(lb.S, lb.T.transpose()))
-    sub.append(make_report("sum-system",
-                           check_operator_system("lie_rbs", big_sys).violations))
-    return make_report("lie-matched-pair", subreports=sub)
+    g, gd = lb.lie, dualize(lb.colie)
+    Qt, Tt = lb.Q.transpose(), lb.T.transpose()
+    rho_g, rho_gd = coadjoint_actions(g), coadjoint_actions(gd)
+    # [x, xi] = coad(x) xi - coad(xi) x
+    big = bowtie(MatchedPairData(g, gd, rho_g, [-m for m in rho_g],
+                                 rho_gd, [-m for m in rho_gd]))
+    big_sys = OperatorSystem(big, block_diag(lb.R, Qt), block_diag(lb.S, Tt))
+    return run_parts("lie-matched-pair", (
+        ("action-on-dual", *lie_representation_identities(
+            OperatorSystem(g, lb.R, lb.S), rho_g, Qt, Tt)),
+        ("action-on-primal", *lie_representation_identities(
+            OperatorSystem(gd, Qt, Tt), rho_gd, lb.R, lb.S)),
+        ("sum-lie", *_axiom_identities("lie", big)),
+        ("sum-system", *operator_system_identities("lie_rbs", big_sys)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +371,9 @@ def apreperm_from_averaging(A, C, R: Matrix, Q: Matrix) -> AprePermData:
     if not C.is_cocommutative():
         violations.append(Violation("cocommutative-carrier", (), ("coproduct not cocommutative",)))
     avg = check_averaging_asi(A, C, R, Q)
-    gate = make_report("apre-perm-hypotheses", violations,
-                       subreports=(make_report("averaging", avg.all_violations()),))
-    if not gate.passed:
-        raise PreconditionError("apre-perm hypotheses failed", gate)
+    require(run_parts("apre-perm-hypotheses",
+                      (make_report("averaging", avg.all_violations()),), violations),
+            "apre-perm hypotheses failed")
     n = A.dim
     gt_table = [[None] * n for _ in range(n)]
     lt_table = [[None] * n for _ in range(n)]
@@ -421,9 +405,7 @@ def covariant_from_ybpair(A, r, s):
     """Two derivation comultiplications a.r1 (x) r2 - r1 (x) r2.a and the
     mixed comultiplication a.r1 (x) r2 - s1 (x) s2.a from a Yang-Baxter
     pair; returns the data and its covariant-bialgebra report."""
-    pre = check_ybpair(A, r, s)
-    if not pre.passed:
-        raise PreconditionError("tensor pair fails the Yang-Baxter pair condition", pre)
+    require(check_ybpair(A, r, s), "tensor pair fails the Yang-Baxter pair condition")
 
     def tensor_rows(t):
         return [[t[j, k] for k in range(A.dim)] for j in range(A.dim)]

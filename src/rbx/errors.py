@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `require`, the one
+precondition gate of the constructive builders."""
 
 from __future__ import annotations
 
@@ -29,6 +30,13 @@ class PreconditionError(ToolkitError, ValueError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def require(report, message):
+    """The one precondition gate of the constructive builders: refuse with
+    `PreconditionError(message, report)` unless `report` passed."""
+    if not report.passed:
+        raise PreconditionError(message, report)
 
 
 class BudgetError(ToolkitError, ValueError):

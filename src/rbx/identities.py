@@ -5,7 +5,8 @@ tag.  An entry computes the list of summands of the residual at one tuple
 of basis indices; the identity holds iff the summands add to zero at every
 tuple.  Checkers assemble reports by running catalog entries
 (`run_identities`, which inside a `shared_verdicts` scope computes each
-report once, under a key read off the whole context), search compiles the
+report once, under a key read off the whole context), composite checkers
+assemble theirs from named parts (`run_parts`), search compiles the
 same entries into GF(p) rows, one per residual entry of each (tag, basis
 tuple) step (`steps`), and the fault-injection hook (used by the
 mutation-sensitivity tests) flips the sign of a single summand of a single
@@ -26,7 +27,7 @@ from typing import Callable
 
 from .kernel import (GFElement, Matrix, Tensor2, Tensor3, _Container, _QFraction,
                      same_field, show)
-from .report import Violation, make_report
+from .report import Report, Violation, make_report
 
 CATALOG: dict[str, "Identity"] = {}
 
@@ -243,6 +244,15 @@ def run_identities(check: str, tags, ctx: Ctx):
     if hit is None:
         hit = memo[key] = (_run(check, tags, ctx), tuple(data.values()))
     return hit[0]
+
+
+def run_parts(check: str, parts, violations=()):
+    """The one runner of composite reports: a report named `check` with
+    `violations` and one sub-report per part, in order.  A part is a ready
+    `Report`, taken as it is, or a (name, tags, ctx) triple, run as
+    `run_identities(name, tags, ctx)`."""
+    return make_report(check, violations, [
+        part if isinstance(part, Report) else run_identities(*part) for part in parts])
 
 
 def steps(tags, ctx: Ctx) -> tuple:

@@ -22,14 +22,14 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple
 
-from .identities import shared_verdicts
+from .identities import run_identities, run_parts, shared_verdicts
 from .kernel import Matrix, PrimeField, Rationals
 from .report import Violation, make_report
 from . import fixtures as fx
 from .structures import check_axioms, form_adjoint, pairing_form
 from .systems import (check_crossed_products, check_operator_system,
                       check_cosystem, commutator_lift, cocommutator_lift,
-                      nijenhuis_from_srbs)
+                      nijenhuis_from_srbs, operator_system_identities)
 from .representations import adjoint_admissible_report
 from .bisystems import (ASIBisystem, bisystem_identities, bisystem_matched_pair,
                         check_bisystem, check_matched_pair_srbs,
@@ -182,8 +182,8 @@ def row_double_construction():
 def row_projection_system():
     bi = fx.fix_bi()
     proj = projection_srbs(bisystem_matched_pair(bi))
-    return make_report("projection-system",
-                       check_operator_system("symmetric_rbs", proj).violations)
+    return run_identities("projection-system",
+                          *operator_system_identities("symmetric_rbs", proj))
 
 
 def row_projection_adjoints():
@@ -229,17 +229,16 @@ def row_nijenhuis_double():
     bi = fx.fix_bi()
     proj = projection_srbs(bisystem_matched_pair(bi))
     big = proj.carrier
-    sub = [make_report("crossed-products",
-                       check_crossed_products(big, proj.R, proj.S).violations)]
+    crossed = check_crossed_products(big, proj.R, proj.S)
     n1, n2 = nijenhuis_from_srbs(big, proj.R, proj.S)
-    sub.append(make_report("nijenhuis-star",
-                           check_operator_system("nijenhuis", n1).violations))
-    sub.append(make_report("nijenhuis-starp",
-                           check_operator_system("nijenhuis", n2).violations))
     bad = []
     if n1.R != Matrix.identity(big.field, big.dim):
         bad.append(Violation("map-equality", ("R-S", "identity"), ("mismatch",)))
-    return make_report("nijenhuis-double", bad, subreports=sub)
+    return run_parts("nijenhuis-double", (
+        crossed,
+        ("nijenhuis-star", *operator_system_identities("nijenhuis", n1)),
+        ("nijenhuis-starp", *operator_system_identities("nijenhuis", n2)),
+    ), bad)
 
 
 def paper_rows():

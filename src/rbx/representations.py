@@ -1,6 +1,12 @@
 """Bimodules, representations of paired operator systems, duals, and the
 induced module structures (semidirect products, End(M), hat actions).
 
+`bowtie` builds every direct-sum product table in the toolkit: the product
+on A + B of a matched pair (`MatchedPairData`), which `semidirect_algebra`
+takes with the zero algebra on M and zero actions on A, and the Lie bracket
+of `bridges.lie_matched_pair_report` with coadjoint actions.  Its result has
+the class of A's carrier.
+
 Right actions are stored as matrices applied to column vectors, with the
 composition convention m.r(ab) = (m.r(a)).r(b) encoded as r(b) @ r(a); the
 convention is fixed here once and exercised by the bimodule axioms.
@@ -16,12 +22,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import PayloadError, PreconditionError
+from .errors import PayloadError, require
 from .kernel import Matrix, block_diag, bv, combine, kron, leg_apply, vneg, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .systems import OperatorSystem, check_operator_system
-from .structures import Algebra
+from .structures import Algebra, square_on
 
 
 def _act(mats, avec, m):
@@ -82,6 +88,65 @@ def dual_bimodule(M: Bimodule) -> Bimodule:
     left = [m.transpose() for m in M.right]
     right = [m.transpose() for m in M.left]
     return Bimodule(M.mdim, left, right, labels=tuple(f"{x}*" for x in M.labels))
+
+
+class MatchedPairData:
+    """Two carriers with mutual actions; optionally a map pair on each side.
+
+    Actions follow the module storage convention: `left_a[i]` is the matrix
+    of the action of the i-th basis vector of A on B, `right_a[i]` its right
+    counterpart, and `left_b`/`right_b` act on A.
+    """
+
+    def __init__(self, A, B, left_a, right_a, left_b, right_b,
+                 maps_a=None, maps_b=None):
+        self.A = A
+        self.B = B
+        self.left_a = tuple(left_a)
+        self.right_a = tuple(right_a)
+        self.left_b = tuple(left_b)
+        self.right_b = tuple(right_b)
+        if len(self.left_a) != A.dim or len(self.right_a) != A.dim:
+            raise PayloadError("A-action list length must equal dim A")
+        if len(self.left_b) != B.dim or len(self.right_b) != B.dim:
+            raise PayloadError("B-action list length must equal dim B")
+        for m in self.left_a + self.right_a:
+            if m.rows != B.dim or m.cols != B.dim:
+                raise PayloadError("A acts on B; matrices must be dim-B square")
+        for m in self.left_b + self.right_b:
+            if m.rows != A.dim or m.cols != A.dim:
+                raise PayloadError("B acts on A; matrices must be dim-A square")
+        self.maps_a = maps_a  # (R_A, S_A)
+        self.maps_b = maps_b  # (R_B, S_B)
+
+    def module_over_a(self) -> Bimodule:
+        return Bimodule(self.B.dim, self.left_a, self.right_a, labels=self.B.basis)
+
+    def module_over_b(self) -> Bimodule:
+        return Bimodule(self.A.dim, self.left_b, self.right_b, labels=self.A.basis)
+
+
+def bowtie(mp: MatchedPairData):
+    """Product on A + B built from the mutual actions, as a raw table of
+    A's class; for algebras the matched-pair condition is exactly its
+    associativity."""
+    A, B = mp.A, mp.B
+    n, m = A.dim, B.dim
+    z = A.field.zero()
+    table = [[None] * (n + m) for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = tuple(A.product(i, j)) + (z,) * m
+        for v in range(m):
+            # e_i . f_v = e_i r_B(f_v) + ell_A(e_i) f_v
+            table[i][n + v] = tuple(mp.right_b[v].col(i)) + tuple(mp.left_a[i].col(v))
+    for u in range(m):
+        for j in range(n):
+            # f_u . e_j = ell_B(f_u) e_j + f_u r_A(e_j)
+            table[n + u][j] = tuple(mp.left_b[u].col(j)) + tuple(mp.right_a[j].col(u))
+        for v in range(m):
+            table[n + u][n + v] = (z,) * n + tuple(B.product(u, v))
+    return type(A)(A.field, table, basis=A.basis + B.basis, raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +526,30 @@ def _prelie_rep2(ctx, idx):
 # ---------------------------------------------------------------------------
 # checkers
 
+_CB_TAGS = ("eq:cb#1", "eq:cb#2", "eq:cb1")
+
+
 def _module_ctx(A, M, **maps):
+    if M.adim != A.dim:
+        raise PayloadError("action list length does not match the algebra dimension")
     return Ctx({"A": A.basis, "M": M.labels}, A=A, M=M, **maps)
 
 
 def check_bimodule(A, M: Bimodule) -> "Report":
-    if M.adim != A.dim:
-        raise PayloadError("action list length does not match the algebra dimension")
-    ctx = _module_ctx(A, M)
-    return run_identities("bimodule", ("eq:cb#1", "eq:cb#2", "eq:cb1"), ctx)
+    return run_identities("bimodule", _CB_TAGS, _module_ctx(A, M))
+
+
+def representation_identities(sys: OperatorSystem, rep: Representation):
+    """The tag tuple and context of `check_representation` as one run: its
+    violations, the representation conditions' and then the bimodule
+    axioms', are those of `all_violations()`."""
+    return _CF_TAGS + _CB_TAGS, _module_ctx(sys.carrier, rep.bimodule, R=sys.R, S=sys.S,
+                                            alpha=rep.alpha, beta=rep.beta)
 
 
 def check_representation(sys: OperatorSystem, rep: Representation) -> "Report":
-    M = rep.bimodule
-    bi = check_bimodule(sys.carrier, M)
-    ctx = _module_ctx(sys.carrier, M, R=sys.R, S=sys.S, alpha=rep.alpha, beta=rep.beta)
+    bi = check_bimodule(sys.carrier, rep.bimodule)
+    _, ctx = representation_identities(sys, rep)
     own = run_identities("representation", _CF_TAGS, ctx)
     return make_report("representation", own.violations, subreports=(bi,))
 
@@ -490,6 +564,7 @@ def check_module_admissible(sys: OperatorSystem, M: Bimodule, xi: Matrix,
 def adjoint_admissible_identities(A, R, S, Q, T):
     """The tag tuple and context that `adjoint_admissible_report` runs;
     search compiles its GF(p) rows from the same pair."""
+    square_on(A, R, S, Q, T)
     return _CK_TAGS, Ctx({"A": A.basis}, A=A, R=R, S=S, Q=Q, T=T)
 
 
@@ -498,9 +573,8 @@ def adjoint_admissible_report(A, R, S, Q, T) -> "Report":
 
 
 def check_adjoint_admissible(A, R, S, Q, T) -> "Report":
-    base = check_operator_system("symmetric_rbs", OperatorSystem(A, R, S))
-    if not base.passed:
-        raise PreconditionError("carrier maps are not a symmetric paired system", base)
+    require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
+            "carrier maps are not a symmetric paired system")
     return adjoint_admissible_report(A, R, S, Q, T)
 
 
@@ -514,9 +588,14 @@ def coadjoint_admissible_report(A, C, R, S, Q, T) -> "Report":
                           *coadjoint_admissible_identities(A, C, R, S, Q, T))
 
 
+def dn_identities(M: Bimodule, A, Q, T, alpha, beta, xi, zeta):
+    """The tag tuple and context that `check_dn_conditions` runs."""
+    return _DN_TAGS, _module_ctx(A, M, Q=Q, T=T, alpha=alpha, beta=beta, xi=xi, zeta=zeta)
+
+
 def check_dn_conditions(M: Bimodule, A, Q, T, alpha, beta, xi, zeta) -> "Report":
-    ctx = _module_ctx(A, M, Q=Q, T=T, alpha=alpha, beta=beta, xi=xi, zeta=zeta)
-    return run_identities("mixed-module-compat", _DN_TAGS, ctx)
+    return run_identities("mixed-module-compat",
+                          *dn_identities(M, A, Q, T, alpha, beta, xi, zeta))
 
 
 def check_prelie_representation(P, rho, phi) -> "Report":
@@ -552,29 +631,12 @@ def check_rep_homomorphism(sys, rep1: Representation, rep2: Representation,
 # constructions
 
 def semidirect_algebra(A, M: Bimodule) -> Algebra:
-    """Product (a+m)(b+n) = ab + ell(a)n + m r(b) on A + M, as a raw algebra."""
-    n, md = A.dim, M.mdim
-    dim = n + md
-    z = A.field.zero()
-    zero = (z,) * dim
-
-    def embed_a(vec):
-        return tuple(vec) + (z,) * md
-
-    def embed_m(vec):
-        return (z,) * n + tuple(vec)
-
-    table = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = embed_a(A.product(i, j))
-        for v in range(md):
-            table[i][n + v] = embed_m(M.left[i].col(v))
-    for u in range(md):
-        for j in range(n):
-            table[n + u][j] = embed_m(M.right[j].col(u))
-    basis = A.basis + M.labels
-    return Algebra(A.field, table, basis=basis, raw=True)
+    """Product (a+m)(b+n) = ab + ell(a)n + m r(b) on A + M, as a raw
+    algebra: the `bowtie` of A with the zero algebra on M."""
+    md = M.mdim
+    zero_m = Algebra(A.field, [[(A.field.zero(),) * md] * md] * md, basis=M.labels, raw=True)
+    zero_a = [Matrix.zero(A.field, A.dim)] * md
+    return bowtie(MatchedPairData(A, zero_m, M.left, M.right, zero_a, zero_a))
 
 
 def semidirect(sys: OperatorSystem, rep: Representation) -> OperatorSystem:
@@ -594,9 +656,7 @@ def dual_representation(sys: OperatorSystem, M: Bimodule, xi: Matrix, zeta: Matr
 
 def endo_representation(sys: OperatorSystem, rep: Representation) -> Representation:
     """Induced representation on End(M) by postcomposition."""
-    base = check_representation(sys, rep)
-    if not base.passed:
-        raise PreconditionError("input is not a representation", base)
+    require(check_representation(sys, rep), "input is not a representation")
     M = rep.bimodule
     eye = Matrix.identity(sys.carrier.field, M.mdim)
     left = [kron(M.left[i], eye) for i in range(M.adim)]
@@ -620,9 +680,7 @@ def hat_structures(sys: OperatorSystem, rep: Representation) -> HatStructures:
     rho(a)m = ell(R(a))m - m r(S(a)), phi(a)m = alpha(m) r(a) - ell(a)beta(m)
     and its primed mirror.
     """
-    base = check_representation(sys, rep)
-    if not base.passed:
-        raise PreconditionError("input is not a representation", base)
+    require(check_representation(sys, rep), "input is not a representation")
     from .systems import derived_products
     A, R, S = sys.carrier, sys.R, sys.S
     M, al, be = rep.bimodule, rep.alpha, rep.beta
@@ -650,10 +708,9 @@ def weight_rep_embed(A, R: Matrix, lam, M: Bimodule, alpha: Matrix):
     """Representation (alpha, alpha + lam*id) of the weight-embedded system."""
     lam = A.field.coerce(lam)
     ctx = _module_ctx(A, M, R=R, alpha=alpha, lam=lam)
-    pre = run_identities("weighted-representation",
-                         ("weighted-rep#1", "weighted-rep#2"), ctx)
-    if not pre.passed:
-        raise PreconditionError("weighted representation conditions failed", pre)
+    require(run_identities("weighted-representation",
+                           ("weighted-rep#1", "weighted-rep#2"), ctx),
+            "weighted representation conditions failed")
     from .systems import weight_embed
     beta = alpha + Matrix.identity(A.field, M.mdim).scale(lam)
     return weight_embed(A, R, lam), Representation(M, alpha, beta)

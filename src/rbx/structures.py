@@ -685,6 +685,17 @@ def check_axioms(kind, payload):
     return rep
 
 
+def square_on(carrier, *data):
+    """The shape rule of maps and 2-tensors on a carrier: refuse, with
+    `PayloadError`, a datum that is not dim x dim for the carrier's dim;
+    None passes."""
+    square = (carrier.dim, carrier.dim)
+    for x in data:
+        if x is not None and x._axes() != square:
+            what = "map" if isinstance(x, Matrix) else "tensor"
+            raise PayloadError(f"{what} dimension does not match the carrier")
+
+
 # ---------------------------------------------------------------------------
 # duals, commutators, pairing form, form adjoint
 

@@ -12,13 +12,13 @@ the memo.
 
 from __future__ import annotations
 
-from .errors import PayloadError, PreconditionError
+from .errors import PayloadError, require
 from .kernel import Matrix, Tensor2, leg_apply, vadd, vneg, vscale, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .structures import (Algebra, LieAlgebra, LieCoalgebra,
                          _Comultiplicative, _Multiplicative, commutator,
-                         cocommutator, placement_product)
+                         cocommutator, placement_product, square_on)
 
 
 class OperatorSystem:
@@ -27,9 +27,7 @@ class OperatorSystem:
     def __init__(self, carrier, R: Matrix, S: Matrix | None = None, weight=None):
         if not isinstance(carrier, _Multiplicative):
             raise PayloadError("carrier must be an algebra or Lie algebra")
-        for m in (R, S):
-            if m is not None and (m.rows != carrier.dim or m.cols != carrier.dim):
-                raise PayloadError("map dimension does not match the carrier")
+        square_on(carrier, R, S)
         self.carrier = carrier
         self.R = R
         self.S = S
@@ -48,9 +46,7 @@ class CoOperatorSystem:
     def __init__(self, carrier, Q: Matrix, T: Matrix | None = None, weight=None):
         if not isinstance(carrier, _Comultiplicative):
             raise PayloadError("carrier must be a coalgebra or Lie coalgebra")
-        for m in (Q, T):
-            if m is not None and (m.rows != carrier.dim or m.cols != carrier.dim):
-                raise PayloadError("map dimension does not match the carrier")
+        square_on(carrier, Q, T)
         self.carrier = carrier
         self.Q = Q
         self.T = T
@@ -303,6 +299,7 @@ def check_cosystem(kind: str, sys: CoOperatorSystem) -> "Report":
 
 def check_ybpair(A, r: Tensor2, s: Tensor2) -> "Report":
     """Yang-Baxter pair condition (single ordering)."""
+    square_on(A, r, s)
     ctx = Ctx({}, A=A, r=r, s=s)
     return run_identities("yb-pair", ("de:eh#1a", "de:eh#2a"), ctx)
 
@@ -312,13 +309,9 @@ _YBPAIR_TAGS = ("de:eh#1a", "de:eh#1b", "de:eh#2a", "de:eh#2b")
 
 def check_symmetric_ybpair(A, r: Tensor2, s: Tensor2) -> "Report":
     """Both orderings: (r, s) and (s, r) each satisfy the pair condition."""
+    square_on(A, r, s)
     ctx = Ctx({}, A=A, r=r, s=s)
     return run_identities("symmetric-yb-pair", _YBPAIR_TAGS, ctx)
-
-
-def _require(report, what):
-    if not report.passed:
-        raise PreconditionError(f"hypothesis failed: {what}", report)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +319,7 @@ def _require(report, what):
 
 def weight_embed(A, R: Matrix, lam) -> OperatorSystem:
     """Embed a weighted operator as the pair (R, R + lam*id)."""
+    square_on(A, R)
     lam = A.field.coerce(lam)
     S = R + Matrix.identity(A.field, A.dim).scale(lam)
     return OperatorSystem(A, R, S)
@@ -347,9 +341,7 @@ def srbs_from_central(A, r_elt, s_elt) -> OperatorSystem:
     if any(prod):
         violations.append(Violation("orthogonal-product", ("r", "s"),
                                     tuple(str(c) for c in prod)))
-    if violations:
-        raise PreconditionError("central-pair hypotheses failed",
-                                make_report("central-pair", violations))
+    require(make_report("central-pair", violations), "central-pair hypotheses failed")
     return OperatorSystem(A, A.right_mult(r_elt), A.left_mult(s_elt))
 
 
@@ -371,7 +363,7 @@ def _sandwich_map(A, t: Tensor2) -> Matrix:
 
 def srbs_from_ybpair(A, r: Tensor2, s: Tensor2) -> OperatorSystem:
     """Sandwich maps of a symmetric Yang-Baxter pair."""
-    _require(check_symmetric_ybpair(A, r, s), "symmetric Yang-Baxter pair")
+    require(check_symmetric_ybpair(A, r, s), "hypothesis failed: symmetric Yang-Baxter pair")
     return OperatorSystem(A, _sandwich_map(A, r), _sandwich_map(A, s))
 
 
@@ -381,8 +373,8 @@ def _product_table(A, fn):
 
 def split_dendriform(A, R: Matrix, S: Matrix):
     """Two dendriform splittings of a paired system: (aS(b), R(a)b) and (aR(b), S(a)b)."""
-    _require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
-             "symmetric paired system")
+    require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
+            "hypothesis failed: symmetric paired system")
     def halves(left_map, right_map):
         prec = Algebra(A.field, _product_table(
             A, lambda i, j: A.mul(A.basis_vector(i), right_map.col(j))),
@@ -397,8 +389,8 @@ def split_dendriform(A, R: Matrix, S: Matrix):
 def derived_products(A, R: Matrix, S: Matrix):
     """Associative products R(a)b + aS(b), aR(b) + S(a)b and the two
     products R(a)b - bS(a), S(a)b - bR(a) with symmetric associator."""
-    _require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
-             "symmetric paired system")
+    require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
+            "hypothesis failed: symmetric paired system")
     star = Algebra(A.field, _product_table(
         A, lambda i, j: vadd(A.mul(R.col(i), A.basis_vector(j)),
                              A.mul(A.basis_vector(i), S.col(j)))),
@@ -444,9 +436,9 @@ def check_crossed_products(A, R: Matrix, S: Matrix) -> "Report":
 
 def nijenhuis_from_srbs(A, R: Matrix, S: Matrix):
     """(star product, R - S) pairs; both satisfy the Nijenhuis identity."""
-    _require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
-             "symmetric paired system")
-    _require(check_crossed_products(A, R, S), "crossed-product compatibility")
+    require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
+            "hypothesis failed: symmetric paired system")
+    require(check_crossed_products(A, R, S), "hypothesis failed: crossed-product compatibility")
     star, starp, _, _ = derived_products(A, R, S)
     N = R - S
     return OperatorSystem(star, N), OperatorSystem(starp, N)
@@ -454,13 +446,13 @@ def nijenhuis_from_srbs(A, R: Matrix, S: Matrix):
 
 def commutator_lift(A, R: Matrix, S: Matrix) -> OperatorSystem:
     """Carry the maps onto the commutator bracket [x, y] = xy - yx."""
-    _require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
-             "symmetric paired system")
+    require(check_operator_system("symmetric_rbs", OperatorSystem(A, R, S)),
+            "hypothesis failed: symmetric paired system")
     return OperatorSystem(commutator(A), R, S)
 
 
 def cocommutator_lift(C, Q: Matrix, T: Matrix) -> CoOperatorSystem:
     """Carry the maps onto the cocommutator d = Delta - flip(Delta)."""
-    _require(check_cosystem("symmetric_rb_cosystem", CoOperatorSystem(C, Q, T)),
-             "symmetric paired cosystem")
+    require(check_cosystem("symmetric_rb_cosystem", CoOperatorSystem(C, Q, T)),
+            "hypothesis failed: symmetric paired cosystem")
     return CoOperatorSystem(cocommutator(C), Q, T)

@@ -4,7 +4,13 @@ O-operators, and the triangular/quasitriangular constructions.
 
 The three products r_12 r_13, r_13 r_23, r_23 r_12 are all instances of
 one parameterized contraction (`placement_product`): the two placements
-share exactly one leg, where the components multiply.
+share exactly one leg, where the components multiply.  The twelve `eq:de*`
+displays share one term helper, `_de_terms`, which builds only the
+multiplication operators that its display reads.
+
+The constructions verify their hypotheses as one `identities.run_parts`
+report each and refuse through `errors.require`; the O-operator solution
+lives on the semidirect sum that `representations.bowtie` builds.
 """
 
 from __future__ import annotations
@@ -12,17 +18,17 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import FieldError, PreconditionError
+from .errors import FieldError, require
 from .kernel import (Matrix, Tensor2, Tensor3, block_diag, bv, leg_apply,
                      leg_apply3, vneg)
-from .identities import Ctx, evaluate, identity, run_identities
+from .identities import Ctx, evaluate, identity, run_identities, run_parts
 from .report import Violation, make_report
-from .structures import Coalgebra, placement_product
-from .systems import OperatorSystem, check_operator_system
+from .structures import Coalgebra, placement_product, square_on
+from .systems import OperatorSystem, operator_system_identities
 from .representations import (Bimodule, Representation,
-                              adjoint_admissible_report, check_dn_conditions,
-                              check_module_admissible, check_representation,
-                              dual_bimodule, semidirect)
+                              adjoint_admissible_report, check_module_admissible,
+                              dn_identities, dual_bimodule,
+                              representation_identities, semidirect)
 from .bisystems import ASIBisystem
 
 
@@ -69,102 +75,106 @@ def _dh1(ctx, idx):
 #   X1 = (Q (x) id - id (x) R)r      X2 = (id (x) Q - R (x) id)r
 #   X3 = (T (x) id - id (x) S)r      X4 = (id (x) T - S (x) id)r
 
-def _ops(ctx, i):
+def _de_terms(ctx, idx, *summands):
+    """The summands sign * (op on leg `leg` of X), for each (sign, X, op,
+    leg), at a = e_i: the op ("L", m) or ("R", m) is the left or right
+    multiplication by m(a), and (m, "L") or (m, "R") is m after the left or
+    right multiplication by a.  Each op is built when its summand is."""
+    (i,) = idx
     A = ctx.A
-    return {
-        "LQ": A.left_mult(ctx.Q.col(i)), "RQ": A.right_mult(ctx.Q.col(i)),
-        "LT": A.left_mult(ctx.T.col(i)), "RT": A.right_mult(ctx.T.col(i)),
-        "LR": A.left_mult(ctx.R.col(i)), "RR": A.right_mult(ctx.R.col(i)),
-        "LS": A.left_mult(ctx.S.col(i)), "RS": A.right_mult(ctx.S.col(i)),
-        "QL": ctx.Q @ A.left_mult_basis(i), "QR": ctx.Q @ A.right_mult_basis(i),
-        "TL": ctx.T @ A.left_mult_basis(i), "TR": ctx.T @ A.right_mult_basis(i),
-        "RL": ctx.R @ A.left_mult_basis(i), "RRm": ctx.R @ A.right_mult_basis(i),
-        "SL": ctx.S @ A.left_mult_basis(i), "SRm": ctx.S @ A.right_mult_basis(i),
-    }
+    out = []
+    for sign, X, (first, then), leg in summands:
+        if isinstance(first, str):
+            op = (A.left_mult if first == "L" else A.right_mult)(then.col(i))
+        else:
+            op = first @ (A.left_mult_basis if then == "L" else A.right_mult_basis)(i)
+        term = leg_apply(X, op, leg)
+        out.append(term if sign > 0 else -term)
+    return out
 
 
 @identity("eq:de", ("A",))
 def _de(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X1, o["LQ"], 2), -leg_apply(ctx.X1, o["QL"], 2),
-            leg_apply(ctx.X2, o["QR"], 1), -leg_apply(ctx.X4, o["RQ"], 1)]
+    X1, X2, X4, Q = ctx.X1, ctx.X2, ctx.X4, ctx.Q
+    return _de_terms(ctx, idx, (1, X1, ("L", Q), 2), (-1, X1, (Q, "L"), 2),
+                     (1, X2, (Q, "R"), 1), (-1, X4, ("R", Q), 1))
 
 
 @identity("eq:dede", ("A",))
 def _dede(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X3, o["LQ"], 2), -leg_apply(ctx.X1, o["QL"], 2),
-            leg_apply(ctx.X2, o["QR"], 1), -leg_apply(ctx.X2, o["RQ"], 1)]
+    X1, X2, X3, Q = ctx.X1, ctx.X2, ctx.X3, ctx.Q
+    return _de_terms(ctx, idx, (1, X3, ("L", Q), 2), (-1, X1, (Q, "L"), 2),
+                     (1, X2, (Q, "R"), 1), (-1, X2, ("R", Q), 1))
 
 
 @identity("eq:de1", ("A",))
 def _de1(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X1, o["LT"], 2), leg_apply(ctx.X4, o["TR"], 1),
-            -leg_apply(ctx.X4, o["RT"], 1), -leg_apply(ctx.X3, o["TL"], 2)]
+    X1, X3, X4, T = ctx.X1, ctx.X3, ctx.X4, ctx.T
+    return _de_terms(ctx, idx, (1, X1, ("L", T), 2), (1, X4, (T, "R"), 1),
+                     (-1, X4, ("R", T), 1), (-1, X3, (T, "L"), 2))
 
 
 @identity("eq:de1de1", ("A",))
 def _de1de1(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X3, o["LT"], 2), -leg_apply(ctx.X3, o["TL"], 2),
-            leg_apply(ctx.X4, o["TR"], 1), -leg_apply(ctx.X2, o["RT"], 1)]
+    X2, X3, X4, T = ctx.X2, ctx.X3, ctx.X4, ctx.T
+    return _de_terms(ctx, idx, (1, X3, ("L", T), 2), (-1, X3, (T, "L"), 2),
+                     (1, X4, (T, "R"), 1), (-1, X2, ("R", T), 1))
 
 
 @identity("eq:de2", ("A",))
 def _de2(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X1, o["LR"], 2), -leg_apply(ctx.X1, o["RR"], 1),
-            -leg_apply(ctx.X1, o["TR"], 1), -leg_apply(ctx.X3, o["RL"], 2)]
+    X1, X3, R, T = ctx.X1, ctx.X3, ctx.R, ctx.T
+    return _de_terms(ctx, idx, (1, X1, ("L", R), 2), (-1, X1, ("R", R), 1),
+                     (-1, X1, (T, "R"), 1), (-1, X3, (R, "L"), 2))
 
 
 @identity("eq:de2de2", ("A",))
 def _de2de2(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X1, o["LR"], 2), -leg_apply(ctx.X1, o["RS"], 1),
-            -leg_apply(ctx.X1, o["QR"], 1), -leg_apply(ctx.X1, o["RL"], 2)]
+    X1, R, S, Q = ctx.X1, ctx.R, ctx.S, ctx.Q
+    return _de_terms(ctx, idx, (1, X1, ("L", R), 2), (-1, X1, ("R", S), 1),
+                     (-1, X1, (Q, "R"), 1), (-1, X1, (R, "L"), 2))
 
 
 @identity("eq:de3", ("A",))
 def _de3(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X2, o["QL"], 2), leg_apply(ctx.X2, o["LS"], 2),
-            leg_apply(ctx.X2, o["RRm"], 1), -leg_apply(ctx.X2, o["RR"], 1)]
+    X2, R, S, Q = ctx.X2, ctx.R, ctx.S, ctx.Q
+    return _de_terms(ctx, idx, (1, X2, (Q, "L"), 2), (1, X2, ("L", S), 2),
+                     (1, X2, (R, "R"), 1), (-1, X2, ("R", R), 1))
 
 
 @identity("eq:de3de3", ("A",))
 def _de3de3(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X2, o["TL"], 2), leg_apply(ctx.X2, o["LR"], 2),
-            -leg_apply(ctx.X2, o["RR"], 1), leg_apply(ctx.X4, o["RRm"], 1)]
+    X2, X4, R, T = ctx.X2, ctx.X4, ctx.R, ctx.T
+    return _de_terms(ctx, idx, (1, X2, (T, "L"), 2), (1, X2, ("L", R), 2),
+                     (-1, X2, ("R", R), 1), (1, X4, (R, "R"), 1))
 
 
 @identity("eq:de4", ("A",))
 def _de4(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X3, o["LS"], 2), -leg_apply(ctx.X3, o["RR"], 1),
-            -leg_apply(ctx.X3, o["TR"], 1), -leg_apply(ctx.X3, o["SL"], 2)]
+    X3, R, S, T = ctx.X3, ctx.R, ctx.S, ctx.T
+    return _de_terms(ctx, idx, (1, X3, ("L", S), 2), (-1, X3, ("R", R), 1),
+                     (-1, X3, (T, "R"), 1), (-1, X3, (S, "L"), 2))
 
 
 @identity("eq:de4de4", ("A",))
 def _de4de4(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X3, o["LS"], 2), -leg_apply(ctx.X3, o["RS"], 1),
-            -leg_apply(ctx.X3, o["QR"], 1), -leg_apply(ctx.X1, o["SL"], 2)]
+    X1, X3, S, Q = ctx.X1, ctx.X3, ctx.S, ctx.Q
+    return _de_terms(ctx, idx, (1, X3, ("L", S), 2), (-1, X3, ("R", S), 1),
+                     (-1, X3, (Q, "R"), 1), (-1, X1, (S, "L"), 2))
 
 
 @identity("eq:de5", ("A",))
 def _de5(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X4, o["QL"], 2), leg_apply(ctx.X4, o["LS"], 2),
-            -leg_apply(ctx.X4, o["RS"], 1), leg_apply(ctx.X2, o["SRm"], 1)]
+    X2, X4, S, Q = ctx.X2, ctx.X4, ctx.S, ctx.Q
+    return _de_terms(ctx, idx, (1, X4, (Q, "L"), 2), (1, X4, ("L", S), 2),
+                     (-1, X4, ("R", S), 1), (1, X2, (S, "R"), 1))
 
 
 @identity("eq:de5de5", ("A",))
 def _de5de5(ctx, idx):
-    o = _ops(ctx, idx[0])
-    return [leg_apply(ctx.X4, o["TL"], 2), leg_apply(ctx.X4, o["LR"], 2),
-            -leg_apply(ctx.X4, o["RS"], 1), leg_apply(ctx.X4, o["SRm"], 1)]
+    X4, R, S, T = ctx.X4, ctx.R, ctx.S, ctx.T
+    return _de_terms(ctx, idx, (1, X4, (T, "L"), 2), (1, X4, ("L", R), 2),
+                     (-1, X4, ("R", S), 1), (1, X4, (S, "R"), 1))
 
 
 THM_DE_TAGS = ("eq:de", "eq:dede", "eq:de1", "eq:de1de1", "eq:de2", "eq:de2de2",
@@ -250,6 +260,7 @@ _AYBE_TAGS = ("eq:db4",)
 
 
 def check_aybe(A, r: Tensor2):
+    square_on(A, r)
     return run_identities("aybe", _AYBE_TAGS, Ctx({}, A=A, r=r))
 
 
@@ -263,6 +274,7 @@ def coboundary_delta(A, r: Tensor2, mode: str = "plain") -> Coalgebra:
     """
     if mode not in ("plain", "quasitriangular"):
         raise ValueError(f"unknown coboundary mode {mode!r}")
+    square_on(A, r)
     base = r
     if mode == "quasitriangular":
         if A.field.char == 2:
@@ -279,12 +291,14 @@ def coboundary_delta(A, r: Tensor2, mode: str = "plain") -> Coalgebra:
 def check_asi_coboundary(A, r: Tensor2):
     """Conditions for the coboundary comultiplication of r to yield a
     compatible bialgebra with the product of A."""
+    square_on(A, r)
     ctx = Ctx({"A": A.basis}, A=A, r=r, sym=r + r.flip(), aybe=aybe_residual(A, r))
     return run_identities("asi-coboundary", ("eq:db1", "eq:db2"), ctx)
 
 
 def check_admissible_aybe(A, R, S, Q, T, r: Tensor2):
     """Equation residual plus the two one-leg compatibility residuals."""
+    square_on(A, R, S, Q, T, r)
     ctx = Ctx({"A": A.basis}, A=A, R=R, S=S, Q=Q, T=T, r=r)
     return run_identities("admissible-aybe", ("eq:db4", "eq:dh", "eq:dh1"), ctx)
 
@@ -299,28 +313,20 @@ def _antisymmetry_report(r: Tensor2):
 def triangular_bisystem(A, R, S, Q, T, r: Tensor2) -> ASIBisystem:
     """Bisystem with coboundary comultiplication from an antisymmetric
     admissible solution; every hypothesis is verified and named."""
-    sub = [
-        make_report("operator-system",
-                    check_operator_system("symmetric_rbs",
-                                          OperatorSystem(A, R, S)).violations),
-        make_report("adjoint-admissible",
-                    adjoint_admissible_report(A, R, S, Q, T).violations),
+    require(run_parts("triangular-hypotheses", (
+        ("operator-system", *operator_system_identities(
+            "symmetric_rbs", OperatorSystem(A, R, S))),
+        adjoint_admissible_report(A, R, S, Q, T),
         _antisymmetry_report(r),
-        make_report("admissible-aybe",
-                    check_admissible_aybe(A, R, S, Q, T, r).violations),
-    ]
-    gate = make_report("triangular-hypotheses", subreports=sub)
-    if not gate.passed:
-        raise PreconditionError("triangular hypotheses failed", gate)
+        check_admissible_aybe(A, R, S, Q, T, r),
+    )), "triangular hypotheses failed")
     return ASIBisystem(A, coboundary_delta(A, r), R, S, Q, T)
 
 
 def check_thm_de(A, R, S, Q, T, r: Tensor2):
     """The twelve residual families tying the coboundary cosystem and
     dual-admissibility conditions to one-leg contractions of r."""
-    pre = adjoint_admissible_report(A, R, S, Q, T)
-    if not pre.passed:
-        raise PreconditionError("maps are not adjoint admissible", pre)
+    require(adjoint_admissible_report(A, R, S, Q, T), "maps are not adjoint admissible")
     return run_identities("coboundary-compat", THM_DE_TAGS, thm_de_ctx(A, R, S, Q, T, r))
 
 
@@ -386,17 +392,11 @@ def o_operator_solution(sys: OperatorSystem, rep: Representation, tmap: Matrix,
     M = rep.bimodule
     data = OOperatorData(tmap, M, rep.alpha, rep.beta, xi, zeta, Q, T)
     ctx = Ctx({"M": M.labels}, tmap=tmap, xi=xi, zeta=zeta, Q=Q, T=T)
-    sub = [
-        make_report("weak-o-operator", check_weak_o_operator(sys, data).violations),
-        make_report("transport",
-                    run_identities("transport",
-                                   ("thm:do#compat1", "thm:do#compat2"), ctx).violations),
-        make_report("module-admissible",
-                    check_module_admissible(sys, M, xi, zeta).violations),
-    ]
-    gate = make_report("o-operator-hypotheses", subreports=sub)
-    if not gate.passed:
-        raise PreconditionError("weak-operator hypotheses failed", gate)
+    require(run_parts("o-operator-hypotheses", (
+        check_weak_o_operator(sys, data),
+        ("transport", ("thm:do#compat1", "thm:do#compat2"), ctx),
+        check_module_admissible(sys, M, xi, zeta),
+    )), "weak-operator hypotheses failed")
 
     dual_rep = Representation(dual_bimodule(M), xi.transpose(), zeta.transpose())
     big = semidirect(sys, dual_rep)
@@ -416,16 +416,11 @@ def o_operator_solution(sys: OperatorSystem, rep: Representation, tmap: Matrix,
     bisystem = None
     hyp = None
     if build_bisystem:
-        extra = [
-            make_report("representation",
-                        check_representation(sys, rep).all_violations()),
-            make_report("adjoint-admissible",
-                        adjoint_admissible_report(A, sys.R, sys.S, Q, T).violations),
-            make_report("mixed-compat",
-                        check_dn_conditions(M, A, Q, T, rep.alpha, rep.beta,
-                                            xi, zeta).violations),
-        ]
-        hyp = make_report("bisystem-hypotheses", subreports=extra)
+        hyp = run_parts("bisystem-hypotheses", (
+            ("representation", *representation_identities(sys, rep)),
+            adjoint_admissible_report(A, sys.R, sys.S, Q, T),
+            ("mixed-compat", *dn_identities(M, A, Q, T, rep.alpha, rep.beta, xi, zeta)),
+        ))
         if hyp.passed:
             bisystem = ASIBisystem(big.carrier, coboundary_delta(big.carrier, r),
                                    big.R, big.S, QQ, TT)
@@ -444,6 +439,7 @@ def quasi_split(r: Tensor2):
 
 def check_lr_invariant(A, lam: Tensor2):
     """(id (x) L(a) - R(a) (x) id) annihilates the symmetric part."""
+    square_on(A, lam)
     return run_identities("lr-invariant", ("eq:db5",),
                           Ctx({"A": A.basis}, A=A, Lam=lam))
 
@@ -453,19 +449,12 @@ def quasitriangular_bisystem(A, R, S, Q, T, r: Tensor2) -> ASIBisystem:
     equation residual zero, invariant symmetric part, one-leg conditions on
     the antisymmetric part, and adjoint admissibility."""
     lam, gam = quasi_split(r)
-    ctx = Ctx({}, Gam=gam, Q=Q, T=T, R=R, S=S)
-    sub = [
-        make_report("operator-system",
-                    check_operator_system("symmetric_rbs",
-                                          OperatorSystem(A, R, S)).violations),
-        make_report("adjoint-admissible",
-                    adjoint_admissible_report(A, R, S, Q, T).violations),
-        make_report("aybe", check_aybe(A, r).violations),
-        make_report("lr-invariant", check_lr_invariant(A, lam).violations),
-        make_report("one-leg",
-                    run_identities("one-leg", ("eq:dg#1", "eq:dg#2"), ctx).violations),
-    ]
-    gate = make_report("quasitriangular-hypotheses", subreports=sub)
-    if not gate.passed:
-        raise PreconditionError("quasitriangular hypotheses failed", gate)
+    require(run_parts("quasitriangular-hypotheses", (
+        ("operator-system", *operator_system_identities(
+            "symmetric_rbs", OperatorSystem(A, R, S))),
+        adjoint_admissible_report(A, R, S, Q, T),
+        check_aybe(A, r),
+        check_lr_invariant(A, lam),
+        ("one-leg", ("eq:dg#1", "eq:dg#2"), Ctx({}, Gam=gam, Q=Q, T=T, R=R, S=S)),
+    )), "quasitriangular hypotheses failed")
     return ASIBisystem(A, coboundary_delta(A, r, "quasitriangular"), R, S, Q, T)

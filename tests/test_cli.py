@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from rbx import fixtures as fx
-from rbx.cli import _reduce, export_hits, main, parse, print_workspace, run_check
+from rbx.cli import (_DERIVE_ARITY, _check_handlers, _reduce, export_hits, main, parse,
+                     print_workspace, run_check)
 from rbx.errors import ParseError
 from rbx.identities import known_tags
 from rbx.kernel import PrimeField, Rationals
@@ -504,3 +505,108 @@ def test_python_dash_m_rbx():
     out = _python_m_rbx("verify-family", "cee-a", "--samples", "1")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["check"] == "family:cee-a"
+
+
+# a dim-3 carrier, with a map, a tensor and a form on it, and a form on A
+WRONG_DIM_SOURCE = fx.WORKSPACE_SOURCE + """
+algebra B dim 3 basis u v w
+mul u u = 1 u
+
+map M3 on B
+M3 u = 1 v
+
+tensor t3 on B = 1 (u,w)
+
+form F3 on B
+F3 u = 1 w
+F3 v = 1 v
+F3 w = 1 u
+
+form F2 on A
+F2 e = 1 f
+F2 f = 1 e
+"""
+
+# valid names for every check kind and derivation, and --weight where it
+# is needed; every map, tensor and form among them has a dim-3 counterpart
+VALID_ARGS = {
+    ("check", "rb-weight"): "A R --weight 1",
+    ("check", "rbs"): "A R S",
+    ("check", "symmetric-rbs"): "A R S",
+    ("check", "averaging"): "A R",
+    ("check", "nijenhuis"): "A R",
+    ("check", "lie-rbs"): "L R S",
+    ("check", "symmetric-rb-cosystem"): "C Q T",
+    ("check", "rb-coalgebra-weight"): "C Q --weight 1",
+    ("check", "coaveraging"): "C Q",
+    ("check", "lie-rb-cosystem"): "D Q T",
+    ("check", "associative"): "A",
+    ("check", "coassociative"): "C",
+    ("check", "lie"): "L",
+    ("check", "lie-coalgebra"): "D",
+    ("check", "prelie"): "A",
+    ("check", "perm"): "A",
+    ("check", "dendriform"): "A A",
+    ("check", "asi-bialgebra"): "A C",
+    ("check", "lie-bialgebra"): "L D",
+    ("check", "frobenius"): "A F2",
+    ("check", "adjoint-admissible"): "A R S Q T",
+    ("check", "bisystem"): "A C R S Q T",
+    ("check", "lie-bisystem"): "L D R S Q T",
+    ("check", "weighted-rb-asi"): "A C R Q --weight 1",
+    ("check", "averaging-asi"): "A C R Q",
+    ("check", "averaging-lie-bialgebra"): "L D R Q",
+    ("check", "weighted-rb-lie-bialgebra"): "L D R Q --weight 1",
+    ("check", "aybe"): "A r2",
+    ("check", "asi-coboundary"): "A r2",
+    ("check", "admissible-aybe"): "A R S Q T r2",
+    ("check", "ybpair"): "A r2 r2",
+    ("check", "symmetric-ybpair"): "A r2 r2",
+    ("check", "lr-invariant"): "A r2",
+    ("check", "frobenius-srbs"): "A R S F2",
+    ("derive", "dendriform"): "A R S",
+    ("derive", "products"): "A R S",
+    ("derive", "weight-embed"): "A R --weight 1",
+    ("derive", "commutator"): "A",
+    ("derive", "cocommutator"): "C",
+    ("derive", "dual"): "C",
+    ("derive", "coboundary"): "A r2",
+    ("derive", "double"): "A C R S Q T",
+}
+DIM3 = {"R": "M3", "S": "M3", "Q": "M3", "T": "M3", "r2": "t3", "F2": "F3"}
+
+
+def _wrong_dim_cases():
+    for (command, kind), args in VALID_ARGS.items():
+        words = args.split()
+        for k, word in enumerate(words):
+            if word in DIM3:
+                bad = words[:k] + [DIM3[word]] + words[k + 1:]
+                yield pytest.param(command, kind, words, bad,
+                                   id=f"{command}-{kind}-{k}")
+
+
+def test_wrong_dim_cases_cover_every_kind():
+    assert {kind for command, kind in VALID_ARGS if command == "check"} == set(_check_handlers())
+    assert {kind for command, kind in VALID_ARGS if command == "derive"} == set(_DERIVE_ARITY)
+
+
+@pytest.fixture(scope="module")
+def wrong_dim_workspace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ws") / "wrong_dim.rbx"
+    path.write_text(WRONG_DIM_SOURCE)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,kind,good,bad", list(_wrong_dim_cases()))
+def test_cli_wrong_dimension_data_exits_2(wrong_dim_workspace, capsys,
+                                          command, kind, good, bad):
+    """A map, tensor or form on a dim-3 carrier, handed to a check or a
+    derivation on dim-2 data, ends in exit 2 with an error line: never a
+    verdict, a derived workspace or a traceback."""
+    assert main([command, kind, *good, "-i", wrong_dim_workspace]) in (0, 1)
+    capsys.readouterr()
+    assert main([command, kind, *bad, "-i", wrong_dim_workspace]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err and "Traceback" not in out.err

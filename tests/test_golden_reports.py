@@ -6,6 +6,9 @@ sha256 of `Report.to_json(witness=True)` for every instance of the four
 GF(2) equivalence scans (both sides), for every `paper_rows()` row, and
 for a seeded set of GF(3) instances, most of which fail: their residuals
 are where a reduction mistake (say -1 rendered instead of 2) would show.
+A second seeded GF(3) set pins the composite reports (matched pairs, the
+double construction, Frobenius systems, representations) and the message
+and report with which the constructive builders refuse.
 The digests were computed on the boxed-scalar kernel that predates the
 int storage of GF(p) entries.
 """
@@ -18,15 +21,22 @@ import pytest
 
 from rbx import fixtures as fx
 from rbx import regression
-from rbx.bisystems import ASIBisystem, check_bisystem
-from rbx.bridges import (LieBisystem, check_averaging_asi,
+from rbx.bisystems import (ASIBisystem, bisystem_matched_pair, check_bisystem,
+                           check_frobenius_srbs, check_matched_pair_srbs,
+                           double_construction)
+from rbx.bridges import (LieBisystem, apreperm_from_averaging, check_averaging_asi,
                          check_averaging_lie_bialgebra, check_lie_bisystem,
-                         check_weighted_rb_asi, check_weighted_rb_lie_bialgebra)
+                         check_weighted_rb_asi, check_weighted_rb_lie_bialgebra,
+                         lie_matched_pair_report)
+from rbx.errors import PreconditionError
 from rbx.kernel import Matrix, PrimeField, Tensor2
+from rbx.report import make_report
+from rbx.representations import Bimodule, Representation, check_representation
 from rbx.structures import Algebra, BilinearForm, Coalgebra, check_axioms
 from rbx.systems import (CoOperatorSystem, OperatorSystem, check_cosystem,
                          check_operator_system, check_symmetric_ybpair)
-from rbx.yangbaxter import check_aybe
+from rbx.yangbaxter import (check_aybe, o_operator_solution,
+                            quasitriangular_bisystem, triangular_bisystem)
 
 
 def _digest(reports):
@@ -195,3 +205,82 @@ def test_gf3_failing_reports_pinned():
     failing = sum(rep.status == "fail" for reps in reports.values() for rep in reps)
     assert failing >= 100
     assert {name: _digest(reps) for name, reps in reports.items()} == GF3_DIGESTS
+
+
+def _refused(err):
+    """The message and report of a `PreconditionError`, as one report."""
+    return make_report(f"refused: {err}", subreports=(err.report,))
+
+
+def _refusal(build, *args):
+    """`_refused` of the error that `build` raises, or an "accepted"
+    report when it builds."""
+    try:
+        build(*args)
+    except PreconditionError as err:
+        return _refused(err)
+    return make_report("accepted")
+
+
+def composite_reports():
+    """Seeded GF(3) instances of the composite checkers and of the
+    hypothesis gates of the constructive builders, keyed by name; a third
+    of the instances use zero maps, so that the gates pass some parts."""
+    F3 = PrimeField(3)
+    rng = random.Random(20261020)
+
+    def digits(n):
+        return [rng.randrange(3) for _ in range(n)]
+
+    def maps(k):
+        if rng.randrange(3) == 0:
+            return [Matrix.zero(F3, 2) for _ in range(k)]
+        return [Matrix(F3, 2, 2, digits(4)) for _ in range(k)]
+
+    A, C = fx.fix_a(F3), fx.fix_c(F3)
+    g, dl = fx.fix_lie(F3), fx.fix_delta(F3)
+    out = {}
+
+    def add(name, rep):
+        out.setdefault(name, []).append(rep)
+
+    for _ in range(12):
+        R, S, Q, T = maps(4)
+        bi = ASIBisystem(A, C, R, S, Q, T)
+        add("matched-pair", check_matched_pair_srbs(bisystem_matched_pair(bi)))
+        add("double-construction", double_construction(A, C, R, S, Q, T).report)
+        form = BilinearForm(F3, Matrix(F3, 2, 2, digits(4)))
+        add("frobenius-srbs", check_frobenius_srbs(A, R, S, form)[0])
+        add("lie-matched-pair", lie_matched_pair_report(LieBisystem(g, dl, R, S, Q, T)))
+        left, right, (alpha, beta) = maps(2), maps(2), maps(2)
+        rep = Representation(Bimodule(2, left, right), alpha, beta)
+        add("representation", check_representation(OperatorSystem(A, R, S), rep))
+        r = Tensor2(F3, 2, digits(4))
+        add("triangular", _refusal(triangular_bisystem, A, R, S, Q, T, r))
+        add("quasitriangular", _refusal(quasitriangular_bisystem, A, R, S, Q, T, r))
+        tmap, xi, zeta = maps(3)
+        try:  # an accepted input pins its bisystem-hypotheses report
+            add("o-operator", o_operator_solution(OperatorSystem(A, R, S), rep, tmap,
+                                                  Q, T, xi, zeta).hypothesis_report)
+        except PreconditionError as err:
+            add("o-operator", _refused(err))
+        add("apre-perm", _refusal(apreperm_from_averaging, A, C, R, Q))
+    return out
+
+
+COMPOSITE_DIGESTS = {
+    "apre-perm": "14cb92163ecd7e170927131007388f36",
+    "double-construction": "b981eb97735056f6489107337eb9c3b5",
+    "frobenius-srbs": "747df3e2378e944027f51364a8a1dd3e",
+    "lie-matched-pair": "b5b138768631239cd6c210f06a10d67c",
+    "matched-pair": "4bef59c1f61ece002e3a55f5b6d51265",
+    "o-operator": "970b46729249926e76c0b88f342eedc0",
+    "quasitriangular": "631d1133f20fb8595600b5ecd4f22abe",
+    "representation": "8e8dd80109d7fd66b6630491dca6900e",
+    "triangular": "6ba28cc88df6416e12d06a5827d1c1c9",
+}
+
+
+def test_composite_reports_and_refusals_pinned():
+    reports = composite_reports()
+    assert {name: _digest(reps) for name, reps in reports.items()} == COMPOSITE_DIGESTS

@@ -53,3 +53,31 @@ def test_only_identities_shares_verdicts():
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("identities"):
                 assert not {alias.name for alias in node.names} & MEMO_HELPERS, path.name
     assert {"structures.py", "systems.py", "bisystems.py", "search.py"} <= set(scanned)
+
+
+
+def _calls(tree, name):
+    """The innermost enclosing function (None at module level) of every
+    call of `name`, as a bare name or an attribute."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            out.append(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            fn = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+    visit(tree, None)
+    return out
+
+
+def test_one_precondition_gate():
+    # every refusal of a constructive builder goes through one gate:
+    # `PreconditionError(...)` is constructed in exactly one function
+    sites = set()
+    for path in sorted((ROOT / "src" / "rbx").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites |= {(path.name, fn) for fn in _calls(tree, "PreconditionError")}
+    assert sites == {("errors.py", "require")}
