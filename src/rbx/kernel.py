@@ -32,7 +32,16 @@ Conventions used throughout the toolkit:
   `scale`, the zero test, equality and hash, and `render()`, the nonzero
   entries as `[i,j]=x`.  Containers over different fields never combine:
   `FieldError`.  `show` renders one scalar; an integer part past Python's
-  int/str digit limit reads as its digit count instead of raising.
+  int/str digit limit reads as its digit count instead of raising;
+* the bilinear ops work on stored scalars, in one loop per field: over
+  GF(p) they sum int products with no zero test and take one `% p` per
+  output entry; over Q they skip every product with a zero factor, tested
+  on the `_numerator` slot, sum the products' numerators and denominators
+  as ints, and normalise each output entry once (`_q_lowest`).  A vector
+  operand in any other form goes to stored form once, through the field's
+  `reduce` (`_operand`), which refuses a scalar of another field, zero or
+  not, with `FieldError`.  `Matrix.apply`, `@` and `leg_apply` share that
+  loop (`_dots`), and the structure tables in `structures` follow it.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, mul, neg, sub
 
 from .errors import FieldError
 
@@ -355,7 +364,10 @@ class _QFraction(Fraction):
         return Fraction.__truediv__(a, b)  # Fraction's own ZeroDivisionError
 
     def __neg__(a):
-        return _q(-a._numerator, a._denominator)
+        x = _new(_QFraction)
+        x._numerator = -a._numerator
+        x._denominator = a._denominator
+        return x
 
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
@@ -563,15 +575,15 @@ def bv(field, n, i):
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c, u):
@@ -606,6 +618,76 @@ def _digits(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{d} digits>"
 
 
+def _operand(field, v):
+    """A vector operand of a kernel op: `v` itself when it is a tuple whose
+    every entry has the field's stored type, else `field.reduce(v)`, which
+    converts each entry once and refuses a scalar of another field with
+    `FieldError`.  Over GF(p) an int outside [0, p) passes as it is, since
+    every op takes one `% p` per output entry."""
+    if type(v) is tuple:
+        stored = field.stored
+        for x in v:
+            if type(x) is not stored:
+                break
+        else:
+            return v
+    return field.reduce(v)
+
+
+def _q_lowest(n: int, d: int) -> _QFraction:
+    """The stored rational n/d, for d > 0, in lowest terms: the one
+    normalisation of a Q output entry that a kernel op sums as ints."""
+    if d != 1:
+        g = gcd(n, d)
+        if g > 1:
+            n //= g
+            d //= g
+    x = _new(_QFraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _dots(field, vs, ent, n) -> tuple:
+    """The dot product of each stored vector of `vs`, in turn, with each
+    n-entry row of the stored entries `ent`: the one loop of `Matrix.apply`,
+    `@` and `leg_apply`.  Over GF(p) it sums the int products with no zero
+    test and takes one `% p` per output entry.  Over Q it skips every
+    product with a zero factor, tested on the `_numerator` slot, sums the
+    products' numerators and denominators as ints, and normalises each
+    output entry once (`_q_lowest`)."""
+    p = field.modulus
+    if p:
+        return tuple([sum(map(mul, v, ent[b:b + n])) % p
+                      for v in vs for b in range(0, len(ent), n)])
+    out = []
+    for v in vs:
+        terms = [(j, x._numerator, x._denominator) for j, x in enumerate(v) if x._numerator]
+        for b in range(0, len(ent), n):
+            num, den = 0, 1  # the sum so far, not in lowest terms
+            for j, nx, dx in terms:
+                c = ent[b + j]
+                nc = c._numerator
+                if nc:
+                    dc = c._denominator * dx
+                    if dc == den:
+                        num += nc * nx
+                    else:
+                        num, den = num * dc + nc * nx * den, den * dc
+            out.append(_q_lowest(num, den))
+    return tuple(out)
+
+
+def _rows(ent, n) -> list:
+    """The n-entry rows of row-major entries."""
+    return [ent[b:b + n] for b in range(0, len(ent), n)]
+
+
+def _transposed(ent, n) -> tuple:
+    """Row-major entries with n columns, transposed."""
+    return tuple([x for j in range(n) for x in ent[j::n]])
+
+
 class _Container:
     """The contract of the kernel's containers `Matrix`, `Tensor2` and
     `Tensor3`: `entries`, an immutable tuple of stored scalars of one
@@ -619,7 +701,10 @@ class _Container:
     * two containers are equal when type, field, shape and entries agree;
       the hash is that of `_key`, the shape and then the entries;
     * `render()` gives the nonzero entries as `[i,j]=x` strings, the form
-      that violations and tensor reprs print.
+      that violations and tensor reprs print;
+    * a map applied to a vector, the product of two matrices and a map on
+      one leg of a 2-tensor are rows times vectors through `_dots`,
+      the per-field loop on stored scalars.
 
     A subclass's own slots are its shape, which `_key` and `_head` (the
     field and the shape, as `_make` takes them) read.  The constructors
@@ -770,19 +855,13 @@ class Matrix(_Container):
         return self.entries[j::self.cols]
 
     def apply(self, v):
+        """The map applied to a vector, which goes to stored form first (a
+        scalar of another field raises `FieldError`)."""
         n = self.cols
         if len(v) != n:
             raise ValueError("dimension mismatch in matrix application")
-        ent = self.entries
-        z = self.field.zero()
-        terms = nonzero_terms(self.field, v)
-        out = []
-        for base in range(0, self.rows * n, n):
-            acc = z
-            for j, x in terms:
-                acc = acc + ent[base + j] * x
-            out.append(acc)
-        return reduce_entries(self.field, out)
+        F = self.field
+        return _dots(F, (_operand(F, v),), self.entries, n)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -791,24 +870,13 @@ class Matrix(_Container):
         k, m = self.cols, other.cols
         if k != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        a, b = self.entries, other.entries
-        z = self.field.zero()
-        bcols = [b[j::m] for j in range(m)]
-        out = []
-        for base in range(0, self.rows * k, k):
-            row = a[base:base + k]
-            for col in bcols:
-                acc = z
-                for x, y in zip(row, col):
-                    if x:
-                        acc = acc + x * y
-                out.append(acc)
-        return Matrix._make(self.field, self.rows, m, reduce_entries(self.field, out))
+        F = self.field
+        out = _dots(F, _rows(self.entries, k), _transposed(other.entries, m), k)
+        return Matrix._make(F, self.rows, m, out)
 
     def transpose(self):
-        ent, n = self.entries, self.cols
-        return Matrix._make(self.field, n, self.rows,
-                            tuple(x for j in range(n) for x in ent[j::n]))
+        return Matrix._make(self.field, self.cols, self.rows,
+                            _transposed(self.entries, self.cols))
 
     def det(self):
         if self.rows != self.cols:
@@ -918,8 +986,7 @@ class Tensor2(_Container):
         return self.entries[i * self.dim + j]
 
     def flip(self):
-        ent, d = self.entries, self.dim
-        return Tensor2._make(self.field, d, tuple(x for j in range(d) for x in ent[j::d]))
+        return Tensor2._make(self.field, self.dim, _transposed(self.entries, self.dim))
 
     def is_antisymmetric(self):
         return self.flip() == -self
@@ -966,34 +1033,14 @@ def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
     if m.rows != m.cols or m.rows != d:
         raise ValueError("dimension mismatch in leg application")
     same_field(t.field, m.field)
-    te, me = t.entries, m.entries
-    z = t.field.zero()
-    out = []
-    if leg == 1:
-        # entry (a, b) is sum_u m[a, u] t[u, b]
-        tcols = [te[b::d] for b in range(d)]
-        for base in range(0, d * d, d):
-            mrow = me[base:base + d]
-            for tcol in tcols:
-                acc = z
-                for c, x in zip(mrow, tcol):
-                    if c:
-                        acc = acc + c * x
-                out.append(acc)
-    elif leg == 2:
-        # entry (a, b) is sum_v t[a, v] m[b, v]
-        mrows = [me[base:base + d] for base in range(0, d * d, d)]
-        for base in range(0, d * d, d):
-            trow = te[base:base + d]
-            for mrow in mrows:
-                acc = z
-                for x, c in zip(trow, mrow):
-                    if x:
-                        acc = acc + x * c
-                out.append(acc)
+    F, te, me = t.field, t.entries, m.entries
+    if leg == 1:  # entry (a, b) is sum_u m[a, u] t[u, b]
+        out = _dots(F, _rows(me, d), _transposed(te, d), d)
+    elif leg == 2:  # entry (a, b) is sum_v t[a, v] m[b, v]
+        out = _dots(F, _rows(te, d), me, d)
     else:
         raise ValueError("leg must be 1 or 2")
-    return Tensor2._make(t.field, d, reduce_entries(t.field, out))
+    return Tensor2._make(F, d, out)
 
 
 def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:

@@ -530,8 +530,22 @@ _CB_TAGS = ("eq:cb#1", "eq:cb#2", "eq:cb1")
 
 
 def _module_ctx(A, M, **maps):
+    """The context of a check on the bimodule M over the carrier A, after
+    the shape rules, which refuse a mis-shaped datum with `PayloadError`: M
+    has one action per basis vector of A, the carrier maps R, S, Q and T are
+    square on A (`square_on`), the module maps xi, zeta, alpha and beta are
+    mdim x mdim, and tmap, from the module to the carrier, is A.dim x mdim.
+    An absent or None map passes."""
     if M.adim != A.dim:
         raise PayloadError("action list length does not match the algebra dimension")
+    square_on(A, *(maps.get(name) for name in ("R", "S", "Q", "T")))
+    md = M.mdim
+    shapes = {"xi": (md, md), "zeta": (md, md), "alpha": (md, md), "beta": (md, md),
+              "tmap": (A.dim, md)}
+    for name, shape in shapes.items():
+        x = maps.get(name)
+        if x is not None and x._axes() != shape:
+            raise PayloadError(f"map {name} does not match the module dimension")
     return Ctx({"A": A.basis, "M": M.labels}, A=A, M=M, **maps)
 
 

@@ -25,15 +25,16 @@ through the public checkers, which run the same catalog entries in full
 and return the full report.  Survivors that share a verdict share it
 (`identities.shared_verdicts`): a bisystem's hits check their carriers'
 ASI-bialgebra axioms once, and each distinct (R, S) or (Q, T) pair once.
-A serial `run_search` opens one scope around the compile and all of its
-shards, so the compile's axiom verdict serves every shard; a shard in a
-worker process opens its own.  The memo is dropped when the scope closes
-and is never pickled.  The independent second opinion on a hit set is the
-brute-force oracles of the test suite.  Work is partitioned across shards
-by the index of the first component, which makes shards embarrassingly
-parallel and the merged result independent of the shard count;
-`run_search` builds and compiles a job's groups once for all of its
-shards.
+No other kind's survivors repeat a verdict, so only a bisystem job opens
+a scope (`_verdict_scope`).  A serial `run_search` opens it around the
+compile and all of its shards, so the compile's axiom verdict serves
+every shard; a shard in a worker process opens its own.  The memo is
+dropped when the scope closes and is never pickled.  The independent
+second opinion on a hit set is the brute-force oracles of the test suite.
+Work is partitioned across shards by the index of the first component,
+which makes shards embarrassingly parallel and the merged result
+independent of the shard count; `run_search` builds and compiles a job's
+groups once for all of its shards.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import itertools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -450,18 +452,28 @@ def _admit(job):
     return base
 
 
+def _verdict_scope(job):
+    """The verdict scope of a job's compile and re-verification: a
+    `shared_verdicts` scope when its condition has several groups
+    (`_groups`), which only a bisystem's has, since only then do survivors
+    repeat a verdict (the carriers' axioms, an (R, S) or (Q, T) pair);
+    otherwise no scope, so no verdict key is built."""
+    return shared_verdicts() if job.kind == "bisystem" else nullcontext()
+
+
 def enumerate_hits(job: SearchJob, *, rows=None) -> list[Hit]:
     """Run one shard: solve the job's compiled `rows` (compiled here if
     None), re-verify every survivor through the reference checkers, and
-    emit the hits in lexicographic candidate order.  The compile and the
-    survivors share verdicts (`identities.shared_verdicts`), inside the
-    caller's scope if one is open, else in one that closes on return."""
+    emit the hits in lexicographic candidate order.  Where verdicts can
+    repeat (`_verdict_scope`), the compile and the survivors share them
+    (`identities.shared_verdicts`), inside the caller's scope if one is
+    open, else in one that closes on return."""
     _admit(job)
     comps = _spec(job)
     p, d = job.field.modulus, job.carrier.dim
     n = d * d
     hits: list[Hit] = []
-    with shared_verdicts():
+    with _verdict_scope(job):
         if rows is None:
             rows = _system(job)
         for y in _solve(rows, p, len(comps) * n, n, job.shard):
@@ -483,9 +495,9 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
     bad job is refused before any shard starts: `_admit` checks its kind,
     field, cocarrier, budget and shards, and the compile applies the
     checkers' payload rules.  The job's groups are built and compiled once
-    here for all of its shards; serial shards share one verdict scope with
-    that compile, while the compile for a pool runs outside any scope, since
-    a forked worker would inherit an open one."""
+    here for all of its shards; serial shards share that compile's verdict
+    scope (`_verdict_scope`), while the compile for a pool runs outside any
+    scope, since a forked worker would inherit an open one."""
     if shards < 1:
         raise PayloadError(f"need at least one shard, got {shards}")
     if processes is not None and processes < 1:
@@ -500,7 +512,7 @@ def run_search(job: SearchJob, shards: int = 1, processes: int | None = None) ->
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(run, jobs))
     else:
-        with shared_verdicts():
+        with _verdict_scope(job):
             rows = _system(job)
             chunks = [enumerate_hits(j, rows=rows) for j in jobs]
     merged = [h for chunk in chunks for h in chunk]

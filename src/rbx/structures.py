@@ -7,9 +7,16 @@ which stores and checks the table, gives equality and hash, and on
 construction verifies the class's defining axioms (associativity /
 coassociativity, or the Lie counterparts) unless the caller tags the data
 `raw`, which is how candidate products awaiting checks are carried around.
-`check_axioms` runs one (tags, ctx) per axiom kind (`_axiom_identities`)
-through `identities.run_identities`, which shares the verdict inside a
-`shared_verdicts` scope.
+The bundled carriers are sparse (`fix_a` has 2 nonzero constants of 8), so
+every table lists its nonzero constants once, as (i, j, k, c), when it is
+built, and `mul`, `delta`, `coapply_first`/`coapply_second` and
+`placement_product` loop over those alone, on stored scalars in the
+kernel's per-field style: int sums with one `% p` per output entry over
+GF(p), and over Q products with a zero factor skipped and each output
+entry normalised once (Gustavson, *Two fast algorithms for sparse
+matrices*, ACM TOMS 4, 1978).  `check_axioms` runs one (tags, ctx) per
+axiom kind (`_axiom_identities`) through `identities.run_identities`,
+which shares the verdict inside a `shared_verdicts` scope.
 
 All identities are checked on basis tuples only; multilinearity makes that
 exhaustive.
@@ -20,8 +27,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, bv, combine, leg_apply,
-                     nonzero_terms, reduce_entries, vadd, vneg, vsub)
+from .kernel import (Matrix, Tensor2, Tensor3, _operand, _q_lowest, bv, combine,
+                     leg_apply, nonzero_terms, reduce_entries, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
@@ -29,11 +36,12 @@ from .report import Violation, make_report
 class _Table:
     """A dim x dim x dim table of structure constants in stored form, with
     basis labels and cached basis vectors; the base of both families of
-    (co)algebras.  Construction checks the table's shape, sets the
-    family's derived data (`_derive`), and then runs the class's axiom kind
+    (co)algebras.  Construction checks the table's shape, sets the derived
+    data (`_derive`: the nonzero constants `_nonzero`, which every bilinear
+    op reads, plus the family's own), and then runs the class's axiom kind
     `_axiom`, refusing a failing table with `_refusal`, unless the caller
-    passes `raw`.  Two tables are equal when type, field, table and basis
-    agree."""
+    passes `raw`.  Pickling and copying carry the derived data along.  Two
+    tables are equal when type, field, table and basis agree."""
 
     _what = "structure-constant table"
 
@@ -54,6 +62,14 @@ class _Table:
             if not rep.passed:
                 raise StructureError(self._refusal, rep)
 
+    def _derive(self):
+        """Set the derived data: here `_nonzero`, the (i, j, k, c) of every
+        nonzero constant c = table[i][j][k] in row-major order, which the
+        bilinear ops loop over; each family adds its own."""
+        self._nonzero = tuple((i, j, k, c) for i, row in enumerate(self.table)
+                              for j, cell in enumerate(row)
+                              for k, c in enumerate(cell) if c)
+
     def basis_vector(self, i):
         return self._basis_vectors[i]
 
@@ -73,21 +89,34 @@ class _Multiplicative(_Table):
         return self.table[i][j]
 
     def mul(self, x, y):
+        """The product of two vectors, which go to stored form first: one
+        pass over the nonzero constants (`_nonzero`)."""
         F = self.field
-        out = [None] * self.dim  # None until a term lands: no additions to zero
-        ys = nonzero_terms(F, y)
-        for i, xi in nonzero_terms(F, x):
-            row = self.table[i]
-            for j, yj in ys:
-                c = xi * yj
-                for k, t in enumerate(row[j]):
-                    if t:
-                        o = out[k]
-                        out[k] = c * t if o is None else o + c * t
-        z = F.zero()
-        return reduce_entries(F, [z if o is None else o for o in out])
+        x, y = _operand(F, x), _operand(F, y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("dimension mismatch in product")
+        p = F.modulus
+        if p:
+            out = [0] * self.dim
+            for i, j, k, c in self._nonzero:
+                out[k] += x[i] * y[j] * c
+            return tuple([o % p for o in out])
+        num, den = [0] * self.dim, [1] * self.dim  # sums so far, not in lowest terms
+        for i, j, k, c in self._nonzero:
+            a, b = x[i], y[j]
+            na, nb = a._numerator, b._numerator
+            if na and nb:
+                n = na * nb * c._numerator
+                m = a._denominator * b._denominator * c._denominator
+                dk = den[k]
+                if dk == m:
+                    num[k] += n
+                else:
+                    num[k], den[k] = num[k] * m + n * dk, dk * m
+        return tuple(map(_q_lowest, num, den))
 
     def _derive(self):
+        super()._derive()
         self._left = self._right = None  # built on first use
 
     def left_mult_basis(self, i) -> Matrix:
@@ -145,18 +174,34 @@ class _Comultiplicative(_Table):
     _what = "comultiplication table"
 
     def _derive(self):
-        self._deltas = tuple(Tensor2._make(self.field, self.dim,
-                                           tuple(x for row in cell for x in row))
+        super()._derive()
+        d = self.dim
+        self._deltas = tuple(Tensor2._make(self.field, d, tuple(x for row in cell for x in row))
                              for cell in self.table)
+        # per basis vector e_i, the (flat index j*d + k, c) of each nonzero
+        # constant of Delta(e_i)
+        cells = [[] for _ in range(d)]
+        for i, j, k, c in self._nonzero:
+            cells[i].append((j * d + k, c))
+        self._cells = tuple(map(tuple, cells))
 
     def delta_basis(self, i) -> Tensor2:
         return self._deltas[i]
 
     def delta(self, x) -> Tensor2:
-        out = [self.field.zero()] * (self.dim * self.dim)
-        for i, xi in nonzero_terms(self.field, x):
-            out = [a + xi * b for a, b in zip(out, self._deltas[i].entries)]
-        return Tensor2._make(self.field, self.dim, reduce_entries(self.field, out))
+        """The coproduct of a vector, which goes to stored form first: one
+        pass over the nonzero constants (`_cells`)."""
+        F, d = self.field, self.dim
+        x = _operand(F, x)
+        if len(x) != d:
+            raise ValueError("dimension mismatch in coproduct")
+        p = F.modulus
+        out = [F.zero()] * (d * d)
+        for xi, cell in zip(x, self._cells):
+            if (xi if p else xi._numerator):
+                for f, c in cell:
+                    out[f] += xi * c
+        return Tensor2._make(F, d, reduce_entries(F, out))
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
         """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
@@ -167,17 +212,19 @@ class _Comultiplicative(_Table):
         return self._coapply(t, False)
 
     def _coapply(self, t: Tensor2, first) -> Tensor3:
-        d = self.dim
-        out = [self.field.zero()] * d ** 3
+        F, d = self.field, self.dim
+        if t.dim != d:
+            raise ValueError("dimension mismatch in coproduct application")
+        p = F.modulus
+        out = [F.zero()] * d ** 3
         for (u, v), c in zip(itertools.product(range(d), repeat=2), t.entries):
-            if c:
+            if (c if p else c._numerator):
                 # entry f of Delta(e_k) lands at f*d + v in Delta(e_u) (x) e_v,
                 # and at u*d*d + f in e_u (x) Delta(e_v)
                 k, stride, base = (u, d, v) if first else (v, 1, u * d * d)
-                for f, x in enumerate(self._deltas[k].entries):
-                    if x:
-                        out[base + f * stride] += c * x
-        return Tensor3._make(self.field, d, reduce_entries(self.field, out))
+                for f, x in self._cells[k]:
+                    out[base + f * stride] += c * x
+        return Tensor3._make(F, d, reduce_entries(F, out))
 
     def is_cocommutative(self):
         return all(self._deltas[i].is_symmetric() for i in range(self.dim))
@@ -242,27 +289,33 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
     if len(shared) != 1:
         raise ValueError("placements must share exactly one leg")
     s = shared.pop()
-    d = x.dim
+    d = A.dim
+    if x.dim != d or y.dim != d:
+        raise ValueError("dimension mismatch in placement product")
     stride = (d * d, d, 1)  # of each leg in the flat index of the result
     out_s = stride[s - 1]
     out_x = stride[(px[1] if px[0] == s else px[0]) - 1]
     out_y = stride[(py[1] if py[0] == s else py[0]) - 1]
-    # (shared-leg index, free-leg index, coefficient) of each nonzero entry
-    xs = [(u, v, c) if px[0] == s else (v, u, c)
-          for (u, v), c in zip(itertools.product(range(d), repeat=2), x.entries) if c]
-    ys = [(w, t, c) if py[0] == s else (t, w, c)
-          for (w, t), c in zip(itertools.product(range(d), repeat=2), y.entries) if c]
-    table = A.table
-    out = [A.field.zero()] * d ** 3
-    for xsh, xf, cx in xs:
-        row = table[xsh]
-        for ysh, yf, cy in ys:
-            c = cx * cy
-            base = xf * out_x + yf * out_y
-            for k, pk in enumerate(row[ysh]):
-                if pk:
-                    out[base + k * out_s] += c * pk
-    return Tensor3._make(A.field, d, reduce_entries(A.field, out))
+    F = A.field
+    p = F.modulus
+
+    def by_shared(t, placement, offset):
+        """The nonzero entries of t, grouped by their shared-leg index, as
+        (offset of the free-leg index in the result, coefficient)."""
+        groups = [[] for _ in range(d)]
+        for (u, v), c in zip(itertools.product(range(d), repeat=2), t.entries):
+            if (c if p else c._numerator):
+                sh, fr = (u, v) if placement[0] == s else (v, u)
+                groups[sh].append((fr * offset, c))
+        return groups
+
+    xs, ys = by_shared(x, px, out_x), by_shared(y, py, out_y)
+    out = [F.zero()] * d ** 3
+    for i, j, k, c in A._nonzero:
+        for fx, cx in xs[i]:
+            for fy, cy in ys[j]:
+                out[fx + fy + k * out_s] += cx * cy * c
+    return Tensor3._make(F, d, reduce_entries(F, out))
 
 
 # ---------------------------------------------------------------------------

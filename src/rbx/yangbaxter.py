@@ -25,7 +25,7 @@ from .identities import Ctx, evaluate, identity, run_identities, run_parts
 from .report import Violation, make_report
 from .structures import Coalgebra, placement_product, square_on
 from .systems import OperatorSystem, operator_system_identities
-from .representations import (Bimodule, Representation,
+from .representations import (Bimodule, Representation, _module_ctx,
                               adjoint_admissible_report, check_module_admissible,
                               dn_identities, dual_bimodule,
                               representation_identities, semidirect)
@@ -359,10 +359,8 @@ class OOperatorData:
 def check_weak_o_operator(sys: OperatorSystem, data: OOperatorData):
     """Product identity of the module-to-carrier map plus the two
     intertwining conditions with (R, S)."""
-    M = data.module
-    ctx = Ctx({"A": sys.carrier.basis, "M": M.labels},
-              A=sys.carrier, M=M, tmap=data.tmap,
-              alpha=data.alpha, beta=data.beta, R=sys.R, S=sys.S)
+    ctx = _module_ctx(sys.carrier, data.module, tmap=data.tmap,
+                      alpha=data.alpha, beta=data.beta, R=sys.R, S=sys.S)
     return run_identities("weak-o-operator", ("eq:dk", "eq:dk1", "eq:dk2"), ctx)
 
 

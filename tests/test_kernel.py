@@ -2,6 +2,7 @@ import copy
 import itertools
 import operator
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +14,8 @@ from rbx.errors import FieldError
 from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
                         Tensor3, _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
+
+from kernel_diff import MODULI, field_of, kernel_round
 
 
 def test_field_make_prime():
@@ -468,3 +471,58 @@ def test_show_renders_parts_past_the_digit_limit_by_their_size():
     assert show(top) == show(QQ.of(top)) == f"<{limit + 1} digits>"
     assert show(QQ.of(-3 * top - 1, 7)) == f"-<{limit + 1} digits>/7"
     assert show(QQ.of(2, 70 * top + 1)) == f"2/<{limit + 2} digits>"
+
+
+# the sparse kernel ops against dense reference loops (tests/kernel_diff.py)
+
+def _moduli_ids(p):
+    return "Q" if p is None else f"GF{p}"
+
+
+def _other_fields(field):
+    """Scalars of another field, zero ones included: mixing always refuses."""
+    if field.modulus is None:
+        return (GFElement(1, 3), GFElement(0, 3))
+    q = 5 if field.modulus != 5 else 7
+    return (GFElement(1, q), GFElement(0, q), Fraction(1, 2), Fraction(0))
+
+
+@pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)
+def test_kernel_ops_match_the_dense_reference(p):
+    # apply, @ and leg_apply on both legs, on random dense and sparse
+    # operands of dimension 1 to 3 whose vectors mix stored and unstored
+    # scalars; every result entry is stored
+    rng, field = random.Random(p or 1), field_of(p)
+    assert sum(kernel_round(rng, field) for _ in range(300)) == 1200
+
+
+@pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)
+def test_apply_takes_any_accepted_scalar_and_refuses_other_fields(p):
+    field = field_of(p)
+    m = Matrix(field, 2, 2, [1, 2, 3, 4])
+    zero = m.apply((0, field.zero()))
+    assert zero == (0, 0) and all(type(x) is field.stored for x in zero)
+    if p:
+        assert m.apply((-1, GFElement(7, p))) == m.apply(((-1) % p, 7 % p))
+    else:
+        assert m.apply((Fraction(-1, 2), 3)) == m.apply((field.of(-1, 2), field.of(3)))
+        assert all(type(x) is field.stored for x in m.apply((Fraction(-1, 2), 3)))
+    for other in _other_fields(field):
+        with pytest.raises(FieldError):
+            m.apply((other, 1))
+        with pytest.raises(FieldError):
+            m.apply((1, other))
+
+
+def test_compile_scalar_runs_through_the_gf_loops():
+    # a GF(p) container may hold the search compile's scalar: apply and
+    # leg_apply pass it through the int loop, and a product of degree above
+    # 2 is still refused
+    F3 = PrimeField(3)
+    y = [_Quadratic({(e,): 1}, 3) for e in range(4)]
+    m = Matrix(F3, 2, 2, y)
+    first = m.apply((1, 2))
+    assert first[0].terms == {(0,): 1, (1,): 2} and first[1].terms == {(2,): 1, (3,): 2}
+    assert leg_apply(Tensor2(F3, 2, [1, 0, 0, 0]), m, 1).entries[2].terms == {(2,): 1}
+    with pytest.raises(RuntimeError, match="degree above 2"):
+        m.apply(m.apply(first))

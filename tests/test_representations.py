@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rbx import fixtures as fx
-from rbx.errors import PreconditionError
+from rbx.errors import PayloadError, PreconditionError
 from rbx.kernel import Matrix, block_diag
 from rbx.search import SearchJob, enumerate_hits
 from rbx.structures import check_axioms
@@ -380,3 +380,28 @@ def test_three_way_equivalence_random_gf3(F3):
     Z = Matrix.zero(F3, 2)
     a, b, c = _dn_package(F3, A, M, R, S, Z, Z, R, S, Z, Z)
     assert a and b and c
+
+
+def test_module_admissible_refuses_mis_shaped_maps(QQ):
+    A = fx.fix_a(QQ)
+    M = adjoint_bimodule(A)
+    Z2, Z3 = Matrix.zero(QQ, 2), Matrix.zero(QQ, 3)
+    sys = OperatorSystem(A, Z2, Z2)
+    assert check_module_admissible(sys, M, Z2, Z2).passed
+    for xi, zeta in ((Z3, Z2), (Z2, Z3), (Matrix.zero(QQ, 2, 3), Z2)):
+        with pytest.raises(PayloadError, match="does not match the module dimension"):
+            check_module_admissible(sys, M, xi, zeta)
+
+
+def test_dn_conditions_refuse_mis_shaped_maps(QQ):
+    # Q and T are maps on the carrier, alpha, beta, xi and zeta on the module
+    A = fx.fix_a(QQ)
+    M = adjoint_bimodule(A)
+    Z2, Z3 = Matrix.zero(QQ, 2), Matrix.zero(QQ, 3)
+    assert check_dn_conditions(M, A, *[Z2] * 6).passed
+    for k in range(6):
+        maps = [Z2] * 6
+        maps[k] = Z3
+        with pytest.raises(PayloadError, match="does not match the "
+                                               + ("carrier" if k < 2 else "module")):
+            check_dn_conditions(M, A, *maps)

@@ -551,6 +551,28 @@ def test_serial_search_shares_one_verdict_scope(F2, F3, monkeypatch):
     assert counts["axioms:asi_bialgebra"] == 1
 
 
+
+def test_only_a_bisystem_search_opens_a_verdict_scope(F2, F3, monkeypatch):
+    # the survivors of a one-group condition never repeat a verdict, so a
+    # serial search of any other kind re-verifies outside every scope and
+    # builds no verdict key; a bisystem search re-verifies inside one
+    scoped = []
+    real = search.verify_hit
+
+    def spy(job, parts):
+        scoped.append(identities._VERDICTS.get() is not None)
+        return real(job, parts)
+
+    monkeypatch.setattr(search, "verify_hit", spy)
+    for shards in (1, 3):
+        assert len(run_search(SearchJob(F3, fx.fix_a(F3), "rbs"), shards=shards)) == 179
+        assert len(scoped) == 179 and not any(scoped)
+        scoped.clear()
+    job = SearchJob(F2, fx.fix_a(F2), "bisystem", cocarrier=fx.fix_c(F2))
+    assert len(run_search(job)) == len(scoped) == 48 and all(scoped)
+    assert identities._VERDICTS.get() is None
+
+
 # --- every kind compiled into joint quadratic forms -------------------------
 
 ALL_KINDS = sorted(search._KINDS)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbx import fixtures as fx
-from rbx.errors import PayloadError, StructureError
+from rbx.errors import FieldError, PayloadError, StructureError
 from rbx.identities import _VERDICTS, seeded_fault, shared_verdicts
-from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2
+from rbx.kernel import GFElement, Matrix, PrimeField, Rationals, Tensor2
 from rbx.structures import (Algebra, BilinearForm, LieAlgebra,
                             check_axioms, cocommutator, commutator, dualize,
                             dualize_alg, form_adjoint, pairing_form,
                             placement_product)
 
+from kernel_diff import MODULI, field_of, structures_round
 from oracles import placed
 
 
@@ -345,3 +348,69 @@ def test_placement_product_matches_naive_loop(field, px, py):
             flat = [want[a][b][c] for a in range(d) for b in range(d) for c in range(d)]
             assert got.entries == field.reduce(flat)
             assert all(type(e) is field.stored for e in got.entries)
+    for x, y in ((Tensor2.zero(field, 2), Tensor2.zero(field, 3)),
+                 (Tensor2.zero(field, 3), Tensor2.zero(field, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            placement_product(fx.fix_a(field), x, px, y, py)
+
+
+# the sparse table ops against dense reference loops (tests/kernel_diff.py)
+
+@pytest.mark.parametrize("p", MODULI, ids=lambda p: "Q" if p is None else f"GF{p}")
+def test_table_ops_match_the_dense_reference(p):
+    # mul, delta, both coapplies and placement_product on random dense,
+    # sparse and zero tables of dimension 1 to 3, with vectors that mix
+    # stored and unstored scalars; every result entry is stored
+    rng, field = random.Random(p or 1), field_of(p)
+    assert sum(structures_round(rng, field) for _ in range(300)) == 1500
+
+
+@pytest.mark.parametrize("p", MODULI, ids=lambda p: "Q" if p is None else f"GF{p}")
+def test_table_ops_take_any_accepted_scalar_and_refuse_bad_operands(p):
+    field = field_of(p)
+    A, C = fx.fix_a(field), fx.fix_c(field)
+    z = (0, field.zero())
+    assert A.mul(z, (1, 1)) == A.mul((1, 1), z) == (0, 0) and C.delta(z).is_zero()
+    if p:
+        x, same = (-1, GFElement(7, p)), ((-1) % p, 7 % p)
+        others = (GFElement(1, 5 if p != 5 else 7), GFElement(0, 7 if p != 7 else 5),
+                  Fraction(1, 2), Fraction(0))
+    else:
+        x, same = (Fraction(-1, 2), 3), (field.of(-1, 2), field.of(3))
+        others = (GFElement(1, 3), GFElement(0, 3))
+    y = field.reduce((2, 5))
+    assert A.mul(x, y) == A.mul(same, y) and A.mul(y, x) == A.mul(y, same)
+    assert C.delta(x) == C.delta(same)
+    assert all(type(v) is field.stored for v in A.mul(x, y) + C.delta(x).entries)
+    for other in others:
+        for bad in ((other, 1), (1, other)):
+            with pytest.raises(FieldError):
+                A.mul(bad, y)
+            with pytest.raises(FieldError):
+                A.mul(y, bad)
+            with pytest.raises(FieldError):
+                C.delta(bad)
+    for t in (Tensor2.zero(field, 1), Tensor2(field, 3, range(9))):
+        for expand in (C.coapply_first, C.coapply_second):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                expand(t)
+    for bad in ((1,), (1, 0, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A.mul(bad, y)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A.mul(y, bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            C.delta(bad)
+
+
+def test_copied_tables_keep_their_nonzero_constants(QQ):
+    # the constants are built once per table, raw or checked, and travel
+    # with pickle and deepcopy
+    A, C = fx.fix_a(QQ), fx.fix_c(QQ)
+    assert len(A._nonzero) == 2 and len(C._nonzero) == 2
+    raw = Algebra(QQ, A.table, basis=A.basis, raw=True)
+    assert raw._nonzero == A._nonzero
+    x, y = (QQ.of(1, 2), QQ.of(-3)), (QQ.of(2, 7), QQ.of(5, 3))
+    for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
+        A2, C2 = copy_of(A), copy_of(C)
+        assert A2.mul(x, y) == A.mul(x, y) and C2.delta(x) == C.delta(x)

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from rbx import fixtures as fx
-from rbx.errors import FieldError, PreconditionError
+from rbx.errors import FieldError, PayloadError, PreconditionError
 from rbx.kernel import Matrix, Tensor2
 from rbx.search import SearchJob, enumerate_hits
 from rbx.structures import check_axioms
 from rbx.systems import OperatorSystem
-from rbx.representations import (Representation, adjoint_bimodule,
+from rbx.representations import (Bimodule, Representation, adjoint_bimodule,
                                  adjoint_admissible_report, dual_bimodule)
 from rbx.bisystems import check_bisystem
 from rbx.identities import Ctx
@@ -467,3 +467,17 @@ def test_quasitriangular_reduces_to_triangular_for_antisymmetric(QQ):
         tri = triangular_bisystem(A, R, S, Z, Z, r)
         quasi = quasitriangular_bisystem(A, R, S, Z, Z, r)
         assert tri.coalgebra.table == quasi.coalgebra.table
+
+
+def test_weak_o_operator_refuses_a_mis_shaped_tmap(QQ):
+    # tmap runs from the module into the carrier: A.dim x mdim
+    A = fx.fix_a(QQ)
+    Z2, Z3 = Matrix.zero(QQ, 2), Matrix.zero(QQ, 3)
+    sys = OperatorSystem(A, Z2, Z2)
+    with pytest.raises(PayloadError, match="map tmap does not match"):
+        check_weak_o_operator(sys, OOperatorData(Z3, adjoint_bimodule(A), Z2, Z2))
+    M3 = Bimodule(3, [Z3] * 2, [Z3] * 2)
+    assert check_weak_o_operator(sys, OOperatorData(Matrix.zero(QQ, 2, 3), M3, Z3, Z3)).passed
+    for tmap, alpha in ((Matrix.zero(QQ, 3, 2), Z3), (Matrix.zero(QQ, 2, 3), Z2)):
+        with pytest.raises(PayloadError, match="does not match the module dimension"):
+            check_weak_o_operator(sys, OOperatorData(tmap, M3, alpha, Z3))
