@@ -25,8 +25,8 @@ from functools import reduce
 from operator import add, attrgetter
 from typing import Callable
 
-from .kernel import (GFElement, Matrix, Tensor2, Tensor3, _Container, _QFraction,
-                     same_field, show)
+from .kernel import (GFElement, Matrix, Tensor2, Tensor3, _all_zero, _Container,
+                     _q_lowest, _QFraction, same_field, show)
 from .report import Report, Violation, make_report
 
 CATALOG: dict[str, "Identity"] = {}
@@ -166,14 +166,52 @@ def _neg(value):
 
 
 def _sum(terms):
-    """Sum of the summands: vectors entrywise, tensors and scalars by `+`."""
-    if isinstance(terms[0], tuple):
-        return tuple([reduce(add, col) for col in zip(*terms)])
-    return reduce(add, terms)
+    """Sum of the summands: vectors entrywise, tensors and scalars by `+`.
+    Only the nonzero summands are added (`_is_zero`): with none, the first
+    summand is the zero sum, and with one, it is the sum.  A vector whose
+    entries are stored Q scalars is summed column by column as ints over
+    the entries' denominators and normalised once (`_q_column`), as the
+    kernel ops sum their products; every other column is folded by `+`."""
+    live = [t for t in terms if not _is_zero(t)]
+    if len(live) < 2:
+        return live[0] if live else terms[0]
+    first = live[0]
+    if not isinstance(first, tuple):
+        return reduce(add, live)
+    if type(first[0]) is _QFraction:
+        return tuple([_q_column(col) for col in zip(*live)])
+    return tuple([reduce(add, col) for col in zip(*live)])
+
+
+def _q_column(col):
+    """The sum of one column of Q entries: as ints, normalised once
+    (`kernel._q_lowest`), while every entry is a stored Q scalar, and
+    otherwise the exact fold of `+`."""
+    num, den = 0, 1  # the sum so far, not in lowest terms
+    for x in col:
+        if type(x) is not _QFraction:
+            return reduce(add, col)
+        nx = x._numerator
+        if nx:
+            dx = x._denominator
+            if dx == den:
+                num += nx
+            else:
+                num, den = num * dx + nx * den, den * dx
+    return _q_lowest(num, den)
 
 
 def _is_zero(value):
+    """Whether a summand or a residual is zero.  A tuple that starts with a
+    stored Q scalar is tested on the `_numerator` slots (`kernel._all_zero`),
+    since `Fraction.__bool__` is a Python-level call; an int among its
+    entries has no such slot, and the tuple is then tested by truth."""
     if isinstance(value, tuple):
+        if value and type(value[0]) is _QFraction:
+            try:
+                return _all_zero(None, value)
+            except AttributeError:
+                pass
         return not any(value)
     if isinstance(value, _Container):
         return value.is_zero()

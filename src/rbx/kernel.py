@@ -34,14 +34,20 @@ Conventions used throughout the toolkit:
   `FieldError`.  `show` renders one scalar; an integer part past Python's
   int/str digit limit reads as its digit count instead of raising;
 * the bilinear ops work on stored scalars, in one loop per field: over
-  GF(p) they sum int products with no zero test and take one `% p` per
-  output entry; over Q they skip every product with a zero factor, tested
-  on the `_numerator` slot, sum the products' numerators and denominators
-  as ints, and normalise each output entry once (`_q_lowest`).  A vector
-  operand in any other form goes to stored form once, through the field's
-  `reduce` (`_operand`), which refuses a scalar of another field, zero or
-  not, with `FieldError`.  `Matrix.apply`, `@` and `leg_apply` share that
-  loop (`_dots`), and the structure tables in `structures` follow it.
+  GF(p) they sum int products and take one `% p` per output entry; over Q
+  they skip every product with a zero factor, sum the products' numerators
+  and denominators as ints, and normalise each output entry once
+  (`_q_lowest`, whose every zero is the one stored zero).  An all-zero
+  operand costs no loop: after every check, `_dots` and `leg_apply` return
+  the stored zero result at once, as `structures` does for a zero factor
+  over GF(p).  Zero tests read `any` on GF(p) entries and the `_numerator`
+  slot on Q entries (`_all_zero`), never the Python-level
+  `Fraction.__bool__`.  A vector operand in any other form goes to stored
+  form once, through the field's `reduce` (`_operand`), which refuses a
+  scalar of another field, zero or not, with `FieldError`; `combine` and
+  `structures.BilinearForm.value` convert theirs the same way.
+  `Matrix.apply`, `@` and `leg_apply` share one loop (`_dots`), and the
+  structure tables in `structures` follow it.
 """
 
 from __future__ import annotations
@@ -558,11 +564,16 @@ def reduce_entries(field, out) -> tuple:
     return tuple([x % p for x in out]) if p else tuple(out)
 
 
-def nonzero_terms(field, v):
-    """(index, stored scalar) for each nonzero entry of a vector; a scalar
-    of another field raises `FieldError`."""
-    stored, coerce = field.stored, field.coerce
-    return [(j, x if type(x) is stored else coerce(x)) for j, x in enumerate(v) if x]
+def _all_zero(p, v) -> bool:
+    """Whether every entry of `v`, stored scalars of the field of modulus
+    `p` (None over Q), is zero.  A Q entry is read on its `_numerator` slot,
+    since `Fraction.__bool__` is a Python-level call."""
+    if p:
+        return not any(v)
+    for x in v:
+        if x._numerator:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +647,10 @@ def _operand(field, v):
 
 def _q_lowest(n: int, d: int) -> _QFraction:
     """The stored rational n/d, for d > 0, in lowest terms: the one
-    normalisation of a Q output entry that a kernel op sums as ints."""
+    normalisation of a Q output entry that a kernel op sums as ints.  Every
+    zero is the one stored zero."""
+    if not n:
+        return _Q_ZERO
     if d != 1:
         g = gcd(n, d)
         if g > 1:
@@ -651,19 +665,30 @@ def _q_lowest(n: int, d: int) -> _QFraction:
 def _dots(field, vs, ent, n) -> tuple:
     """The dot product of each stored vector of `vs`, in turn, with each
     n-entry row of the stored entries `ent`: the one loop of `Matrix.apply`,
-    `@` and `leg_apply`.  Over GF(p) it sums the int products with no zero
-    test and takes one `% p` per output entry.  Over Q it skips every
-    product with a zero factor, tested on the `_numerator` slot, sums the
-    products' numerators and denominators as ints, and normalises each
-    output entry once (`_q_lowest`)."""
+    `@` and `leg_apply`.  A zero operand costs no loop: with `ent` all zero
+    the result is the stored zero at once, and a zero vector of `vs` gives
+    its row of stored zeros.  Otherwise, over GF(p) it sums the int products
+    and takes one `% p` per output entry; over Q it skips every product with
+    a zero factor, tested on the `_numerator` slot, sums the products'
+    numerators and denominators as ints, and normalises each output entry
+    once (`_q_lowest`)."""
     p = field.modulus
+    rows = range(0, len(ent), n)
     if p:
-        return tuple([sum(map(mul, v, ent[b:b + n])) % p
-                      for v in vs for b in range(0, len(ent), n)])
+        if not any(ent):
+            return (0,) * (len(vs) * len(rows))
+        return tuple([sum(map(mul, v, ent[b:b + n])) % p if any(v) else 0
+                      for v in vs for b in rows])
+    zeros = (_Q_ZERO,) * len(rows)
+    if _all_zero(None, ent):
+        return zeros * len(vs)
     out = []
     for v in vs:
         terms = [(j, x._numerator, x._denominator) for j, x in enumerate(v) if x._numerator]
-        for b in range(0, len(ent), n):
+        if not terms:
+            out += zeros
+            continue
+        for b in rows:
             num, den = 0, 1  # the sum so far, not in lowest terms
             for j, nx, dx in terms:
                 c = ent[b + j]
@@ -776,7 +801,7 @@ class _Container:
                           reduce_entries(self.field, [c * a for a in self.entries]))
 
     def is_zero(self):
-        return not any(self.entries)
+        return _all_zero(self.field.modulus, self.entries)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
@@ -930,11 +955,14 @@ def det(m: Matrix):
 
 def combine(field, n, coeffs, mat) -> Matrix:
     """The n x n matrix sum_k coeffs[k] * mat(k) over the nonzero
-    coefficients, summed entry by entry; a coefficient of another field
-    raises `FieldError`."""
+    coefficients, summed entry by entry.  The coefficients go to stored form
+    first (`_operand`), so one of another field, zero or not, raises
+    `FieldError`."""
+    p = field.modulus
     out = [field.zero()] * (n * n)
-    for k, c in nonzero_terms(field, coeffs):
-        out = [a + c * b for a, b in zip(out, mat(k).entries)]
+    for k, c in enumerate(_operand(field, coeffs)):
+        if (c if p else c._numerator):
+            out = [a + c * b for a, b in zip(out, mat(k).entries)]
     return Matrix._make(field, n, n, reduce_entries(field, out))
 
 
@@ -1028,18 +1056,22 @@ def flip(t: Tensor2) -> Tensor2:
 
 
 def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
-    """Apply a map to one tensor leg: leg 1 gives (m (x) id)t, leg 2 gives (id (x) m)t."""
+    """Apply a map to one tensor leg: leg 1 gives (m (x) id)t, leg 2 gives
+    (id (x) m)t.  A zero tensor or a zero map gives the zero tensor at once."""
     d = t.dim
     if m.rows != m.cols or m.rows != d:
         raise ValueError("dimension mismatch in leg application")
     same_field(t.field, m.field)
+    if leg not in (1, 2):
+        raise ValueError("leg must be 1 or 2")
     F, te, me = t.field, t.entries, m.entries
+    p = F.modulus
+    if _all_zero(p, te) or _all_zero(p, me):
+        return Tensor2.zero(F, d)
     if leg == 1:  # entry (a, b) is sum_u m[a, u] t[u, b]
         out = _dots(F, _rows(me, d), _transposed(te, d), d)
-    elif leg == 2:  # entry (a, b) is sum_v t[a, v] m[b, v]
+    else:  # entry (a, b) is sum_v t[a, v] m[b, v]
         out = _dots(F, _rows(te, d), me, d)
-    else:
-        raise ValueError("leg must be 1 or 2")
     return Tensor2._make(F, d, out)
 
 

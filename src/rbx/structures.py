@@ -12,7 +12,8 @@ every table lists its nonzero constants once, as (i, j, k, c), when it is
 built, and `mul`, `delta`, `coapply_first`/`coapply_second` and
 `placement_product` loop over those alone, on stored scalars in the
 kernel's per-field style: int sums with one `% p` per output entry over
-GF(p), and over Q products with a zero factor skipped and each output
+GF(p), where `mul` returns the zero product before its loop when a factor
+is zero, and over Q products with a zero factor skipped and each output
 entry normalised once (Gustavson, *Two fast algorithms for sparse
 matrices*, ACM TOMS 4, 1978).  `check_axioms` runs one (tags, ctx) per
 axiom kind (`_axiom_identities`) through `identities.run_identities`,
@@ -27,8 +28,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, _operand, _q_lowest, bv, combine,
-                     leg_apply, nonzero_terms, reduce_entries, vadd, vneg, vsub)
+from .kernel import (Matrix, Tensor2, Tensor3, _dots, _operand, _q_lowest, bv, combine,
+                     leg_apply, reduce_entries, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
@@ -90,13 +91,18 @@ class _Multiplicative(_Table):
 
     def mul(self, x, y):
         """The product of two vectors, which go to stored form first: one
-        pass over the nonzero constants (`_nonzero`)."""
+        pass over the nonzero constants (`_nonzero`).  Over GF(p) a zero
+        factor returns the zero product before the pass; over Q the pass
+        skips each product with a zero factor, tested on `_numerator`, and
+        a zero entry of the result is the stored zero (`_q_lowest`)."""
         F = self.field
         x, y = _operand(F, x), _operand(F, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in product")
         p = F.modulus
         if p:
+            if not (any(x) and any(y)):
+                return (0,) * self.dim
             out = [0] * self.dim
             for i, j, k, c in self._nonzero:
                 out[k] += x[i] * y[j] * c
@@ -258,13 +264,14 @@ class BilinearForm:
         self.dim = gram.rows
 
     def value(self, x, y):
+        """B(x, y), as x times `gram.apply(y)` through `kernel._dots`; both
+        vectors go to stored form first, so a scalar of another field, zero
+        or not, raises `FieldError`."""
         F = self.field
-        acc = F.zero()
-        ys = nonzero_terms(F, y)
-        for i, xi in nonzero_terms(F, x):
-            for j, yj in ys:
-                acc = acc + xi * self.gram[i, j] * yj
-        return F.coerce(acc)
+        x = _operand(F, x)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("dimension mismatch in bilinear form")
+        return _dots(F, (x,), self.gram.apply(y), self.dim)[0]
 
     def is_symmetric(self):
         return self.gram == self.gram.transpose()

@@ -1,15 +1,25 @@
 """The identity catalog as a whole: its tags are stable keys, one identity
-has one registered body however many tags restate it, and each body's
-summands keep their order."""
+has one registered body however many tags restate it, each body's summands
+keep their order, and `evaluate` adds them as a left fold does."""
 
 import hashlib
 import random
 from collections import defaultdict
+from fractions import Fraction
+from functools import reduce
+from operator import add
 
-from rbx.identities import CATALOG, Ctx, _stored, evaluate, steps
-from rbx.kernel import Matrix, PrimeField
+import pytest
+
+from rbx import fixtures as fx
+from rbx.bisystems import bisystem_identities
+from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate, run_identities,
+                            seeded_fault, steps)
+from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2, Tensor3, _Quadratic
 from rbx.representations import Bimodule
 from rbx.structures import Algebra, Coalgebra
+
+from kernel_diff import MODULI, field_of, poly, sum_round
 
 # every registered tag, grouped by the spaces it quantifies over
 TAGS_BY_SPACES = {
@@ -200,3 +210,70 @@ SUMMAND_DIGESTS = {
 
 def test_summands_are_pinned():
     assert _summand_digests() == SUMMAND_DIGESTS
+
+
+# evaluate adds only the nonzero summands; the sum must be the left fold's
+
+@pytest.mark.parametrize("p", MODULI, ids=lambda p: "Q" if p is None else f"GF{p}")
+def test_sum_matches_a_left_fold(p):
+    # random summand lists with zero summands among them (tests/kernel_diff.py)
+    rng, field = random.Random(p or 1), field_of(p)
+    assert sum(sum_round(rng, field) for _ in range(100)) == (400 if p else 300)
+
+
+def _fold(terms):
+    if isinstance(terms[0], tuple):
+        return tuple(reduce(add, col) for col in zip(*terms))
+    return reduce(add, terms)
+
+
+def test_evaluate_sums_like_a_left_fold(monkeypatch):
+    QQ, F3 = Rationals(), PrimeField(3)
+    q = QQ.of
+    y = [_Quadratic({(v,): 1}, 3) for v in range(2)]
+    cases = {
+        "GF(3) ints": [(0, 0), (4, -2), (0, 0), (-1, 5)],
+        "GF(3) one nonzero": [(0, 0), (0, 2), (0, 0)],
+        "GF(3) all zero": [(0, 0), (0, 0)],
+        "Q stored": [(q(1, 2), q(0)), (q(0), q(0)), (q(1, 3), q(-1, 6)), (q(-5, 6), q(7, 6))],
+        "Q stored cancelling": [(q(1, 2), q(2)), (q(-1, 2), q(-2))],
+        "Q plain Fraction": [(q(1, 2), Fraction(1, 3)), (q(0), q(0)), (q(1, 3), q(1))],
+        "Q int": [(q(0), 3), (q(1, 2), q(1, 4)), (q(0), 0), (q(1), q(-1, 4))],
+        "Tensor2": [Tensor2.zero(QQ, 2), Tensor2(QQ, 2, [1, q(1, 2), 0, 3]),
+                    Tensor2(QQ, 2, [q(-1, 3), 0, 0, 1])],
+        "Tensor3": [Tensor3(F3, 2, range(8)), Tensor3.zero(F3, 2), Tensor3(F3, 2, [2] * 8)],
+        "compile scalars": [(y[0], 0), (0, 0), (y[1] * 2, y[0] + 1), (2 * y[0], y[1])],
+    }
+    for name, terms in cases.items():
+        monkeypatch.setitem(CATALOG, "test:sum", Identity("test:sum", (), lambda ctx, idx: terms))
+        got, want = evaluate("test:sum", Ctx(), ()), _fold(terms)
+        if name == "compile scalars":
+            assert [poly(3, x) for x in got] == [poly(3, x) for x in want], name
+            assert type(got[0]) is _Quadratic
+        else:
+            assert got == want, name
+        if name.startswith("Q stored"):  # every entry stored: so is the sum
+            assert all(type(x) is QQ.stored for x in got), name
+
+
+def _zero(value):
+    """The summand is zero, by comparing each entry with 0."""
+    entries = value.entries if hasattr(value, "entries") else value
+    return all(x == 0 for x in entries)
+
+
+def test_a_fault_on_a_zero_summand_keeps_the_verdict():
+    # the fault negates its summand before the sum, so a fault on a summand
+    # that is zero at every step leaves the bundled bisystem passing, and a
+    # fault on any other summand fails it (over Q, -2s is not zero)
+    seen = set()
+    for name, tags, ctx in bisystem_identities(fx.fix_bi()):
+        assert run_identities(name, tags, ctx).passed
+        for tag in tags:
+            summands = [CATALOG[tag].terms(ctx, idx) for _, idx in steps((tag,), ctx)]
+            for k in range(len(summands[0])):
+                zero = all(_zero(terms[k]) for terms in summands)
+                with seeded_fault(tag, k):
+                    assert run_identities(name, tags, ctx).passed is zero, (tag, k)
+                seen.add(zero)
+    assert seen == {True, False}

@@ -15,7 +15,7 @@ from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
                         Tensor3, _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
 
-from kernel_diff import MODULI, field_of, kernel_round
+from kernel_diff import MODULI, field_of, kernel_round, kernel_zero_round
 
 
 def test_field_make_prime():
@@ -494,6 +494,48 @@ def test_kernel_ops_match_the_dense_reference(p):
     # scalars; every result entry is stored
     rng, field = random.Random(p or 1), field_of(p)
     assert sum(kernel_round(rng, field) for _ in range(300)) == 1200
+    # and with an all-zero operand: a zero vector in each accepted form, a
+    # zero matrix or a zero tensor; results keep their type and shape
+    assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 420
+
+
+@pytest.mark.parametrize("p", (3, None), ids=_moduli_ids)
+def test_zero_operands_are_checked_before_the_early_return(p):
+    # a zero operand skips the loop, not the checks: each invalid zero
+    # operand raises as a nonzero one does
+    field, other = field_of(p), field_of(5 if p else 3)
+    m, zm, zt = Matrix.identity(field, 2), Matrix.zero(field, 2), Tensor2.zero(field, 2)
+    A = fx.fix_a(field)
+    for bad in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="dimension mismatch in product"):
+            A.mul(bad, (1, 1))
+        with pytest.raises(ValueError, match="dimension mismatch in product"):
+            A.mul((0, 0), bad)
+        with pytest.raises(ValueError, match="dimension mismatch in matrix application"):
+            m.apply(bad)
+        with pytest.raises(ValueError, match="dimension mismatch in matrix application"):
+            zm.apply(bad)
+    alien = GFElement(0, 5 if p else 3)  # a zero of another field
+    for bad in ((alien, 0), (0, alien)):
+        with pytest.raises(FieldError):
+            A.mul(bad, (0, 0))
+        with pytest.raises(FieldError):
+            zm.apply(bad)
+    with pytest.raises(FieldError):
+        zm @ Matrix.zero(other, 2)
+    with pytest.raises(FieldError):
+        leg_apply(Tensor2.zero(other, 2), zm, 1)
+    for t, n in ((zt, m), (Tensor2(field, 2, [1, 0, 0, 1]), zm), (zt, zm)):
+        for leg in (0, 3):
+            with pytest.raises(ValueError, match="leg must be 1 or 2"):
+                leg_apply(t, n, leg)
+    for t, n in ((zt, Matrix.zero(field, 3)), (zt, Matrix.zero(field, 2, 3))):
+        with pytest.raises(ValueError, match="dimension mismatch in leg application"):
+            leg_apply(t, n, 1)
+    for a, b in ((Matrix.zero(field, 2, 3), Matrix.zero(field, 2)),
+                 (zm, Matrix.zero(field, 3, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch in matrix product"):
+            a @ b
 
 
 @pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)

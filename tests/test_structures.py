@@ -17,7 +17,7 @@ from rbx.structures import (Algebra, BilinearForm, LieAlgebra,
                             dualize_alg, form_adjoint, pairing_form,
                             placement_product)
 
-from kernel_diff import MODULI, field_of, structures_round
+from kernel_diff import MODULI, field_of, structures_round, table_zero_round
 from oracles import placed
 
 
@@ -363,6 +363,34 @@ def test_table_ops_match_the_dense_reference(p):
     # stored and unstored scalars; every result entry is stored
     rng, field = random.Random(p or 1), field_of(p)
     assert sum(structures_round(rng, field) for _ in range(300)) == 1500
+    # and with an all-zero operand: a zero vector in each accepted form, a
+    # zero tensor, or the zero table; results keep their type and shape
+    assert sum(table_zero_round(rng, field) for _ in range(30)) == 1170
+
+
+def test_left_and_right_mult_refuse_a_zero_of_another_field(F3):
+    # as mul does: the zero coefficient is converted, not skipped
+    A, alien = fx.fix_a(F3), GFElement(0, 5)
+    for x in ((alien, 1), (1, alien)):
+        for op in (lambda: A.mul(x, (1, 0)), lambda: A.left_mult(x), lambda: A.right_mult(x)):
+            with pytest.raises(FieldError, match="GF\\(5\\)"):
+                op()
+    assert A.left_mult((GFElement(0, 3), 1)) == A.left_mult_basis(1)
+
+
+def test_bilinear_form_refuses_a_zero_of_another_field(F3, QQ):
+    B = BilinearForm(F3, Matrix.identity(F3, 2))
+    for x, y in (((GFElement(0, 5), 1), (1, 1)), ((1, 1), (1, GFElement(0, 5))),
+                 ((Fraction(0), 1), (1, 1))):
+        with pytest.raises(FieldError):
+            B.value(x, y)
+    assert B.value((GFElement(0, 3), 1), (1, 1)) == 1 and type(B.value((2, 2), (2, 2))) is int
+    Bq = BilinearForm(QQ, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+    assert Bq.value((Fraction(1, 2), 0), (Fraction(0), 3)) == Fraction(3, 2)
+    with pytest.raises(FieldError):
+        Bq.value((GFElement(0, 3), 1), (1, 1))
+    with pytest.raises(ValueError, match="dimension mismatch in bilinear form"):
+        Bq.value((0, 0, 0), (1, 1))
 
 
 @pytest.mark.parametrize("p", MODULI, ids=lambda p: "Q" if p is None else f"GF{p}")
