@@ -33,21 +33,28 @@ Conventions used throughout the toolkit:
   entries as `[i,j]=x`.  Containers over different fields never combine:
   `FieldError`.  `show` renders one scalar; an integer part past Python's
   int/str digit limit reads as its digit count instead of raising;
-* the bilinear ops work on stored scalars, in one loop per field: over
-  GF(p) they sum int products and take one `% p` per output entry; over Q
-  they skip every product with a zero factor, sum the products' numerators
-  and denominators as ints, and normalise each output entry once
-  (`_q_lowest`, whose every zero is the one stored zero).  An all-zero
-  operand costs no loop: after every check, `_dots` and `leg_apply` return
-  the stored zero result at once, as `structures` does for a zero factor
-  over GF(p).  Zero tests read `any` on GF(p) entries and the `_numerator`
-  slot on Q entries (`_all_zero`), never the Python-level
-  `Fraction.__bool__`.  A vector operand in any other form goes to stored
-  form once, through the field's `reduce` (`_operand`), which refuses a
-  scalar of another field, zero or not, with `FieldError`; `combine` and
-  `structures.BilinearForm.value` convert theirs the same way.
-  `Matrix.apply`, `@` and `leg_apply` share one loop (`_dots`), and the
-  structure tables in `structures` follow it.
+* the bilinear ops work on stored scalars.  Over GF(p), `Matrix.apply`,
+  `@`, `leg_apply` and the structure tables' `mul` and `delta` each run one
+  generated straight-line function per shape (`_codelet`): the sum of
+  products for every output entry written out with int indices, and one
+  `% p` per output entry, compiled on first use and kept in a bounded
+  cache (the codelets of Frigo, *A Fast Fourier Transform Compiler*, PLDI
+  1999), for the small carriers of this toolkit.  A table's kernel is
+  keyed by its dimension and the positions of its nonzero constants
+  (`_Pattern`) and takes the constants as an argument, so tables that
+  share a pattern share a kernel and no entry value is ever in generated
+  source.  Over Q the ops loop: they skip every product with a zero
+  factor, sum the products' numerators and denominators as ints, and
+  normalise each output entry once (`_q_lowest`, whose every zero is the
+  one stored zero); `Matrix.apply`, `@` and `leg_apply` share that loop
+  (`_dots`).  An all-zero operand costs no kernel: after every check the
+  op returns the stored zero result at once.  Zero tests read `any` on
+  GF(p) entries and the `_numerator` slot on Q entries (`_all_zero`),
+  never the Python-level `Fraction.__bool__`.  A vector operand in any
+  other form goes to stored form once, through the field's `reduce`
+  (`_operand`), which refuses a scalar of another field, zero or not,
+  with `FieldError`; `combine` and `structures.BilinearForm.value` convert
+  theirs the same way.
 """
 
 from __future__ import annotations
@@ -55,9 +62,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, attrgetter, neg, sub
 
 from .errors import FieldError
 
@@ -594,6 +602,9 @@ def vsub(u, v):
 
 
 def vneg(u):
+    """-u; an all-zero int vector is returned as it is."""
+    if u and type(u[0]) is int and not any(u):
+        return u
     return tuple(map(neg, u))
 
 
@@ -662,23 +673,16 @@ def _q_lowest(n: int, d: int) -> _QFraction:
     return x
 
 
-def _dots(field, vs, ent, n) -> tuple:
-    """The dot product of each stored vector of `vs`, in turn, with each
-    n-entry row of the stored entries `ent`: the one loop of `Matrix.apply`,
-    `@` and `leg_apply`.  A zero operand costs no loop: with `ent` all zero
-    the result is the stored zero at once, and a zero vector of `vs` gives
-    its row of stored zeros.  Otherwise, over GF(p) it sums the int products
-    and takes one `% p` per output entry; over Q it skips every product with
-    a zero factor, tested on the `_numerator` slot, sums the products'
+def _dots(vs, ent, n) -> tuple:
+    """Over Q, the dot product of each stored vector of `vs`, in turn, with
+    each n-entry row of the stored entries `ent`: the one loop of
+    `Matrix.apply`, `@` and `leg_apply`.  A zero operand costs no loop: with
+    `ent` all zero the result is the stored zero at once, and a zero vector
+    of `vs` gives its row of stored zeros.  Otherwise it skips every product
+    with a zero factor, tested on the `_numerator` slot, sums the products'
     numerators and denominators as ints, and normalises each output entry
     once (`_q_lowest`)."""
-    p = field.modulus
     rows = range(0, len(ent), n)
-    if p:
-        if not any(ent):
-            return (0,) * (len(vs) * len(rows))
-        return tuple([sum(map(mul, v, ent[b:b + n])) % p if any(v) else 0
-                      for v in vs for b in rows])
     zeros = (_Q_ZERO,) * len(rows)
     if _all_zero(None, ent):
         return zeros * len(vs)
@@ -703,6 +707,94 @@ def _dots(field, vs, ent, n) -> tuple:
     return tuple(out)
 
 
+def _summed(terms) -> str:
+    """The source of the sum of `terms`, added as a balanced tree, so that a
+    long sum nests log2(len(terms)) deep, within the compiler's recursion
+    limit."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_summed(terms[:half])}+{_summed(terms[half:])})"
+
+
+def _codelet_source(op, shape) -> str:
+    """The body of the generated GF(p) kernel of `op` on `shape`: a tuple
+    expression in the operands `a` and `b`, the nonzero constants `c` of a
+    table and the modulus `p`, with one `% p` per output entry, built from
+    int indices and operators alone:
+
+    * "@" on (r, k, m): the r x k matrix `a` times the k x m matrix `b`,
+      row-major (`Matrix.apply` is m = 1, and leg 1 of `leg_apply` the map
+      times the tensor's grid);
+    * "@T" on (r, k, m): `a` times the transpose of the m x k matrix `b`
+      (leg 2 of `leg_apply`: the grid times the transposed map);
+    * "mul" on a table's `_Pattern`: entry k sums a[i] * b[j] * c[n] over
+      the positions (i, j, k) of the nonzero constants c[n];
+    * "delta" on a table's `_Pattern`: entry (j, k) sums a[i] * c[n]
+      likewise.
+
+    An entry with no product is the stored zero 0."""
+    if op == "mul":
+        sums = [[] for _ in range(shape.dim)]
+        for n, (i, j, k) in enumerate(shape.positions):
+            sums[k].append(f"a[{i}]*b[{j}]*c[{n}]")
+    elif op == "delta":
+        d = shape.dim
+        sums = [[] for _ in range(d * d)]
+        for n, (i, j, k) in enumerate(shape.positions):
+            sums[j * d + k].append(f"a[{i}]*c[{n}]")
+    else:
+        r, k, m = shape
+        col = (lambda t, j: t * m + j) if op == "@" else (lambda t, j: j * k + t)
+        sums = [[f"a[{i * k + t}]*b[{col(t, j)}]" for t in range(k)]
+                for i in range(r) for j in range(m)]
+    entries = [f"{_summed(terms)}%p" if terms else "0" for terms in sums]
+    return f"({','.join(entries)},)" if entries else "()"
+
+
+@lru_cache(maxsize=256)
+def _codelet(op, shape):
+    """The generated GF(p) kernel of `op` on `shape` (`_codelet_source`),
+    compiled on first use: `fn(a, b, c, p)`, which returns the output
+    entries reduced mod p.  The only place in the package that compiles
+    code; the cache keeps the 256 kernels used last.  A kernel is one
+    function whatever the shape, so its source and its compile time grow
+    with its number of products, and a compile costs about as much as a
+    few hundred runs of the kernel.  The generator is meant for the small
+    carriers of this toolkit, dimension 2 to 4, whose kernels compile in
+    under 1 ms each; a 40 x 40 matrix product compiles its 64,000 products
+    in about 1 s (2-core VM, CPython 3.11)."""
+    namespace = {"__builtins__": {}}
+    exec(compile(f"def fn(a, b, c, p): return {_codelet_source(op, shape)}",
+                 f"<rbx {op} kernel>", "exec"), namespace)
+    return namespace["fn"]
+
+
+class _Pattern:
+    """The dimension and the (i, j, k) positions of the nonzero constants of
+    a structure table, the shape of the table's generated GF(p) kernels.
+    `_pattern` gives one object per pattern, and `_codelet`'s cache hashes
+    it by identity, so a kernel lookup costs no hash over the positions;
+    pickling and copying go back through `_pattern`."""
+
+    __slots__ = ("dim", "positions")
+
+    def __init__(self, dim, positions):
+        self.dim, self.positions = dim, positions
+
+    def __reduce__(self):
+        return _pattern, (self.dim, self.positions)
+
+
+@lru_cache(maxsize=256)
+def _pattern(dim, positions) -> _Pattern:
+    """The `_Pattern` of `dim` and the tuple `positions`, one object for
+    each of the 256 patterns asked for last; a pattern asked for again after
+    it has left the cache gets a new object, and so its kernels are
+    compiled again."""
+    return _Pattern(dim, positions)
+
+
 def _rows(ent, n) -> list:
     """The n-entry rows of row-major entries."""
     return [ent[b:b + n] for b in range(0, len(ent), n)]
@@ -720,16 +812,17 @@ class _Container:
 
     * `+` and `-` take a container of the same type, field and shape and
       work entry by entry, as negation and `scale` do; each result entry is
-      reduced once.  Another type gives `TypeError`, another field
-      `FieldError`, and another shape `_mismatch` (`TypeError`, or
-      `ValueError` for a `Matrix`);
+      reduced once, and a zero container negates to itself.  Another type
+      gives `TypeError`, another field `FieldError`, and another shape
+      `_mismatch` (`TypeError`, or `ValueError` for a `Matrix`);
     * two containers are equal when type, field, shape and entries agree;
       the hash is that of `_key`, the shape and then the entries;
     * `render()` gives the nonzero entries as `[i,j]=x` strings, the form
       that violations and tensor reprs print;
     * a map applied to a vector, the product of two matrices and a map on
-      one leg of a 2-tensor are rows times vectors through `_dots`,
-      the per-field loop on stored scalars.
+      one leg of a 2-tensor are rows times vectors on stored scalars: a
+      generated kernel per shape over GF(p) (`_codelet`), the loop `_dots`
+      over Q.
 
     A subclass's own slots are its shape, which `_key` and `_head` (the
     field and the shape, as `_make` takes them) read.  The constructors
@@ -792,6 +885,8 @@ class _Container:
         return self._combine(other, sub)
 
     def __neg__(self):
+        if self.is_zero():
+            return self
         return self._make(*self._head(self),
                           reduce_entries(self.field, [-a for a in self.entries]))
 
@@ -886,7 +981,12 @@ class Matrix(_Container):
         if len(v) != n:
             raise ValueError("dimension mismatch in matrix application")
         F = self.field
-        return _dots(F, (_operand(F, v),), self.entries, n)
+        v, p = _operand(F, v), F.modulus
+        if not p:
+            return _dots((v,), self.entries, n)
+        if any(v) and any(self.entries):
+            return _codelet("@", (self.rows, n, 1))(self.entries, v, None, p)
+        return (0,) * self.rows
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -895,8 +995,14 @@ class Matrix(_Container):
         k, m = self.cols, other.cols
         if k != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        F = self.field
-        out = _dots(F, _rows(self.entries, k), _transposed(other.entries, m), k)
+        F, a, b = self.field, self.entries, other.entries
+        p = F.modulus
+        if not p:
+            out = _dots(_rows(a, k), _transposed(b, m), k)
+        elif any(a) and any(b):
+            out = _codelet("@", (self.rows, k, m))(a, b, None, p)
+        else:
+            out = (0,) * (self.rows * m)
         return Matrix._make(F, self.rows, m, out)
 
     def transpose(self):
@@ -1068,10 +1174,12 @@ def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
     p = F.modulus
     if _all_zero(p, te) or _all_zero(p, me):
         return Tensor2.zero(F, d)
-    if leg == 1:  # entry (a, b) is sum_u m[a, u] t[u, b]
-        out = _dots(F, _rows(me, d), _transposed(te, d), d)
-    else:  # entry (a, b) is sum_v t[a, v] m[b, v]
-        out = _dots(F, _rows(te, d), me, d)
+    if leg == 1:  # entry (a, b) is sum_u m[a, u] t[u, b]: m times the grid
+        out = (_codelet("@", (d, d, d))(me, te, None, p) if p
+               else _dots(_rows(me, d), _transposed(te, d), d))
+    else:  # entry (a, b) is sum_v t[a, v] m[b, v]: the grid times m transposed
+        out = (_codelet("@T", (d, d, d))(te, me, None, p) if p
+               else _dots(_rows(te, d), me, d))
     return Tensor2._make(F, d, out)
 
 

@@ -9,13 +9,15 @@ coassociativity, or the Lie counterparts) unless the caller tags the data
 `raw`, which is how candidate products awaiting checks are carried around.
 The bundled carriers are sparse (`fix_a` has 2 nonzero constants of 8), so
 every table lists its nonzero constants once, as (i, j, k, c), when it is
-built, and `mul`, `delta`, `coapply_first`/`coapply_second` and
-`placement_product` loop over those alone, on stored scalars in the
-kernel's per-field style: int sums with one `% p` per output entry over
-GF(p), where `mul` returns the zero product before its loop when a factor
-is zero, and over Q products with a zero factor skipped and each output
-entry normalised once (Gustavson, *Two fast algorithms for sparse
-matrices*, ACM TOMS 4, 1978).  `check_axioms` runs one (tags, ctx) per
+built, and the bilinear ops work on those alone, on stored scalars
+(Gustavson, *Two fast algorithms for sparse matrices*, ACM TOMS 4, 1978).
+Over GF(p), `mul` and `delta` run the kernel that `kernel._codelet`
+generates for the table's dimension and the positions of its nonzero
+constants, with the constants as an argument, after returning the zero
+result at once for a zero operand; `coapply_first`/`coapply_second` and
+`placement_product` loop over the constants with one `% p` per output
+entry.  Over Q every op loops, skips products with a zero factor and
+normalises each output entry once.  `check_axioms` runs one (tags, ctx) per
 axiom kind (`_axiom_identities`) through `identities.run_identities`,
 which shares the verdict inside a `shared_verdicts` scope.
 
@@ -28,8 +30,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, _dots, _operand, _q_lowest, bv, combine,
-                     leg_apply, reduce_entries, vadd, vneg, vsub)
+from .kernel import (Matrix, Tensor2, Tensor3, _codelet, _operand, _pattern, _q_lowest, bv,
+                     combine, leg_apply, reduce_entries, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
@@ -66,10 +68,16 @@ class _Table:
     def _derive(self):
         """Set the derived data: here `_nonzero`, the (i, j, k, c) of every
         nonzero constant c = table[i][j][k] in row-major order, which the
-        bilinear ops loop over; each family adds its own."""
+        bilinear ops loop over, and the same split in two: `_pattern`, the
+        dimension and the (i, j, k) (`kernel._Pattern`), which selects the
+        generated GF(p) kernel of `mul` and `delta` (`kernel._codelet`),
+        and `_constants`, the c, which that kernel takes as an argument;
+        each family adds its own."""
         self._nonzero = tuple((i, j, k, c) for i, row in enumerate(self.table)
                               for j, cell in enumerate(row)
                               for k, c in enumerate(cell) if c)
+        self._pattern = _pattern(self.dim, tuple((i, j, k) for i, j, k, _ in self._nonzero))
+        self._constants = tuple(c for *_, c in self._nonzero)
 
     def basis_vector(self, i):
         return self._basis_vectors[i]
@@ -90,23 +98,21 @@ class _Multiplicative(_Table):
         return self.table[i][j]
 
     def mul(self, x, y):
-        """The product of two vectors, which go to stored form first: one
-        pass over the nonzero constants (`_nonzero`).  Over GF(p) a zero
-        factor returns the zero product before the pass; over Q the pass
-        skips each product with a zero factor, tested on `_numerator`, and
-        a zero entry of the result is the stored zero (`_q_lowest`)."""
+        """The product of two vectors, which go to stored form first.  Over
+        GF(p) a zero factor returns the zero product at once, and otherwise
+        the table's generated kernel computes it; over Q one pass over the
+        nonzero constants (`_nonzero`) skips each product with a zero
+        factor, tested on `_numerator`, and a zero entry of the result is
+        the stored zero (`_q_lowest`)."""
         F = self.field
         x, y = _operand(F, x), _operand(F, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in product")
         p = F.modulus
         if p:
-            if not (any(x) and any(y)):
-                return (0,) * self.dim
-            out = [0] * self.dim
-            for i, j, k, c in self._nonzero:
-                out[k] += x[i] * y[j] * c
-            return tuple([o % p for o in out])
+            if any(x) and any(y):
+                return _codelet("mul", self._pattern)(x, y, self._constants, p)
+            return (0,) * self.dim
         num, den = [0] * self.dim, [1] * self.dim  # sums so far, not in lowest terms
         for i, j, k, c in self._nonzero:
             a, b = x[i], y[j]
@@ -195,19 +201,26 @@ class _Comultiplicative(_Table):
         return self._deltas[i]
 
     def delta(self, x) -> Tensor2:
-        """The coproduct of a vector, which goes to stored form first: one
-        pass over the nonzero constants (`_cells`)."""
+        """The coproduct of a vector, which goes to stored form first.  Over
+        GF(p) a zero vector gives the zero tensor at once, and otherwise the
+        table's generated kernel computes it; over Q one pass over the
+        nonzero constants (`_cells`) skips each zero entry of `x`."""
         F, d = self.field, self.dim
         x = _operand(F, x)
         if len(x) != d:
             raise ValueError("dimension mismatch in coproduct")
         p = F.modulus
+        if p:
+            if any(x):
+                return Tensor2._make(
+                    F, d, _codelet("delta", self._pattern)(x, None, self._constants, p))
+            return Tensor2.zero(F, d)
         out = [F.zero()] * (d * d)
         for xi, cell in zip(x, self._cells):
-            if (xi if p else xi._numerator):
+            if xi._numerator:
                 for f, c in cell:
                     out[f] += xi * c
-        return Tensor2._make(F, d, reduce_entries(F, out))
+        return Tensor2._make(F, d, tuple(out))
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
         """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
@@ -264,14 +277,14 @@ class BilinearForm:
         self.dim = gram.rows
 
     def value(self, x, y):
-        """B(x, y), as x times `gram.apply(y)` through `kernel._dots`; both
-        vectors go to stored form first, so a scalar of another field, zero
-        or not, raises `FieldError`."""
+        """B(x, y), as the row x applied to `gram.apply(y)`; both vectors go
+        to stored form first, so a scalar of another field, zero or not,
+        raises `FieldError`."""
         F = self.field
         x = _operand(F, x)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bilinear form")
-        return _dots(F, (x,), self.gram.apply(y), self.dim)[0]
+        return Matrix._make(F, 1, self.dim, x).apply(self.gram.apply(y))[0]
 
     def is_symmetric(self):
         return self.gram == self.gram.transpose()

@@ -6,7 +6,11 @@ supports, with or without pytest:
     PYTHONPATH=src python tests/kernel_diff.py [rounds] [seed]
 
 Each round draws a field (GF(2), GF(3), GF(5), GF(11) or Q), a dimension
-from 1 to 3, and a dense, sparse or zero structure-constant table.  It runs
+from 1 to 4 (4 is the size of the bowtie doubles), shapes r x k and k x n
+from 1 to 4 each, mostly not square, for `Matrix.apply` and `@`, and a
+dense, sparse or zero structure-constant table.  Over GF(p) every one of
+`Matrix.apply`, `@`, `leg_apply`, `mul` and `delta` runs a kernel generated
+for its shape, so the rounds reach many generated kernels.  It runs
 `Matrix.apply`, `Matrix @`, `leg_apply` on both legs, `mul`, `delta`,
 `coapply_first`/`coapply_second` and `placement_product` on random operands,
 whose vector entries mix the field's stored scalars with the other forms
@@ -159,17 +163,26 @@ def table(rng, field, d):
     return [[field.reduce(vector(rng, field, d, zeros)) for _ in range(d)] for _ in range(d)]
 
 
+def grid(rng, field, rows, cols):
+    """A rows x cols grid of stored scalars, as a list of rows."""
+    return [field.reduce(vector(rng, field, cols, rng.random())) for _ in range(rows)]
+
+
 def kernel_round(rng, field):
-    """`Matrix.apply`, `@` and `leg_apply` on one random instance; the
-    number of ops checked."""
-    d = rng.randint(1, 3)
-    rows = [field.reduce(vector(rng, field, d, rng.random())) for _ in range(d)]
-    other = [field.reduce(vector(rng, field, d, rng.random())) for _ in range(d)]
-    m, n = Matrix.from_rows(field, rows), Matrix.from_rows(field, other)
+    """`Matrix.apply` and `@` on an r x k and a k x n matrix, and
+    `leg_apply` on a d x d map and tensor, each size from 1 to 4; the number
+    of ops checked."""
+    r, k, n = (rng.randint(1, 4) for _ in range(3))
+    left, right = grid(rng, field, r, k), grid(rng, field, k, n)
+    a = Matrix.from_rows(field, left)
+    v = vector(rng, field, k, rng.random())
+    agree(field, a.apply(v), ref_apply(left, [plain(x) for x in v]), "apply")
+    agree_container(field, a @ Matrix.from_rows(field, right), Matrix, (r, n),
+                    ref_matmul(left, right), "@")
+    d = rng.randint(1, 4)
+    rows, other = grid(rng, field, d, d), grid(rng, field, d, d)
+    m = Matrix.from_rows(field, rows)
     t = Tensor2(field, d, [x for row in other for x in row])
-    v = vector(rng, field, d, rng.random())
-    agree(field, m.apply(v), ref_apply(rows, [plain(x) for x in v]), "apply")
-    agree(field, (m @ n).entries, ref_matmul(rows, other), "@")
     for leg in (1, 2):
         agree(field, leg_apply(t, m, leg).entries, ref_leg_apply(other, rows, leg),
               f"leg_apply on leg {leg}")
@@ -179,7 +192,7 @@ def kernel_round(rng, field):
 def structures_round(rng, field):
     """`mul`, `delta`, `coapply_first`/`coapply_second` and
     `placement_product` on one random table; the number of ops checked."""
-    d = rng.randint(1, 3)
+    d = rng.randint(1, 4)
     consts = table(rng, field, d)
     A, C = Algebra(field, consts, raw=True), Coalgebra(field, consts, raw=True)
     x, y = vector(rng, field, d, rng.random()), vector(rng, field, d, rng.random())
@@ -216,7 +229,7 @@ def kernel_zero_round(rng, field):
     """`Matrix.apply`, `@` and `leg_apply` on both legs, each with an all-zero
     operand: every zero vector of `zero_vectors`, a zero `Matrix` and a zero
     `Tensor2`, beside random operands; the number of ops checked."""
-    d = rng.randint(1, 3)
+    d = rng.randint(1, 4)
     rows = [field.reduce(vector(rng, field, d)) for _ in range(d)]
     grid = [list(field.reduce(vector(rng, field, d))) for _ in range(d)]
     m, t = Matrix.from_rows(field, rows), Tensor2(field, d, [x for row in grid for x in row])
@@ -245,7 +258,7 @@ def table_zero_round(rng, field):
     `placement_product`, each with an all-zero operand (every zero vector of
     `zero_vectors`, or a zero `Tensor2`) on a random table, and with random
     operands on the zero table; the number of ops checked."""
-    d = rng.randint(1, 3)
+    d = rng.randint(1, 4)
     zero = [[[field.zero()] * d for _ in range(d)] for _ in range(d)]
     x, y = vector(rng, field, d), vector(rng, field, d)
     plain_x, plain_y = [plain(a) for a in x], [plain(a) for a in y]

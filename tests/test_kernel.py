@@ -15,7 +15,8 @@ from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
                         Tensor3, _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
 
-from kernel_diff import MODULI, field_of, kernel_round, kernel_zero_round
+from kernel_diff import (MODULI, field_of, kernel_round, kernel_zero_round, ref_apply,
+                         ref_leg_apply, ref_matmul)
 
 
 def test_field_make_prime():
@@ -489,14 +490,40 @@ def _other_fields(field):
 
 @pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)
 def test_kernel_ops_match_the_dense_reference(p):
-    # apply, @ and leg_apply on both legs, on random dense and sparse
-    # operands of dimension 1 to 3 whose vectors mix stored and unstored
-    # scalars; every result entry is stored
+    # apply and @ on random dense and sparse r x k and k x n operands, and
+    # leg_apply on both legs in dimension 1 to 4, whose vectors mix stored
+    # and unstored scalars; every result entry is stored
     rng, field = random.Random(p or 1), field_of(p)
     assert sum(kernel_round(rng, field) for _ in range(300)) == 1200
     # and with an all-zero operand: a zero vector in each accepted form, a
     # zero matrix or a zero tensor; results keep their type and shape
     assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 420
+
+
+def test_a_generated_kernel_with_a_long_sum_compiles():
+    # a sum of 5,000 products, longer than the compiler's recursion limit
+    # allows as one left-nested chain, is generated as a balanced tree
+    from rbx.kernel import _codelet, _pattern
+    fn = _codelet("mul", _pattern(1, ((0, 0, 0),) * 5000))
+    assert fn((2,), (3,), tuple(range(5000)), 7) == (6 * sum(range(5000)) % 7,)
+
+
+def test_large_matrix_products_match_the_dense_reference():
+    # @, apply and leg_apply on shapes far past the carriers' dimension 2
+    # to 4, each one generated kernel of 1,331 to 1,716 products
+    F5, rng = PrimeField(5), random.Random(5)
+
+    def grid(rows, cols):
+        return [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)]
+    a, b, m, t, v = grid(12, 11), grid(11, 13), grid(11, 11), grid(11, 11), grid(1, 40)[0]
+    big = grid(40, 40)
+    got = Matrix.from_rows(F5, a) @ Matrix.from_rows(F5, b)
+    assert got.entries == tuple(x % 5 for row in ref_matmul(a, b) for x in row)
+    assert Matrix.from_rows(F5, big).apply(v) == tuple(x % 5 for x in ref_apply(big, v))
+    tensor = Tensor2(F5, 11, [x for row in t for x in row])
+    for leg in (1, 2):
+        want = tuple(x % 5 for row in ref_leg_apply(t, m, leg) for x in row)
+        assert leg_apply(tensor, Matrix.from_rows(F5, m), leg).entries == want
 
 
 @pytest.mark.parametrize("p", (3, None), ids=_moduli_ids)

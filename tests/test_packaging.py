@@ -55,15 +55,47 @@ def test_only_identities_shares_verdicts():
     assert {"structures.py", "systems.py", "bisystems.py", "search.py"} <= set(scanned)
 
 
+def test_only_the_kernel_generator_compiles_code():
+    # one generator: the built-ins that run source (`exec`, `eval`,
+    # `compile`) are called in `kernel._codelet` and nowhere else; an
+    # attribute such as `re.compile` is not one of them
+    sites = set()
+    for path in sorted((ROOT / "src" / "rbx").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name in ("exec", "eval", "compile"):
+            sites |= {(path.name, fn, name) for fn in _calls(tree, name, attribute=False)}
+    assert sites == {("kernel.py", "_codelet", "exec"), ("kernel.py", "_codelet", "compile")}
 
-def _calls(tree, name):
+
+def test_generated_kernel_source_holds_only_indices_and_operators():
+    # digits, the argument names a, b, c and p, brackets, commas and + * %:
+    # no entry value, name or call ever reaches the compiler
+    from rbx import fixtures as fx
+    from rbx.kernel import PrimeField, _codelet_source, _pattern
+    A = fx.fix_a(PrimeField(3))
+    positions = tuple((i, j, k) for i in range(3) for j in range(3) for k in range(3)
+                      if (i + 2 * j + k) % 4 == 1)
+    shapes = [("@", (2, 2, 1)), ("@", (3, 2, 4)), ("@", (1, 0, 2)), ("@T", (4, 4, 4)),
+              ("mul", A._pattern), ("mul", _pattern(3, positions)),
+              ("delta", A._pattern), ("delta", _pattern(3, positions)),
+              ("mul", _pattern(2, ()))]
+    for op, shape in shapes:
+        source = _codelet_source(op, shape)
+        assert re.fullmatch(r"[0-9abcp\[\](),+*%]+", source), (op, shape, source)
+    assert _codelet_source("@", (1, 2, 1)) == "((a[0]*b[0]+a[1]*b[1])%p,)"
+    assert _codelet_source("mul", _pattern(2, ())) == "(0,0,)"
+
+
+def _calls(tree, name, attribute=True):
     """The innermost enclosing function (None at module level) of every
-    call of `name`, as a bare name or an attribute."""
+    call of `name`, as a bare name or, unless `attribute` is false, an
+    attribute."""
     out = []
 
     def visit(node, fn):
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None) if attribute else None):
             out.append(fn)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             fn = getattr(node, "name", "<lambda>")

@@ -12,12 +12,13 @@ from rbx import fixtures as fx
 from rbx.errors import FieldError, PayloadError, StructureError
 from rbx.identities import _VERDICTS, seeded_fault, shared_verdicts
 from rbx.kernel import GFElement, Matrix, PrimeField, Rationals, Tensor2
-from rbx.structures import (Algebra, BilinearForm, LieAlgebra,
+from rbx.structures import (Algebra, BilinearForm, Coalgebra, LieAlgebra,
                             check_axioms, cocommutator, commutator, dualize,
                             dualize_alg, form_adjoint, pairing_form,
                             placement_product)
 
-from kernel_diff import MODULI, field_of, structures_round, table_zero_round
+from kernel_diff import (MODULI, field_of, ref_delta, ref_mul, structures_round,
+                         table_zero_round)
 from oracles import placed
 
 
@@ -359,7 +360,7 @@ def test_placement_product_matches_naive_loop(field, px, py):
 @pytest.mark.parametrize("p", MODULI, ids=lambda p: "Q" if p is None else f"GF{p}")
 def test_table_ops_match_the_dense_reference(p):
     # mul, delta, both coapplies and placement_product on random dense,
-    # sparse and zero tables of dimension 1 to 3, with vectors that mix
+    # sparse and zero tables of dimension 1 to 4, with vectors that mix
     # stored and unstored scalars; every result entry is stored
     rng, field = random.Random(p or 1), field_of(p)
     assert sum(structures_round(rng, field) for _ in range(300)) == 1500
@@ -442,3 +443,37 @@ def test_copied_tables_keep_their_nonzero_constants(QQ):
     for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
         A2, C2 = copy_of(A), copy_of(C)
         assert A2.mul(x, y) == A.mul(x, y) and C2.delta(x) == C.delta(x)
+
+
+def test_tables_with_one_nonzero_pattern_share_one_generated_kernel():
+    # over GF(p), mul and delta run a kernel keyed by the dimension and the
+    # positions of the nonzero constants; two tables with one pattern and
+    # other constants compile it once, and each gives its dense reference;
+    # a pickled or deep-copied table keeps the one pattern object, and so
+    # the kernel
+    import copy
+    import pickle
+    from rbx.kernel import _codelet
+    F7, d, rng = PrimeField(7), 4, random.Random(4)
+    pattern = rng.sample(list(itertools.product(range(d), repeat=3)), 20)
+    tables = []
+    for _ in range(2):
+        t = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for i, j, k in pattern:
+            t[i][j][k] = rng.randrange(1, 7)
+        tables.append(t)
+    assert tables[0] != tables[1]
+    algebras = [Algebra(F7, t, raw=True) for t in tables]
+    coalgebras = [Coalgebra(F7, t, raw=True) for t in tables]
+    assert algebras[0]._pattern is coalgebras[1]._pattern
+    assert algebras[0]._constants != algebras[1]._constants
+    x, y = (3, 0, 5, 1), (2, 6, 0, 4)
+    _codelet.cache_clear()
+    for t, A, C in zip(tables, algebras, coalgebras):
+        for twin in (pickle.loads(pickle.dumps(A)), copy.deepcopy(C)):
+            assert twin._pattern is A._pattern
+        assert list(A.mul(x, y)) == [v % 7 for v in ref_mul(t, x, y)]
+        assert list(C.delta(x).entries) == [v % 7 for row in ref_delta(t, x) for v in row]
+        assert not any(callable(v) for v in (*vars(A).values(), *vars(C).values()))
+    info = _codelet.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # one mul and one delta kernel
