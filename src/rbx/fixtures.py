@@ -7,6 +7,8 @@ verification and finite-field searches.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .kernel import Matrix, Rationals, Tensor2
 from .structures import Algebra, Coalgebra, LieAlgebra, LieCoalgebra
 from .bisystems import ASIBisystem
@@ -17,12 +19,11 @@ def _mat(field, cols):
     return Matrix.from_cols(field, cols)
 
 
-def fix_a(field=None, k=1):
-    """dim-2 algebra: e.e = 0, e.f = 0, f.e = k e, f.f = k f."""
+def fix_a(field=None):
+    """dim-2 algebra: e.e = 0, e.f = 0, f.e = e, f.f = f."""
     field = field or Rationals()
-    k = field.coerce(k)
-    z = field.zero()
-    table = [[(z, z), (z, z)], [(k, z), (z, k)]]
+    z, o = field.zero(), field.one()
+    table = [[(z, z), (z, z)], [(o, z), (z, o)]]
     return Algebra(field, table, basis=("e", "f"))
 
 
@@ -34,12 +35,11 @@ def fix_c(field=None):
     return Coalgebra(field, table, basis=("e", "f"))
 
 
-def fix_lie(field=None, k=1):
-    """dim-2 bracket: [e, f] = -k e, [f, e] = k e."""
+def fix_lie(field=None):
+    """dim-2 bracket: [e, f] = -e, [f, e] = e."""
     field = field or Rationals()
-    k = field.coerce(k)
-    z = field.zero()
-    table = [[(z, z), (-k, z)], [(k, z), (z, z)]]
+    z, o = field.zero(), field.one()
+    table = [[(z, z), (-o, z)], [(o, z), (z, z)]]
     return LieAlgebra(field, table, basis=("e", "f"))
 
 
@@ -144,135 +144,92 @@ def _distinct(a, b):
     return Constraint(f"{a} != {b}", lambda pr, x=a, y=b: pr[x] != pr[y])
 
 
-def _fam(name, kind, params, constraints, build):
-    return FamilySpec(name, kind, tuple(params), tuple(constraints), build)
+def _fam(name, kind, params, constraints, shape):
+    """A family whose maps are `shape(field, *values)`, with the values of
+    `params` in order."""
+    params = tuple(params)
+    return FamilySpec(name, kind, params, tuple(constraints), partial(_build, shape, params))
 
 
-def _z(field):
-    return field.zero()
+def _build(shape, params, field, pr):
+    return shape(field, *(pr[name] for name in params))
 
 
-def _cee_a(field, pr):
-    p1, p2, p3 = pr["p1"], pr["p2"], pr["p3"]
-    frac = p2 * p3 / p1
-    return (_mat(field, [(p1, p2), (p3, frac)]),
-            _mat(field, [(-frac, p2), (p3, -p1)]))
+# the map shapes; the cee and cuu families of one letter share a shape,
+# except e and f
+
+def _shape_a(field, x, y, w):
+    frac = y * w / x
+    return (_mat(field, [(x, y), (w, frac)]),
+            _mat(field, [(-frac, y), (w, -x)]))
 
 
-def _cee_b(field, pr):
-    p1, p2 = pr["p1"], pr["p2"]
-    z = _z(field)
-    return (_mat(field, [(z, z), (p1, p2)]),
-            _mat(field, [(-p2, z), (p1, z)]))
+def _shape_b(field, x, y):
+    z = field.zero()
+    return (_mat(field, [(z, z), (x, y)]),
+            _mat(field, [(-y, z), (x, z)]))
 
 
-def _cee_c(field, pr):
-    p1, p2 = pr["p1"], pr["p2"]
-    z = _z(field)
-    return (_mat(field, [(z, p1), (z, p2)]),
-            _mat(field, [(-p2, p1), (z, z)]))
+def _shape_c(field, x, y):
+    z = field.zero()
+    return (_mat(field, [(z, x), (z, y)]),
+            _mat(field, [(-y, x), (z, z)]))
 
 
-def _cee_d(field, pr):
-    p1, p2 = pr["p1"], pr["p2"]
-    z = _z(field)
-    return (_mat(field, [(z, z), (p1, z)]),
-            _mat(field, [(z, z), (p2, z)]))
+def _shape_d(field, x, y):
+    z = field.zero()
+    return (_mat(field, [(z, z), (x, z)]),
+            _mat(field, [(z, z), (y, z)]))
 
 
-def _cee_e(field, pr):
-    p1, p2 = pr["p1"], pr["p2"]
-    z = _z(field)
-    return (_mat(field, [(z, z), (p1, p2)]), Matrix.zero(field, 2))
+def _shape_g(field, x):
+    return (Matrix.zero(field, 2), Matrix.identity(field, 2).scale(x))
 
 
-def _cee_f(field, pr):
-    p1, p2 = pr["p1"], pr["p2"]
-    z = _z(field)
-    return (Matrix.zero(field, 2), _mat(field, [(z, z), (p1, p2)]))
+def _shape_h(field, x):
+    return (Matrix.identity(field, 2).scale(x), Matrix.zero(field, 2))
 
 
-def _cee_g(field, pr):
-    p1 = pr["p1"]
-    return (Matrix.zero(field, 2), Matrix.identity(field, 2).scale(p1))
+def _cee_e(field, x, y):
+    z = field.zero()
+    return (_mat(field, [(z, z), (x, y)]), Matrix.zero(field, 2))
 
 
-def _cee_h(field, pr):
-    p1 = pr["p1"]
-    return (Matrix.identity(field, 2).scale(p1), Matrix.zero(field, 2))
+def _cee_f(field, x, y):
+    z = field.zero()
+    return (Matrix.zero(field, 2), _mat(field, [(z, z), (x, y)]))
+
+
+def _cuu_e(field, x, y):
+    z = field.zero()
+    return (Matrix.zero(field, 2), _mat(field, [(x, z), (y, z)]))
+
+
+def _cuu_f(field, x, y):
+    z = field.zero()
+    return (_mat(field, [(x, z), (y, z)]), Matrix.zero(field, 2))
 
 
 CEE_FAMILIES = (
-    _fam("cee-a", "symmetric_rbs", ("p1", "p2", "p3"), (_nonzero("p1"),), _cee_a),
-    _fam("cee-b", "symmetric_rbs", ("p1", "p2"), (), _cee_b),
-    _fam("cee-c", "symmetric_rbs", ("p1", "p2"), (_nonzero("p1"),), _cee_c),
-    _fam("cee-d", "symmetric_rbs", ("p1", "p2"), (_distinct("p2", "p1"),), _cee_d),
+    _fam("cee-a", "symmetric_rbs", ("p1", "p2", "p3"), (_nonzero("p1"),), _shape_a),
+    _fam("cee-b", "symmetric_rbs", ("p1", "p2"), (), _shape_b),
+    _fam("cee-c", "symmetric_rbs", ("p1", "p2"), (_nonzero("p1"),), _shape_c),
+    _fam("cee-d", "symmetric_rbs", ("p1", "p2"), (_distinct("p2", "p1"),), _shape_d),
     _fam("cee-e", "symmetric_rbs", ("p1", "p2"), (_nonzero("p2"),), _cee_e),
     _fam("cee-f", "symmetric_rbs", ("p1", "p2"), (_nonzero("p2"),), _cee_f),
-    _fam("cee-g", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _cee_g),
-    _fam("cee-h", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _cee_h),
+    _fam("cee-g", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _shape_g),
+    _fam("cee-h", "symmetric_rbs", ("p1",), (_nonzero("p1"),), _shape_h),
 )
 
-
-def _cuu_a(field, pr):
-    q1, q2, q3 = pr["q1"], pr["q2"], pr["q3"]
-    frac = q2 * q3 / q1
-    return (_mat(field, [(q1, q2), (q3, frac)]),
-            _mat(field, [(-frac, q2), (q3, -q1)]))
-
-
-def _cuu_b(field, pr):
-    q1, q2 = pr["q1"], pr["q2"]
-    z = _z(field)
-    return (_mat(field, [(z, z), (q1, q2)]),
-            _mat(field, [(-q2, z), (q1, z)]))
-
-
-def _cuu_c(field, pr):
-    q1, q2 = pr["q1"], pr["q2"]
-    z = _z(field)
-    return (_mat(field, [(z, q1), (z, q2)]),
-            _mat(field, [(-q2, q1), (z, z)]))
-
-
-def _cuu_d(field, pr):
-    q1, q2 = pr["q1"], pr["q2"]
-    z = _z(field)
-    return (_mat(field, [(z, z), (q1, z)]),
-            _mat(field, [(z, z), (q2, z)]))
-
-
-def _cuu_e(field, pr):
-    q1, q2 = pr["q1"], pr["q2"]
-    z = _z(field)
-    return (Matrix.zero(field, 2), _mat(field, [(q1, z), (q2, z)]))
-
-
-def _cuu_f(field, pr):
-    q1, q2 = pr["q1"], pr["q2"]
-    z = _z(field)
-    return (_mat(field, [(q1, z), (q2, z)]), Matrix.zero(field, 2))
-
-
-def _cuu_g(field, pr):
-    q1 = pr["q1"]
-    return (Matrix.zero(field, 2), Matrix.identity(field, 2).scale(q1))
-
-
-def _cuu_h(field, pr):
-    q1 = pr["q1"]
-    return (Matrix.identity(field, 2).scale(q1), Matrix.zero(field, 2))
-
-
 CUU_FAMILIES = (
-    _fam("cuu-a", "symmetric_rb_cosystem", ("q1", "q2", "q3"), (_nonzero("q1"),), _cuu_a),
-    _fam("cuu-b", "symmetric_rb_cosystem", ("q1", "q2"), (), _cuu_b),
-    _fam("cuu-c", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_c),
-    _fam("cuu-d", "symmetric_rb_cosystem", ("q1", "q2"), (_distinct("q2", "q1"),), _cuu_d),
+    _fam("cuu-a", "symmetric_rb_cosystem", ("q1", "q2", "q3"), (_nonzero("q1"),), _shape_a),
+    _fam("cuu-b", "symmetric_rb_cosystem", ("q1", "q2"), (), _shape_b),
+    _fam("cuu-c", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _shape_c),
+    _fam("cuu-d", "symmetric_rb_cosystem", ("q1", "q2"), (_distinct("q2", "q1"),), _shape_d),
     _fam("cuu-e", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_e),
     _fam("cuu-f", "symmetric_rb_cosystem", ("q1", "q2"), (_nonzero("q1"),), _cuu_f),
-    _fam("cuu-g", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _cuu_g),
-    _fam("cuu-h", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _cuu_h),
+    _fam("cuu-g", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _shape_g),
+    _fam("cuu-h", "symmetric_rb_cosystem", ("q1",), (_nonzero("q1"),), _shape_h),
 )
 
 FAMILIES = {fam.name: fam for fam in CEE_FAMILIES + CUU_FAMILIES}

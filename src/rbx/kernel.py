@@ -34,27 +34,30 @@ Conventions used throughout the toolkit:
   `FieldError`.  `show` renders one scalar; an integer part past Python's
   int/str digit limit reads as its digit count instead of raising;
 * the bilinear ops work on stored scalars.  Over GF(p), `Matrix.apply`,
-  `@`, `leg_apply` and the structure tables' `mul` and `delta` each run one
-  generated straight-line function per shape (`_codelet`): the sum of
-  products for every output entry written out with int indices, and one
-  `% p` per output entry, compiled on first use and kept in a bounded
-  cache (the codelets of Frigo, *A Fast Fourier Transform Compiler*, PLDI
-  1999), for the small carriers of this toolkit.  A table's kernel is
-  keyed by its dimension and the positions of its nonzero constants
-  (`_Pattern`) and takes the constants as an argument, so tables that
-  share a pattern share a kernel and no entry value is ever in generated
-  source.  Over Q the ops loop: they skip every product with a zero
-  factor, sum the products' numerators and denominators as ints, and
-  normalise each output entry once (`_q_lowest`, whose every zero is the
-  one stored zero); `Matrix.apply`, `@` and `leg_apply` share that loop
-  (`_dots`).  An all-zero operand costs no kernel: after every check the
-  op returns the stored zero result at once.  Zero tests read `any` on
-  GF(p) entries and the `_numerator` slot on Q entries (`_all_zero`),
-  never the Python-level `Fraction.__bool__`.  A vector operand in any
-  other form goes to stored form once, through the field's `reduce`
-  (`_operand`), which refuses a scalar of another field, zero or not,
-  with `FieldError`; `combine` and `structures.BilinearForm.value` convert
-  theirs the same way.
+  `@`, `leg_apply` and the structure tables' `mul` each run one generated
+  straight-line function per shape (`_codelet`): the sum of products for
+  every output entry written out with int indices, and one `% p` per
+  output entry, compiled on first use and kept in a bounded cache (the
+  codelets of Frigo, *A Fast Fourier Transform Compiler*, PLDI 1999), for
+  the small carriers of this toolkit.  A table's `mul` kernel is keyed by
+  its dimension and the positions of its nonzero constants (`_Pattern`)
+  and takes the constants as an argument, so tables that share a pattern
+  share a kernel and no entry value is ever in generated source.  Over Q
+  the ops loop: they skip every product with a zero factor, sum the
+  products' numerators and denominators as ints, and normalise each output
+  entry once (`_q_lowest`, whose every zero is the one stored zero);
+  `Matrix.apply`, `@` and `leg_apply` share that loop (`_dots`).  Every
+  other contraction is one of these ops on a reshaped operand: a
+  coalgebra's `delta`, `coapply_first` and `coapply_second` go through its
+  coproduct matrix, and `leg_apply3` through `@` on the tensor's d x d^2,
+  d^2 x d or d x d slices.  An all-zero operand costs no kernel: after
+  every check the op returns the stored zero result at once.  Zero tests
+  read `any` on GF(p) entries and the `_numerator` slot on Q entries
+  (`_all_zero`), never the Python-level `Fraction.__bool__`.  A vector
+  operand in any other form goes to stored form once, through the field's
+  `reduce` (`_operand`), which refuses a scalar of another field, zero or
+  not, with `FieldError`; `combine` and `structures.BilinearForm.value`
+  convert theirs the same way.
 """
 
 from __future__ import annotations
@@ -729,20 +732,13 @@ def _codelet_source(op, shape) -> str:
     * "@T" on (r, k, m): `a` times the transpose of the m x k matrix `b`
       (leg 2 of `leg_apply`: the grid times the transposed map);
     * "mul" on a table's `_Pattern`: entry k sums a[i] * b[j] * c[n] over
-      the positions (i, j, k) of the nonzero constants c[n];
-    * "delta" on a table's `_Pattern`: entry (j, k) sums a[i] * c[n]
-      likewise.
+      the positions (i, j, k) of the nonzero constants c[n].
 
     An entry with no product is the stored zero 0."""
     if op == "mul":
         sums = [[] for _ in range(shape.dim)]
         for n, (i, j, k) in enumerate(shape.positions):
             sums[k].append(f"a[{i}]*b[{j}]*c[{n}]")
-    elif op == "delta":
-        d = shape.dim
-        sums = [[] for _ in range(d * d)]
-        for n, (i, j, k) in enumerate(shape.positions):
-            sums[j * d + k].append(f"a[{i}]*c[{n}]")
     else:
         r, k, m = shape
         col = (lambda t, j: t * m + j) if op == "@" else (lambda t, j: j * k + t)
@@ -772,7 +768,7 @@ def _codelet(op, shape):
 
 class _Pattern:
     """The dimension and the (i, j, k) positions of the nonzero constants of
-    a structure table, the shape of the table's generated GF(p) kernels.
+    a structure table, the shape of the table's generated GF(p) `mul` kernel.
     `_pattern` gives one object per pattern, and `_codelet`'s cache hashes
     it by identity, so a kernel lookup costs no hash over the positions;
     pickling and copying go back through `_pattern`."""
@@ -1156,11 +1152,6 @@ class Tensor3(_Container):
         return Tensor3._make(self.field, d, tuple(out))
 
 
-def flip(t: Tensor2) -> Tensor2:
-    """Swap the two tensor legs: entry (i, j) moves to (j, i)."""
-    return t.flip()
-
-
 def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
     """Apply a map to one tensor leg: leg 1 gives (m (x) id)t, leg 2 gives
     (id (x) m)t.  A zero tensor or a zero map gives the zero tensor at once."""
@@ -1184,26 +1175,21 @@ def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
 
 
 def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:
+    """Apply a map to one leg of a 3-tensor, as `@` on a reshape of its
+    entries: leg 1 is m times the d x d^2 reshape, leg 3 the d^2 x d
+    reshape times m transposed, and leg 2 m times each d x d slice t[i]."""
     if m.rows != m.cols or m.rows != t.dim:
         raise ValueError("dimension mismatch in leg application")
     if leg not in (1, 2, 3):
         raise ValueError("leg must be 1, 2 or 3")
     same_field(t.field, m.field)
-    d = t.dim
-    z = t.field.zero()
-    out = [z] * d ** 3
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x = t[i, j, k]
-                if not x:
-                    continue
-                src = (i, j, k)[leg - 1]
-                for target in range(d):
-                    c = m[target, src]
-                    if c:
-                        pos = [i, j, k]
-                        pos[leg - 1] = target
-                        flat = (pos[0] * d + pos[1]) * d + pos[2]
-                        out[flat] = out[flat] + c * x
-    return Tensor3._make(t.field, d, reduce_entries(t.field, out))
+    F, d, te = t.field, t.dim, t.entries
+    n = d * d
+    if leg == 1:
+        out = (m @ Matrix._make(F, d, n, te)).entries
+    elif leg == 3:
+        out = (Matrix._make(F, n, d, te) @ m.transpose()).entries
+    else:
+        out = tuple(x for i in range(d)
+                    for x in (m @ Matrix._make(F, d, d, te[i * n:i * n + n])).entries)
+    return Tensor3._make(F, d, out)

@@ -9,17 +9,19 @@ coassociativity, or the Lie counterparts) unless the caller tags the data
 `raw`, which is how candidate products awaiting checks are carried around.
 The bundled carriers are sparse (`fix_a` has 2 nonzero constants of 8), so
 every table lists its nonzero constants once, as (i, j, k, c), when it is
-built, and the bilinear ops work on those alone, on stored scalars
-(Gustavson, *Two fast algorithms for sparse matrices*, ACM TOMS 4, 1978).
-Over GF(p), `mul` and `delta` run the kernel that `kernel._codelet`
-generates for the table's dimension and the positions of its nonzero
-constants, with the constants as an argument, after returning the zero
-result at once for a zero operand; `coapply_first`/`coapply_second` and
-`placement_product` loop over the constants with one `% p` per output
-entry.  Over Q every op loops, skips products with a zero factor and
-normalises each output entry once.  `check_axioms` runs one (tags, ctx) per
-axiom kind (`_axiom_identities`) through `identities.run_identities`,
-which shares the verdict inside a `shared_verdicts` scope.
+built (Gustavson, *Two fast algorithms for sparse matrices*, ACM TOMS 4,
+1978).  Over GF(p), `mul` runs the kernel that `kernel._codelet` generates
+for the table's dimension and the positions of its nonzero constants, with
+the constants as an argument, after returning the zero product at once for
+a zero factor; over Q it loops over the constants, skips products with a
+zero factor and normalises each output entry once, and `placement_product`
+loops over them on both fields.  A coalgebra stores its coproducts once as
+a d x d^2 `Matrix`, row i the entries of Delta(e_i), and its transpose, so
+`delta`, `coapply_first` and `coapply_second` are `Matrix.apply` and `@`
+on the kernel's one evaluation path, as are the leg contractions of
+`kernel.leg_apply3`.  `check_axioms` runs one (tags, ctx) per axiom kind
+(`_axiom_identities`) through `identities.run_identities`, which shares the
+verdict inside a `shared_verdicts` scope.
 
 All identities are checked on basis tuples only; multilinearity makes that
 exhaustive.
@@ -31,7 +33,7 @@ import itertools
 
 from .errors import PayloadError, StructureError
 from .kernel import (Matrix, Tensor2, Tensor3, _codelet, _operand, _pattern, _q_lowest, bv,
-                     combine, leg_apply, reduce_entries, vadd, vneg, vsub)
+                     combine, leg_apply, reduce_entries, same_field, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
@@ -40,11 +42,11 @@ class _Table:
     """A dim x dim x dim table of structure constants in stored form, with
     basis labels and cached basis vectors; the base of both families of
     (co)algebras.  Construction checks the table's shape, sets the derived
-    data (`_derive`: the nonzero constants `_nonzero`, which every bilinear
-    op reads, plus the family's own), and then runs the class's axiom kind
-    `_axiom`, refusing a failing table with `_refusal`, unless the caller
-    passes `raw`.  Pickling and copying carry the derived data along.  Two
-    tables are equal when type, field, table and basis agree."""
+    data (`_derive`: the nonzero constants `_nonzero`, plus the family's
+    own), and then runs the class's axiom kind `_axiom`, refusing a failing
+    table with `_refusal`, unless the caller passes `raw`.  Pickling and
+    copying carry the derived data along.  Two tables are equal when type,
+    field, table and basis agree."""
 
     _what = "structure-constant table"
 
@@ -67,17 +69,11 @@ class _Table:
 
     def _derive(self):
         """Set the derived data: here `_nonzero`, the (i, j, k, c) of every
-        nonzero constant c = table[i][j][k] in row-major order, which the
-        bilinear ops loop over, and the same split in two: `_pattern`, the
-        dimension and the (i, j, k) (`kernel._Pattern`), which selects the
-        generated GF(p) kernel of `mul` and `delta` (`kernel._codelet`),
-        and `_constants`, the c, which that kernel takes as an argument;
-        each family adds its own."""
+        nonzero constant c = table[i][j][k] in row-major order; each family
+        adds its own."""
         self._nonzero = tuple((i, j, k, c) for i, row in enumerate(self.table)
                               for j, cell in enumerate(row)
                               for k, c in enumerate(cell) if c)
-        self._pattern = _pattern(self.dim, tuple((i, j, k) for i, j, k, _ in self._nonzero))
-        self._constants = tuple(c for *_, c in self._nonzero)
 
     def basis_vector(self, i):
         return self._basis_vectors[i]
@@ -128,7 +124,13 @@ class _Multiplicative(_Table):
         return tuple(map(_q_lowest, num, den))
 
     def _derive(self):
+        """Add the split of `_nonzero` that `mul` reads over GF(p):
+        `_pattern`, the dimension and the (i, j, k) (`kernel._Pattern`),
+        which selects the generated kernel (`kernel._codelet`), and
+        `_constants`, the c, which that kernel takes as an argument."""
         super()._derive()
+        self._pattern = _pattern(self.dim, tuple((i, j, k) for i, j, k, _ in self._nonzero))
+        self._constants = tuple(c for *_, c in self._nonzero)
         self._left = self._right = None  # built on first use
 
     def left_mult_basis(self, i) -> Matrix:
@@ -186,64 +188,42 @@ class _Comultiplicative(_Table):
     _what = "comultiplication table"
 
     def _derive(self):
+        """Add the coproducts: `_coproducts`, the d x d^2 `Matrix` whose row
+        i is Delta(e_i), row-major on (j, k); `_transposed`, its transpose;
+        and `_deltas`, each row as a `Tensor2`."""
         super()._derive()
-        d = self.dim
-        self._deltas = tuple(Tensor2._make(self.field, d, tuple(x for row in cell for x in row))
-                             for cell in self.table)
-        # per basis vector e_i, the (flat index j*d + k, c) of each nonzero
-        # constant of Delta(e_i)
-        cells = [[] for _ in range(d)]
-        for i, j, k, c in self._nonzero:
-            cells[i].append((j * d + k, c))
-        self._cells = tuple(map(tuple, cells))
+        F, d = self.field, self.dim
+        entries = tuple(x for cell in self.table for row in cell for x in row)
+        self._coproducts = Matrix._make(F, d, d * d, entries)
+        self._transposed = self._coproducts.transpose()
+        self._deltas = tuple(Tensor2._make(F, d, self._coproducts.row(i)) for i in range(d))
 
     def delta_basis(self, i) -> Tensor2:
         return self._deltas[i]
 
     def delta(self, x) -> Tensor2:
-        """The coproduct of a vector, which goes to stored form first.  Over
-        GF(p) a zero vector gives the zero tensor at once, and otherwise the
-        table's generated kernel computes it; over Q one pass over the
-        nonzero constants (`_cells`) skips each zero entry of `x`."""
-        F, d = self.field, self.dim
-        x = _operand(F, x)
-        if len(x) != d:
+        """The coproduct of a vector: the transposed coproduct matrix
+        applied to it (`Matrix.apply`, which takes it to stored form)."""
+        if len(x) != self.dim:
             raise ValueError("dimension mismatch in coproduct")
-        p = F.modulus
-        if p:
-            if any(x):
-                return Tensor2._make(
-                    F, d, _codelet("delta", self._pattern)(x, None, self._constants, p))
-            return Tensor2.zero(F, d)
-        out = [F.zero()] * (d * d)
-        for xi, cell in zip(x, self._cells):
-            if xi._numerator:
-                for f, c in cell:
-                    out[f] += xi * c
-        return Tensor2._make(F, d, tuple(out))
+        return Tensor2._make(self.field, self.dim, self._transposed.apply(x))
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
-        """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
-        return self._coapply(t, True)
+        """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v, which is the
+        transposed coproduct matrix times t's grid, on (j, k) x v."""
+        return Tensor3._make(self.field, self.dim, (self._transposed @ self._grid(t)).entries)
 
     def coapply_second(self, t: Tensor2) -> Tensor3:
-        """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v)."""
-        return self._coapply(t, False)
+        """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v), which is t's
+        grid times the coproduct matrix, on u x (j, k)."""
+        return Tensor3._make(self.field, self.dim, (self._grid(t) @ self._coproducts).entries)
 
-    def _coapply(self, t: Tensor2, first) -> Tensor3:
-        F, d = self.field, self.dim
-        if t.dim != d:
+    def _grid(self, t: Tensor2) -> Matrix:
+        """t's entries as a d x d `Matrix` over t's own field, which `@`
+        refuses unless it is the table's."""
+        if t.dim != self.dim:
             raise ValueError("dimension mismatch in coproduct application")
-        p = F.modulus
-        out = [F.zero()] * d ** 3
-        for (u, v), c in zip(itertools.product(range(d), repeat=2), t.entries):
-            if (c if p else c._numerator):
-                # entry f of Delta(e_k) lands at f*d + v in Delta(e_u) (x) e_v,
-                # and at u*d*d + f in e_u (x) Delta(e_v)
-                k, stride, base = (u, d, v) if first else (v, 1, u * d * d)
-                for f, x in self._cells[k]:
-                    out[base + f * stride] += c * x
-        return Tensor3._make(F, d, reduce_entries(F, out))
+        return Matrix._make(t.field, t.dim, t.dim, t.entries)
 
     def is_cocommutative(self):
         return all(self._deltas[i].is_symmetric() for i in range(self.dim))
@@ -304,6 +284,7 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
 
     px and py are leg placements like (1, 2) or (1, 3); they must share
     exactly one leg, where the components multiply (x's factor on the left).
+    Tensors over another field than `A`'s raise `FieldError`.
     """
     shared = set(px) & set(py)
     if len(shared) != 1:
@@ -312,6 +293,8 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
     d = A.dim
     if x.dim != d or y.dim != d:
         raise ValueError("dimension mismatch in placement product")
+    same_field(A.field, x.field)
+    same_field(A.field, y.field)
     stride = (d * d, d, 1)  # of each leg in the flat index of the result
     out_s = stride[s - 1]
     out_x = stride[(px[1] if px[0] == s else px[0]) - 1]

@@ -13,7 +13,7 @@ the memo.
 from __future__ import annotations
 
 from .errors import PayloadError, require
-from .kernel import Matrix, Tensor2, leg_apply, vadd, vneg, vscale, vsub
+from .kernel import Matrix, Tensor2, combine, leg_apply, vadd, vneg, vscale, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .structures import (Algebra, LieAlgebra, LieCoalgebra,
@@ -346,19 +346,11 @@ def srbs_from_central(A, r_elt, s_elt) -> OperatorSystem:
 
 
 def _sandwich_map(A, t: Tensor2) -> Matrix:
-    """Map a -> sum t[u][v] e_u a e_v."""
-    cols = []
-    for j in range(A.dim):
-        acc = [A.field.zero()] * A.dim
-        for u in range(A.dim):
-            for v in range(A.dim):
-                c = t[u, v]
-                if c:
-                    term = A.mul(A.mul(A.basis_vector(u), A.basis_vector(j)),
-                                 A.basis_vector(v))
-                    acc = [a + c * x for a, x in zip(acc, term)]
-        cols.append(tuple(acc))
-    return Matrix.from_cols(A.field, cols)
+    """Map a -> sum t[u][v] e_u a e_v: entry k = u*d + v of t weighs
+    R(e_v) L(e_u)."""
+    d = A.dim
+    return combine(A.field, d, t.entries,
+                   lambda k: A.right_mult_basis(k % d) @ A.left_mult_basis(k // d))
 
 
 def srbs_from_ybpair(A, r: Tensor2, s: Tensor2) -> OperatorSystem:

@@ -376,15 +376,15 @@ OOperatorSolution = namedtuple("OOperatorSolution",
 
 
 def o_operator_solution(sys: OperatorSystem, rep: Representation, tmap: Matrix,
-                        Q, T, xi, zeta, build_bisystem: bool = True):
+                        Q, T, xi, zeta):
     """Antisymmetrized graph tensor of a module-to-carrier map, living on
     the sum of the carrier with the dual module.
 
     Verifies: the weak-operator identities of tmap, the transport
     conditions tmap o xi = Q o tmap and tmap o zeta = T o tmap, and the
-    dual-module admissibility of (xi, zeta).  When `build_bisystem` is set
-    and the representation, adjoint-admissibility and mixed-compatibility
-    conditions also hold, the coboundary bisystem on the sum is returned.
+    dual-module admissibility of (xi, zeta).  When the representation,
+    adjoint-admissibility and mixed-compatibility conditions also hold, the
+    coboundary bisystem on the sum is returned.
     """
     A = sys.carrier
     M = rep.bimodule
@@ -412,16 +412,14 @@ def o_operator_solution(sys: OperatorSystem, rep: Representation, tmap: Matrix,
     TT = block_diag(T, rep.beta.transpose())
 
     bisystem = None
-    hyp = None
-    if build_bisystem:
-        hyp = run_parts("bisystem-hypotheses", (
-            ("representation", *representation_identities(sys, rep)),
-            adjoint_admissible_report(A, sys.R, sys.S, Q, T),
-            ("mixed-compat", *dn_identities(M, A, Q, T, rep.alpha, rep.beta, xi, zeta)),
-        ))
-        if hyp.passed:
-            bisystem = ASIBisystem(big.carrier, coboundary_delta(big.carrier, r),
-                                   big.R, big.S, QQ, TT)
+    hyp = run_parts("bisystem-hypotheses", (
+        ("representation", *representation_identities(sys, rep)),
+        adjoint_admissible_report(A, sys.R, sys.S, Q, T),
+        ("mixed-compat", *dn_identities(M, A, Q, T, rep.alpha, rep.beta, xi, zeta)),
+    ))
+    if hyp.passed:
+        bisystem = ASIBisystem(big.carrier, coboundary_delta(big.carrier, r),
+                               big.R, big.S, QQ, TT)
     return OOperatorSolution(r, big, QQ, TT, bisystem, hyp)
 
 

@@ -9,19 +9,21 @@ Each round draws a field (GF(2), GF(3), GF(5), GF(11) or Q), a dimension
 from 1 to 4 (4 is the size of the bowtie doubles), shapes r x k and k x n
 from 1 to 4 each, mostly not square, for `Matrix.apply` and `@`, and a
 dense, sparse or zero structure-constant table.  Over GF(p) every one of
-`Matrix.apply`, `@`, `leg_apply`, `mul` and `delta` runs a kernel generated
-for its shape, so the rounds reach many generated kernels.  It runs
-`Matrix.apply`, `Matrix @`, `leg_apply` on both legs, `mul`, `delta`,
-`coapply_first`/`coapply_second` and `placement_product` on random operands,
-whose vector entries mix the field's stored scalars with the other forms
-the ops accept (ints of any sign, same-field `GFElement`s over GF(p), plain
-`Fraction`s and ints over Q), and compares each result with a dense loop
-over plain ints or `Fraction`s that tests nothing for zero: the values must
-agree, and every result entry must be a stored scalar (an int in [0, p), or
+`Matrix.apply`, `@`, `leg_apply` and `mul` runs a kernel generated for its
+shape, and `delta`, `coapply_first`/`coapply_second` and `leg_apply3` run
+`apply` and `@`, so the rounds reach many generated kernels.  It runs
+`Matrix.apply`, `Matrix @`, `leg_apply` on both legs, `leg_apply3` on its
+three legs, `mul`, `delta`, `coapply_first`/`coapply_second` and
+`placement_product` on random operands, whose vector entries mix the
+field's stored scalars with the other forms the ops accept (ints of any
+sign, same-field `GFElement`s over GF(p), plain `Fraction`s and ints over
+Q), and compares each result with a dense loop over plain ints or
+`Fraction`s that tests nothing for zero: the values must agree, and every
+result entry must be a stored scalar (an int in [0, p), or
 `Rationals.stored` in lowest terms).  Each round also runs every op with an
 all-zero operand: a zero vector in each accepted form of zero, a zero
-`Matrix`, `Tensor2` and table, where a container result must also have its
-type, field and shape.  And it checks `identities._sum`, which adds only
+`Matrix`, `Tensor2`, `Tensor3` and table, where a container result must
+also have its type, field and shape.  And it checks `identities._sum`, which adds only
 the nonzero summands of an identity, against a plain left fold of all of
 them: vectors over GF(p) (ints of any sign, or the search compile's
 `_Quadratic` entries) and over Q (stored, or with a plain `Fraction` or
@@ -39,7 +41,7 @@ from operator import add
 
 from rbx.identities import _sum
 from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2, Tensor3,
-                        _Quadratic, leg_apply)
+                        _Quadratic, leg_apply, leg_apply3)
 from rbx.structures import Algebra, Coalgebra, placement_product
 
 MODULI = (2, 3, 5, 11, None)  # None is Q
@@ -71,6 +73,16 @@ def ref_leg_apply(t, m, leg):
     if leg == 1:
         return [[sum(m[a][u] * t[u][b] for u in range(d)) for b in range(d)] for a in range(d)]
     return [[sum(t[a][v] * m[b][v] for v in range(d)) for b in range(d)] for a in range(d)]
+
+
+def ref_leg_apply3(t, m, leg):
+    d = len(t)
+    out = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for pos in product(range(d), repeat=3):
+        for u in range(d):
+            i, j, k = (u if n == leg - 1 else pos[n] for n in range(3))
+            out[pos[0]][pos[1]][pos[2]] += m[pos[leg - 1]][u] * t[i][j][k]
+    return out
 
 
 def ref_mul(table, x, y):
@@ -169,9 +181,9 @@ def grid(rng, field, rows, cols):
 
 
 def kernel_round(rng, field):
-    """`Matrix.apply` and `@` on an r x k and a k x n matrix, and
-    `leg_apply` on a d x d map and tensor, each size from 1 to 4; the number
-    of ops checked."""
+    """`Matrix.apply` and `@` on an r x k and a k x n matrix, `leg_apply` on
+    a d x d map and tensor, and `leg_apply3` on a d x d map and d x d x d
+    tensor, each size from 1 to 4; the number of ops checked."""
     r, k, n = (rng.randint(1, 4) for _ in range(3))
     left, right = grid(rng, field, r, k), grid(rng, field, k, n)
     a = Matrix.from_rows(field, left)
@@ -186,7 +198,12 @@ def kernel_round(rng, field):
     for leg in (1, 2):
         agree(field, leg_apply(t, m, leg).entries, ref_leg_apply(other, rows, leg),
               f"leg_apply on leg {leg}")
-    return 4
+    cube = [grid(rng, field, d, d) for _ in range(d)]
+    t3 = Tensor3(field, d, flat(cube))
+    for leg in (1, 2, 3):
+        agree(field, leg_apply3(t3, m, leg).entries, ref_leg_apply3(cube, rows, leg),
+              f"leg_apply3 on leg {leg}")
+    return 7
 
 
 def structures_round(rng, field):
@@ -226,9 +243,10 @@ def zero_vectors(field, d):
 
 
 def kernel_zero_round(rng, field):
-    """`Matrix.apply`, `@` and `leg_apply` on both legs, each with an all-zero
-    operand: every zero vector of `zero_vectors`, a zero `Matrix` and a zero
-    `Tensor2`, beside random operands; the number of ops checked."""
+    """`Matrix.apply`, `@`, `leg_apply` on both legs and `leg_apply3` on its
+    three, each with an all-zero operand: every zero vector of
+    `zero_vectors`, a zero `Matrix`, `Tensor2` or `Tensor3`, beside random
+    operands; the number of ops checked."""
     d = rng.randint(1, 4)
     rows = [field.reduce(vector(rng, field, d)) for _ in range(d)]
     grid = [list(field.reduce(vector(rng, field, d))) for _ in range(d)]
@@ -250,7 +268,15 @@ def kernel_zero_round(rng, field):
     for leg, s, n, rs, rn in legs:
         agree_container(field, leg_apply(s, n, leg), Tensor2, (d,),
                         ref_leg_apply(rs, rn, leg), f"zero leg_apply on leg {leg}")
-    return len(applied) + len(products) + len(legs)
+    cube = [[list(field.reduce(vector(rng, field, d))) for _ in range(d)] for _ in range(d)]
+    t3, zt3, zcube = Tensor3(field, d, flat(cube)), Tensor3.zero(field, d), [zeros] * d
+    legs3 = [(leg, s, n, rs, rn) for leg in (1, 2, 3)
+             for s, n, rs, rn in ((zt3, m, zcube, rows), (t3, zm, cube, zeros),
+                                  (zt3, zm, zcube, zeros))]
+    for leg, s, n, rs, rn in legs3:
+        agree_container(field, leg_apply3(s, n, leg), Tensor3, (d,),
+                        ref_leg_apply3(rs, rn, leg), f"zero leg_apply3 on leg {leg}")
+    return len(applied) + len(products) + len(legs) + len(legs3)
 
 
 def table_zero_round(rng, field):

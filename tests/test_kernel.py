@@ -490,14 +490,15 @@ def _other_fields(field):
 
 @pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)
 def test_kernel_ops_match_the_dense_reference(p):
-    # apply and @ on random dense and sparse r x k and k x n operands, and
-    # leg_apply on both legs in dimension 1 to 4, whose vectors mix stored
-    # and unstored scalars; every result entry is stored
+    # apply and @ on random dense and sparse r x k and k x n operands,
+    # leg_apply on both legs and leg_apply3 on its three in dimension 1 to
+    # 4, whose vectors mix stored and unstored scalars; every result entry
+    # is stored
     rng, field = random.Random(p or 1), field_of(p)
-    assert sum(kernel_round(rng, field) for _ in range(300)) == 1200
+    assert sum(kernel_round(rng, field) for _ in range(300)) == 2100
     # and with an all-zero operand: a zero vector in each accepted form, a
     # zero matrix or a zero tensor; results keep their type and shape
-    assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 420
+    assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 690
 
 
 def test_a_generated_kernel_with_a_long_sum_compiles():

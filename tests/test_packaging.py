@@ -77,7 +77,6 @@ def test_generated_kernel_source_holds_only_indices_and_operators():
                       if (i + 2 * j + k) % 4 == 1)
     shapes = [("@", (2, 2, 1)), ("@", (3, 2, 4)), ("@", (1, 0, 2)), ("@T", (4, 4, 4)),
               ("mul", A._pattern), ("mul", _pattern(3, positions)),
-              ("delta", A._pattern), ("delta", _pattern(3, positions)),
               ("mul", _pattern(2, ()))]
     for op, shape in shapes:
         source = _codelet_source(op, shape)

@@ -17,8 +17,7 @@ from rbx.structures import (Algebra, BilinearForm, Coalgebra, LieAlgebra,
                             dualize_alg, form_adjoint, pairing_form,
                             placement_product)
 
-from kernel_diff import (MODULI, field_of, ref_delta, ref_mul, structures_round,
-                         table_zero_round)
+from kernel_diff import MODULI, field_of, ref_mul, structures_round, table_zero_round
 from oracles import placed
 
 
@@ -423,6 +422,15 @@ def test_table_ops_take_any_accepted_scalar_and_refuse_bad_operands(p):
         for expand in (C.coapply_first, C.coapply_second):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 expand(t)
+    t = Tensor2(field, 2, (1, 2, 0, 1))
+    for other in (PrimeField(5 if p != 5 else 7), Rationals()) if p else (PrimeField(3),):
+        u = Tensor2(other, 2, (1, 2, 0, 1))
+        for expand in (C.coapply_first, C.coapply_second):
+            with pytest.raises(FieldError):
+                expand(u)
+        for a, b in ((u, t), (t, u), (u, u)):
+            with pytest.raises(FieldError):
+                placement_product(A, a, (1, 2), b, (2, 3))
     for bad in ((1,), (1, 0, 0), (0, 0, 1)):
         with pytest.raises(ValueError, match="dimension mismatch"):
             A.mul(bad, y)
@@ -446,13 +454,11 @@ def test_copied_tables_keep_their_nonzero_constants(QQ):
 
 
 def test_tables_with_one_nonzero_pattern_share_one_generated_kernel():
-    # over GF(p), mul and delta run a kernel keyed by the dimension and the
-    # positions of the nonzero constants; two tables with one pattern and
-    # other constants compile it once, and each gives its dense reference;
-    # a pickled or deep-copied table keeps the one pattern object, and so
-    # the kernel
-    import copy
-    import pickle
+    # over GF(p), mul runs a kernel keyed by the dimension and the positions
+    # of the nonzero constants; two tables with one pattern and other
+    # constants compile it once, and each gives its dense reference; a
+    # pickled or deep-copied table keeps the one pattern object, and so the
+    # kernel
     from rbx.kernel import _codelet
     F7, d, rng = PrimeField(7), 4, random.Random(4)
     pattern = rng.sample(list(itertools.product(range(d), repeat=3)), 20)
@@ -464,16 +470,14 @@ def test_tables_with_one_nonzero_pattern_share_one_generated_kernel():
         tables.append(t)
     assert tables[0] != tables[1]
     algebras = [Algebra(F7, t, raw=True) for t in tables]
-    coalgebras = [Coalgebra(F7, t, raw=True) for t in tables]
-    assert algebras[0]._pattern is coalgebras[1]._pattern
+    assert algebras[0]._pattern is algebras[1]._pattern
     assert algebras[0]._constants != algebras[1]._constants
     x, y = (3, 0, 5, 1), (2, 6, 0, 4)
     _codelet.cache_clear()
-    for t, A, C in zip(tables, algebras, coalgebras):
-        for twin in (pickle.loads(pickle.dumps(A)), copy.deepcopy(C)):
+    for t, A in zip(tables, algebras):
+        for twin in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
             assert twin._pattern is A._pattern
         assert list(A.mul(x, y)) == [v % 7 for v in ref_mul(t, x, y)]
-        assert list(C.delta(x).entries) == [v % 7 for row in ref_delta(t, x) for v in row]
-        assert not any(callable(v) for v in (*vars(A).values(), *vars(C).values()))
+        assert not any(callable(v) for v in vars(A).values())
     info = _codelet.cache_info()
-    assert (info.misses, info.hits) == (2, 2)  # one mul and one delta kernel
+    assert (info.misses, info.hits) == (1, 1)  # one mul kernel

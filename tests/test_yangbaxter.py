@@ -340,10 +340,10 @@ def test_o_operator_dim_zero_module(QQ):
     z2 = Matrix.zero(QQ, 2)
     rep = Representation(empty, z00, z00)
     tmap = Matrix(QQ, 2, 0, [])
-    sol = o_operator_solution(sys, rep, tmap, z2, z2, z00, z00,
-                              build_bisystem=False)
+    sol = o_operator_solution(sys, rep, tmap, z2, z2, z00, z00)
     assert sol.r.is_zero()
     assert sol.r.dim == 2
+    assert sol.hypothesis_report.passed and sol.bisystem is not None
     assert check_admissible_aybe(sol.system.carrier, sol.system.R, sol.system.S,
                                  sol.Q, sol.T, sol.r).passed
 
@@ -382,8 +382,7 @@ def test_o_operator_reverse_direction_gf3(F3):
     checked = 0
     for tm in all_matrices(F3)[:40]:
         try:
-            sol = o_operator_solution(sys, rep, tm, Z, Z, Z, Z,
-                                      build_bisystem=False)
+            sol = o_operator_solution(sys, rep, tm, Z, Z, Z, Z)
             ok = True
             r, system, QQm, TTm = sol.r, sol.system, sol.Q, sol.T
         except PreconditionError:
