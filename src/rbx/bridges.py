@@ -28,7 +28,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import require
-from .kernel import Matrix, block_diag, leg_apply, vneg, vscale
+from .kernel import Matrix, _leg_apply, block_diag, leg_apply, vneg, vscale
 from .identities import Ctx, identity, run_identities, run_parts
 from .report import Violation, make_report
 from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
@@ -37,7 +37,7 @@ from .structures import (Algebra, Coalgebra, LieAlgebra, LieCoalgebra,
 from .systems import (CoOperatorSystem, OperatorSystem, check_ybpair,
                       cosystem_identities, operator_system_identities)
 from .bisystems import ASIBisystem, _bridge_report, check_bisystem
-from .representations import Bimodule, MatchedPairData, bowtie
+from .representations import Bimodule, MatchedPairData, _module_ctx, bowtie
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +49,10 @@ def _er1(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
     a, b = A.basis_vector(i), A.basis_vector(j)
-    return [Q.apply(A.mul(a, R.col(j))),
-            vneg(A.mul(Q.col(i), R.col(j))),
-            vneg(Q.apply(A.mul(Q.col(i), b))),
-            vneg(vscale(lam, A.mul(Q.col(i), b)))]
+    return [Q._apply(A._mul(a, R.col(j))),
+            vneg(A._mul(Q.col(i), R.col(j))),
+            vneg(Q._apply(A._mul(Q.col(i), b))),
+            vneg(vscale(lam, A._mul(Q.col(i), b)))]
 
 
 @identity("eq:er2", ("A", "A"))
@@ -61,34 +61,34 @@ def _er2(ctx, idx):
     i, j = idx
     A, R, Q, lam = ctx.A, ctx.R, ctx.Q, ctx.lam
     a, b = A.basis_vector(i), A.basis_vector(j)
-    return [Q.apply(A.mul(R.col(i), b)),
-            vneg(A.mul(R.col(i), Q.col(j))),
-            vneg(Q.apply(A.mul(a, Q.col(j)))),
-            vneg(vscale(lam, A.mul(a, Q.col(j))))]
+    return [Q._apply(A._mul(R.col(i), b)),
+            vneg(A._mul(R.col(i), Q.col(j))),
+            vneg(Q._apply(A._mul(a, Q.col(j)))),
+            vneg(vscale(lam, A._mul(a, Q.col(j))))]
 
 
 @identity("eq:er3", ("A",))
 def _er3(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
-    drx = C.delta(R.col(i))
+    drx = C._delta(R.col(i))
     dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 2),
-            -leg_apply(leg_apply(dx, R, 1), Q, 2),
-            -leg_apply(drx, R, 1),
-            -leg_apply(dx, R, 1).scale(lam)]
+    return [_leg_apply(drx, Q, 2),
+            -_leg_apply(_leg_apply(dx, R, 1), Q, 2),
+            -_leg_apply(drx, R, 1),
+            -_leg_apply(dx, R, 1).scale(lam)]
 
 
 @identity("eq:er4", ("A",))
 def _er4(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
-    drx = C.delta(R.col(i))
+    drx = C._delta(R.col(i))
     dx = C.delta_basis(i)
-    return [leg_apply(drx, Q, 1),
-            -leg_apply(leg_apply(dx, Q, 1), R, 2),
-            -leg_apply(drx, R, 2),
-            -leg_apply(dx, R, 2).scale(lam)]
+    return [_leg_apply(drx, Q, 1),
+            -_leg_apply(_leg_apply(dx, Q, 1), R, 2),
+            -_leg_apply(drx, R, 2),
+            -_leg_apply(dx, R, 2).scale(lam)]
 
 
 @identity("eq:et3#1", ("A", "A"))
@@ -96,8 +96,8 @@ def _er4(ctx, idx):
 def _et3a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
-    return [A.mul(R.col(i), Q.col(j)),
-            vneg(Q.apply(A.mul(R.col(i), A.basis_vector(j))))]
+    return [A._mul(R.col(i), Q.col(j)),
+            vneg(Q._apply(A._mul(R.col(i), A.basis_vector(j))))]
 
 
 @identity("eq:et3#2", ("A", "A"))
@@ -105,24 +105,24 @@ def _et3a(ctx, idx):
 def _et3b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
-    return [A.mul(R.col(i), Q.col(j)),
-            vneg(Q.apply(A.mul(A.basis_vector(i), Q.col(j))))]
+    return [A._mul(R.col(i), Q.col(j)),
+            vneg(Q._apply(A._mul(A.basis_vector(i), Q.col(j))))]
 
 
 @identity("eq:et4#1", ("A", "A"))
 def _et4a(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
-    return [A.mul(Q.col(i), R.col(j)),
-            vneg(Q.apply(A.mul(A.basis_vector(i), R.col(j))))]
+    return [A._mul(Q.col(i), R.col(j)),
+            vneg(Q._apply(A._mul(A.basis_vector(i), R.col(j))))]
 
 
 @identity("eq:et4#2", ("A", "A"))
 def _et4b(ctx, idx):
     i, j = idx
     A, R, Q = ctx.A, ctx.R, ctx.Q
-    return [A.mul(Q.col(i), R.col(j)),
-            vneg(Q.apply(A.mul(Q.col(i), A.basis_vector(j))))]
+    return [A._mul(Q.col(i), R.col(j)),
+            vneg(Q._apply(A._mul(Q.col(i), A.basis_vector(j))))]
 
 
 @identity("eq:et5#1", ("A",))
@@ -131,7 +131,7 @@ def _et5a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
     dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), Q, 1)]
+    return [_leg_apply(_leg_apply(dx, Q, 1), R, 2), -_leg_apply(C._delta(R.col(i)), Q, 1)]
 
 
 @identity("eq:et5#2", ("A",))
@@ -140,7 +140,7 @@ def _et5b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
     dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, Q, 1), R, 2), -leg_apply(C.delta(R.col(i)), R, 2)]
+    return [_leg_apply(_leg_apply(dx, Q, 1), R, 2), -_leg_apply(C._delta(R.col(i)), R, 2)]
 
 
 @identity("eq:et6#1", ("A",))
@@ -148,7 +148,7 @@ def _et6a(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
     dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, R, 1), Q, 2), -leg_apply(C.delta(R.col(i)), R, 1)]
+    return [_leg_apply(_leg_apply(dx, R, 1), Q, 2), -_leg_apply(C._delta(R.col(i)), R, 1)]
 
 
 @identity("eq:et6#2", ("A",))
@@ -156,7 +156,7 @@ def _et6b(ctx, idx):
     (i,) = idx
     C, R, Q = ctx.C, ctx.R, ctx.Q
     dx = C.delta_basis(i)
-    return [leg_apply(leg_apply(dx, R, 1), Q, 2), -leg_apply(C.delta(R.col(i)), Q, 2)]
+    return [_leg_apply(_leg_apply(dx, R, 1), Q, 2), -_leg_apply(C._delta(R.col(i)), Q, 2)]
 
 
 # weighted Lie bialgebra display
@@ -166,10 +166,10 @@ def _he4b(ctx, idx):
     (i,) = idx
     C, R, Q, lam = ctx.C, ctx.R, ctx.Q, ctx.lam
     dx = C.delta_basis(i)
-    drx = C.delta(R.col(i))
-    return [leg_apply(leg_apply(dx, R, 1), Q, 2),
-            leg_apply(drx, R, 1), -leg_apply(drx, Q, 2),
-            leg_apply(dx, R, 1).scale(lam)]
+    drx = C._delta(R.col(i))
+    return [_leg_apply(_leg_apply(dx, R, 1), Q, 2),
+            _leg_apply(drx, R, 1), -_leg_apply(drx, Q, 2),
+            _leg_apply(dx, R, 1).scale(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,7 @@ def _he4b(ctx, idx):
 def weighted_rb_asi_identities(A, C, R: Matrix, Q: Matrix, lam):
     """The (name, tags, ctx) parts that `check_weighted_rb_asi` runs after
     the bialgebra axioms; the regression scan compiles the same parts."""
+    square_on(A, C)
     lam = A.field.coerce(lam)
     return (
         ("rb-algebra", *operator_system_identities(
@@ -198,6 +199,7 @@ def check_weighted_rb_asi(A, C, R: Matrix, Q: Matrix, lam):
 
 def averaging_asi_identities(A, C, R: Matrix, Q: Matrix):
     """The parts that `check_averaging_asi` runs after the bialgebra axioms."""
+    square_on(A, C)
     return (
         ("averaging-algebra", *operator_system_identities("averaging", OperatorSystem(A, R))),
         ("averaging-coalgebra", *cosystem_identities("coaveraging", CoOperatorSystem(C, Q))),
@@ -243,6 +245,7 @@ def lie_bisystem_identities(lb: LieBisystem):
     axioms: the two paired operator conditions and the two mixed
     compatibility groups."""
     g, C = lb.lie, lb.colie
+    square_on(g, C)
     return (
         ("lie-system", *operator_system_identities(
             "lie_rbs", OperatorSystem(g, lb.R, lb.S))),
@@ -272,7 +275,7 @@ def lie_bisystem_from_asi(bi: ASIBisystem) -> LieBisystem:
 def averaging_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix):
     """The parts that `check_averaging_lie_bialgebra` runs after the Lie
     bialgebra axioms."""
-    square_on(g, R, Q)
+    square_on(g, dl, R, Q)
     return (
         ("averaging-lie-algebra", ("de:ev#2a", "de:ev#2b", "de:ev#2c"),
          Ctx({"A": g.basis}, A=g, R=R, Q=Q)),
@@ -289,7 +292,7 @@ def check_averaging_lie_bialgebra(g, dl, R: Matrix, Q: Matrix):
 def weighted_rb_lie_bialgebra_identities(g, dl, R: Matrix, Q: Matrix, lam):
     """The parts that `check_weighted_rb_lie_bialgebra` runs after the Lie
     bialgebra axioms."""
-    square_on(g, R, Q)
+    square_on(g, dl, R, Q)
     lam = g.field.coerce(lam)
     return (
         ("rb-lie-algebra", ("de:he#2",), Ctx({"A": g.basis}, A=g, R=R, lam=lam)),
@@ -308,9 +311,8 @@ def lie_representation_identities(sys: OperatorSystem, rho, alpha: Matrix, beta:
     """The tag tuple and context that `check_lie_representation` runs."""
     n = rho[0].rows
     M = Bimodule(n, rho, [Matrix.zero(rho[0].field, n)] * len(rho))
-    ctx = Ctx({"A": sys.carrier.basis, "M": M.labels},
-              M=M, R=sys.R, S=sys.S, alpha=alpha, beta=beta)
-    return ("de:eo#1a", "de:eo#1b", "de:eo#2a", "de:eo#2b"), ctx
+    return ("de:eo#1a", "de:eo#1b", "de:eo#2a", "de:eo#2b"), _module_ctx(
+        sys.carrier, M, R=sys.R, S=sys.S, alpha=alpha, beta=beta)
 
 
 def check_lie_representation(sys: OperatorSystem, rho, alpha: Matrix, beta: Matrix):

@@ -12,6 +12,17 @@ tuple) step (`steps`), and the fault-injection hook (used by the
 mutation-sensitivity tests) flips the sign of a single summand of a single
 identity.  One function may be registered under several tags; each tag
 keeps its own faults.
+
+Operands are checked once, where data enter a checker: the checker applies
+its shape rules (`structures.square_on` and the like) and builds a `Ctx`,
+which refuses data over two fields and coerces scalar data, so a context
+holds stored data only.  Term functions and the helpers they call then
+call the kernel's unchecked cores (`Matrix._apply`, `_mul`, `_delta`,
+`kernel._leg_apply`, ...), never the public ops, which check their
+operands for callers outside the catalog.  Over GF(p), `evaluate` adds a
+step's nonzero summands column by column and reduces each entry once
+(`_sum_mod`), so `_run` tests the stored residual for zero with `any`;
+over Q the sum keeps `_q_column` and the zero test the `_numerator` slots.
 """
 
 from __future__ import annotations
@@ -73,14 +84,21 @@ def known_tags():
     return set(CATALOG) | EXTRA_TAGS
 
 
+_SCALARS = {int, Fraction, _QFraction, GFElement}  # the types of a scalar datum
+
+
 class Ctx:
     """Attribute bag handed to identity term functions.
 
     `spaces` maps a space name (e.g. "A", "C", "M") to its basis labels;
     identities quantify over the spaces they declare.  `field` is the one
     field of every datum that has one (tuples of data are looked into);
-    data over two different fields raise `FieldError`.  Both are slots, so
-    `vars(ctx)` holds exactly the data, each under its name.
+    data over two different fields raise `FieldError`.  A scalar datum (an
+    int, a `Fraction` or a `GFElement`) goes to the field's stored form
+    (`coerce`, which refuses a scalar of another field), so a context holds
+    stored data only: containers and tables, which keep their entries
+    stored, and coerced scalars.  Both are slots, so `vars(ctx)` holds
+    exactly the data, each under its name.
     """
 
     __slots__ = ("spaces", "field", "__dict__")
@@ -88,17 +106,21 @@ class Ctx:
     def __init__(self, spaces=None, **data):
         self.spaces = {k: tuple(v) for k, v in (spaces or {}).items()}
         field = None
-        for k, v in data.items():
-            setattr(self, k, v)
+        for v in data.values():
             for item in v if isinstance(v, tuple) else (v,):
                 f = getattr(item, "field", None)
-                if f is None:
+                if f is field or f is None:
                     continue
                 if field is None:
                     field = f
                 else:
                     same_field(field, f)
         self.field = field
+        if field is not None:
+            for k, v in data.items():
+                if type(v) in _SCALARS:
+                    data[k] = field.coerce(v)
+        vars(self).update(data)
 
 
 _FAULTS: dict[str, int] = {}
@@ -156,13 +178,42 @@ def _itself(value):
 # containers included, keys it by identity (`id`)
 _KEY_OF = {cls: attrgetter("__class__", *cls.__slots__, "entries")
            for cls in (Matrix, Tensor2, Tensor3)}
-_KEY_OF.update(dict.fromkeys((int, GFElement, _QFraction, Fraction), _itself))
+_KEY_OF.update(dict.fromkeys(_SCALARS, _itself))
 
 
 def _neg(value):
     if isinstance(value, tuple):
         return tuple(-x for x in value)
     return -value
+
+
+def _sum_mod(terms, p):
+    """The sum of the summands over GF(p), in stored form: the nonzero
+    summands (`any` on their entries) are summed column by column, each
+    column reduced mod p once.  A vector with no nonzero summand sums to
+    the zero vector.  Container summands are summed entry by entry after
+    their type, field and shape checks, and with at most one nonzero
+    summand, that summand (or the first, all zero) is the sum, already
+    stored.  Scalars are summed and reduced.  An entry of the search
+    compile (`kernel._Quadratic`) folds by `+`, as an int does."""
+    first = terms[0]
+    if isinstance(first, tuple):
+        live = [t for t in terms if any(t)]
+        return tuple([sum(col) % p for col in zip(*live)]) if live else (0,) * len(first)
+    if isinstance(first, _Container):
+        cls, head, live = type(first), first._head(first), []
+        for t in terms:
+            if type(t) is not cls:
+                raise TypeError(f"a {type(t).__name__} summand among {cls.__name__} summands")
+            if t._head(t) != head:
+                first._shared_head(t)  # raises: another field, or another shape
+            if any(t.entries):
+                live.append(t)
+        if len(live) < 2:
+            return live[0] if live else first
+        return first._make(*head, tuple([sum(col) % p
+                                         for col in zip(*[t.entries for t in live])]))
+    return sum(terms) % p
 
 
 def _sum(terms):
@@ -227,36 +278,25 @@ def _render(value):
 
 
 def evaluate(tag: str, ctx: Ctx, idx: tuple[int, ...]):
-    """Residual of one identity at one basis tuple (with any seeded fault applied)."""
-    ident = CATALOG[tag]
-    terms = list(ident.terms(ctx, idx))
+    """Residual of one identity at one basis tuple (with any seeded fault
+    applied).  On a context over GF(p) it is in stored form (`_sum_mod`)."""
+    terms = CATALOG[tag].terms(ctx, idx)
     hit = _FAULTS.get(tag)
     if hit is not None and hit < len(terms):
+        terms = list(terms)
         terms[hit] = _neg(terms[hit])
-    return _sum(terms)
-
-
-def _stored(value, field):
-    """A residual in stored form; over GF(p), summands built with the vector
-    helpers leave ints outside [0, p) (containers are always reduced)."""
-    if isinstance(value, tuple):
-        return field.reduce(value)
-    if isinstance(value, _Container):
-        return value
-    return field.coerce(value)
+    F = ctx.field
+    return _sum_mod(terms, F.modulus) if F and F.modulus else _sum(terms)
 
 
 def _run(check: str, tags, ctx: Ctx):
     """The report of `run_identities`, evaluated afresh."""
-    field = ctx.field if ctx.field is not None and ctx.field.modulus else None
     violations = []
     for tag in tags:
         ident = CATALOG[tag]
         label_sets = [ctx.spaces[s] for s in ident.spaces]
         for idx in itertools.product(*(range(len(ls)) for ls in label_sets)):
             res = evaluate(tag, ctx, idx)
-            if field is not None:
-                res = _stored(res, field)
             if not _is_zero(res):
                 inputs = tuple(label_sets[k][i] for k, i in enumerate(idx))
                 violations.append(Violation(tag, inputs, _render(res)))

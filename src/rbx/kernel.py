@@ -33,9 +33,8 @@ Conventions used throughout the toolkit:
   entries as `[i,j]=x`.  Containers over different fields never combine:
   `FieldError`.  `show` renders one scalar; an integer part past Python's
   int/str digit limit reads as its digit count instead of raising;
-* the bilinear ops work on stored scalars.  Over GF(p), `Matrix.apply`,
-  `@`, `leg_apply` and the structure tables' `mul` each run one generated
-  straight-line function per shape (`_codelet`): the sum of products for
+* the bilinear ops work on stored scalars.  Over GF(p) the products run
+  generated straight-line functions (`_codelet`): the sum of products for
   every output entry written out with int indices, and one `% p` per
   output entry, compiled on first use and kept in a bounded cache (the
   codelets of Frigo, *A Fast Fourier Transform Compiler*, PLDI 1999), for
@@ -45,19 +44,29 @@ Conventions used throughout the toolkit:
   share a kernel and no entry value is ever in generated source.  Over Q
   the ops loop: they skip every product with a zero factor, sum the
   products' numerators and denominators as ints, and normalise each output
-  entry once (`_q_lowest`, whose every zero is the one stored zero);
-  `Matrix.apply`, `@` and `leg_apply` share that loop (`_dots`).  Every
-  other contraction is one of these ops on a reshaped operand: a
-  coalgebra's `delta`, `coapply_first` and `coapply_second` go through its
-  coproduct matrix, and `leg_apply3` through `@` on the tensor's d x d^2,
-  d^2 x d or d x d slices.  An all-zero operand costs no kernel: after
-  every check the op returns the stored zero result at once.  Zero tests
-  read `any` on GF(p) entries and the `_numerator` slot on Q entries
-  (`_all_zero`), never the Python-level `Fraction.__bool__`.  A vector
-  operand in any other form goes to stored form once, through the field's
-  `reduce` (`_operand`), which refuses a scalar of another field, zero or
-  not, with `FieldError`; `combine` and `structures.BilinearForm.value`
-  convert theirs the same way.
+  entry once (`_q_lowest`, whose every zero is the one stored zero).
+  Every contraction is one matrix product (`_product`, a kernel per shape
+  over GF(p), the loop `_dots` over Q), on operands or reshapes of them:
+  `Matrix.apply`, `@`, `leg_apply`, `leg_apply3`, a coalgebra's `delta`
+  and coapplies, and a bilinear form's `value`.  An all-zero operand costs
+  no kernel: the product returns the stored zero result at once.  Zero
+  tests read `any` on GF(p) entries and the `_numerator` slot on Q entries
+  (`_all_zero`), never the Python-level `Fraction.__bool__`;
+* operands are checked once, where data enter.  Each public op checks its
+  operands and then calls its private core: a vector in any other form
+  goes to stored form once, through the field's `reduce` (`_operand`),
+  which refuses a scalar of another field, zero or not, with `FieldError`,
+  and lengths, shapes, fields and legs are checked as each op documents.
+  A core (`Matrix._apply`, `_matmul`, `_leg_apply`, `_leg_apply3`,
+  `_combine`, and in `structures` `_mul`, `_delta`, the coapplies' cores,
+  `_placement_product` and `BilinearForm._value`) checks nothing: it takes
+  operands in stored form, of the right length and over its own field.
+  The identity catalog calls only the cores, on the data of an
+  `identities.Ctx`, whose checker has applied its shape rules and which
+  holds stored containers and tables and coerced scalars; what the vector
+  helpers return from stored vectors is stored too, up to GF(p) ints
+  outside [0, p), which every core accepts, since it reduces what it
+  returns.
 """
 
 from __future__ import annotations
@@ -678,17 +687,13 @@ def _q_lowest(n: int, d: int) -> _QFraction:
 
 def _dots(vs, ent, n) -> tuple:
     """Over Q, the dot product of each stored vector of `vs`, in turn, with
-    each n-entry row of the stored entries `ent`: the one loop of
-    `Matrix.apply`, `@` and `leg_apply`.  A zero operand costs no loop: with
-    `ent` all zero the result is the stored zero at once, and a zero vector
-    of `vs` gives its row of stored zeros.  Otherwise it skips every product
-    with a zero factor, tested on the `_numerator` slot, sums the products'
-    numerators and denominators as ints, and normalises each output entry
-    once (`_q_lowest`)."""
+    each n-entry row of the stored entries `ent`: the loop of `_product`.
+    A zero vector of `vs` gives its row of stored zeros at once.  Otherwise
+    it skips every product with a zero factor, tested on the `_numerator`
+    slot, sums the products' numerators and denominators as ints, and
+    normalises each output entry once (`_q_lowest`)."""
     rows = range(0, len(ent), n)
     zeros = (_Q_ZERO,) * len(rows)
-    if _all_zero(None, ent):
-        return zeros * len(vs)
     out = []
     for v in vs:
         terms = [(j, x._numerator, x._denominator) for j, x in enumerate(v) if x._numerator]
@@ -708,6 +713,28 @@ def _dots(vs, ent, n) -> tuple:
                         num, den = num * dc + nc * nx * den, den * dc
             out.append(_q_lowest(num, den))
     return tuple(out)
+
+
+def _product(F, a, r, k, b, m, op="@") -> tuple:
+    """The core of every matrix product of the kernel, on operands in stored
+    form: the r x k row-major entries `a` times the k x m entries `b` (op
+    "@"), or times the transpose of the m x k entries `b` (op "@T"), as the
+    r * m output entries.  It checks nothing: the public ops (`Matrix.apply`,
+    `@`, `leg_apply`, `leg_apply3`, a coalgebra's `delta` and coapplies)
+    check their operands and call it, and so do their private cores, which
+    catalog code calls on the data of a `Ctx`.  A zero operand gives the
+    stored zero result at once (over Q, `_dots` gives a zero row of `a` its
+    zero row of output at once); otherwise GF(p) runs the generated kernel
+    of `op` on (r, k, m) (`_codelet`), and Q the loop `_dots` on the rows
+    of `a` and the columns of `b`."""
+    p = F.modulus
+    if p:
+        if any(a) and any(b):
+            return _codelet(op, (r, k, m))(a, b, None, p)
+        return (0,) * (r * m)
+    if _all_zero(None, b):
+        return (_Q_ZERO,) * (r * m)
+    return _dots(_rows(a, k) if r > 1 else (a,), b if op == "@T" else _transposed(b, m), k)
 
 
 def _summed(terms) -> str:
@@ -864,13 +891,20 @@ class _Container:
         """The range of each index."""
         return (self.dim,) * self._order
 
-    def _combine(self, other, op):
-        if type(other) is not type(self):
-            return NotImplemented
+    def _shared_head(self, other):
+        """The field and shape that `other`, a container of this type, shares
+        with this one: another field raises `FieldError`, another shape
+        `_mismatch`."""
         same_field(self.field, other.field)
         head = self._head(self)
         if head != other._head(other):  # the fields are equal by now
             raise self._mismatch("shape mismatch")
+        return head
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        head = self._shared_head(other)
         out = list(map(op, self.entries, other.entries))
         return self._make(*head, reduce_entries(self.field, out))
 
@@ -881,10 +915,11 @@ class _Container:
         return self._combine(other, sub)
 
     def __neg__(self):
-        if self.is_zero():
+        e, p = self.entries, self.field.modulus
+        if _all_zero(p, e):
             return self
-        return self._make(*self._head(self),
-                          reduce_entries(self.field, [-a for a in self.entries]))
+        out = [-a % p for a in e] if p else [-a for a in e]
+        return self._make(*self._head(self), tuple(out))
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -973,33 +1008,28 @@ class Matrix(_Container):
     def apply(self, v):
         """The map applied to a vector, which goes to stored form first (a
         scalar of another field raises `FieldError`)."""
-        n = self.cols
-        if len(v) != n:
+        if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix application")
-        F = self.field
-        v, p = _operand(F, v), F.modulus
-        if not p:
-            return _dots((v,), self.entries, n)
-        if any(v) and any(self.entries):
-            return _codelet("@", (self.rows, n, 1))(self.entries, v, None, p)
-        return (0,) * self.rows
+        return self._apply(_operand(self.field, v))
+
+    def _apply(self, v):
+        """The core of `apply`: `v` is a tuple of `cols` stored scalars, read
+        as a 1 x cols row times the transposed map (`_product`)."""
+        return _product(self.field, v, 1, self.cols, self.entries, self.rows, "@T")
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         same_field(self.field, other.field)
-        k, m = self.cols, other.cols
-        if k != other.rows:
+        if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        F, a, b = self.field, self.entries, other.entries
-        p = F.modulus
-        if not p:
-            out = _dots(_rows(a, k), _transposed(b, m), k)
-        elif any(a) and any(b):
-            out = _codelet("@", (self.rows, k, m))(a, b, None, p)
-        else:
-            out = (0,) * (self.rows * m)
-        return Matrix._make(F, self.rows, m, out)
+        return self._matmul(other)
+
+    def _matmul(self, other):
+        """The core of `@`: `other` is a Matrix over this field with `cols`
+        rows."""
+        return Matrix._make(self.field, self.rows, other.cols, _product(
+            self.field, self.entries, self.rows, self.cols, other.entries, other.cols))
 
     def transpose(self):
         return Matrix._make(self.field, self.cols, self.rows,
@@ -1060,9 +1090,14 @@ def combine(field, n, coeffs, mat) -> Matrix:
     coefficients, summed entry by entry.  The coefficients go to stored form
     first (`_operand`), so one of another field, zero or not, raises
     `FieldError`."""
+    return _combine(field, n, _operand(field, coeffs), mat)
+
+
+def _combine(field, n, coeffs, mat) -> Matrix:
+    """The core of `combine`: `coeffs` is a tuple of stored scalars."""
     p = field.modulus
     out = [field.zero()] * (n * n)
-    for k, c in enumerate(_operand(field, coeffs)):
+    for k, c in enumerate(coeffs):
         if (c if p else c._numerator):
             out = [a + c * b for a, b in zip(out, mat(k).entries)]
     return Matrix._make(field, n, n, reduce_entries(field, out))
@@ -1155,41 +1190,47 @@ class Tensor3(_Container):
 def leg_apply(t: Tensor2, m: Matrix, leg: int) -> Tensor2:
     """Apply a map to one tensor leg: leg 1 gives (m (x) id)t, leg 2 gives
     (id (x) m)t.  A zero tensor or a zero map gives the zero tensor at once."""
-    d = t.dim
-    if m.rows != m.cols or m.rows != d:
+    if m.rows != m.cols or m.rows != t.dim:
         raise ValueError("dimension mismatch in leg application")
     same_field(t.field, m.field)
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
-    F, te, me = t.field, t.entries, m.entries
-    p = F.modulus
-    if _all_zero(p, te) or _all_zero(p, me):
-        return Tensor2.zero(F, d)
-    if leg == 1:  # entry (a, b) is sum_u m[a, u] t[u, b]: m times the grid
-        out = (_codelet("@", (d, d, d))(me, te, None, p) if p
-               else _dots(_rows(me, d), _transposed(te, d), d))
-    else:  # entry (a, b) is sum_v t[a, v] m[b, v]: the grid times m transposed
-        out = (_codelet("@T", (d, d, d))(te, me, None, p) if p
-               else _dots(_rows(te, d), me, d))
-    return Tensor2._make(F, d, out)
+    return _leg_apply(t, m, leg)
+
+
+def _leg_apply(t, m, leg) -> Tensor2:
+    """The core of `leg_apply`, on a d x d map over the tensor's field and
+    leg 1 or 2: leg 1 is m times the grid, entry (a, b) the sum of
+    m[a, u] t[u, b], and leg 2 the grid times m transposed, entry (a, b)
+    the sum of t[a, v] m[b, v] (`_product`)."""
+    F, d = t.field, t.dim
+    if leg == 1:
+        return Tensor2._make(F, d, _product(F, m.entries, d, d, t.entries, d))
+    return Tensor2._make(F, d, _product(F, t.entries, d, d, m.entries, d, "@T"))
 
 
 def leg_apply3(t: Tensor3, m: Matrix, leg: int) -> Tensor3:
-    """Apply a map to one leg of a 3-tensor, as `@` on a reshape of its
-    entries: leg 1 is m times the d x d^2 reshape, leg 3 the d^2 x d
-    reshape times m transposed, and leg 2 m times each d x d slice t[i]."""
+    """Apply a map to one leg of a 3-tensor, as a product with a reshape of
+    its entries (`_leg_apply3`)."""
     if m.rows != m.cols or m.rows != t.dim:
         raise ValueError("dimension mismatch in leg application")
     if leg not in (1, 2, 3):
         raise ValueError("leg must be 1, 2 or 3")
     same_field(t.field, m.field)
-    F, d, te = t.field, t.dim, t.entries
+    return _leg_apply3(t, m, leg)
+
+
+def _leg_apply3(t, m, leg) -> Tensor3:
+    """The core of `leg_apply3`, on a d x d map over the tensor's field and
+    leg 1, 2 or 3: leg 1 is m times the d x d^2 reshape, leg 3 the d^2 x d
+    reshape times m transposed, and leg 2 m times each d x d slice t[i]
+    (`_product`)."""
+    F, d, te, me = t.field, t.dim, t.entries, m.entries
     n = d * d
     if leg == 1:
-        out = (m @ Matrix._make(F, d, n, te)).entries
+        out = _product(F, me, d, d, te, n)
     elif leg == 3:
-        out = (Matrix._make(F, n, d, te) @ m.transpose()).entries
+        out = _product(F, te, n, d, me, d, "@T")
     else:
-        out = tuple(x for i in range(d)
-                    for x in (m @ Matrix._make(F, d, d, te[i * n:i * n + n])).entries)
+        out = tuple(x for i in range(0, n * d, n) for x in _product(F, me, d, d, te[i:i + n], d))
     return Tensor3._make(F, d, out)

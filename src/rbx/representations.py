@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PayloadError, require
-from .kernel import Matrix, block_diag, bv, combine, kron, leg_apply, vneg, vsub
+from .kernel import Matrix, _leg_apply, block_diag, bv, combine, kron, same_field, vneg, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .systems import OperatorSystem, check_operator_system
@@ -32,16 +32,18 @@ from .structures import Algebra, square_on
 
 def _act(mats, avec, m):
     """sum_k avec[k] * mats[k](m): the action of the element with
-    coordinates `avec` through the per-basis action matrices `mats`."""
+    coordinates `avec` through the per-basis action matrices `mats`, on
+    tuples of stored scalars (`Matrix._apply`)."""
     out = [mats[0].field.zero()] * mats[0].rows
     for k, c in enumerate(avec):
         if c:
-            out = [a + c * b for a, b in zip(out, mats[k].apply(m))]
+            out = [a + c * b for a, b in zip(out, mats[k]._apply(m))]
     return tuple(out)
 
 
 class Bimodule:
-    """Module data: ell(e_i) and r(e_i) as matrices on an mdim-dim space."""
+    """Module data: ell(e_i) and r(e_i) as matrices on an mdim-dim space,
+    all over one field (another raises `FieldError`)."""
 
     def __init__(self, mdim, left, right, labels=None):
         self.mdim = mdim
@@ -52,18 +54,13 @@ class Bimodule:
         for m in self.left + self.right:
             if m.rows != mdim or m.cols != mdim:
                 raise PayloadError("action matrix does not match the module dimension")
+            same_field(self.left[0].field, m.field)
         self.adim = len(self.left)
         self.labels = tuple(labels) if labels else tuple(f"m{i}" for i in range(mdim))
 
     @property
     def field(self):
         return self.left[0].field if self.left else None
-
-    def act_left(self, avec, m):
-        return _act(self.left, avec, m)
-
-    def act_right(self, avec, m):
-        return _act(self.right, avec, m)
 
 
 class Representation:
@@ -152,10 +149,6 @@ def bowtie(mp: MatchedPairData):
 # ---------------------------------------------------------------------------
 # identity catalog: bimodule and representation conditions
 
-def _ev(ctx, i):
-    return ctx.A.basis_vector(i)
-
-
 def _mv(ctx, u):
     return bv(ctx.M.left[0].field, ctx.M.mdim, u)
 
@@ -165,8 +158,8 @@ def _cb1(ctx, idx):
     i, j, u = idx
     M = ctx.M
     m = _mv(ctx, u)
-    return [M.left[i].apply(M.left[j].apply(m)),
-            vneg(M.act_left(ctx.A.product(i, j), m))]
+    return [M.left[i]._apply(M.left[j]._apply(m)),
+            vneg(_act(M.left, ctx.A.product(i, j), m))]
 
 
 @identity("eq:cb#2", ("A", "A", "M"))
@@ -174,8 +167,8 @@ def _cb2(ctx, idx):
     i, j, u = idx
     M = ctx.M
     m = _mv(ctx, u)
-    return [M.act_right(ctx.A.product(i, j), m),
-            vneg(M.right[j].apply(M.right[i].apply(m)))]
+    return [_act(M.right, ctx.A.product(i, j), m),
+            vneg(M.right[j]._apply(M.right[i]._apply(m)))]
 
 
 @identity("eq:cb1", ("A", "A", "M"))
@@ -183,8 +176,8 @@ def _cb_mixed(ctx, idx):
     i, j, u = idx
     M = ctx.M
     m = _mv(ctx, u)
-    return [M.left[i].apply(M.right[j].apply(m)),
-            vneg(M.right[j].apply(M.left[i].apply(m)))]
+    return [M.left[i]._apply(M.right[j]._apply(m)),
+            vneg(M.right[j]._apply(M.left[i]._apply(m)))]
 
 
 def _cf_terms(ctx, idx, acts, outer, y, inner, w):
@@ -193,8 +186,8 @@ def _cf_terms(ctx, idx, acts, outer, y, inner, w):
     i, u = idx
     m = _mv(ctx, u)
     return [_act(acts, outer.col(i), y.col(u)),
-            vneg(y.apply(_act(acts, inner.col(i), m))),
-            vneg(y.apply(acts[i].apply(w.col(u))))]
+            vneg(y._apply(_act(acts, inner.col(i), m))),
+            vneg(y._apply(acts[i]._apply(w.col(u))))]
 
 
 @identity("eq:cf#1", ("A", "M"))
@@ -250,8 +243,8 @@ def _cj_terms(ctx, idx, acts, y, outer, v, inner, swap=False):
     `acts`; `swap` lists the last two summands the other way round."""
     i, u = idx
     m = _mv(ctx, u)
-    first = y.apply(_act(acts, outer.col(i), m))
-    by_v = vneg(v.apply(acts[i].apply(y.col(u))))
+    first = y._apply(_act(acts, outer.col(i), m))
+    by_v = vneg(v._apply(acts[i]._apply(y.col(u))))
     by_inner = vneg(_act(acts, inner.col(i), y.col(u)))
     return [first, by_inner, by_v] if swap else [first, by_v, by_inner]
 
@@ -307,14 +300,14 @@ def _ck_terms(ctx, idx, y, outer, v, inner, opposite=False, swap=False):
     """y(outer(a).b), -v(a.y(b)) and -inner(a).y(b), where a = e_i and
     b = e_j; with `opposite`, every product is taken in the other order and
     a = e_j, b = e_i.  `swap` lists the last two summands the other way round."""
-    mul = ctx.A.mul
+    mul, e = ctx.A._mul, ctx.A.basis_vector
     i, j = idx[::-1] if opposite else idx
-    ea, eb, oa, ia, yb = _ev(ctx, i), _ev(ctx, j), outer.col(i), inner.col(i), y.col(j)
+    ea, eb, oa, ia, yb = e(i), e(j), outer.col(i), inner.col(i), y.col(j)
     if opposite:
         first, by_v, by_inner = mul(eb, oa), mul(yb, ea), mul(yb, ia)
     else:
         first, by_v, by_inner = mul(oa, eb), mul(ea, yb), mul(ia, yb)
-    first, by_v, by_inner = y.apply(first), vneg(v.apply(by_v)), vneg(by_inner)
+    first, by_v, by_inner = y._apply(first), vneg(v._apply(by_v)), vneg(by_inner)
     return [first, by_inner, by_v] if swap else [first, by_v, by_inner]
 
 
@@ -371,11 +364,11 @@ def _ck5_terms(ctx, idx, leg, y, x, w, v):
     and -(v on leg `leg`, x on the other)Delta(a), where a = e_i."""
     (i,) = idx
     C = ctx.C
-    dxa = C.delta(x.col(i))
-    dwa = dxa if w is x else C.delta(w.col(i))
+    dxa = C._delta(x.col(i))
+    dwa = dxa if w is x else C._delta(w.col(i))
     first, second = (v, x) if leg == 1 else (x, v)
-    return [leg_apply(dxa, y, leg), -leg_apply(dwa, x, 3 - leg),
-            -leg_apply(leg_apply(C.delta_basis(i), first, 1), second, 2)]
+    return [_leg_apply(dxa, y, leg), -_leg_apply(dwa, x, 3 - leg),
+            -_leg_apply(_leg_apply(C.delta_basis(i), first, 1), second, 2)]
 
 
 @identity("eq:ck5#1", ("A",))
@@ -430,8 +423,8 @@ def _dn_terms(ctx, idx, acts, y, w, v, x, z):
     """y(a.w(m)) - v(act(x(a), m)) - act(x(a), z(m)) through `acts`."""
     i, u = idx
     m = _mv(ctx, u)
-    return [y.apply(acts[i].apply(w.col(u))),
-            vneg(v.apply(_act(acts, x.col(i), m))),
+    return [y._apply(acts[i]._apply(w.col(u))),
+            vneg(v._apply(_act(acts, x.col(i), m))),
             vneg(_act(acts, x.col(i), z.col(u)))]
 
 
@@ -484,10 +477,10 @@ def _wrep_1(ctx, idx):
     i, u = idx
     M, R, al, lam = ctx.M, ctx.R, ctx.alpha, ctx.lam
     m = _mv(ctx, u)
-    return [M.act_left(R.col(i), al.col(u)),
-            vneg(al.apply(M.act_left(R.col(i), m))),
-            vneg(al.apply(M.left[i].apply(al.col(u)))),
-            vneg(tuple(lam * x for x in al.apply(M.left[i].apply(m))))]
+    return [_act(M.left, R.col(i), al.col(u)),
+            vneg(al._apply(_act(M.left, R.col(i), m))),
+            vneg(al._apply(M.left[i]._apply(al.col(u)))),
+            vneg(tuple(lam * x for x in al._apply(M.left[i]._apply(m))))]
 
 
 @identity("weighted-rep#2", ("A", "M"))
@@ -495,10 +488,10 @@ def _wrep_2(ctx, idx):
     i, u = idx
     M, R, al, lam = ctx.M, ctx.R, ctx.alpha, ctx.lam
     m = _mv(ctx, u)
-    return [M.act_right(R.col(i), al.col(u)),
-            vneg(al.apply(M.right[i].apply(al.col(u)))),
-            vneg(al.apply(M.act_right(R.col(i), m))),
-            vneg(tuple(lam * x for x in al.apply(M.right[i].apply(m))))]
+    return [_act(M.right, R.col(i), al.col(u)),
+            vneg(al._apply(M.right[i]._apply(al.col(u)))),
+            vneg(al._apply(_act(M.right, R.col(i), m))),
+            vneg(tuple(lam * x for x in al._apply(M.right[i]._apply(m))))]
 
 
 @identity("eq:reppreliealg1", ("A", "A", "M"))
@@ -508,8 +501,8 @@ def _prelie_rep1(ctx, idx):
     m = bv(rho[0].field, rho[0].rows, u)
     comm = vsub(P.product(i, j), P.product(j, i))
     return [_act(rho, comm, m),
-            vneg(rho[i].apply(rho[j].apply(m))),
-            rho[j].apply(rho[i].apply(m))]
+            vneg(rho[i]._apply(rho[j]._apply(m))),
+            rho[j]._apply(rho[i]._apply(m))]
 
 
 @identity("eq:reppreliealg2", ("A", "A", "M"))
@@ -518,9 +511,9 @@ def _prelie_rep2(ctx, idx):
     P, rho, phi = ctx.P, ctx.rho, ctx.phi
     m = bv(rho[0].field, rho[0].rows, u)
     return [_act(phi, P.product(i, j), m),
-            vneg(rho[i].apply(phi[j].apply(m))),
-            phi[j].apply(rho[i].apply(m)),
-            vneg(phi[j].apply(phi[i].apply(m)))]
+            vneg(rho[i]._apply(phi[j]._apply(m))),
+            phi[j]._apply(rho[i]._apply(m)),
+            vneg(phi[j]._apply(phi[i]._apply(m)))]
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +587,7 @@ def check_adjoint_admissible(A, R, S, Q, T) -> "Report":
 
 def coadjoint_admissible_identities(A, C, R, S, Q, T):
     """The tag tuple and context that `coadjoint_admissible_report` runs."""
+    square_on(A, C, R, S, Q, T)
     return _CK5_TAGS, Ctx({"A": A.basis}, A=A, C=C, R=R, S=S, Q=Q, T=T)
 
 
@@ -613,8 +607,14 @@ def check_dn_conditions(M: Bimodule, A, Q, T, alpha, beta, xi, zeta) -> "Report"
 
 
 def check_prelie_representation(P, rho, phi) -> "Report":
-    """P is a product with symmetric associator; rho/phi are per-basis matrices."""
-    labels = tuple(f"m{i}" for i in range(rho[0].rows))
+    """P is a product with symmetric associator; rho/phi are per-basis
+    matrices, one of each per basis vector of P, all n x n."""
+    n = rho[0].rows
+    if not len(rho) == len(phi) == P.dim:
+        raise PayloadError("action list length does not match the algebra dimension")
+    if any(m._axes() != (n, n) for m in (*rho, *phi)):
+        raise PayloadError("action matrix does not match the module dimension")
+    labels = tuple(f"m{i}" for i in range(n))
     ctx = Ctx({"A": P.basis, "M": labels}, P=P, rho=tuple(rho), phi=tuple(phi))
     return run_identities("prelie-representation",
                           ("eq:reppreliealg1", "eq:reppreliealg2"), ctx)

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 from .bisystems import ASIBisystem, bisystem_identities, check_bisystem
 from .errors import BudgetError, FieldError, PayloadError
-from .identities import Ctx, _stored, evaluate, shared_verdicts, steps
+from .identities import Ctx, evaluate, shared_verdicts, steps
 from .kernel import Matrix, Tensor2, _Quadratic, same_field
 from .report import make_report
 from .representations import adjoint_admissible_identities, adjoint_admissible_report
@@ -286,7 +286,7 @@ def _compile(field, d, flavors, groups) -> dict:
                     for k, _ in bound.on})
         for tag, idx in steps(bound.tags, bound.ctx):
             try:
-                res = _stored(evaluate(tag, bound.ctx, idx), field)
+                res = evaluate(tag, bound.ctx, idx)
             except RuntimeError as exc:
                 raise RuntimeError(f"{tag} at {idx} in {bound.names}: {exc}") from exc
             compiled[tag, idx] = tuple(

@@ -15,11 +15,14 @@ for the table's dimension and the positions of its nonzero constants, with
 the constants as an argument, after returning the zero product at once for
 a zero factor; over Q it loops over the constants, skips products with a
 zero factor and normalises each output entry once, and `placement_product`
-loops over them on both fields.  A coalgebra stores its coproducts once as
-a d x d^2 `Matrix`, row i the entries of Delta(e_i), and its transpose, so
-`delta`, `coapply_first` and `coapply_second` are `Matrix.apply` and `@`
-on the kernel's one evaluation path, as are the leg contractions of
-`kernel.leg_apply3`.  `check_axioms` runs one (tags, ctx) per axiom kind
+loops over them on both fields.  A coalgebra stores its coproducts once,
+in the d^2 x d layout whose column i is Delta(e_i) (`_transposed`), so
+`delta`, `coapply_first` and `coapply_second` are products of the kernel's
+one product core, `kernel._product`, which reads that layout as it is on
+both fields.  As in `kernel`, each public op (`mul`, `delta`, the
+coapplies, `placement_product`, `BilinearForm.value`) checks its operands
+and calls its private core (`_mul`, `_delta`, ...), and the catalog entries
+call the cores.  `check_axioms` runs one (tags, ctx) per axiom kind
 (`_axiom_identities`) through `identities.run_identities`, which shares the
 verdict inside a `shared_verdicts` scope.
 
@@ -32,8 +35,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import PayloadError, StructureError
-from .kernel import (Matrix, Tensor2, Tensor3, _codelet, _operand, _pattern, _q_lowest, bv,
-                     combine, leg_apply, reduce_entries, same_field, vadd, vneg, vsub)
+from .kernel import (Matrix, Tensor2, Tensor3, _codelet, _leg_apply, _operand, _pattern,
+                     _product, _q_lowest, _transposed, bv, combine, reduce_entries,
+                     same_field, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 
@@ -94,17 +98,22 @@ class _Multiplicative(_Table):
         return self.table[i][j]
 
     def mul(self, x, y):
-        """The product of two vectors, which go to stored form first.  Over
-        GF(p) a zero factor returns the zero product at once, and otherwise
-        the table's generated kernel computes it; over Q one pass over the
-        nonzero constants (`_nonzero`) skips each product with a zero
-        factor, tested on `_numerator`, and a zero entry of the result is
-        the stored zero (`_q_lowest`)."""
+        """The product of two vectors, which go to stored form first (a
+        scalar of another field raises `FieldError`)."""
         F = self.field
         x, y = _operand(F, x), _operand(F, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in product")
-        p = F.modulus
+        return self._mul(x, y)
+
+    def _mul(self, x, y):
+        """The core of `mul`: x and y are tuples of `dim` stored scalars.
+        Over GF(p) a zero factor returns the zero product at once, and
+        otherwise the table's generated kernel computes it; over Q one pass
+        over the nonzero constants (`_nonzero`) skips each product with a
+        zero factor, tested on `_numerator`, and a zero entry of the result
+        is the stored zero (`_q_lowest`)."""
+        p = self.field.modulus
         if p:
             if any(x) and any(y):
                 return _codelet("mul", self._pattern)(x, y, self._constants, p)
@@ -188,42 +197,62 @@ class _Comultiplicative(_Table):
     _what = "comultiplication table"
 
     def _derive(self):
-        """Add the coproducts: `_coproducts`, the d x d^2 `Matrix` whose row
-        i is Delta(e_i), row-major on (j, k); `_transposed`, its transpose;
-        and `_deltas`, each row as a `Tensor2`."""
+        """Add the coproducts: `_transposed`, the entries of the d^2 x d
+        matrix whose column i is Delta(e_i), row (j, k) the coefficients of
+        e_j (x) e_k, the layout in which `_product` reads the d x d^2
+        coproduct matrix as its transposed right operand ("@T"); and
+        `_deltas`, each Delta(e_i) as a `Tensor2`."""
         super()._derive()
         F, d = self.field, self.dim
         entries = tuple(x for cell in self.table for row in cell for x in row)
-        self._coproducts = Matrix._make(F, d, d * d, entries)
-        self._transposed = self._coproducts.transpose()
-        self._deltas = tuple(Tensor2._make(F, d, self._coproducts.row(i)) for i in range(d))
+        self._transposed = _transposed(entries, d * d)
+        self._deltas = tuple(Tensor2._make(F, d, entries[i * d * d:(i + 1) * d * d])
+                             for i in range(d))
 
     def delta_basis(self, i) -> Tensor2:
         return self._deltas[i]
 
     def delta(self, x) -> Tensor2:
-        """The coproduct of a vector: the transposed coproduct matrix
-        applied to it (`Matrix.apply`, which takes it to stored form)."""
+        """The coproduct of a vector, which goes to stored form first (a
+        scalar of another field raises `FieldError`)."""
         if len(x) != self.dim:
             raise ValueError("dimension mismatch in coproduct")
-        return Tensor2._make(self.field, self.dim, self._transposed.apply(x))
+        return self._delta(_operand(self.field, x))
+
+    def _delta(self, x) -> Tensor2:
+        """The core of `delta`: x, a tuple of `dim` stored scalars, times the
+        coproduct matrix."""
+        F, d = self.field, self.dim
+        return Tensor2._make(F, d, _product(F, x, 1, d, self._transposed, d * d, "@T"))
 
     def coapply_first(self, t: Tensor2) -> Tensor3:
-        """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v, which is the
-        transposed coproduct matrix times t's grid, on (j, k) x v."""
-        return Tensor3._make(self.field, self.dim, (self._transposed @ self._grid(t)).entries)
+        """Expand the first leg: sum t[u][v] Delta(e_u) (x) e_v."""
+        return self._coapply_first(self._tensor(t))
+
+    def _coapply_first(self, t) -> Tensor3:
+        """The core of `coapply_first`: the transposed coproduct matrix times
+        t's grid, on (j, k) x v."""
+        F, d = self.field, self.dim
+        return Tensor3._make(F, d, _product(F, self._transposed, d * d, d, t.entries, d))
 
     def coapply_second(self, t: Tensor2) -> Tensor3:
-        """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v), which is t's
-        grid times the coproduct matrix, on u x (j, k)."""
-        return Tensor3._make(self.field, self.dim, (self._grid(t) @ self._coproducts).entries)
+        """Expand the second leg: sum t[u][v] e_u (x) Delta(e_v)."""
+        return self._coapply_second(self._tensor(t))
 
-    def _grid(self, t: Tensor2) -> Matrix:
-        """t's entries as a d x d `Matrix` over t's own field, which `@`
-        refuses unless it is the table's."""
+    def _coapply_second(self, t) -> Tensor3:
+        """The core of `coapply_second`: t's grid times the coproduct matrix,
+        on u x (j, k), which `_product` reads in its stored transposed
+        layout."""
+        F, d = self.field, self.dim
+        return Tensor3._make(F, d, _product(F, t.entries, d, d, self._transposed, d * d, "@T"))
+
+    def _tensor(self, t: Tensor2) -> Tensor2:
+        """t, after the rules of the coapplies: a d x d tensor over the
+        table's field."""
         if t.dim != self.dim:
             raise ValueError("dimension mismatch in coproduct application")
-        return Matrix._make(t.field, t.dim, t.dim, t.entries)
+        same_field(self.field, t.field)
+        return t
 
     def is_cocommutative(self):
         return all(self._deltas[i].is_symmetric() for i in range(self.dim))
@@ -252,19 +281,25 @@ class BilinearForm:
     def __init__(self, field, gram: Matrix):
         if gram.rows != gram.cols:
             raise ValueError("gram matrix must be square")
+        same_field(field, gram.field)
         self.field = field
         self.gram = gram
         self.dim = gram.rows
 
     def value(self, x, y):
-        """B(x, y), as the row x applied to `gram.apply(y)`; both vectors go
-        to stored form first, so a scalar of another field, zero or not,
-        raises `FieldError`."""
+        """B(x, y); both vectors go to stored form first, so a scalar of
+        another field, zero or not, raises `FieldError`."""
         F = self.field
-        x = _operand(F, x)
+        x, y = _operand(F, x), _operand(F, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("dimension mismatch in bilinear form")
-        return Matrix._make(F, 1, self.dim, x).apply(self.gram.apply(y))[0]
+        return self._value(x, y)
+
+    def _value(self, x, y):
+        """The core of `value`, on tuples of `dim` stored scalars: the row x
+        times the column `gram` y."""
+        d = self.dim
+        return _product(self.field, x, 1, d, self.gram._apply(y), 1)[0]
 
     def is_symmetric(self):
         return self.gram == self.gram.transpose()
@@ -286,15 +321,20 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
     exactly one leg, where the components multiply (x's factor on the left).
     Tensors over another field than `A`'s raise `FieldError`.
     """
-    shared = set(px) & set(py)
-    if len(shared) != 1:
+    if len(set(px) & set(py)) != 1:
         raise ValueError("placements must share exactly one leg")
-    s = shared.pop()
-    d = A.dim
-    if x.dim != d or y.dim != d:
+    if x.dim != A.dim or y.dim != A.dim:
         raise ValueError("dimension mismatch in placement product")
     same_field(A.field, x.field)
     same_field(A.field, y.field)
+    return _placement_product(A, x, px, y, py)
+
+
+def _placement_product(A, x, px, y, py) -> Tensor3:
+    """The core of `placement_product`, on tensors over A's field and of
+    its dimension, and placements that share one leg."""
+    (s,) = set(px) & set(py)
+    d = A.dim
     stride = (d * d, d, 1)  # of each leg in the flat index of the result
     out_s = stride[s - 1]
     out_x = stride[(px[1] if px[0] == s else px[0]) - 1]
@@ -329,8 +369,8 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
 def _assoc(ctx, idx):
     i, j, k = idx
     A = ctx.A
-    return [A.mul(A.product(i, j), A.basis_vector(k)),
-            vneg(A.mul(A.basis_vector(i), A.product(j, k)))]
+    return [A._mul(A.product(i, j), A.basis_vector(k)),
+            vneg(A._mul(A.basis_vector(i), A.product(j, k)))]
 
 
 @identity("coassociativity", ("C",))
@@ -338,7 +378,7 @@ def _coassoc(ctx, idx):
     (i,) = idx
     C = ctx.C
     d = C.delta_basis(i)
-    return [C.coapply_first(d), -C.coapply_second(d)]
+    return [C._coapply_first(d), -C._coapply_second(d)]
 
 
 @identity("lie:antisymmetry", ("A", "A"))
@@ -351,9 +391,9 @@ def _lie_antisym(ctx, idx):
 def _lie_jacobi(ctx, idx):
     i, j, k = idx
     A = ctx.A
-    return [A.mul(A.product(i, j), A.basis_vector(k)),
-            A.mul(A.product(j, k), A.basis_vector(i)),
-            A.mul(A.product(k, i), A.basis_vector(j))]
+    return [A._mul(A.product(i, j), A.basis_vector(k)),
+            A._mul(A.product(j, k), A.basis_vector(i)),
+            A._mul(A.product(k, i), A.basis_vector(j))]
 
 
 @identity("colie:antisymmetry", ("C",))
@@ -367,7 +407,7 @@ def _colie_antisym(ctx, idx):
 def _colie_jacobi(ctx, idx):
     (i,) = idx
     C = ctx.C
-    u = C.coapply_second(C.delta_basis(i))
+    u = C._coapply_second(C.delta_basis(i))
     return [u, u.permute((1, 2, 0)), u.permute((2, 0, 1))]
 
 
@@ -375,24 +415,24 @@ def _colie_jacobi(ctx, idx):
 def _dend_a(ctx, idx):
     i, j, k = idx
     P, S = ctx.prec, ctx.succ
-    return [P.mul(P.product(i, j), P.basis_vector(k)),
-            vneg(P.mul(P.basis_vector(i), vadd(P.product(j, k), S.product(j, k))))]
+    return [P._mul(P.product(i, j), P.basis_vector(k)),
+            vneg(P._mul(P.basis_vector(i), vadd(P.product(j, k), S.product(j, k))))]
 
 
 @identity("eq:1.2b", ("A", "A", "A"))
 def _dend_b(ctx, idx):
     i, j, k = idx
     P, S = ctx.prec, ctx.succ
-    return [S.mul(S.basis_vector(i), P.product(j, k)),
-            vneg(P.mul(S.product(i, j), P.basis_vector(k)))]
+    return [S._mul(S.basis_vector(i), P.product(j, k)),
+            vneg(P._mul(S.product(i, j), P.basis_vector(k)))]
 
 
 @identity("eq:1.2c", ("A", "A", "A"))
 def _dend_c(ctx, idx):
     i, j, k = idx
     P, S = ctx.prec, ctx.succ
-    return [S.mul(S.basis_vector(i), S.product(j, k)),
-            vneg(S.mul(vadd(P.product(i, j), S.product(i, j)), S.basis_vector(k)))]
+    return [S._mul(S.basis_vector(i), S.product(j, k)),
+            vneg(S._mul(vadd(P.product(i, j), S.product(i, j)), S.basis_vector(k)))]
 
 
 @identity("prelie", ("A", "A", "A"))
@@ -400,8 +440,8 @@ def _prelie(ctx, idx):
     i, j, k = idx
     A = ctx.A
     ei, ej, ek = (A.basis_vector(t) for t in idx)
-    return [A.mul(A.product(i, j), ek), vneg(A.mul(ei, A.product(j, k))),
-            vneg(A.mul(A.product(j, i), ek)), A.mul(ej, A.product(i, k))]
+    return [A._mul(A.product(i, j), ek), vneg(A._mul(ei, A.product(j, k))),
+            vneg(A._mul(A.product(j, i), ek)), A._mul(ej, A.product(i, k))]
 
 
 @identity("perm:leftcommutativity", ("A", "A", "A"))
@@ -409,7 +449,7 @@ def _perm_lc(ctx, idx):
     i, j, k = idx
     A = ctx.A
     ek = A.basis_vector(k)
-    return [A.mul(A.product(i, j), ek), vneg(A.mul(A.product(j, i), ek))]
+    return [A._mul(A.product(i, j), ek), vneg(A._mul(A.product(j, i), ek))]
 
 
 @identity("de:cv#1", ("A", "A"))
@@ -417,9 +457,9 @@ def _asi_1(ctx, idx):
     i, j = idx
     A, C = ctx.A, ctx.C
     da, db = C.delta_basis(i), C.delta_basis(j)
-    return [C.delta(A.product(i, j)),
-            -leg_apply(da, A.right_mult_basis(j), 1),
-            -leg_apply(db, A.left_mult_basis(i), 2)]
+    return [C._delta(A.product(i, j)),
+            -_leg_apply(da, A.right_mult_basis(j), 1),
+            -_leg_apply(db, A.left_mult_basis(i), 2)]
 
 
 @identity("de:cv#2", ("A", "A"))
@@ -429,16 +469,16 @@ def _asi_2(ctx, idx):
     da, db = C.delta_basis(i), C.delta_basis(j)
     La, Lb = A.left_mult_basis(i), A.left_mult_basis(j)
     Ra, Rb = A.right_mult_basis(i), A.right_mult_basis(j)
-    return [leg_apply(da, Rb, 2), leg_apply(db.flip(), Ra, 1),
-            -leg_apply(da, Lb, 1), -leg_apply(db.flip(), La, 2)]
+    return [_leg_apply(da, Rb, 2), _leg_apply(db.flip(), Ra, 1),
+            -_leg_apply(da, Lb, 1), -_leg_apply(db.flip(), La, 2)]
 
 
 @identity("frobenius:invariance", ("A", "A", "A"))
 def _frob_inv(ctx, idx):
     i, j, k = idx
     A, B = ctx.A, ctx.B
-    return [B.value(A.product(i, j), A.basis_vector(k)),
-            -B.value(A.basis_vector(i), A.product(j, k))]
+    return [B._value(A.product(i, j), A.basis_vector(k)),
+            -B._value(A.basis_vector(i), A.product(j, k))]
 
 
 @identity("lie-bialgebra:cocycle", ("A", "A"))
@@ -447,9 +487,9 @@ def _lie_cocycle(ctx, idx):
     g, C = ctx.A, ctx.C
     adi, adj = g.left_mult_basis(i), g.left_mult_basis(j)
     di, dj = C.delta_basis(i), C.delta_basis(j)
-    return [C.delta(g.product(i, j)),
-            -leg_apply(dj, adi, 1), -leg_apply(dj, adi, 2),
-            leg_apply(di, adj, 1), leg_apply(di, adj, 2)]
+    return [C._delta(g.product(i, j)),
+            -_leg_apply(dj, adi, 1), -_leg_apply(dj, adi, 2),
+            _leg_apply(di, adj, 1), _leg_apply(di, adj, 2)]
 
 
 # special apre-perm structures; ctx carries gt (right-pointing product),
@@ -465,16 +505,16 @@ def _apre_lt_comm(ctx, idx):
 def _apre_3a(ctx, idx):
     i, j, k = idx
     circ, lt = ctx.circ, ctx.lt
-    return [lt.mul(circ.product(i, j), lt.basis_vector(k)),
-            vneg(circ.mul(circ.basis_vector(i), lt.product(j, k)))]
+    return [lt._mul(circ.product(i, j), lt.basis_vector(k)),
+            vneg(circ._mul(circ.basis_vector(i), lt.product(j, k)))]
 
 
 @identity("de:hf#3b", ("A", "A", "A"))
 def _apre_3b(ctx, idx):
     i, j, k = idx
     circ, lt = ctx.circ, ctx.lt
-    return [circ.mul(circ.basis_vector(i), lt.product(j, k)),
-            lt.mul(lt.basis_vector(i), lt.product(j, k))]
+    return [circ._mul(circ.basis_vector(i), lt.product(j, k)),
+            lt._mul(lt.basis_vector(i), lt.product(j, k))]
 
 
 @identity("de:hg#1", ("C",))
@@ -482,7 +522,7 @@ def _apre_hg1(ctx, idx):
     (i,) = idx
     eta = ctx.eta
     d = eta.delta_basis(i)
-    return [eta.coapply_first(d), -eta.coapply_second(d)]
+    return [eta._coapply_first(d), -eta._coapply_second(d)]
 
 
 @identity("de:hg#2", ("C",))
@@ -490,7 +530,7 @@ def _apre_hg2(ctx, idx):
     (i,) = idx
     eta = ctx.eta
     d = eta.delta_basis(i)
-    return [eta.coapply_second(d), -eta.coapply_first(d).permute((1, 0, 2))]
+    return [eta._coapply_second(d), -eta._coapply_first(d).permute((1, 0, 2))]
 
 
 @identity("de:hg#3", ("C",))
@@ -504,38 +544,34 @@ def _apre_hg3(ctx, idx):
 def _apre_hg4(ctx, idx):
     (i,) = idx
     eta, theta = ctx.eta, ctx.theta
-    return [eta.coapply_first(theta.delta_basis(i)),
-            -theta.coapply_second(eta.delta_basis(i))]
+    return [eta._coapply_first(theta.delta_basis(i)),
+            -theta._coapply_second(eta.delta_basis(i))]
 
 
 @identity("de:hg#5", ("C",))
 def _apre_hg5(ctx, idx):
     (i,) = idx
     eta, theta = ctx.eta, ctx.theta
-    return [theta.coapply_second(eta.delta_basis(i)),
-            theta.coapply_second(theta.delta_basis(i))]
-
-
-def _eta_of(ctx, vec):
-    return ctx.eta.delta(vec)
+    return [theta._coapply_second(eta.delta_basis(i)),
+            theta._coapply_second(theta.delta_basis(i))]
 
 
 @identity("de:hi#1", ("A", "A"))
 def _apre_hi1(ctx, idx):
     i, j = idx
     circ, theta, eta = ctx.circ, ctx.theta, ctx.eta
-    return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 1),
-            leg_apply(theta.delta_basis(i), circ.right_mult_basis(j), 2)]
+    return [eta._delta(circ.product(i, j)),
+            -_leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 1),
+            _leg_apply(theta.delta_basis(i), circ.right_mult_basis(j), 2)]
 
 
 @identity("de:hi#2", ("A", "A"))
 def _apre_hi2(ctx, idx):
     i, j = idx
     circ, lt, eta = ctx.circ, ctx.lt, ctx.eta
-    return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(i), circ.right_mult_basis(j), 2),
-            leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 1)]
+    return [eta._delta(circ.product(i, j)),
+            -_leg_apply(eta.delta_basis(i), circ.right_mult_basis(j), 2),
+            _leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 1)]
 
 
 @identity("de:hi#3", ("A", "A"))
@@ -545,24 +581,24 @@ def _apre_hi3(ctx, idx):
     # satisfies this variant identically)
     i, j = idx
     circ, theta, eta = ctx.circ, ctx.theta, ctx.eta
-    return [eta.delta(circ.product(i, j)),
-            -leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 2),
-            leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
+    return [eta._delta(circ.product(i, j)),
+            -_leg_apply(eta.delta_basis(j), circ.left_mult_basis(i), 2),
+            _leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
 
 
 @identity("de:hi#4", ("A", "A"))
 def _apre_hi4(ctx, idx):
     i, j = idx
     lt, eta = ctx.lt, ctx.eta
-    return [eta.delta(lt.product(i, j)),
-            -leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 2),
-            -leg_apply(eta.delta_basis(i), lt.left_mult_basis(j), 2).flip()]
+    return [eta._delta(lt.product(i, j)),
+            -_leg_apply(eta.delta_basis(j), lt.left_mult_basis(i), 2),
+            -_leg_apply(eta.delta_basis(i), lt.left_mult_basis(j), 2).flip()]
 
 
 @identity("de:hi#5", ("A", "A"))
 def _apre_hi5(ctx, idx):
     i, j = idx
-    v = ctx.eta.delta(ctx.lt.product(i, j))
+    v = ctx.eta._delta(ctx.lt.product(i, j))
     return [v, -v.flip()]
 
 
@@ -570,16 +606,16 @@ def _apre_hi5(ctx, idx):
 def _apre_hi6(ctx, idx):
     i, j = idx
     circ, theta = ctx.circ, ctx.theta
-    return [theta.delta(circ.product(i, j)),
-            -leg_apply(theta.delta_basis(j), circ.left_mult_basis(i), 2),
-            -leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
+    return [theta._delta(circ.product(i, j)),
+            -_leg_apply(theta.delta_basis(j), circ.left_mult_basis(i), 2),
+            -_leg_apply(theta.delta_basis(i), circ.left_mult_basis(j), 1)]
 
 
 @identity("de:hi#7", ("A", "A"))
 def _apre_hi7(ctx, idx):
     i, j = idx
     circ, theta = ctx.circ, ctx.theta
-    return [theta.delta(circ.product(i, j)), -theta.delta(circ.product(j, i))]
+    return [theta._delta(circ.product(i, j)), -theta._delta(circ.product(j, i))]
 
 
 # covariant bialgebras; ctx carries A, d1, d2 (derivation comultiplications)
@@ -588,9 +624,9 @@ def _apre_hi7(ctx, idx):
 def _derivation_terms(ctx, idx, dmap):
     i, j = idx
     A = ctx.A
-    return [dmap.delta(A.product(i, j)),
-            -leg_apply(dmap.delta_basis(i), A.right_mult_basis(j), 2),
-            -leg_apply(dmap.delta_basis(j), A.left_mult_basis(i), 1)]
+    return [dmap._delta(A.product(i, j)),
+            -_leg_apply(dmap.delta_basis(i), A.right_mult_basis(j), 2),
+            -_leg_apply(dmap.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 @identity("de:1.1#deriv1", ("A", "A"))
@@ -607,18 +643,18 @@ def _cov_deriv2(ctx, idx):
 def _cov_1(ctx, idx):
     i, j = idx
     A = ctx.A
-    return [ctx.DT.delta(A.product(i, j)),
-            -leg_apply(ctx.d2.delta_basis(i), A.right_mult_basis(j), 2),
-            -leg_apply(ctx.DT.delta_basis(j), A.left_mult_basis(i), 1)]
+    return [ctx.DT._delta(A.product(i, j)),
+            -_leg_apply(ctx.d2.delta_basis(i), A.right_mult_basis(j), 2),
+            -_leg_apply(ctx.DT.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 @identity("de:1.1#cov2", ("A", "A"))
 def _cov_2(ctx, idx):
     i, j = idx
     A = ctx.A
-    return [ctx.DT.delta(A.product(i, j)),
-            -leg_apply(ctx.DT.delta_basis(i), A.right_mult_basis(j), 2),
-            -leg_apply(ctx.d1.delta_basis(j), A.left_mult_basis(i), 1)]
+    return [ctx.DT._delta(A.product(i, j)),
+            -_leg_apply(ctx.DT.delta_basis(i), A.right_mult_basis(j), 2),
+            -_leg_apply(ctx.d1.delta_basis(j), A.left_mult_basis(i), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +749,17 @@ def _axiom_identities(kind, payload):
         gt, lt, vartheta, theta = payload
         _, alg = _axiom_identities("apreperm_algebra", (gt, lt))
         _, coalg = _axiom_identities("apreperm_coalgebra", (vartheta, theta))
+        square_on(gt, vartheta)
         return (_HF_TAGS + _HG_TAGS + tuple(f"de:hi#{k}" for k in range(1, 8)),
                 Ctx(alg.spaces | coalg.spaces, **vars(alg), **vars(coalg)))
     if kind == "covariant_bialgebra":
         if not (isinstance(payload, tuple) and len(payload) == 4):
             raise PayloadError("kind 'covariant_bialgebra' expects (A, d1, d2, Delta)")
         A, d1, d2, DT = payload
+        _mult_payload(A, kind)
+        for C in (d1, d2, DT):
+            _expect(C, _Comultiplicative, kind)
+        square_on(A, d1, d2, DT)
         return (("associativity", "coassociativity", "de:1.1#deriv1", "de:1.1#deriv2",
                  "de:1.1#cov1", "de:1.1#cov2"),
                 Ctx({"A": A.basis, "C": DT.basis}, A=A, d1=d1, d2=d2, DT=DT, C=DT))
@@ -742,12 +783,19 @@ def check_axioms(kind, payload):
 
 
 def square_on(carrier, *data):
-    """The shape rule of maps and 2-tensors on a carrier: refuse, with
-    `PayloadError`, a datum that is not dim x dim for the carrier's dim;
-    None passes."""
+    """The shape rule of the data of a check on a carrier: refuse, with
+    `PayloadError`, a map or 2-tensor that is not dim x dim, or a table of
+    another dimension, for the carrier's dim; None passes.  Catalog code
+    runs the kernel's unchecked cores, so a checker applies this rule to
+    its data before it builds a `Ctx`."""
     square = (carrier.dim, carrier.dim)
     for x in data:
-        if x is not None and x._axes() != square:
+        if x is None:
+            continue
+        if isinstance(x, _Table):
+            if x.dim != carrier.dim:
+                raise PayloadError("carrier dimensions differ")
+        elif x._axes() != square:
             what = "map" if isinstance(x, Matrix) else "tensor"
             raise PayloadError(f"{what} dimension does not match the carrier")
 

@@ -13,12 +13,12 @@ the memo.
 from __future__ import annotations
 
 from .errors import PayloadError, require
-from .kernel import Matrix, Tensor2, combine, leg_apply, vadd, vneg, vscale, vsub
+from .kernel import Matrix, Tensor2, _leg_apply, combine, vadd, vneg, vscale, vsub
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .structures import (Algebra, LieAlgebra, LieCoalgebra,
-                         _Comultiplicative, _Multiplicative, commutator,
-                         cocommutator, placement_product, square_on)
+                         _Comultiplicative, _Multiplicative, _placement_product,
+                         commutator, cocommutator, square_on)
 
 
 class OperatorSystem:
@@ -68,10 +68,10 @@ def _rb_weight(ctx, idx):
     A, R, lam = ctx.A, ctx.R, ctx.lam
     a, b = A.basis_vector(i), A.basis_vector(j)
     Ra, Rb = R.col(i), R.col(j)
-    return [A.mul(Ra, Rb),
-            vneg(R.apply(A.mul(Ra, b))),
-            vneg(R.apply(A.mul(a, Rb))),
-            vneg(R.apply(vscale(lam, A.product(i, j))))]
+    return [A._mul(Ra, Rb),
+            vneg(R._apply(A._mul(Ra, b))),
+            vneg(R._apply(A._mul(a, Rb))),
+            vneg(R._apply(vscale(lam, A.product(i, j))))]
 
 
 def _paired_terms(ctx, idx, outer, first, second):
@@ -79,9 +79,9 @@ def _paired_terms(ctx, idx, outer, first, second):
     i, j = idx
     A = ctx.A
     a, b = A.basis_vector(i), A.basis_vector(j)
-    return [A.mul(outer.col(i), outer.col(j)),
-            vneg(outer.apply(A.mul(first.col(i), b))),
-            vneg(outer.apply(A.mul(a, second.col(j))))]
+    return [A._mul(outer.col(i), outer.col(j)),
+            vneg(outer._apply(A._mul(first.col(i), b))),
+            vneg(outer._apply(A._mul(a, second.col(j))))]
 
 
 # one body each for R(a)R(b) = R(R(a)b + aS(b)) and its S mirror, under the
@@ -116,14 +116,14 @@ def _ea1b(ctx, idx):
 def _avg1(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
-    return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(R.col(i), A.basis_vector(j))))]
+    return [A._mul(R.col(i), R.col(j)), vneg(R._apply(A._mul(R.col(i), A.basis_vector(j))))]
 
 
 @identity("eq:et1#2", ("A", "A"))
 def _avg2(ctx, idx):
     i, j = idx
     A, R = ctx.A, ctx.R
-    return [A.mul(R.col(i), R.col(j)), vneg(R.apply(A.mul(A.basis_vector(i), R.col(j))))]
+    return [A._mul(R.col(i), R.col(j)), vneg(R._apply(A._mul(A.basis_vector(i), R.col(j))))]
 
 
 @identity("eq:ew1", ("A", "A"))
@@ -131,10 +131,10 @@ def _nijenhuis(ctx, idx):
     i, j = idx
     A, N = ctx.A, ctx.R
     a, b = A.basis_vector(i), A.basis_vector(j)
-    return [A.mul(N.col(i), N.col(j)),
-            N.apply(N.apply(A.product(i, j))),
-            vneg(N.apply(A.mul(N.col(i), b))),
-            vneg(N.apply(A.mul(a, N.col(j))))]
+    return [A._mul(N.col(i), N.col(j)),
+            N._apply(N._apply(A.product(i, j))),
+            vneg(N._apply(A._mul(N.col(i), b))),
+            vneg(N._apply(A._mul(a, N.col(j))))]
 
 
 # operator identities on coalgebras; Sweedler sums become leg operations
@@ -143,10 +143,10 @@ def _cos_terms(ctx, i, outer, first, second):
     """(outer (x) outer)D(c) - (first (x) id)D(outer c) - (id (x) second)D(outer c)."""
     C = ctx.C
     d = C.delta_basis(i)
-    douter = C.delta(outer.col(i))
-    return [leg_apply(leg_apply(d, outer, 1), outer, 2),
-            -leg_apply(douter, first, 1),
-            -leg_apply(douter, second, 2)]
+    douter = C._delta(outer.col(i))
+    return [_leg_apply(_leg_apply(d, outer, 1), outer, 2),
+            -_leg_apply(douter, first, 1),
+            -_leg_apply(douter, second, 2)]
 
 
 @identity("eq:cu#1", ("C",))
@@ -177,9 +177,9 @@ def _rb_coweight(ctx, idx):
     (i,) = idx
     C, Q, lam = ctx.C, ctx.Q, ctx.lam
     d = C.delta_basis(i)
-    dq = C.delta(Q.col(i))
-    return [leg_apply(leg_apply(d, Q, 1), Q, 2),
-            -leg_apply(dq, Q, 1), -leg_apply(dq, Q, 2), -dq.scale(lam)]
+    dq = C._delta(Q.col(i))
+    return [_leg_apply(_leg_apply(d, Q, 1), Q, 2),
+            -_leg_apply(dq, Q, 1), -_leg_apply(dq, Q, 2), -dq.scale(lam)]
 
 
 @identity("eq:et2#1", ("C",))
@@ -188,7 +188,7 @@ def _coavg1(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q
     d = C.delta_basis(i)
-    return [leg_apply(leg_apply(d, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 1)]
+    return [_leg_apply(_leg_apply(d, Q, 1), Q, 2), -_leg_apply(C._delta(Q.col(i)), Q, 1)]
 
 
 @identity("eq:et2#2", ("C",))
@@ -196,7 +196,7 @@ def _coavg2(ctx, idx):
     (i,) = idx
     C, Q = ctx.C, ctx.Q
     d = C.delta_basis(i)
-    return [leg_apply(leg_apply(d, Q, 1), Q, 2), -leg_apply(C.delta(Q.col(i)), Q, 2)]
+    return [_leg_apply(_leg_apply(d, Q, 1), Q, 2), -_leg_apply(C._delta(Q.col(i)), Q, 2)]
 
 
 # symmetric Yang-Baxter pairs; placements multiply in the shared leg
@@ -204,33 +204,33 @@ def _coavg2(ctx, idx):
 @identity("de:eh#1a", ())
 def _ybs_1a(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
-    return [placement_product(A, r, (1, 2), r, (2, 3)),
-            -placement_product(A, r, (1, 3), r, (1, 2)),
-            -placement_product(A, s, (2, 3), r, (1, 3))]
+    return [_placement_product(A, r, (1, 2), r, (2, 3)),
+            -_placement_product(A, r, (1, 3), r, (1, 2)),
+            -_placement_product(A, s, (2, 3), r, (1, 3))]
 
 
 @identity("de:eh#1b", ())
 def _ybs_1b(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
-    return [placement_product(A, r, (1, 2), r, (2, 3)),
-            -placement_product(A, r, (1, 3), s, (1, 2)),
-            -placement_product(A, r, (2, 3), r, (1, 3))]
+    return [_placement_product(A, r, (1, 2), r, (2, 3)),
+            -_placement_product(A, r, (1, 3), s, (1, 2)),
+            -_placement_product(A, r, (2, 3), r, (1, 3))]
 
 
 @identity("de:eh#2a", ())
 def _ybs_2a(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
-    return [placement_product(A, s, (1, 2), s, (2, 3)),
-            -placement_product(A, s, (1, 3), r, (1, 2)),
-            -placement_product(A, s, (2, 3), s, (1, 3))]
+    return [_placement_product(A, s, (1, 2), s, (2, 3)),
+            -_placement_product(A, s, (1, 3), r, (1, 2)),
+            -_placement_product(A, s, (2, 3), s, (1, 3))]
 
 
 @identity("de:eh#2b", ())
 def _ybs_2b(ctx, idx):
     A, r, s = ctx.A, ctx.r, ctx.s
-    return [placement_product(A, s, (1, 2), s, (2, 3)),
-            -placement_product(A, s, (1, 3), s, (1, 2)),
-            -placement_product(A, r, (2, 3), s, (1, 3))]
+    return [_placement_product(A, s, (1, 2), s, (2, 3)),
+            -_placement_product(A, s, (1, 3), s, (1, 2)),
+            -_placement_product(A, r, (2, 3), s, (1, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +406,23 @@ def derived_products(A, R: Matrix, S: Matrix):
 def _cxx1(ctx, idx):
     i, j = idx
     A, R, S = ctx.A, ctx.R, ctx.S
-    return [A.mul(R.col(i), S.col(j)),
-            vneg(R.apply(A.mul(A.basis_vector(i), S.col(j)))),
-            vneg(S.apply(A.mul(R.col(i), A.basis_vector(j))))]
+    return [A._mul(R.col(i), S.col(j)),
+            vneg(R._apply(A._mul(A.basis_vector(i), S.col(j)))),
+            vneg(S._apply(A._mul(R.col(i), A.basis_vector(j))))]
 
 
 @identity("eq:cxx2", ("A", "A"))
 def _cxx2(ctx, idx):
     i, j = idx
     A, R, S = ctx.A, ctx.R, ctx.S
-    return [A.mul(S.col(i), R.col(j)),
-            vneg(S.apply(A.mul(A.basis_vector(i), R.col(j)))),
-            vneg(R.apply(A.mul(S.col(i), A.basis_vector(j))))]
+    return [A._mul(S.col(i), R.col(j)),
+            vneg(S._apply(A._mul(A.basis_vector(i), R.col(j)))),
+            vneg(R._apply(A._mul(S.col(i), A.basis_vector(j))))]
 
 
 def check_crossed_products(A, R: Matrix, S: Matrix) -> "Report":
     """R(a)S(b) = R(aS(b)) + S(R(a)b) and its mirror."""
+    square_on(A, R, S)
     ctx = Ctx({"A": A.basis}, A=A, R=R, S=S)
     return run_identities("crossed-products", ("eq:cxx1", "eq:cxx2"), ctx)
 

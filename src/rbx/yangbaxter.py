@@ -19,13 +19,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import FieldError, require
-from .kernel import (Matrix, Tensor2, Tensor3, block_diag, bv, leg_apply,
-                     leg_apply3, vneg)
+from .kernel import (Matrix, Tensor2, Tensor3, _combine, _leg_apply, _leg_apply3,
+                     block_diag, bv, leg_apply, vneg)
 from .identities import Ctx, evaluate, identity, run_identities, run_parts
 from .report import Violation, make_report
-from .structures import Coalgebra, placement_product, square_on
+from .structures import Coalgebra, _placement_product, square_on
 from .systems import OperatorSystem, operator_system_identities
-from .representations import (Bimodule, Representation, _module_ctx,
+from .representations import (Bimodule, Representation, _act, _module_ctx,
                               adjoint_admissible_report, check_module_admissible,
                               dn_identities, dual_bimodule,
                               representation_identities, semidirect)
@@ -35,9 +35,9 @@ from .bisystems import ASIBisystem
 @identity("eq:db4", ())
 def _aybe(ctx, idx):
     A, r = ctx.A, ctx.r
-    return [placement_product(A, r, (1, 2), r, (1, 3)),
-            placement_product(A, r, (1, 3), r, (2, 3)),
-            -placement_product(A, r, (2, 3), r, (1, 2))]
+    return [_placement_product(A, r, (1, 2), r, (1, 3)),
+            _placement_product(A, r, (1, 3), r, (2, 3)),
+            -_placement_product(A, r, (2, 3), r, (1, 2))]
 
 
 @identity("eq:db1", ("A", "A"))
@@ -46,28 +46,28 @@ def _db1(ctx, idx):
     A, u = ctx.A, ctx.sym
     La, Ra = A.left_mult_basis(i), A.right_mult_basis(i)
     Lb, Rb = A.left_mult_basis(j), A.right_mult_basis(j)
-    return [leg_apply(leg_apply(u, Lb, 2), La, 1),
-            -leg_apply(leg_apply(u, Rb, 1), La, 1),
-            -leg_apply(leg_apply(u, Lb, 2), Ra, 2),
-            leg_apply(leg_apply(u, Rb, 1), Ra, 2)]
+    return [_leg_apply(_leg_apply(u, Lb, 2), La, 1),
+            -_leg_apply(_leg_apply(u, Rb, 1), La, 1),
+            -_leg_apply(_leg_apply(u, Lb, 2), Ra, 2),
+            _leg_apply(_leg_apply(u, Rb, 1), Ra, 2)]
 
 
 @identity("eq:db2", ("A",))
 def _db2(ctx, idx):
     (i,) = idx
     A, res = ctx.A, ctx.aybe
-    return [leg_apply3(res, A.left_mult_basis(i), 3),
-            -leg_apply3(res, A.right_mult_basis(i), 1)]
+    return [_leg_apply3(res, A.left_mult_basis(i), 3),
+            -_leg_apply3(res, A.right_mult_basis(i), 1)]
 
 
 @identity("eq:dh", ())
 def _dh(ctx, idx):
-    return [leg_apply(ctx.r, ctx.Q, 1), -leg_apply(ctx.r, ctx.R, 2)]
+    return [_leg_apply(ctx.r, ctx.Q, 1), -_leg_apply(ctx.r, ctx.R, 2)]
 
 
 @identity("eq:dh1", ())
 def _dh1(ctx, idx):
-    return [leg_apply(ctx.r, ctx.T, 1), -leg_apply(ctx.r, ctx.S, 2)]
+    return [_leg_apply(ctx.r, ctx.T, 1), -_leg_apply(ctx.r, ctx.S, 2)]
 
 
 # the twelve compatibility residuals of the coboundary comultiplication,
@@ -85,10 +85,11 @@ def _de_terms(ctx, idx, *summands):
     out = []
     for sign, X, (first, then), leg in summands:
         if isinstance(first, str):
-            op = (A.left_mult if first == "L" else A.right_mult)(then.col(i))
+            op = _combine(A.field, A.dim, then.col(i),
+                          A.left_mult_basis if first == "L" else A.right_mult_basis)
         else:
-            op = first @ (A.left_mult_basis if then == "L" else A.right_mult_basis)(i)
-        term = leg_apply(X, op, leg)
+            op = first._matmul((A.left_mult_basis if then == "L" else A.right_mult_basis)(i))
+        term = _leg_apply(X, op, leg)
         out.append(term if sign > 0 else -term)
     return out
 
@@ -185,18 +186,18 @@ THM_DE_TAGS = ("eq:de", "eq:dede", "eq:de1", "eq:de1de1", "eq:de2", "eq:de2de2",
 def _db5(ctx, idx):
     (i,) = idx
     A = ctx.A
-    return [leg_apply(ctx.Lam, A.left_mult_basis(i), 2),
-            -leg_apply(ctx.Lam, A.right_mult_basis(i), 1)]
+    return [_leg_apply(ctx.Lam, A.left_mult_basis(i), 2),
+            -_leg_apply(ctx.Lam, A.right_mult_basis(i), 1)]
 
 
 @identity("eq:dg#1", ())
 def _dg1(ctx, idx):
-    return [leg_apply(ctx.Gam, ctx.Q, 1), -leg_apply(ctx.Gam, ctx.R, 2)]
+    return [_leg_apply(ctx.Gam, ctx.Q, 1), -_leg_apply(ctx.Gam, ctx.R, 2)]
 
 
 @identity("eq:dg#2", ())
 def _dg2(ctx, idx):
-    return [leg_apply(ctx.Gam, ctx.T, 1), -leg_apply(ctx.Gam, ctx.S, 2)]
+    return [_leg_apply(ctx.Gam, ctx.T, 1), -_leg_apply(ctx.Gam, ctx.S, 2)]
 
 
 @identity("eq:dk", ("M", "M"))
@@ -205,47 +206,47 @@ def _dk(ctx, idx):
     A, M, tm = ctx.A, ctx.M, ctx.tmap
     mu, mv = bv(A.field, M.mdim, u), bv(A.field, M.mdim, v)
     tu, tv = tm.col(u), tm.col(v)
-    return [A.mul(tu, tv),
-            vneg(tm.apply(M.act_left(tu, mv))),
-            vneg(tm.apply(M.act_right(tv, mu)))]
+    return [A._mul(tu, tv),
+            vneg(tm._apply(_act(M.left, tu, mv))),
+            vneg(tm._apply(_act(M.right, tv, mu)))]
 
 
 @identity("eq:dk1", ("M",))
 def _dk1(ctx, idx):
     (u,) = idx
-    return [ctx.tmap.apply(ctx.alpha.col(u)), vneg(ctx.R.apply(ctx.tmap.col(u)))]
+    return [ctx.tmap._apply(ctx.alpha.col(u)), vneg(ctx.R._apply(ctx.tmap.col(u)))]
 
 
 @identity("eq:dk2", ("M",))
 def _dk2(ctx, idx):
     (u,) = idx
-    return [ctx.tmap.apply(ctx.beta.col(u)), vneg(ctx.S.apply(ctx.tmap.col(u)))]
+    return [ctx.tmap._apply(ctx.beta.col(u)), vneg(ctx.S._apply(ctx.tmap.col(u)))]
 
 
 @identity("eq:dm1#1", ("A",))
 def _dm1a(ctx, idx):
     (i,) = idx
-    return [ctx.R.apply(ctx.rplus.col(i)),
-            vneg(ctx.rplus.apply(ctx.Q.transpose().col(i)))]
+    return [ctx.R._apply(ctx.rplus.col(i)),
+            vneg(ctx.rplus._apply(ctx.Q.transpose().col(i)))]
 
 
 @identity("eq:dm1#2", ("A",))
 def _dm1b(ctx, idx):
     (i,) = idx
-    return [ctx.S.apply(ctx.rplus.col(i)),
-            vneg(ctx.rplus.apply(ctx.T.transpose().col(i)))]
+    return [ctx.S._apply(ctx.rplus.col(i)),
+            vneg(ctx.rplus._apply(ctx.T.transpose().col(i)))]
 
 
 @identity("thm:do#compat1", ("M",))
 def _do_compat1(ctx, idx):
     (u,) = idx
-    return [ctx.tmap.apply(ctx.xi.col(u)), vneg(ctx.Q.apply(ctx.tmap.col(u)))]
+    return [ctx.tmap._apply(ctx.xi.col(u)), vneg(ctx.Q._apply(ctx.tmap.col(u)))]
 
 
 @identity("thm:do#compat2", ("M",))
 def _do_compat2(ctx, idx):
     (u,) = idx
-    return [ctx.tmap.apply(ctx.zeta.col(u)), vneg(ctx.T.apply(ctx.tmap.col(u)))]
+    return [ctx.tmap._apply(ctx.zeta.col(u)), vneg(ctx.T._apply(ctx.tmap.col(u)))]
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,7 @@ def _do_compat2(ctx, idx):
 
 def aybe_residual(A, r: Tensor2) -> Tensor3:
     """r_12 r_13 + r_13 r_23 - r_23 r_12; zero iff r solves the equation."""
+    square_on(A, r)
     return evaluate("eq:db4", Ctx({}, A=A, r=r), ())
 
 
@@ -332,6 +334,7 @@ def check_thm_de(A, R, S, Q, T, r: Tensor2):
 
 def thm_de_ctx(A, R, S, Q, T, r: Tensor2) -> Ctx:
     """Context with the four one-leg contractions precomputed (test hook)."""
+    square_on(A, R, S, Q, T, r)
     return Ctx({"A": A.basis}, A=A, R=R, S=S, Q=Q, T=T, r=r,
                X1=leg_apply(r, Q, 1) - leg_apply(r, R, 2),
                X2=leg_apply(r, Q, 2) - leg_apply(r, R, 1),
@@ -366,6 +369,7 @@ def check_weak_o_operator(sys: OperatorSystem, data: OOperatorData):
 
 def check_o_operator_transport(sys: OperatorSystem, rplus: Matrix, Q, T):
     """R o r+ = r+ o Q^t and S o r+ = r+ o T^t."""
+    square_on(sys.carrier, rplus, Q, T)
     ctx = Ctx({"A": sys.carrier.basis}, A=sys.carrier, R=sys.R, S=sys.S,
               Q=Q, T=T, rplus=rplus)
     return run_identities("o-operator-transport", ("eq:dm1#1", "eq:dm1#2"), ctx)
@@ -388,6 +392,7 @@ def o_operator_solution(sys: OperatorSystem, rep: Representation, tmap: Matrix,
     """
     A = sys.carrier
     M = rep.bimodule
+    square_on(A, Q, T)
     data = OOperatorData(tmap, M, rep.alpha, rep.beta, xi, zeta, Q, T)
     ctx = Ctx({"M": M.labels}, tmap=tmap, xi=xi, zeta=zeta, Q=Q, T=T)
     require(run_parts("o-operator-hypotheses", (

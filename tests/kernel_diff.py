@@ -8,10 +8,11 @@ supports, with or without pytest:
 Each round draws a field (GF(2), GF(3), GF(5), GF(11) or Q), a dimension
 from 1 to 4 (4 is the size of the bowtie doubles), shapes r x k and k x n
 from 1 to 4 each, mostly not square, for `Matrix.apply` and `@`, and a
-dense, sparse or zero structure-constant table.  Over GF(p) every one of
-`Matrix.apply`, `@`, `leg_apply` and `mul` runs a kernel generated for its
-shape, and `delta`, `coapply_first`/`coapply_second` and `leg_apply3` run
-`apply` and `@`, so the rounds reach many generated kernels.  It runs
+dense, sparse or zero structure-constant table.  Over GF(p) `mul` runs a
+kernel generated for its table's pattern, and `Matrix.apply`, `@`,
+`leg_apply`, `leg_apply3`, `delta` and `coapply_first`/`coapply_second`
+run the one product core (`kernel._product`), a kernel generated for each
+shape, so the rounds reach many generated kernels.  It runs
 `Matrix.apply`, `Matrix @`, `leg_apply` on both legs, `leg_apply3` on its
 three legs, `mul`, `delta`, `coapply_first`/`coapply_second` and
 `placement_product` on random operands, whose vector entries mix the
@@ -23,11 +24,17 @@ result entry must be a stored scalar (an int in [0, p), or
 `Rationals.stored` in lowest terms).  Each round also runs every op with an
 all-zero operand: a zero vector in each accepted form of zero, a zero
 `Matrix`, `Tensor2`, `Tensor3` and table, where a container result must
-also have its type, field and shape.  And it checks `identities._sum`, which adds only
-the nonzero summands of an identity, against a plain left fold of all of
-them: vectors over GF(p) (ints of any sign, or the search compile's
-`_Quadratic` entries) and over Q (stored, or with a plain `Fraction` or
-int entry), `Tensor2` and `Tensor3` terms.  It prints one summary line and
+also have its type, field and shape.  Each round
+also runs every core that catalog code calls (`Matrix._apply`, `_matmul`,
+`_leg_apply`, `_leg_apply3`, `_combine`, `_mul`, `_delta`, the
+coapplies' cores, `_placement_product` and `BilinearForm._value`) on
+random stored operands, zero ones included, over GF(2), GF(3), GF(5),
+GF(7) or Q, against its public op.  And it checks `identities._sum`, which
+adds only the nonzero summands of an identity, and over GF(p)
+`identities._sum_mod`, which also reduces the sum, against a plain left
+fold of all of them: vectors over GF(p) (ints of any sign, or the search
+compile's `_Quadratic` entries) and over Q (stored, or with a plain
+`Fraction` or int entry), `Tensor2` and `Tensor3` terms.  It prints one summary line and
 exits 1 on the first mismatch.  The test suite imports the same references.
 """
 
@@ -39,12 +46,15 @@ from itertools import product
 from math import gcd
 from operator import add
 
-from rbx.identities import _sum
+from rbx.identities import _sum, _sum_mod
 from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2, Tensor3,
-                        _Quadratic, leg_apply, leg_apply3)
-from rbx.structures import Algebra, Coalgebra, placement_product
+                        _combine, _leg_apply, _leg_apply3, _Quadratic, combine, leg_apply,
+                        leg_apply3)
+from rbx.structures import (Algebra, BilinearForm, Coalgebra, _placement_product,
+                            placement_product)
 
 MODULI = (2, 3, 5, 11, None)  # None is Q
+CORE_MODULI = (2, 3, 5, 7, None)  # the fields of `core_round`
 PLACEMENTS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
 
 
@@ -319,6 +329,55 @@ def table_zero_round(rng, field):
     return ops
 
 
+# --- the cores against the public ops ----------------------------------------
+
+def same(got, want, what, field):
+    """Raise `AssertionError` unless a core's result equals its public op's:
+    the same type, the same value, and entries of the same types."""
+    types = [[type(e) for e in getattr(x, "entries", x if isinstance(x, tuple) else (x,))]
+             for x in (got, want)]
+    if type(got) is not type(want) or got != want or types[0] != types[1]:
+        raise AssertionError(f"{what} over {field!r}: core {got!r}, public op {want!r}")
+
+
+def core_round(rng, field):
+    """Each core (`Matrix._apply`, `_matmul`, `_leg_apply` on both legs,
+    `_leg_apply3` on its three, `_combine`, `_mul`, `_delta`,
+    `_coapply_first`/`_coapply_second`, `_placement_product` and
+    `BilinearForm._value`) on random stored operands of dimension 1 to 4,
+    each all zero with probability 1/4, against its public op on the same
+    operands; the number of ops checked."""
+    def stored(n):
+        return field.reduce(vector(rng, field, n, 1.0 if rng.random() < 0.25 else rng.random()))
+
+    r, k, n, d = (rng.randint(1, 4) for _ in range(4))
+    a, b = Matrix(field, r, k, stored(r * k)), Matrix(field, k, n, stored(k * n))
+    m, v, x, y = Matrix(field, d, d, stored(d * d)), stored(k), stored(d), stored(d)
+    t, u = (Tensor2(field, d, stored(d * d)) for _ in range(2))
+    t3 = Tensor3(field, d, stored(d ** 3))
+    consts = [[stored(d) for _ in range(d)] for _ in range(d)]
+    A, C = Algebra(field, consts, raw=True), Coalgebra(field, consts, raw=True)
+    B = BilinearForm(field, m)
+    px = rng.choice(PLACEMENTS)
+    py = rng.choice([q for q in PLACEMENTS if len(set(q) & set(px)) == 1])
+    pairs = [(a._apply(v), a.apply(v), "apply"), (a._matmul(b), a @ b, "@"),
+             (_combine(field, d, x, A.left_mult_basis), combine(field, d, x, A.left_mult_basis),
+              "combine"),
+             (A._mul(x, y), A.mul(x, y), "mul"), (C._delta(x), C.delta(x), "delta"),
+             (C._coapply_first(t), C.coapply_first(t), "coapply_first"),
+             (C._coapply_second(t), C.coapply_second(t), "coapply_second"),
+             (_placement_product(A, t, px, u, py), placement_product(A, t, px, u, py),
+              f"placement_product {px} {py}"),
+             (B._value(x, y), B.value(x, y), "value")]
+    pairs += [(_leg_apply(t, m, leg), leg_apply(t, m, leg), f"leg_apply on leg {leg}")
+              for leg in (1, 2)]
+    pairs += [(_leg_apply3(t3, m, leg), leg_apply3(t3, m, leg), f"leg_apply3 on leg {leg}")
+              for leg in (1, 2, 3)]
+    for got, want, what in pairs:
+        same(got, want, what, field)
+    return len(pairs)
+
+
 # --- identity sums ----------------------------------------------------------
 
 def poly(p, x):
@@ -349,20 +408,24 @@ def summand(rng, field, d, kind):
 
 
 def sum_round(rng, field):
-    """`identities._sum` on one random list of summands of each kind that the
-    field has, against a plain left fold: equal values, and over Q a stored
-    entry wherever every summand's entry was stored; the number of sums."""
+    """`identities._sum`, and over GF(p) `identities._sum_mod` too, on one
+    random list of summands of each kind that the field has, against a
+    plain left fold: equal values, every entry of `_sum_mod` stored, and
+    over Q a stored entry wherever every summand's entry was stored; the
+    number of sums."""
     p, d = field.modulus, rng.randint(1, 3)
     kinds = ("vector", "tensor2", "tensor3") + (("quadratic",) if p else ())
     for kind in kinds:
         terms = [summand(rng, field, d, kind) for _ in range(rng.randint(1, 5))]
         got = _sum(terms)
         if kind.startswith("tensor"):
-            ok = got == reduce(add, terms)
+            ok = got == reduce(add, terms) and (not p or _sum_mod(terms, p) == got)
         else:
             fold = tuple(reduce(add, col) for col in zip(*terms))
             if p:
-                ok = [poly(p, x) for x in got] == [poly(p, x) for x in fold]
+                mod, want = _sum_mod(terms, p), [poly(p, x) for x in fold]
+                ok = ([poly(p, x) for x in got] == want == [poly(p, x) for x in mod]
+                      and all(type(x) is _Quadratic or 0 <= x < p for x in mod))
             else:
                 ok = got == fold and all(
                     type(g) is field.stored and gcd(g.numerator, g.denominator) == 1
@@ -377,16 +440,17 @@ def sum_round(rng, field):
 def main(rounds=20000, seed=1):
     rng, ops = random.Random(seed), 0
     fields = [field_of(p) for p in MODULI]
+    core_fields = [field_of(p) for p in CORE_MODULI]
     for _ in range(rounds):
         field = rng.choice(fields)
         try:
             ops += (kernel_round(rng, field) + structures_round(rng, field)
                     + kernel_zero_round(rng, field) + table_zero_round(rng, field)
-                    + sum_round(rng, field))
+                    + sum_round(rng, field) + core_round(rng, rng.choice(core_fields)))
         except AssertionError as exc:
             sys.exit(f"mismatch: {exc}")
     print(f"Python {sys.version.split()[0]}: {ops} ops in {rounds} rounds, seed {seed}: "
-          "all equal to the dense reference and the left fold")
+          "all equal to the dense reference, the public ops and the left fold")
 
 
 if __name__ == "__main__":

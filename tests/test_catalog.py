@@ -4,6 +4,7 @@ keep their order, and `evaluate` adds them as a left fold does."""
 
 import hashlib
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
@@ -12,12 +13,14 @@ from operator import add
 import pytest
 
 from rbx import fixtures as fx
+from rbx import identities, kernel, search, structures
 from rbx.bisystems import bisystem_identities
-from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate, run_identities,
-                            seeded_fault, steps)
-from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2, Tensor3, _Quadratic
+from rbx.identities import (CATALOG, Ctx, Identity, evaluate, run_identities, seeded_fault,
+                            steps)
+from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2, Tensor3, _Container, _Quadratic
 from rbx.representations import Bimodule
-from rbx.structures import Algebra, Coalgebra
+from rbx.structures import (Algebra, BilinearForm, Coalgebra, _Comultiplicative,
+                            _Multiplicative)
 
 from kernel_diff import MODULI, field_of, poly, sum_round
 
@@ -96,8 +99,13 @@ def _contexts():
 
 
 def _stored_form(value, field):
-    res = _stored(value, field)
-    return type(res).__name__, getattr(res, "entries", res)
+    """A summand or residual in stored form, as its type name and entries:
+    the vector helpers leave GF(p) ints outside [0, p)."""
+    if isinstance(value, tuple):
+        value = field.reduce(value)
+    elif not isinstance(value, _Container):
+        value = field.coerce(value)
+    return type(value).__name__, getattr(value, "entries", value)
 
 
 def _residual(tag, ctx, idx):
@@ -277,3 +285,225 @@ def test_a_fault_on_a_zero_summand_keeps_the_verdict():
                     assert run_identities(name, tags, ctx).passed is zero, (tag, k)
                 seen.add(zero)
     assert seen == {True, False}
+
+
+# the boundary: public ops check their operands, catalog code calls the cores
+
+# the public ops that check their operands, each with a core; the module
+# functions are patched at every binding site in the package
+PUBLIC_METHODS = [(Matrix, "apply"), (Matrix, "__matmul__"), (_Multiplicative, "mul"),
+                  (_Comultiplicative, "delta"), (_Comultiplicative, "coapply_first"),
+                  (_Comultiplicative, "coapply_second"), (BilinearForm, "value")]
+PUBLIC_FUNCTIONS = [(kernel, "leg_apply"), (kernel, "leg_apply3"), (kernel, "combine"),
+                    (structures, "placement_product")]
+
+# each core with its operands, as (field, entries, length) triples
+CORE_METHODS = {
+    (Matrix, "_apply"): lambda m, v: [(m.field, m.entries, m.rows * m.cols),
+                                      (m.field, v, m.cols)],
+    (Matrix, "_matmul"): lambda a, b: [(a.field, a.entries, a.rows * a.cols),
+                                       (b.field, b.entries, a.cols * b.cols)],
+    (_Multiplicative, "_mul"): lambda A, x, y: [(A.field, x, A.dim), (A.field, y, A.dim)],
+    (_Comultiplicative, "_delta"): lambda C, x: [(C.field, x, C.dim)],
+    (_Comultiplicative, "_coapply_first"): lambda C, t: [(t.field, t.entries, C.dim ** 2)],
+    (_Comultiplicative, "_coapply_second"): lambda C, t: [(t.field, t.entries, C.dim ** 2)],
+    (BilinearForm, "_value"): lambda B, x, y: [(B.field, x, B.dim), (B.field, y, B.dim)],
+}
+CORE_FUNCTIONS = {
+    (kernel, "_product"): lambda F, a, r, k, b, m, op="@": [(F, a, r * k), (F, b, k * m)],
+    (kernel, "_leg_apply"): lambda t, m, leg: [(t.field, t.entries, t.dim ** 2),
+                                               (m.field, m.entries, t.dim ** 2)],
+    (kernel, "_leg_apply3"): lambda t, m, leg: [(t.field, t.entries, t.dim ** 3),
+                                                (m.field, m.entries, t.dim ** 2)],
+    (kernel, "_combine"): lambda F, n, coeffs, mat: [(F, coeffs, len(coeffs))]
+    + [(F, mat(k).entries, n * n) for k in range(len(coeffs))],
+    (structures, "_placement_product"): lambda A, x, px, y, py: [
+        (x.field, x.entries, A.dim ** 2), (y.field, y.entries, A.dim ** 2)],
+}
+
+
+def _boundary_ctx(F, rng):
+    """A context that carries every datum the catalog reads, random and raw
+    over F: carriers of dimension 2, a module of dimension 3, and every map
+    and tensor on them, so that every tag runs."""
+    def entries(n):
+        if F.modulus:
+            return [rng.randrange(F.modulus) for _ in range(n)]
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+
+    def table(cls):
+        return cls(F, [[entries(2) for _ in range(2)] for _ in range(2)], raw=True)
+
+    def maps(names, rows, cols):
+        return {name: Matrix(F, rows, cols, entries(rows * cols)) for name in names}
+    A, C = table(Algebra), table(Coalgebra)
+    M = Bimodule(3, *([Matrix(F, 3, 3, entries(9)) for _ in range(2)] for _ in range(2)))
+    data = dict(A=A, C=C, M=M, rho=M.left, phi=M.right, P=A, lam=F.of(rng.randrange(1, 5)),
+                B=BilinearForm(F, Matrix(F, 2, 2, entries(4))), aybe=Tensor3(F, 2, entries(8)),
+                **maps("RSQT", 2, 2), **maps(("rplus",), 2, 2), **maps(("tmap",), 2, 3),
+                **maps(("alpha", "beta", "xi", "zeta"), 3, 3),
+                **{name: table(Algebra) for name in ("prec", "succ", "gt", "lt", "circ")},
+                **{name: table(Coalgebra)
+                   for name in ("eta", "theta", "vartheta", "d1", "d2", "DT")},
+                **{name: Tensor2(F, 2, entries(4))
+                   for name in ("r", "s", "sym", "X1", "X2", "X3", "X4", "Lam", "Gam")})
+    return Ctx({"A": A.basis, "C": C.basis, "M": M.labels}, **data)
+
+
+def _patch_everywhere(monkeypatch, module, name, wrapper):
+    """Replace the function `name` of `module` at every binding site in the
+    package."""
+    fn = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("rbx") and vars(mod).get(name) is fn:
+            monkeypatch.setattr(mod, name, wrapper(fn))
+
+
+@pytest.fixture
+def boundary(monkeypatch):
+    """Spies on the kernel's public ops and their cores.  `state["catalog"]`
+    counts the open `_run` and `evaluate` calls; a public op entered inside
+    one is recorded in `state["public"]`.  Every core asserts that each
+    operand is a tuple of the right length whose entries have the stored
+    type of its field, the core's field (the search compile's `_Quadratic`
+    too, while `state["compile"]` is set), and counts its calls."""
+    state = {"catalog": 0, "compile": False, "public": [], "cores": defaultdict(int)}
+
+    def scope(fn):
+        def wrapped(*args, **kwargs):
+            state["catalog"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                state["catalog"] -= 1
+        return wrapped
+
+    def public(name):
+        def wrapper(fn):
+            def spy(*args, **kwargs):
+                if state["catalog"]:
+                    state["public"].append(name)
+                return fn(*args, **kwargs)
+            return spy
+        return wrapper
+
+    def core(name, operands):
+        def wrapper(fn):
+            def spy(*args):
+                triples = operands(*args)
+                field = triples[0][0]
+                allowed = {field.stored} | ({_Quadratic} if state["compile"] else set())
+                for f, values, n in triples:
+                    assert f == field, (name, f, field)
+                    assert type(values) is tuple and len(values) == n, (name, values, n)
+                    assert {type(x) for x in values} <= allowed, (name, values)
+                state["cores"][name] += 1
+                return fn(*args)
+            return spy
+        return wrapper
+
+    for fn in (identities._run, identities.evaluate):
+        for mod in (identities, search):
+            if vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, scope(fn))
+    for cls, name in PUBLIC_METHODS:
+        monkeypatch.setattr(cls, name, public(name)(getattr(cls, name)))
+    for module, name in PUBLIC_FUNCTIONS:
+        _patch_everywhere(monkeypatch, module, name, public(name))
+    for (cls, name), operands in CORE_METHODS.items():
+        monkeypatch.setattr(cls, name, core(name, operands)(getattr(cls, name)))
+    for (module, name), operands in CORE_FUNCTIONS.items():
+        _patch_everywhere(monkeypatch, module, name, core(name, operands))
+    return state
+
+
+@pytest.mark.parametrize("p", (7, None), ids=lambda p: "Q" if p is None else f"GF{p}")
+def test_catalog_code_calls_only_the_cores_on_stored_operands(p, boundary):
+    # every tag on seeded contexts that carry every datum it reads, and on
+    # the pinned contexts of `_contexts()`: the checkers' `_run` enters no
+    # public op, and each core gets tuples of stored scalars
+    field = field_of(p)
+    for seed in range(3):
+        identities._run("boundary", tuple(CATALOG), _boundary_ctx(field, random.Random(seed)))
+    for ctx in _contexts() if p else ():
+        for tag in CATALOG:
+            try:
+                identities._run("boundary", (tag,), ctx)
+            except AttributeError as err:
+                assert err.obj is ctx, (tag, err)  # a datum that ctx does not carry
+    assert boundary["public"] == []
+    assert set(boundary["cores"]) == {name for _, name in [*CORE_METHODS, *CORE_FUNCTIONS]}
+
+
+def test_the_search_compile_calls_only_the_cores(boundary):
+    # the compile of each bench search kind evaluates every step on maps
+    # whose entries are variables (`_Quadratic`), through the same cores
+    from test_search import PINNED, _bench_job
+    boundary["compile"] = True
+    for kind in sorted(PINNED):
+        search._system(_bench_job(kind))
+    assert boundary["public"] == []
+    assert {"_mul", "_apply", "_delta", "_leg_apply", "_placement_product",
+            "_coapply_first", "_coapply_second"} <= set(boundary["cores"])
+
+
+def _bad_data():
+    """Calls that hand a checker mis-shaped data, by name."""
+    from rbx import bridges, representations, systems, yangbaxter
+    F3 = PrimeField(3)
+    A, C, g = fx.fix_a(F3), fx.fix_c(F3), fx.fix_lie(F3)
+    Z2, Z3, T3 = Matrix.zero(F3, 2), Matrix.zero(F3, 3), Tensor2.zero(F3, 3)
+    C3 = fx.zero_coalgebra(F3, 3)
+    R, S = fx.fix_rs(F3)
+    sys2 = systems.OperatorSystem(A, R, S)
+    rep = representations.Representation(representations.adjoint_bimodule(A), Z2, Z2)
+    return {
+        "crossed products": lambda: systems.check_crossed_products(A, Z3, Z2),
+        "coadjoint admissible": lambda: representations.coadjoint_admissible_report(
+            A, C3, Z2, Z2, Z2, Z2),
+        "prelie representation": lambda: representations.check_prelie_representation(
+            A, [Z2, Z2], [Z2]),
+        "prelie action shape": lambda: representations.check_prelie_representation(
+            A, [Z2, Z2], [Z2, Z3]),
+        "aybe residual": lambda: yangbaxter.aybe_residual(A, T3),
+        "o-operator transport": lambda: yangbaxter.check_o_operator_transport(
+            sys2, Z3, Z2, Z2),
+        "o-operator solution": lambda: yangbaxter.o_operator_solution(
+            sys2, rep, Z2, Z3, Z2, Z2, Z2),
+        "thm de": lambda: yangbaxter.thm_de_ctx(A, R, S, Z2, Z2, T3),
+        "lie representation": lambda: bridges.check_lie_representation(
+            systems.OperatorSystem(g, Z2, Z2), bridges.coadjoint_actions(g), Z3, Z2),
+        "apre-perm bialgebra": lambda: structures.check_axioms(
+            "apreperm_bialgebra", (A, A, C3, C3)),
+        "covariant dimensions": lambda: structures.check_axioms(
+            "covariant_bialgebra", (A, C3, C3, C3)),
+        "covariant types": lambda: structures.check_axioms("covariant_bialgebra", (A, A, C, C)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_data()))
+def test_checkers_refuse_mis_shaped_data_where_it_enters(case):
+    # catalog code runs unchecked cores, so each checker refuses mis-shaped
+    # data before a step runs; at the parent each case reached the catalog
+    # and raised a plain ValueError, IndexError or AttributeError there
+    from rbx.errors import PayloadError
+    with pytest.raises(PayloadError):
+        _bad_data()[case]()
+
+
+def test_data_over_another_field_is_refused_where_it_enters():
+    # a bimodule's actions, a form's gram matrix and a context's scalars
+    # share one field; a context's scalars are stored as it coerces them
+    from rbx.errors import FieldError
+    from rbx.kernel import GFElement
+    F3, F5, QQ = PrimeField(3), PrimeField(5), Rationals()
+    A, Z2 = fx.fix_a(F3), Matrix.zero(F3, 2)
+    for mixed in (lambda: Bimodule(2, [Z2], [Matrix.zero(F5, 2)]),
+                  lambda: BilinearForm(F3, Matrix.identity(QQ, 2)),
+                  lambda: Ctx({"A": A.basis}, A=A, lam=GFElement(1, 5)),
+                  lambda: Ctx({"A": A.basis}, A=fx.fix_a(QQ), lam=GFElement(1, 3))):
+        with pytest.raises(FieldError):
+            mixed()
+    ctx = Ctx({"A": A.basis}, A=A, lam=GFElement(4, 3))
+    assert type(ctx.lam) is int and ctx.lam == 1
+    assert type(Ctx({"A": A.basis}, A=fx.fix_a(QQ), lam=Fraction(1, 2)).lam) is QQ.stored

@@ -15,8 +15,8 @@ from rbx.kernel import (GFElement, Matrix, PrimeField, Rationals, Tensor2,
                         Tensor3, _Quadratic, field_make, leg_apply, det)
 from rbx import fixtures as fx
 
-from kernel_diff import (MODULI, field_of, kernel_round, kernel_zero_round, ref_apply,
-                         ref_leg_apply, ref_matmul)
+from kernel_diff import (CORE_MODULI, MODULI, core_round, field_of, kernel_round,
+                         kernel_zero_round, ref_apply, ref_leg_apply, ref_matmul)
 
 
 def test_field_make_prime():
@@ -499,6 +499,15 @@ def test_kernel_ops_match_the_dense_reference(p):
     # and with an all-zero operand: a zero vector in each accepted form, a
     # zero matrix or a zero tensor; results keep their type and shape
     assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 690
+
+
+@pytest.mark.parametrize("p", CORE_MODULI, ids=_moduli_ids)
+def test_cores_match_their_public_ops(p):
+    # each core that catalog code calls, on random stored operands of
+    # dimension 1 to 4, zero ones included, gives what its public op gives
+    # on the same operands: type, value and entry types
+    rng, field = random.Random(p or 1), field_of(p)
+    assert sum(core_round(rng, field) for _ in range(100)) == 1400
 
 
 def test_a_generated_kernel_with_a_long_sum_compiles():

@@ -10,7 +10,7 @@ import pytest
 from rbx import fixtures as fx
 from rbx import identities, regression, search
 from rbx.errors import BudgetError, FieldError, PayloadError, ToolkitError
-from rbx.identities import (CATALOG, Ctx, Identity, _stored, evaluate,
+from rbx.identities import (CATALOG, Ctx, Identity, evaluate,
                             seeded_fault, steps)
 from rbx.kernel import Matrix, PrimeField, vscale
 from rbx.representations import _CK_TAGS
@@ -467,7 +467,7 @@ def _holds(job):
         for bound, group in todo:
             bound.bind(parts)
             for tag, idx in group:
-                res = _stored(evaluate(tag, bound.ctx, idx), job.field)
+                res = evaluate(tag, bound.ctx, idx)
                 if any(res if isinstance(res, tuple) else res.entries):
                     return False
         return True
@@ -620,7 +620,7 @@ def test_quadratic_rows_match_evaluate(kind, antisymmetric, fault, p):
             for bound in groups:
                 bound.bind(parts)
                 for tag, idx in steps(bound.tags, bound.ctx):
-                    res = _stored(evaluate(tag, bound.ctx, idx), F)
+                    res = evaluate(tag, bound.ctx, idx)
                     want = res if isinstance(res, tuple) else res.entries
                     assert [_value(row, y, p) for row in compiled[tag, idx]] == list(want), \
                         (tag, idx)
@@ -652,7 +652,7 @@ def test_compile_is_exact_with_a_constant_term(p, monkeypatch):
         y = [v for part in parts for v in part.entries] + [1]
         bound.ctx.R, bound.ctx.S = parts
         for (tag, idx), rows in compiled.items():
-            res = _stored(evaluate(tag, bound.ctx, idx), F)
+            res = evaluate(tag, bound.ctx, idx)
             assert [_value(row, y, p) for row in rows] == list(res)
 
 
