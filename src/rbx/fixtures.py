@@ -64,26 +64,26 @@ def fix_qt(field=None):
     return fix_rs(field)
 
 
-def gc_maps(field=None, q1=1, q2=2):
+def gc_maps(field=None):
     """R(e) = q1 e - q1 f, R(f) = q2 e - q2 f;
-    S(e) = S(f) = q2 e - q1 f."""
+    S(e) = S(f) = q2 e - q1 f, with q1 = 1 and q2 = 2."""
     field = field or Rationals()
-    q1, q2 = field.coerce(q1), field.coerce(q2)
-    R = _mat(field, [(q1, -q1), (q2, -q2)])
-    S = _mat(field, [(q2, -q1), (q2, -q1)])
+    R = _mat(field, [(1, -1), (2, -2)])
+    S = _mat(field, [(2, -1), (2, -1)])
     return R, S
 
 
-def emm_maps(field=None, q1=1, q2=2):
+def emm_maps(field=None):
     """The negated pair (-S, -R) of `gc_maps`."""
-    R, S = gc_maps(field, q1, q2)
+    R, S = gc_maps(field)
     return -S, -R
 
 
-def fix_bi(field=None, q1=1, q2=2) -> ASIBisystem:
-    """The bundled bisystem: carrier pair with maps (R, S, -S, -R)."""
+def fix_bi(field=None) -> ASIBisystem:
+    """The bundled bisystem: carrier pair with maps (R, S, -S, -R), where
+    (R, S) is `gc_maps`."""
     field = field or Rationals()
-    R, S = gc_maps(field, q1, q2)
+    R, S = gc_maps(field)
     return ASIBisystem(fix_a(field), fix_c(field), R, S, -S, -R)
 
 

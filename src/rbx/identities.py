@@ -19,10 +19,12 @@ which refuses data over two fields and coerces scalar data, so a context
 holds stored data only.  Term functions and the helpers they call then
 call the kernel's unchecked cores (`Matrix._apply`, `_mul`, `_delta`,
 `kernel._leg_apply`, ...), never the public ops, which check their
-operands for callers outside the catalog.  Over GF(p), `evaluate` adds a
-step's nonzero summands column by column and reduces each entry once
-(`_sum_mod`), so `_run` tests the stored residual for zero with `any`;
-over Q the sum keeps `_q_column` and the zero test the `_numerator` slots.
+operands for callers outside the catalog.  A context's data are stored
+and over one field (`Ctx` refuses data over none), and each field has one
+column-sum rule: `evaluate` adds a step's nonzero summands column by
+column, vectors and container entries alike, and reduces each entry once,
+by `% p` over GF(p) (`_sum_mod`) and over Q as ints, normalised once
+(`_sum`), so an entry in any other form fails loudly.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Callable
 
+from .errors import PayloadError
 from .kernel import (GFElement, Matrix, Tensor2, Tensor3, _all_zero, _Container,
                      _q_lowest, _QFraction, same_field, show)
 from .report import Report, Violation, make_report
@@ -93,12 +95,12 @@ class Ctx:
     `spaces` maps a space name (e.g. "A", "C", "M") to its basis labels;
     identities quantify over the spaces they declare.  `field` is the one
     field of every datum that has one (tuples of data are looked into);
-    data over two different fields raise `FieldError`.  A scalar datum (an
-    int, a `Fraction` or a `GFElement`) goes to the field's stored form
-    (`coerce`, which refuses a scalar of another field), so a context holds
-    stored data only: containers and tables, which keep their entries
-    stored, and coerced scalars.  Both are slots, so `vars(ctx)` holds
-    exactly the data, each under its name.
+    data over two different fields raise `FieldError`, and data over none
+    `PayloadError`.  A scalar datum (an int, a `Fraction` or a `GFElement`)
+    goes to the field's stored form (`coerce`, which refuses a scalar of
+    another field), so a context holds stored data only: containers and
+    tables, which keep their entries stored, and coerced scalars.  Both are
+    slots, so `vars(ctx)` holds exactly the data, each under its name.
     """
 
     __slots__ = ("spaces", "field", "__dict__")
@@ -115,11 +117,12 @@ class Ctx:
                     field = f
                 else:
                     same_field(field, f)
+        if field is None:
+            raise PayloadError("a context needs data over a field")
         self.field = field
-        if field is not None:
-            for k, v in data.items():
-                if type(v) in _SCALARS:
-                    data[k] = field.coerce(v)
+        for k, v in data.items():
+            if type(v) in _SCALARS:
+                data[k] = field.coerce(v)
         vars(self).update(data)
 
 
@@ -187,61 +190,66 @@ def _neg(value):
     return -value
 
 
+def _container_sum(terms, p):
+    """The sum of container summands over the field of modulus `p` (None
+    over Q), in stored form: after each one's type, field and shape check,
+    the nonzero ones are summed entry by entry, each entry reduced once
+    (`% p`, or `_q_column` over Q); a lone nonzero summand, or the first
+    when all are zero, is the sum as it is."""
+    first = terms[0]
+    cls, head, live = type(first), first._head(first), []
+    for t in terms:
+        if type(t) is not cls:
+            raise TypeError(f"a {type(t).__name__} summand among {cls.__name__} summands")
+        if t._head(t) != head:
+            first._shared_head(t)  # raises: another field, or another shape
+        if any(t.entries) if p else not _all_zero(None, t.entries):
+            live.append(t)
+    if len(live) < 2:
+        return live[0] if live else first
+    cols = zip(*[t.entries for t in live])
+    if p:
+        return first._make(*head, tuple([sum(col) % p for col in cols]))
+    return first._make(*head, tuple(map(_q_column, cols)))
+
+
 def _sum_mod(terms, p):
     """The sum of the summands over GF(p), in stored form: the nonzero
-    summands (`any` on their entries) are summed column by column, each
-    column reduced mod p once.  A vector with no nonzero summand sums to
-    the zero vector.  Container summands are summed entry by entry after
-    their type, field and shape checks, and with at most one nonzero
-    summand, that summand (or the first, all zero) is the sum, already
-    stored.  Scalars are summed and reduced.  An entry of the search
-    compile (`kernel._Quadratic`) folds by `+`, as an int does."""
+    vectors (`any`) summed column by column, each column reduced once (the
+    zero vector if none is nonzero), containers by `_container_sum`, and
+    scalars summed and reduced.  A search-compile entry (`_Quadratic`)
+    folds by `+`, as an int does."""
     first = terms[0]
     if isinstance(first, tuple):
         live = [t for t in terms if any(t)]
         return tuple([sum(col) % p for col in zip(*live)]) if live else (0,) * len(first)
     if isinstance(first, _Container):
-        cls, head, live = type(first), first._head(first), []
-        for t in terms:
-            if type(t) is not cls:
-                raise TypeError(f"a {type(t).__name__} summand among {cls.__name__} summands")
-            if t._head(t) != head:
-                first._shared_head(t)  # raises: another field, or another shape
-            if any(t.entries):
-                live.append(t)
-        if len(live) < 2:
-            return live[0] if live else first
-        return first._make(*head, tuple([sum(col) % p
-                                         for col in zip(*[t.entries for t in live])]))
+        return _container_sum(terms, p)
     return sum(terms) % p
 
 
 def _sum(terms):
-    """Sum of the summands: vectors entrywise, tensors and scalars by `+`.
-    Only the nonzero summands are added (`_is_zero`): with none, the first
-    summand is the zero sum, and with one, it is the sum.  A vector whose
-    entries are stored Q scalars is summed column by column as ints over
-    the entries' denominators and normalised once (`_q_column`), as the
-    kernel ops sum their products; every other column is folded by `+`."""
-    live = [t for t in terms if not _is_zero(t)]
-    if len(live) < 2:
-        return live[0] if live else terms[0]
-    first = live[0]
-    if not isinstance(first, tuple):
-        return reduce(add, live)
-    if type(first[0]) is _QFraction:
+    """The sum of the summands over Q, in stored form: the nonzero vectors
+    summed column by column (`_q_column`; a lone one, or the first when all
+    are zero, as it is), containers by `_container_sum`, scalars by
+    `_q_column`."""
+    first = terms[0]
+    if isinstance(first, tuple):
+        live = [t for t in terms if not _all_zero(None, t)]
+        if len(live) < 2:
+            return live[0] if live else first
         return tuple([_q_column(col) for col in zip(*live)])
-    return tuple([reduce(add, col) for col in zip(*live)])
+    if isinstance(first, _Container):
+        return _container_sum(terms, None)
+    return _q_column(terms)
 
 
 def _q_column(col):
-    """The sum of one column of Q entries: as ints, normalised once
-    (`kernel._q_lowest`), while every entry is a stored Q scalar, and
-    otherwise the exact fold of `+`."""
+    """The sum of one column of stored Q entries: as ints, normalised once
+    (`kernel._q_lowest`), as the kernel ops sum their products.  An int
+    entry has no `_numerator` slot and fails loudly."""
     num, den = 0, 1  # the sum so far, not in lowest terms
     for x in col:
-        if type(x) is not _QFraction:
-            return reduce(add, col)
         nx = x._numerator
         if nx:
             dx = x._denominator
@@ -252,21 +260,14 @@ def _q_column(col):
     return _q_lowest(num, den)
 
 
-def _is_zero(value):
-    """Whether a summand or a residual is zero.  A tuple that starts with a
-    stored Q scalar is tested on the `_numerator` slots (`kernel._all_zero`),
-    since `Fraction.__bool__` is a Python-level call; an int among its
-    entries has no such slot, and the tuple is then tested by truth."""
-    if isinstance(value, tuple):
-        if value and type(value[0]) is _QFraction:
-            try:
-                return _all_zero(None, value)
-            except AttributeError:
-                pass
-        return not any(value)
+def _is_zero(value, p):
+    """Whether a stored residual over the field of modulus `p` (None over Q)
+    is zero, never by `Fraction.__bool__` (`kernel._all_zero`)."""
     if isinstance(value, _Container):
         return value.is_zero()
-    return not value
+    if isinstance(value, tuple):
+        return not any(value) if p else _all_zero(None, value)
+    return not (value if p else value._numerator)
 
 
 def _render(value):
@@ -279,25 +280,26 @@ def _render(value):
 
 def evaluate(tag: str, ctx: Ctx, idx: tuple[int, ...]):
     """Residual of one identity at one basis tuple (with any seeded fault
-    applied).  On a context over GF(p) it is in stored form (`_sum_mod`)."""
+    applied), in stored form: `_sum_mod` over GF(p), `_sum` over Q."""
     terms = CATALOG[tag].terms(ctx, idx)
     hit = _FAULTS.get(tag)
     if hit is not None and hit < len(terms):
         terms = list(terms)
         terms[hit] = _neg(terms[hit])
-    F = ctx.field
-    return _sum_mod(terms, F.modulus) if F and F.modulus else _sum(terms)
+    p = ctx.field.modulus
+    return _sum_mod(terms, p) if p else _sum(terms)
 
 
 def _run(check: str, tags, ctx: Ctx):
     """The report of `run_identities`, evaluated afresh."""
     violations = []
+    p = ctx.field.modulus
     for tag in tags:
         ident = CATALOG[tag]
         label_sets = [ctx.spaces[s] for s in ident.spaces]
         for idx in itertools.product(*(range(len(ls)) for ls in label_sets)):
             res = evaluate(tag, ctx, idx)
-            if not _is_zero(res):
+            if not _is_zero(res, p):
                 inputs = tuple(label_sets[k][i] for k, i in enumerate(idx))
                 violations.append(Violation(tag, inputs, _render(res)))
     return make_report(check, violations)

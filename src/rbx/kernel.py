@@ -48,8 +48,13 @@ Conventions used throughout the toolkit:
   Every contraction is one matrix product (`_product`, a kernel per shape
   over GF(p), the loop `_dots` over Q), on operands or reshapes of them:
   `Matrix.apply`, `@`, `leg_apply`, `leg_apply3`, a coalgebra's `delta`
-  and coapplies, and a bilinear form's `value`.  An all-zero operand costs
-  no kernel: the product returns the stored zero result at once.  Zero
+  and coapplies, a bilinear form's `value` and a linear combination
+  (`combine`: the row of nonzero coefficients times their stacked
+  matrices), and a placement product is one table `mul` per pair of free
+  indices.  Outside elimination (`det`, `inverse`) these accumulators, the
+  codelets, `_dots` and a table's `_mul`, are the only sums of products of
+  stored scalars.  An all-zero operand costs no kernel: the product
+  returns the stored zero result at once.  Zero
   tests read `any` on GF(p) entries and the `_numerator` slot on Q entries
   (`_all_zero`), never the Python-level `Fraction.__bool__`;
 * operands are checked once, where data enter.  Each public op checks its
@@ -720,13 +725,13 @@ def _product(F, a, r, k, b, m, op="@") -> tuple:
     form: the r x k row-major entries `a` times the k x m entries `b` (op
     "@"), or times the transpose of the m x k entries `b` (op "@T"), as the
     r * m output entries.  It checks nothing: the public ops (`Matrix.apply`,
-    `@`, `leg_apply`, `leg_apply3`, a coalgebra's `delta` and coapplies)
-    check their operands and call it, and so do their private cores, which
-    catalog code calls on the data of a `Ctx`.  A zero operand gives the
-    stored zero result at once (over Q, `_dots` gives a zero row of `a` its
-    zero row of output at once); otherwise GF(p) runs the generated kernel
-    of `op` on (r, k, m) (`_codelet`), and Q the loop `_dots` on the rows
-    of `a` and the columns of `b`."""
+    `@`, `leg_apply`, `leg_apply3`, `combine`, a coalgebra's `delta` and
+    coapplies) check their operands and call it, and so do their private
+    cores, which catalog code calls on the data of a `Ctx`.  A zero operand
+    gives the stored zero result at once (over Q, `_dots` gives a zero row
+    of `a` its zero row of output at once); otherwise GF(p) runs the
+    generated kernel of `op` on (r, k, m) (`_codelet`), and Q the loop
+    `_dots` on the rows of `a` and the columns of `b`."""
     p = F.modulus
     if p:
         if any(a) and any(b):
@@ -1087,20 +1092,23 @@ def det(m: Matrix):
 
 def combine(field, n, coeffs, mat) -> Matrix:
     """The n x n matrix sum_k coeffs[k] * mat(k) over the nonzero
-    coefficients, summed entry by entry.  The coefficients go to stored form
-    first (`_operand`), so one of another field, zero or not, raises
+    coefficients (`_combine`).  The coefficients go to stored form first
+    (`_operand`), so one of another field, zero or not, raises
     `FieldError`."""
     return _combine(field, n, _operand(field, coeffs), mat)
 
 
 def _combine(field, n, coeffs, mat) -> Matrix:
-    """The core of `combine`: `coeffs` is a tuple of stored scalars."""
+    """The core of `combine`: `coeffs` is a tuple of stored scalars, and the
+    sum is the row of the nonzero ones times their matrices' entries,
+    stacked as rows (`_product`, which gives the zero matrix for none)."""
     p = field.modulus
-    out = [field.zero()] * (n * n)
+    row, stacked = (), ()
     for k, c in enumerate(coeffs):
         if (c if p else c._numerator):
-            out = [a + c * b for a, b in zip(out, mat(k).entries)]
-    return Matrix._make(field, n, n, reduce_entries(field, out))
+            row += (c,)
+            stacked += mat(k).entries
+    return Matrix._make(field, n, n, _product(field, row, 1, len(row), stacked, n * n))
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

@@ -225,6 +225,7 @@ def row_lie_bisystem():
     return check_lie_bisystem(LieBisystem(fx.fix_lie(), fx.fix_delta(), R, S, Q, T))
 
 
+@shared_verdicts()
 def row_nijenhuis_double():
     bi = fx.fix_bi()
     proj = projection_srbs(bisystem_matched_pair(bi))

@@ -23,7 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PayloadError, require
-from .kernel import Matrix, _leg_apply, block_diag, bv, combine, kron, same_field, vneg, vsub
+from .kernel import (Matrix, _combine, _leg_apply, block_diag, bv, combine, kron, same_field,
+                     vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
 from .systems import OperatorSystem, check_operator_system
@@ -33,12 +34,8 @@ from .structures import Algebra, square_on
 def _act(mats, avec, m):
     """sum_k avec[k] * mats[k](m): the action of the element with
     coordinates `avec` through the per-basis action matrices `mats`, on
-    tuples of stored scalars (`Matrix._apply`)."""
-    out = [mats[0].field.zero()] * mats[0].rows
-    for k, c in enumerate(avec):
-        if c:
-            out = [a + c * b for a, b in zip(out, mats[k]._apply(m))]
-    return tuple(out)
+    tuples of stored scalars (`kernel._combine`, then `Matrix._apply`)."""
+    return _combine(mats[0].field, mats[0].rows, avec, mats.__getitem__)._apply(m)
 
 
 class Bimodule:

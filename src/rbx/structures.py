@@ -14,8 +14,9 @@ built (Gustavson, *Two fast algorithms for sparse matrices*, ACM TOMS 4,
 for the table's dimension and the positions of its nonzero constants, with
 the constants as an argument, after returning the zero product at once for
 a zero factor; over Q it loops over the constants, skips products with a
-zero factor and normalises each output entry once, and `placement_product`
-loops over them on both fields.  A coalgebra stores its coproducts once,
+zero factor and normalises each output entry once.  `placement_product`
+is one `mul` for each pair of free indices, of the two tensors' vectors
+along their shared leg.  A coalgebra stores its coproducts once,
 in the d^2 x d layout whose column i is Delta(e_i) (`_transposed`), so
 `delta`, `coapply_first` and `coapply_second` are products of the kernel's
 one product core, `kernel._product`, which reads that layout as it is on
@@ -32,11 +33,9 @@ exhaustive.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import PayloadError, StructureError
 from .kernel import (Matrix, Tensor2, Tensor3, _codelet, _leg_apply, _operand, _pattern,
-                     _product, _q_lowest, _transposed, bv, combine, reduce_entries,
+                     _product, _q_lowest, _rows, _transposed, bv, combine,
                      same_field, vadd, vneg, vsub)
 from .identities import Ctx, identity, run_identities
 from .report import Violation, make_report
@@ -332,33 +331,24 @@ def placement_product(A, x: Tensor2, px, y: Tensor2, py) -> Tensor3:
 
 def _placement_product(A, x, px, y, py) -> Tensor3:
     """The core of `placement_product`, on tensors over A's field and of
-    its dimension, and placements that share one leg."""
+    its dimension, and placements that share one leg: for each pair of free
+    indices, the product (`_mul`) of x's and y's vectors along the shared
+    leg, which lands on that leg."""
     (s,) = set(px) & set(py)
     d = A.dim
     stride = (d * d, d, 1)  # of each leg in the flat index of the result
     out_s = stride[s - 1]
     out_x = stride[(px[1] if px[0] == s else px[0]) - 1]
     out_y = stride[(py[1] if py[0] == s else py[0]) - 1]
-    F = A.field
-    p = F.modulus
-
-    def by_shared(t, placement, offset):
-        """The nonzero entries of t, grouped by their shared-leg index, as
-        (offset of the free-leg index in the result, coefficient)."""
-        groups = [[] for _ in range(d)]
-        for (u, v), c in zip(itertools.product(range(d), repeat=2), t.entries):
-            if (c if p else c._numerator):
-                sh, fr = (u, v) if placement[0] == s else (v, u)
-                groups[sh].append((fr * offset, c))
-        return groups
-
-    xs, ys = by_shared(x, px, out_x), by_shared(y, py, out_y)
-    out = [F.zero()] * d ** 3
-    for i, j, k, c in A._nonzero:
-        for fx, cx in xs[i]:
-            for fy, cy in ys[j]:
-                out[fx + fy + k * out_s] += cx * cy * c
-    return Tensor3._make(F, d, reduce_entries(F, out))
+    # the vectors along the shared leg, one for each index of the free leg
+    xs = _rows(_transposed(x.entries, d) if px[0] == s else x.entries, d)
+    ys = _rows(_transposed(y.entries, d) if py[0] == s else y.entries, d)
+    out = [None] * d ** 3
+    for a, u in enumerate(xs):
+        for b, v in enumerate(ys):
+            start = a * out_x + b * out_y
+            out[start:start + d * out_s:out_s] = A._mul(u, v)
+    return Tensor3._make(A.field, d, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ supports, with or without pytest:
 Each round draws a field (GF(2), GF(3), GF(5), GF(11) or Q), a dimension
 from 1 to 4 (4 is the size of the bowtie doubles), shapes r x k and k x n
 from 1 to 4 each, mostly not square, for `Matrix.apply` and `@`, and a
-dense, sparse or zero structure-constant table.  Over GF(p) `mul` runs a
-kernel generated for its table's pattern, and `Matrix.apply`, `@`,
-`leg_apply`, `leg_apply3`, `delta` and `coapply_first`/`coapply_second`
-run the one product core (`kernel._product`), a kernel generated for each
-shape, so the rounds reach many generated kernels.  It runs
+dense, sparse or zero structure-constant table.  Over GF(p) `mul`, and
+`placement_product` through it, runs a kernel generated for its table's
+pattern, and `Matrix.apply`, `@`, `leg_apply`, `leg_apply3`, `combine`,
+`delta` and `coapply_first`/`coapply_second` run the one product core
+(`kernel._product`), a kernel generated for each shape, so the rounds
+reach many generated kernels.  It runs
 `Matrix.apply`, `Matrix @`, `leg_apply` on both legs, `leg_apply3` on its
-three legs, `mul`, `delta`, `coapply_first`/`coapply_second` and
-`placement_product` on random operands, whose vector entries mix the
+three legs, `combine`, `mul`, `delta`, `coapply_first`/`coapply_second`
+and `placement_product` on random operands, whose vector entries mix the
 field's stored scalars with the other forms the ops accept (ints of any
 sign, same-field `GFElement`s over GF(p), plain `Fraction`s and ints over
 Q), and compares each result with a dense loop over plain ints or
@@ -29,13 +30,13 @@ also runs every core that catalog code calls (`Matrix._apply`, `_matmul`,
 `_leg_apply`, `_leg_apply3`, `_combine`, `_mul`, `_delta`, the
 coapplies' cores, `_placement_product` and `BilinearForm._value`) on
 random stored operands, zero ones included, over GF(2), GF(3), GF(5),
-GF(7) or Q, against its public op.  And it checks `identities._sum`, which
-adds only the nonzero summands of an identity, and over GF(p)
-`identities._sum_mod`, which also reduces the sum, against a plain left
-fold of all of them: vectors over GF(p) (ints of any sign, or the search
-compile's `_Quadratic` entries) and over Q (stored, or with a plain
-`Fraction` or int entry), `Tensor2` and `Tensor3` terms.  It prints one summary line and
-exits 1 on the first mismatch.  The test suite imports the same references.
+GF(7) or Q, against its public op.  And it checks the sum of an identity's
+summands, which adds only the nonzero ones and reduces each entry once
+(`identities._sum_mod` over GF(p), `identities._sum` over Q), against a
+plain left fold of all of them: vectors over GF(p) (ints of any sign, or
+the search compile's `_Quadratic` entries) and over Q (stored), `Tensor2`
+and `Tensor3` terms.  It prints one summary line and exits 1 on the first
+mismatch.  The test suite imports the same references.
 """
 
 import random
@@ -95,6 +96,11 @@ def ref_leg_apply3(t, m, leg):
     return out
 
 
+def ref_combine(coeffs, mats):
+    return [[sum(c * m[i][j] for c, m in zip(coeffs, mats)) for j in range(len(mats[0]))]
+            for i in range(len(mats[0]))]
+
+
 def ref_mul(table, x, y):
     d = len(table)
     return [sum(x[i] * y[j] * table[i][j][k] for i in range(d) for j in range(d))
@@ -135,6 +141,14 @@ def flat(nested):
     return [nested]
 
 
+def is_stored(field, x):
+    """Whether `x` is a stored scalar of `field`: an int in [0, p), or
+    `Rationals.stored` in lowest terms."""
+    p = field.modulus
+    return type(x) is field.stored and (
+        0 <= x < p if p else x.denominator > 0 and gcd(x.numerator, x.denominator) == 1)
+
+
 def agree(field, got, want, what):
     """Raise `AssertionError` unless `got` holds stored scalars equal to the
     reference values `want`, entry by entry."""
@@ -143,9 +157,7 @@ def agree(field, got, want, what):
     if p:
         want = [x % p for x in want]
     for g, w in zip(got, want):
-        stored = type(g) is field.stored and (
-            0 <= g < p if p else g.denominator > 0 and gcd(g.numerator, g.denominator) == 1)
-        if not (stored and g == w):
+        if not (is_stored(field, g) and g == w):
             raise AssertionError(f"{what} over {field!r}: got {got!r}, want {tuple(want)!r}")
     if len(got) != len(want):
         raise AssertionError(f"{what} over {field!r}: {len(got)} entries, want {len(want)}")
@@ -192,8 +204,10 @@ def grid(rng, field, rows, cols):
 
 def kernel_round(rng, field):
     """`Matrix.apply` and `@` on an r x k and a k x n matrix, `leg_apply` on
-    a d x d map and tensor, and `leg_apply3` on a d x d map and d x d x d
-    tensor, each size from 1 to 4; the number of ops checked."""
+    a d x d map and tensor, `leg_apply3` on a d x d map and d x d x d
+    tensor, and `combine` of one to four d x d matrices, its coefficients
+    zero with a random probability, each size from 1 to 4; the number of
+    ops checked."""
     r, k, n = (rng.randint(1, 4) for _ in range(3))
     left, right = grid(rng, field, r, k), grid(rng, field, k, n)
     a = Matrix.from_rows(field, left)
@@ -213,7 +227,11 @@ def kernel_round(rng, field):
     for leg in (1, 2, 3):
         agree(field, leg_apply3(t3, m, leg).entries, ref_leg_apply3(cube, rows, leg),
               f"leg_apply3 on leg {leg}")
-    return 7
+    mats = [grid(rng, field, d, d) for _ in range(rng.randint(1, 4))]
+    coeffs = vector(rng, field, len(mats), rng.random())
+    agree_container(field, combine(field, d, coeffs, lambda k: Matrix.from_rows(field, mats[k])),
+                    Matrix, (d, d), ref_combine([plain(c) for c in coeffs], mats), "combine")
+    return 8
 
 
 def structures_round(rng, field):
@@ -403,34 +421,29 @@ def summand(rng, field, d, kind):
             for _ in range(d))
     if p:  # ints of any sign, as the vector helpers leave them
         return tuple(rng.randint(-3 * p, 3 * p) if rng.random() < 0.7 else 0 for _ in range(d))
-    v = vector(rng, field, d)
-    return field.reduce(v) if rng.random() < 0.7 else v
+    return field.reduce(vector(rng, field, d))
 
 
 def sum_round(rng, field):
-    """`identities._sum`, and over GF(p) `identities._sum_mod` too, on one
-    random list of summands of each kind that the field has, against a
-    plain left fold: equal values, every entry of `_sum_mod` stored, and
-    over Q a stored entry wherever every summand's entry was stored; the
+    """`identities._sum_mod` over GF(p), `identities._sum` over Q, the sum
+    of each field, on one random list of summands of each kind that the
+    field has, against a plain left fold: equal values, and every entry of
+    the sum stored (over GF(p), a `_Quadratic` may stand for an int); the
     number of sums."""
     p, d = field.modulus, rng.randint(1, 3)
     kinds = ("vector", "tensor2", "tensor3") + (("quadratic",) if p else ())
     for kind in kinds:
         terms = [summand(rng, field, d, kind) for _ in range(rng.randint(1, 5))]
-        got = _sum(terms)
+        got = _sum_mod(terms, p) if p else _sum(terms)
         if kind.startswith("tensor"):
-            ok = got == reduce(add, terms) and (not p or _sum_mod(terms, p) == got)
+            ok = got == reduce(add, terms) and all(is_stored(field, x) for x in got.entries)
         else:
             fold = tuple(reduce(add, col) for col in zip(*terms))
             if p:
-                mod, want = _sum_mod(terms, p), [poly(p, x) for x in fold]
-                ok = ([poly(p, x) for x in got] == want == [poly(p, x) for x in mod]
-                      and all(type(x) is _Quadratic or 0 <= x < p for x in mod))
+                ok = ([poly(p, x) for x in got] == [poly(p, x) for x in fold]
+                      and all(type(x) is _Quadratic or is_stored(field, x) for x in got))
             else:
-                ok = got == fold and all(
-                    type(g) is field.stored and gcd(g.numerator, g.denominator) == 1
-                    for g, col in zip(got, zip(*terms))
-                    if all(type(x) is field.stored for x in col))
+                ok = got == fold and all(is_stored(field, x) for x in got)
         if not ok:
             raise AssertionError(f"sum of {kind} summands over {field!r}: got {got!r} "
                                  f"for {terms!r}")

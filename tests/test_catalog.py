@@ -22,7 +22,7 @@ from rbx.representations import Bimodule
 from rbx.structures import (Algebra, BilinearForm, Coalgebra, _Comultiplicative,
                             _Multiplicative)
 
-from kernel_diff import MODULI, field_of, poly, sum_round
+from kernel_diff import MODULI, field_of, is_stored, poly, sum_round
 
 # every registered tag, grouped by the spaces it quantifies over
 TAGS_BY_SPACES = {
@@ -245,23 +245,35 @@ def test_evaluate_sums_like_a_left_fold(monkeypatch):
         "GF(3) all zero": [(0, 0), (0, 0)],
         "Q stored": [(q(1, 2), q(0)), (q(0), q(0)), (q(1, 3), q(-1, 6)), (q(-5, 6), q(7, 6))],
         "Q stored cancelling": [(q(1, 2), q(2)), (q(-1, 2), q(-2))],
-        "Q plain Fraction": [(q(1, 2), Fraction(1, 3)), (q(0), q(0)), (q(1, 3), q(1))],
-        "Q int": [(q(0), 3), (q(1, 2), q(1, 4)), (q(0), 0), (q(1), q(-1, 4))],
+        "Q scalars": [q(1, 2), q(0), q(-1, 3), q(5, 6)],
         "Tensor2": [Tensor2.zero(QQ, 2), Tensor2(QQ, 2, [1, q(1, 2), 0, 3]),
                     Tensor2(QQ, 2, [q(-1, 3), 0, 0, 1])],
         "Tensor3": [Tensor3(F3, 2, range(8)), Tensor3.zero(F3, 2), Tensor3(F3, 2, [2] * 8)],
         "compile scalars": [(y[0], 0), (0, 0), (y[1] * 2, y[0] + 1), (2 * y[0], y[1])],
     }
     for name, terms in cases.items():
+        field = QQ if name.startswith(("Q", "Tensor2")) else F3
+        ctx = Ctx({}, A=fx.fix_a(field))
         monkeypatch.setitem(CATALOG, "test:sum", Identity("test:sum", (), lambda ctx, idx: terms))
-        got, want = evaluate("test:sum", Ctx(), ()), _fold(terms)
-        if name == "compile scalars":
+        got, want = evaluate("test:sum", ctx, ()), _fold(terms)
+        if field is F3 and isinstance(got, tuple):  # the GF(3) sum is reduced
             assert [poly(3, x) for x in got] == [poly(3, x) for x in want], name
-            assert type(got[0]) is _Quadratic
+            assert all(type(x) is _Quadratic or 0 <= x < 3 for x in got), name
         else:
             assert got == want, name
-        if name.startswith("Q stored"):  # every entry stored: so is the sum
-            assert all(type(x) is QQ.stored for x in got), name
+        if name == "compile scalars":
+            assert type(got[0]) is _Quadratic
+        if field is QQ:  # every entry stored: so is the sum
+            assert all(type(x) is QQ.stored for x in _entries(got)), name
+
+
+def test_a_context_needs_data_over_a_field():
+    # a residual is summed by its field's rule, so a context whose data
+    # carry no field is refused where it is built
+    from rbx.errors import PayloadError
+    for data in ({}, {"lam": 1}, {"lam": Fraction(1, 2)}):
+        with pytest.raises(PayloadError):
+            Ctx({}, **data)
 
 
 def _zero(value):
@@ -445,6 +457,73 @@ def test_the_search_compile_calls_only_the_cores(boundary):
     assert boundary["public"] == []
     assert {"_mul", "_apply", "_delta", "_leg_apply", "_placement_product",
             "_coapply_first", "_coapply_second"} <= set(boundary["cores"])
+
+
+# past the boundary, data are stored: every residual entry has the stored
+# type of the context's field, and a residual over Q is summed only from
+# stored entries, so an entry in any other form fails loudly
+
+def _entries(value):
+    if isinstance(value, _Container):
+        return value.entries
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _assert_stored_residuals(field):
+    """Evaluate every tag at every step on the seeded contexts of `field`
+    that carry every datum, and over GF(7) on `_contexts()` too; every
+    residual entry must be a stored scalar of `field`."""
+    ctxs = [_boundary_ctx(field, random.Random(seed)) for seed in range(3)]
+    ctxs += _contexts() if field.modulus == 7 else []
+    for ctx in ctxs:
+        for tag in CATALOG:
+            for _, idx in steps((tag,), ctx):
+                try:
+                    res = evaluate(tag, ctx, idx)
+                except AttributeError as err:
+                    assert err.obj is ctx, (tag, err)  # a datum that ctx does not carry
+                    break
+                assert all(is_stored(field, x) for x in _entries(res)), (tag, idx, res)
+
+
+@pytest.mark.parametrize("p", (7, None), ids=lambda p: "Q" if p is None else f"GF{p}")
+def test_every_residual_entry_is_stored(p):
+    _assert_stored_residuals(field_of(p))
+
+
+def test_an_int_entry_over_q_fails_the_residual_guard(monkeypatch):
+    # a zero int summand among stored Q summands is not folded silently
+    real = CATALOG["associativity"]
+
+    def terms(ctx, idx):
+        summands = real.terms(ctx, idx)
+        return [*summands, (0,) * len(summands[0])]
+
+    monkeypatch.setitem(CATALOG, "associativity", Identity(real.tag, real.spaces, terms))
+    _assert_stored_residuals(field_of(7))  # an int is a stored GF(7) scalar
+    with pytest.raises(AssertionError):
+        _assert_stored_residuals(field_of(None))
+
+
+def test_every_compiled_residual_entry_is_an_int_or_a_quadratic(monkeypatch):
+    # the compile of each bench search kind evaluates every step on maps
+    # whose entries are variables: each residual entry is a stored int or
+    # the compile's `_Quadratic`
+    from test_search import PINNED, _bench_job
+    seen = set()
+
+    def spy(tag, ctx, idx):
+        res = evaluate(tag, ctx, idx)
+        kinds = {type(x) for x in _entries(res)}
+        assert kinds <= {int, _Quadratic}, (tag, idx, res)
+        assert all(0 <= x < ctx.field.modulus for x in _entries(res) if type(x) is int)
+        seen.update(kinds)
+        return res
+
+    monkeypatch.setattr(search, "evaluate", spy)
+    for kind in sorted(PINNED):
+        search._system(_bench_job(kind))
+    assert seen == {int, _Quadratic}
 
 
 def _bad_data():

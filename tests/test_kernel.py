@@ -29,6 +29,20 @@ def test_field_make_nonprime_rejected():
         field_make("prime 4")
 
 
+@pytest.mark.parametrize("n", [41, 1_000_003, 2**31 - 1, 2**61 - 1])
+def test_primes_past_the_trial_bases_are_accepted(n):
+    # no trial base divides n, so the Miller-Rabin rounds decide
+    assert PrimeField(n).modulus == n
+
+
+@pytest.mark.parametrize("n", [561, 1105, 41 * 43, 3_215_031_751])
+def test_composites_past_the_trial_bases_are_refused(n):
+    # Carmichael numbers, a product of two primes past the bases, and a
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
 def test_field_make_rationals():
     assert isinstance(field_make("rationals"), Rationals)
     assert isinstance(field_make("Q"), Rationals)
@@ -491,11 +505,11 @@ def _other_fields(field):
 @pytest.mark.parametrize("p", MODULI, ids=_moduli_ids)
 def test_kernel_ops_match_the_dense_reference(p):
     # apply and @ on random dense and sparse r x k and k x n operands,
-    # leg_apply on both legs and leg_apply3 on its three in dimension 1 to
-    # 4, whose vectors mix stored and unstored scalars; every result entry
-    # is stored
+    # leg_apply on both legs, leg_apply3 on its three and combine in
+    # dimension 1 to 4, whose vectors mix stored and unstored scalars; every
+    # result entry is stored
     rng, field = random.Random(p or 1), field_of(p)
-    assert sum(kernel_round(rng, field) for _ in range(300)) == 2100
+    assert sum(kernel_round(rng, field) for _ in range(300)) == 2400
     # and with an all-zero operand: a zero vector in each accepted form, a
     # zero matrix or a zero tensor; results keep their type and shape
     assert sum(kernel_zero_round(rng, field) for _ in range(30)) == 690

@@ -512,6 +512,20 @@ def test_bisystem_hits_match_oracle(F2, shards):
     assert [h.index for h in run_search(job, shards=shards)] == want
 
 
+def test_bisystem_on_carriers_that_form_no_asi_bialgebra_has_no_hit(F2):
+    # the compile is the one row 1 = 0, which the solver refuses at once
+    from rbx.structures import check_axioms
+    A, C = fx.fix_a(F2), fx.grouplike_coalgebra(F2)
+    assert not check_axioms("asi_bialgebra", (A, C)).passed
+    job = SearchJob(F2, A, "bisystem", cocarrier=C)
+    assert search_space(job) == 65536
+    assert search._system(job) == (((1, -1, -1),),)
+    assert run_search(job) == []
+    assert run_search(job, shards=4, processes=2) == []
+    for index in (0, 1, 4660, 65535):
+        assert not verify_hit(job, decode_candidate(job, index))
+
+
 def test_bisystem_compiled_once(F2, monkeypatch):
     compiled = []
     compile_ = search._compile

@@ -266,6 +266,27 @@ def test_nijenhuis_bisystem_maps(QQ):
         assert check_operator_system("nijenhuis", sysn).passed
 
 
+def test_nijenhuis_construction_checks_each_hypothesis_once(monkeypatch):
+    # the builder checks the symmetric paired system through
+    # `derived_products` alone, and the regression row shares one verdict
+    # scope, so its own crossed-product check serves the builder's
+    counts = collections.Counter()
+    real = identities._run
+
+    def spy(check, tags, ctx):
+        counts[check] += 1
+        return real(check, tags, ctx)
+
+    monkeypatch.setattr(identities, "_run", spy)
+    bi = fx.fix_bi()
+    nijenhuis_from_srbs(bi.algebra, bi.R, bi.S)
+    assert counts["operator-system:symmetric_rbs"] == 1
+    assert counts["crossed-products"] == 1
+    counts.clear()
+    assert regression.row_nijenhuis_double().passed
+    assert counts["crossed-products"] == 1
+
+
 def test_nijenhuis_identity_map(QQ):
     for alg in (fx.fix_a(QQ), fx.dual_numbers(QQ)):
         eye = Matrix.identity(QQ, 2)
