@@ -13,10 +13,19 @@ The input format is line oriented::
     tensor <name> on <carrier> = <coeff> (<i>,<j>) [+ ...]
     form <name> on <carrier>             (rows as map-style lines)
 
-Omitted entries are zero; `#` starts a comment; coefficients are integers
-or fractions a/b over Q, bare residues over GF(p).  Errors carry the line
-and column.  `print_workspace` emits canonical text that parses back to an
-equal workspace.
+A structure's basis ids are distinct, a carrier is a structure declared
+earlier, and a map or form takes no directive's name.  `_LAYOUT` is the one
+table of how each item kind is written: an item is the flat row-major list
+of its entries (a structure's d^3 constants in `table` order, a map's d
+columns, a form's d rows, a tensor's d^2 grid), and an entry line writes
+the slice that the basis ids heading it name.  `parse`, `print_workspace`
+and `_reduce` all read it.
+
+Omitted entries are zero; a repeated entry line replaces the earlier one;
+`#` starts a comment; coefficients are integers or fractions a/b over Q,
+bare residues over GF(p).  Errors carry the line and column.
+`print_workspace` emits canonical text that parses back to an equal
+workspace when every structure in it satisfies its axioms.
 """
 
 from __future__ import annotations
@@ -25,13 +34,14 @@ import argparse
 import json
 import re
 import sys
+from itertools import product
 
 from .errors import FieldError, ParseError, PayloadError, ToolkitError
 from .kernel import Matrix, Tensor2, field_make, same_field
 from .identities import known_tags
 from .structures import (Algebra, BilinearForm, Coalgebra, LieAlgebra,
                          LieCoalgebra, check_axioms, commutator, cocommutator,
-                         dualize, _Comultiplicative, _Multiplicative)
+                         dualize)
 from .systems import (_ALG_KINDS, _COALG_KINDS, CoOperatorSystem,
                       OperatorSystem, check_cosystem,
                       check_operator_system, check_symmetric_ybpair,
@@ -55,10 +65,11 @@ class Workspace:
         self.items = {}   # name -> (kind, obj, carrier_name | None)
         self.order = []
 
-    def add(self, name, kind, obj, carrier=None, line=None):
+    def add(self, name, obj, carrier=None, line=None):
+        """Add `obj` under `name`, as the kind that its type is (`_KIND_OF`)."""
         if name in self.items:
             raise ParseError(f"duplicate name {name!r}", line)
-        self.items[name] = (kind, obj, carrier)
+        self.items[name] = (_KIND_OF[type(obj)], obj, carrier)
         self.order.append(name)
 
     def get(self, name, kinds=None):
@@ -76,97 +87,140 @@ class Workspace:
 
 _STRUCT_KINDS = {"algebra": Algebra, "coalgebra": Coalgebra,
                  "liealgebra": LieAlgebra, "liecoalgebra": LieCoalgebra}
+# the workspace kind of each item type
+_KIND_OF = {**{cls: kind for kind, cls in _STRUCT_KINDS.items()},
+            Matrix: "map", BilinearForm: "form", Tensor2: "tensor"}
+
+# kind -> (the word that leads an entry line, None for the item's own name;
+# how many basis ids head it; whether the targets of its sum are (i,j) pairs)
+_LAYOUT = {"algebra": ("mul", 2, False), "liealgebra": ("mul", 2, False),
+           "coalgebra": ("comul", 1, True), "liecoalgebra": ("comul", 1, True),
+           "map": (None, 1, False), "form": (None, 1, False),
+           "tensor": (None, 0, True)}
+_DIRECTIVES = {"field", "mul", "comul", *_LAYOUT}
 _PAIR_RE = re.compile(r"^\((\w+),(\w+)\)$")
 
 
-def _tokens(line):
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _entries(kind, obj) -> tuple:
+    """The flat entries of a workspace item, laid out as `_LAYOUT` says."""
+    if kind in _STRUCT_KINDS:
+        return tuple(c for row in obj.table for cell in row for c in cell)
+    if kind == "map":
+        return obj.transpose().entries
+    return (obj.gram if kind == "form" else obj).entries
 
 
-def _parse_sum(ws, toks, lineno, pair_mode, label_index):
-    """coeff target [+ coeff target ...]; targets are ids or (i,j) pairs."""
-    terms = []
-    k = 0
-    while k < len(toks):
+def _item(kind, field, basis, entries, raw=False):
+    """The workspace item of `kind` on `basis` with these flat entries."""
+    d = len(basis)
+    if kind in _STRUCT_KINDS:
+        table = [[entries[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)]
+                 for i in range(d)]
+        return _STRUCT_KINDS[kind](field, table, basis=basis, raw=raw)
+    if kind == "tensor":
+        return Tensor2(field, d, entries)
+    m = Matrix(field, d, d, entries)
+    return m.transpose() if kind == "map" else BilinearForm(field, m)
+
+
+def _position(index, ids, lineno):
+    """The row-major position that `ids`, (basis id, column) pairs, name."""
+    at = 0
+    for b, col in ids:
+        if b not in index:
+            raise ParseError(f"unknown basis id {b!r}", lineno, col)
+        at = at * len(index) + index[b]
+    return at
+
+
+def _parse_sum(field, toks, lineno, pair, index):
+    """coeff target [+ coeff target ...] as the dense vector of its
+    coefficients; targets are basis ids or, with `pair`, (i,j) pairs."""
+    vec = [field.zero()] * len(index) ** (1 + pair)
+    for k in range(0, len(toks), 3):
         coeff_tok, col = toks[k]
         try:
-            coeff = ws.field.parse(coeff_tok)
+            coeff = field.parse(coeff_tok)
         except ToolkitError as exc:
             raise ParseError(str(exc), lineno, col) from None
         if k + 1 >= len(toks):
             raise ParseError("coefficient without a target", lineno, col)
         target, tcol = toks[k + 1]
-        if pair_mode:
+        ids = (target,)
+        if pair:
             m = _PAIR_RE.match(target)
             if not m:
                 raise ParseError(f"expected (i,j) pair, got {target!r}", lineno, tcol)
-            try:
-                idx = (label_index[m.group(1)], label_index[m.group(2)])
-            except KeyError as exc:
-                raise ParseError(f"unknown basis id {exc.args[0]!r}", lineno, tcol) from None
-        else:
-            if target not in label_index:
-                raise ParseError(f"unknown basis id {target!r}", lineno, tcol)
-            idx = label_index[target]
-        terms.append((idx, coeff))
-        k += 2
-        if k < len(toks):
-            plus, pcol = toks[k]
+            ids = m.groups()
+        at = _position(index, [(b, tcol) for b in ids], lineno)
+        vec[at] = vec[at] + coeff
+        if k + 2 < len(toks):
+            plus, pcol = toks[k + 2]
             if plus != "+":
                 raise ParseError(f"expected '+', got {plus!r}", lineno, pcol)
-            k += 1
-            if k >= len(toks):
+            if k + 3 >= len(toks):
                 raise ParseError("dangling '+'", lineno, pcol)
-    return terms
+    return vec
 
 
-class _PendingStruct:
-    def __init__(self, kind, name, dim, basis, raw, line):
-        self.kind = kind
-        self.name = name
-        self.dim = dim
-        self.basis = basis
-        self.raw = raw
-        self.line = line
+class _Open:
+    """A declaration whose entry lines are still being read: the item's
+    field, kind, name and line, its carrier's name (None for a structure),
+    its basis, a structure's `raw` flag, and the flat entries read so far."""
+
+    def __init__(self, field, kind, name, line, basis, carrier=None, raw=False):
+        self.field, self.kind, self.name, self.line = field, kind, name, line
+        self.basis, self.carrier, self.raw = basis, carrier, raw
         self.index = {b: i for i, b in enumerate(basis)}
-        self.table = [[None] * dim for _ in range(dim)]
+        _, heads, pair = _LAYOUT[kind]
+        self.entries = [field.zero()] * len(basis) ** (heads + 1 + pair)
 
-    def finalize(self, ws):
-        field = ws.field
-        z = field.zero()
-        dim = self.dim
-        if self.kind in ("algebra", "liealgebra"):
-            table = [[self.table[i][j] or (z,) * dim for j in range(dim)]
-                     for i in range(dim)]
-        else:
-            table = [[tuple(self.table[i][j][k] if self.table[i][j] else z
-                            for k in range(dim)) for j in range(dim)]
-                     for i in range(dim)]
-        cls = _STRUCT_KINDS[self.kind]
+    def read(self, toks, lineno):
+        """Read an entry line, a leading word, the basis ids that head it,
+        `=` and a sum: the sum replaces the slice that the ids name."""
+        _, heads, pair = _LAYOUT[self.kind]
+        if len(toks) < heads + 2 or toks[heads + 1][0] != "=":
+            usage = " ".join((toks[0][0], *("<i>", "<j>")[:heads]))
+            raise ParseError(f"expected '{usage} = ...'", lineno, toks[0][1])
+        size = len(self.basis) ** (1 + pair)
+        at = _position(self.index, toks[1:heads + 1], lineno) * size
+        self.entries[at:at + size] = _parse_sum(self.field, toks[heads + 2:], lineno,
+                                                pair, self.index)
+
+    def close(self, ws):
+        """Add the item to `ws`; one that cannot be built, a structure that
+        fails its axioms, is refused at its declaration's line."""
         try:
-            obj = cls(field, table, basis=self.basis, raw=self.raw)
+            obj = _item(self.kind, self.field, self.basis, self.entries, self.raw)
         except ToolkitError as exc:
             raise ParseError(f"{self.name}: {exc}", self.line) from None
-        ws.add(self.name, self.kind, obj, line=self.line)
+        ws.add(self.name, obj, carrier=self.carrier, line=self.line)
+
+
+def _carrier(ws, tok, lineno):
+    """The basis of the structure that a map, form or tensor is declared on."""
+    name, col = tok
+    if name not in ws.items:
+        raise ParseError(f"unknown carrier {name!r}", lineno, col)
+    kind, obj, _ = ws.items[name]
+    if kind not in _STRUCT_KINDS:
+        raise ParseError(f"carrier {name!r} is a {kind}, not a structure", lineno, col)
+    return obj.basis
 
 
 def parse(text: str) -> Workspace:
+    """The workspace that `text` declares.  A structure is built when the
+    next declaration or the end of input closes its block, a tensor at its
+    line, and maps and forms, whose rows may come anywhere after their
+    declaration, at the end of input in declaration order."""
     ws = None
-    pending = None            # open structure declaration
-    pending_maps = {}         # name -> dict(carrier, cols{}, line, is_form)
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            pending.finalize(ws)
-            pending = None
-
-    lines = text.splitlines()
-    for lineno, rawline in enumerate(lines, start=1):
+    block = None    # the open structure declaration
+    rows = {}       # name -> the open declaration of a map or form
+    for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        toks = _tokens(line)
+        toks = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
         head, hcol = toks[0]
 
         if head == "field":
@@ -180,17 +234,28 @@ def parse(text: str) -> Workspace:
         if ws is None:
             raise ParseError("a field line must come first", lineno, hcol)
 
+        if head in ("mul", "comul"):
+            if block is None:
+                raise ParseError(f"'{head}' outside a structure block", lineno, hcol)
+            if head != _LAYOUT[block.kind][0]:
+                raise ParseError(f"'{head}' does not match a {block.kind}", lineno, hcol)
+            block.read(toks, lineno)
+            continue
+        if head in rows:
+            rows[head].read(toks, lineno)
+            continue
+        if head not in _LAYOUT:
+            raise ParseError(f"unrecognized directive {head!r}", lineno, hcol)
+
+        if block is not None:   # any declaration closes an open structure block
+            block.close(ws)
+            block = None
         if head in _STRUCT_KINDS:
-            flush()
-            raw = False
-            body = toks[1:]
-            if body and body[-1][0] == "raw":
-                raw = True
-                body = body[:-1]
+            raw = toks[-1][0] == "raw"
+            body = toks[1:-1] if raw else toks[1:]
             if len(body) < 4 or body[1][0] != "dim" or body[3][0] != "basis":
                 raise ParseError(f"expected '{head} <name> dim <n> basis <ids...>'",
                                  lineno, hcol)
-            name = body[0][0]
             try:
                 dim = int(body[2][0])
             except ValueError:
@@ -199,156 +264,58 @@ def parse(text: str) -> Workspace:
             if len(basis) != dim:
                 raise ParseError(f"expected {dim} basis ids, got {len(basis)}",
                                  lineno, hcol)
-            pending = _PendingStruct(head, name, dim, basis, raw, lineno)
-            continue
-
-        if head in ("mul", "comul"):
-            if pending is None:
-                raise ParseError(f"'{head}' outside a structure block", lineno, hcol)
-            want_mul = pending.kind in ("algebra", "liealgebra")
-            if (head == "mul") != want_mul:
-                raise ParseError(f"'{head}' does not match a {pending.kind}", lineno, hcol)
-            if head == "mul":
-                if len(toks) < 4 or toks[3][0] != "=":
-                    raise ParseError("expected 'mul <i> <j> = ...'", lineno, hcol)
-                li, lj = toks[1], toks[2]
-                for t, c in (li, lj):
-                    if t not in pending.index:
-                        raise ParseError(f"unknown basis id {t!r}", lineno, c)
-                terms = _parse_sum(ws, toks[4:], lineno, False, pending.index)
-                vec = [ws.field.zero()] * pending.dim
-                for k, coeff in terms:
-                    vec[k] = vec[k] + coeff
-                pending.table[pending.index[li[0]]][pending.index[lj[0]]] = tuple(vec)
-            else:
-                if len(toks) < 3 or toks[2][0] != "=":
-                    raise ParseError("expected 'comul <i> = ...'", lineno, hcol)
-                li = toks[1]
-                if li[0] not in pending.index:
-                    raise ParseError(f"unknown basis id {li[0]!r}", lineno, li[1])
-                terms = _parse_sum(ws, toks[3:], lineno, True, pending.index)
-                grid = [[ws.field.zero()] * pending.dim for _ in range(pending.dim)]
-                for (j, k), coeff in terms:
-                    grid[j][k] = grid[j][k] + coeff
-                pending.table[pending.index[li[0]]] = grid
-            continue
-
-        # any other declaration closes an open structure block
-        if head in ("map", "form", "tensor"):
-            flush()
-
-        if head in ("map", "form"):
-            if len(toks) != 4 or toks[2][0] != "on":
-                raise ParseError(f"expected '{head} <name> on <carrier>'", lineno, hcol)
-            name, carrier = toks[1][0], toks[3][0]
-            if carrier not in ws.items:
-                raise ParseError(f"unknown carrier {carrier!r}", lineno, toks[3][1])
-            if name in ws.items or name in pending_maps:
-                raise ParseError(f"duplicate name {name!r}", lineno, toks[1][1])
-            pending_maps[name] = {"carrier": carrier, "cols": {}, "line": lineno,
-                                  "form": head == "form"}
-            continue
-
-        if head == "tensor":
+            for k, (t, col) in enumerate(body[4:]):
+                if t in basis[:k]:
+                    raise ParseError(f"duplicate basis id {t!r}", lineno, col)
+            block = _Open(ws.field, head, body[0][0], lineno, basis, raw=raw)
+        elif head == "tensor":
             if len(toks) < 6 or toks[2][0] != "on" or toks[4][0] != "=":
                 raise ParseError("expected 'tensor <name> on <carrier> = ...'",
                                  lineno, hcol)
-            name, carrier = toks[1][0], toks[3][0]
-            if carrier not in ws.items:
-                raise ParseError(f"unknown carrier {carrier!r}", lineno, toks[3][1])
-            cobj = ws.get(carrier)
-            index = {b: i for i, b in enumerate(cobj.basis)}
-            terms = _parse_sum(ws, toks[5:], lineno, True, index)
-            t = Tensor2.zero(ws.field, cobj.dim)
-            ent = list(t.entries)
-            for (i, j), coeff in terms:
-                ent[i * cobj.dim + j] = ent[i * cobj.dim + j] + coeff
-            ws.add(name, "tensor", Tensor2(ws.field, cobj.dim, ent),
-                   carrier=carrier, line=lineno)
-            continue
-
-        if head in pending_maps:
-            entry = pending_maps[head]
-            cobj = ws.get(entry["carrier"])
-            index = {b: i for i, b in enumerate(cobj.basis)}
-            if len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError(f"expected '{head} <i> = ...'", lineno, hcol)
-            src = toks[1]
-            if src[0] not in index:
-                raise ParseError(f"unknown basis id {src[0]!r}", lineno, src[1])
-            terms = _parse_sum(ws, toks[3:], lineno, False, index)
-            vec = [ws.field.zero()] * cobj.dim
-            for k, coeff in terms:
-                vec[k] = vec[k] + coeff
-            entry["cols"][index[src[0]]] = tuple(vec)
-            continue
-
-        raise ParseError(f"unrecognized directive {head!r}", lineno, hcol)
+            tensor = _Open(ws.field, head, toks[1][0], lineno,
+                           _carrier(ws, toks[3], lineno), carrier=toks[3][0])
+            tensor.read(toks[3:], lineno)
+            tensor.close(ws)
+        else:
+            if len(toks) != 4 or toks[2][0] != "on":
+                raise ParseError(f"expected '{head} <name> on <carrier>'", lineno, hcol)
+            (name, ncol), basis = toks[1], _carrier(ws, toks[3], lineno)
+            if name in ws.items or name in rows:
+                raise ParseError(f"duplicate name {name!r}", lineno, ncol)
+            if name in _DIRECTIVES:
+                raise ParseError(f"a {head} cannot be named after the directive "
+                                 f"{name!r}", lineno, ncol)
+            rows[name] = _Open(ws.field, head, name, lineno, basis, carrier=toks[3][0])
 
     if ws is None:
         raise ParseError("empty input: no field line", 1, 1)
-    flush()
-    for name, entry in pending_maps.items():
-        cobj = ws.get(entry["carrier"])
-        cols = [entry["cols"].get(j, tuple([ws.field.zero()] * cobj.dim))
-                for j in range(cobj.dim)]
-        if entry["form"]:
-            # form rows were entered as map-style lines: row i = B(e_i, .)
-            rows = [entry["cols"].get(i, tuple([ws.field.zero()] * cobj.dim))
-                    for i in range(cobj.dim)]
-            ws.add(name, "form", BilinearForm(ws.field, Matrix.from_rows(ws.field, rows)),
-                   carrier=entry["carrier"], line=entry["line"])
-        else:
-            ws.add(name, "map", Matrix.from_cols(ws.field, cols),
-                   carrier=entry["carrier"], line=entry["line"])
+    for decl in [block, *rows.values()]:
+        if decl is not None:
+            decl.close(ws)
     return ws
 
 
-def _sum_str(labels, vec, pair=False):
-    if pair:
-        dim = len(labels)
-        terms = [f"{vec[j][k]} ({labels[j]},{labels[k]})"
-                 for j in range(dim) for k in range(dim) if vec[j][k]]
-    else:
-        terms = [f"{c} {labels[k]}" for k, c in enumerate(vec) if c]
-    return " + ".join(terms)
+def _sum_str(labels, vec, pair):
+    targets = [f"({a},{b})" for a in labels for b in labels] if pair else labels
+    return " + ".join(f"{c} {t}" for c, t in zip(vec, targets) if c)
 
 
 def _item_lines(ws: Workspace, name) -> list:
-    """The declaration and entry lines of one workspace item."""
+    """The declaration and entry lines of one workspace item, laid out as
+    `_LAYOUT` says; a tensor's one entry follows its declaration."""
     kind, obj, carrier = ws.items[name]
+    lead, heads, pair = _LAYOUT[kind]
     if kind in _STRUCT_KINDS:
-        out = [f"{kind} {name} dim {obj.dim} basis " + " ".join(obj.basis)]
-        if kind in ("algebra", "liealgebra"):
-            for i in range(obj.dim):
-                for j in range(obj.dim):
-                    s = _sum_str(obj.basis, obj.table[i][j])
-                    if s:
-                        out.append(f"mul {obj.basis[i]} {obj.basis[j]} = {s}")
-        else:
-            for i in range(obj.dim):
-                s = _sum_str(obj.basis, obj.table[i], pair=True)
-                if s:
-                    out.append(f"comul {obj.basis[i]} = {s}")
-        return out
-    cobj = ws.get(carrier)
-    if kind == "map":
-        out = [f"map {name} on {carrier}"]
-        for j in range(obj.cols):
-            s = _sum_str(cobj.basis, obj.col(j))
-            if s:
-                out.append(f"{name} {cobj.basis[j]} = {s}")
-        return out
-    if kind == "form":
-        out = [f"form {name} on {carrier}"]
-        for i in range(obj.dim):
-            s = _sum_str(cobj.basis, obj.gram.row(i))
-            if s:
-                out.append(f"{name} {cobj.basis[i]} = {s}")
-        return out
-    grid = [[obj[i, j] for j in range(obj.dim)] for i in range(obj.dim)]
-    s = _sum_str(cobj.basis, grid, pair=True) or f"0 ({cobj.basis[0]},{cobj.basis[0]})"
-    return [f"tensor {name} on {carrier} = {s}"]
+        basis, decl = obj.basis, f"{kind} {name} dim {obj.dim} basis " + " ".join(obj.basis)
+    else:
+        basis, decl = ws.get(carrier).basis, f"{kind} {name} on {carrier}"
+    entries, size = _entries(kind, obj), len(basis) ** (1 + pair)
+    sums = [_sum_str(basis, entries[k * size:(k + 1) * size], pair)
+            for k in range(len(basis) ** heads)]
+    if kind == "tensor":
+        return [f"{decl} = " + (sums[0] or f"0 ({basis[0]},{basis[0]})")]
+    return [decl] + [" ".join((lead or name, *ids, "=", s))
+                     for ids, s in zip(product(basis, repeat=heads), sums) if s]
 
 
 def print_workspace(ws: Workspace) -> str:
@@ -471,72 +438,58 @@ def run_check(ws, kind, names, weight=None):
 # ---------------------------------------------------------------------------
 # derive
 
-def _ws_with(field, items):
-    ws = Workspace(field)
-    for name, kind, obj, carrier in items:
-        ws.add(name, kind, obj, carrier=carrier)
-    return ws
+def _weight_embed(ws, a, weight, quasi):
+    A, R = _alg(ws, a[0]), _map(ws, a[1])
+    if weight is None:
+        raise PayloadError("derive weight-embed needs --weight")
+    sysm = weight_embed(A, R, ws.field.parse(weight))
+    return {a[0]: A, "Rw": sysm.R, "Sw": sysm.S}
 
 
-# the number of names each derivation takes
-_DERIVE_ARITY = {"dendriform": 3, "products": 3, "weight-embed": 2, "commutator": 1,
-                 "cocommutator": 1, "dual": 1, "coboundary": 2, "double": 6}
+def _double(ws, a, weight, quasi):
+    dc = double_construction(_alg(ws, a[0]), _coalg(ws, a[1]),
+                             *(_map(ws, n) for n in a[2:]))
+    return {"AA": dc.system.carrier, "RR": dc.system.R, "SS": dc.system.S, "Bd": dc.form}
+
+
+def _system(ws, a):
+    return _alg(ws, a[0]), _map(ws, a[1]), _map(ws, a[2])
+
+
+# derivation -> (the number of names it takes, its builder): the builder
+# takes the workspace, the names, --weight and --quasi, and gives the derived
+# objects by name; every derived map and form is on the first of them
+_DERIVATIONS = {
+    "dendriform": (3, lambda ws, a, weight, quasi: dict(zip(
+        ("prec", "succ", "precp", "succp"), sum(split_dendriform(*_system(ws, a)), ())))),
+    "products": (3, lambda ws, a, weight, quasi: dict(zip(
+        ("star", "starp", "bullet", "bulletp"), derived_products(*_system(ws, a))))),
+    "weight-embed": (2, _weight_embed),
+    "commutator": (1, lambda ws, a, weight, quasi: {"L": commutator(_alg(ws, a[0]))}),
+    "cocommutator": (1, lambda ws, a, weight, quasi: {"D": cocommutator(_coalg(ws, a[0]))}),
+    "dual": (1, lambda ws, a, weight, quasi: {"Adual": dualize(_coalg(ws, a[0]))}),
+    "coboundary": (2, lambda ws, a, weight, quasi: {"Delta": coboundary_delta(
+        _alg(ws, a[0]), _tensor(ws, a[1]), "quasitriangular" if quasi else "plain")}),
+    "double": (6, _double),
+}
+_DERIVE_ARITY = {what: arity for what, (arity, _) in _DERIVATIONS.items()}
 
 
 def run_derive(ws, what, names, weight=None, quasi=False):
-    if what not in _DERIVE_ARITY:
+    if what not in _DERIVATIONS:
         raise PayloadError(f"unknown derivation {what!r}")
-    arity = _DERIVE_ARITY[what]
+    arity, build = _DERIVATIONS[what]
     if len(names) != arity:
         raise PayloadError(f"derive {what!r} takes {arity} names, got {len(names)}")
     if weight is not None and what != "weight-embed":
         raise PayloadError(f"derive {what!r} takes no --weight")
     if quasi and what != "coboundary":
         raise PayloadError(f"derive {what!r} takes no --quasi")
-    field = ws.field
-    if what == "dendriform":
-        A, R, S = _alg(ws, names[0]), _map(ws, names[1]), _map(ws, names[2])
-        (prec, succ), (precp, succp) = split_dendriform(A, R, S)
-        return _ws_with(field, [
-            ("prec", "algebra", prec, None), ("succ", "algebra", succ, None),
-            ("precp", "algebra", precp, None), ("succp", "algebra", succp, None)])
-    if what == "products":
-        A, R, S = _alg(ws, names[0]), _map(ws, names[1]), _map(ws, names[2])
-        star, starp, bullet, bulletp = derived_products(A, R, S)
-        return _ws_with(field, [
-            ("star", "algebra", star, None), ("starp", "algebra", starp, None),
-            ("bullet", "algebra", bullet, None), ("bulletp", "algebra", bulletp, None)])
-    if what == "weight-embed":
-        A, R = _alg(ws, names[0]), _map(ws, names[1])
-        if weight is None:
-            raise PayloadError("derive weight-embed needs --weight")
-        sysm = weight_embed(A, R, field.parse(weight))
-        return _ws_with(field, [(names[0], "algebra", A, None),
-                                ("Rw", "map", sysm.R, names[0]),
-                                ("Sw", "map", sysm.S, names[0])])
-    if what == "commutator":
-        A = _alg(ws, names[0])
-        return _ws_with(field, [("L", "liealgebra", commutator(A), None)])
-    if what == "cocommutator":
-        C = _coalg(ws, names[0])
-        return _ws_with(field, [("D", "liecoalgebra", cocommutator(C), None)])
-    if what == "dual":
-        C = _coalg(ws, names[0])
-        return _ws_with(field, [("Adual", "algebra", dualize(C), None)])
-    if what == "coboundary":
-        A, r = _alg(ws, names[0]), _tensor(ws, names[1])
-        mode = "quasitriangular" if quasi else "plain"
-        C = coboundary_delta(A, r, mode)
-        return _ws_with(field, [("Delta", "coalgebra", C, None)])
-    # double
-    A, C = _alg(ws, names[0]), _coalg(ws, names[1])
-    R, S, Q, T = (_map(ws, n) for n in names[2:])
-    dc = double_construction(A, C, R, S, Q, T)
-    big = dc.system.carrier
-    return _ws_with(field, [
-        ("AA", "algebra", big, None),
-        ("RR", "map", dc.system.R, "AA"), ("SS", "map", dc.system.S, "AA"),
-        ("Bd", "form", dc.form, "AA")])
+    out, derived = Workspace(ws.field), build(ws, names, weight, quasi)
+    first = next(iter(derived))
+    for name, obj in derived.items():
+        out.add(name, obj, carrier=None if _KIND_OF[type(obj)] in _STRUCT_KINDS else first)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,16 +657,16 @@ def main(argv=None):
 def _reduce(obj, field):
     """Re-express a workspace structure over the search field GF(p): a Q
     structure is reduced mod p; a GF(q) one must have q = p."""
-    if not isinstance(obj, (_Multiplicative, _Comultiplicative)):
+    kind = _KIND_OF.get(type(obj))
+    if kind not in _STRUCT_KINDS:
         raise PayloadError("search carrier must be a structure")
     if not field.modulus:
         raise FieldError(f"search needs a prime field, got {field!r}")
     if obj.field.modulus:
         same_field(obj.field, field)
         return obj
-    table = [[[field.of(c.numerator, c.denominator) for c in cell] for cell in row]
-             for row in obj.table]
-    return type(obj)(field, table, basis=obj.basis, raw=True)
+    entries = [field.of(c.numerator, c.denominator) for c in _entries(kind, obj)]
+    return _item(kind, field, obj.basis, entries, raw=True)
 
 
 def export_hits(job, hits):
@@ -721,16 +674,14 @@ def export_hits(job, hits):
     carrier, a bisystem's cocarrier, and the components of every hit, a
     bisystem's Q and T on the cocarrier and all others on the carrier."""
     ws = Workspace(job.field)
-    kinds = {cls: kind for kind, cls in _STRUCT_KINDS.items()}
-    ws.add("carrier", kinds[type(job.carrier)], job.carrier)
+    ws.add("carrier", job.carrier)
     on = ("carrier",) * 4
     if job.kind == "bisystem":
-        ws.add("cocarrier", kinds[type(job.cocarrier)], job.cocarrier)
+        ws.add("cocarrier", job.cocarrier)
         on = ("carrier", "carrier", "cocarrier", "cocarrier")
     for n, hit in enumerate(hits):
         for k, part in enumerate(hit.parts):
-            ws.add(f"hit{n}_{k}", "map" if isinstance(part, Matrix) else "tensor",
-                   part, carrier=on[k])
+            ws.add(f"hit{n}_{k}", part, carrier=on[k])
     return print_workspace(ws)
 
 

@@ -1094,8 +1094,15 @@ def combine(field, n, coeffs, mat) -> Matrix:
     """The n x n matrix sum_k coeffs[k] * mat(k) over the nonzero
     coefficients (`_combine`).  The coefficients go to stored form first
     (`_operand`), so one of another field, zero or not, raises
-    `FieldError`."""
-    return _combine(field, n, _operand(field, coeffs), mat)
+    `FieldError`; so does a matrix it folds over another field, and one of
+    another shape than n x n raises `ValueError`."""
+    def checked(k):
+        m = mat(k)
+        same_field(field, m.field)
+        if (m.rows, m.cols) != (n, n):
+            raise ValueError(f"combine needs {n} x {n} matrices, got {m.rows} x {m.cols}")
+        return m
+    return _combine(field, n, _operand(field, coeffs), checked)
 
 
 def _combine(field, n, coeffs, mat) -> Matrix:

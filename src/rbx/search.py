@@ -128,9 +128,11 @@ def _spec(job):
         raise FieldError(f"search needs a prime field, got {job.field!r}")
     if job.kind == "bisystem" and job.cocarrier is None:
         raise PayloadError("kind 'bisystem' needs a cocarrier")
-    for s in (job.carrier, job.cocarrier):
+    for role, s in (("carrier", job.carrier), ("cocarrier", job.cocarrier)):
         if s is not None:
             same_field(job.field, s.field)
+            if not s.dim:
+                raise PayloadError(f"search needs a {role} of dimension at least 1")
     return _KINDS[job.kind]
 
 

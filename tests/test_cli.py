@@ -6,13 +6,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbx import fixtures as fx
-from rbx.cli import (_DERIVE_ARITY, _check_handlers, _reduce, export_hits, main, parse,
-                     print_workspace, run_check)
+from rbx.cli import (_DERIVE_ARITY, Workspace, _check_handlers, _reduce, export_hits, main,
+                     parse, print_workspace, run_check)
 from rbx.errors import ParseError
 from rbx.identities import known_tags
-from rbx.kernel import PrimeField, Rationals
+from rbx.kernel import Matrix, PrimeField, Rationals, Tensor2
+from rbx.structures import Algebra, BilinearForm, commutator, dualize_alg
 from rbx.search import _KINDS, SearchJob, run_search
 from rbx.systems import _COALG_KINDS
 
@@ -610,3 +613,179 @@ def test_cli_wrong_dimension_data_exits_2(wrong_dim_workspace, capsys,
     out = capsys.readouterr()
     assert out.out == ""
     assert "error:" in out.err and "Traceback" not in out.err
+
+
+# every `ParseError` raise site of the reader (`parse`, its sum reader, the
+# closing of a structure block, `Workspace.add`): message, line and column
+
+_A1 = "field Q\nalgebra A dim 1 basis e\n"
+_C1 = "field Q\ncoalgebra C dim 1 basis e\n"
+
+PARSE_ERRORS = [
+    (_A1 + "algebra A dim 1 basis e\n", "duplicate name 'A'", 3, None),
+    (_A1 + "map X on A\nalgebra X dim 1 basis e\n", "duplicate name 'X'", 3, None),
+    (_A1 + "mul e e = x e\n", "bad rational literal 'x'", 3, 11),
+    (_A1 + "mul e e = 1\n", "coefficient without a target", 3, 11),
+    (_C1 + "comul e = 1 e\n", "expected (i,j) pair, got 'e'", 3, 13),
+    (_C1 + "comul e = 1 (e,g)\n", "unknown basis id 'g'", 3, 13),
+    (_A1 + "mul e e = 1 g\n", "unknown basis id 'g'", 3, 13),
+    (_A1 + "mul e e = 1 e 1 e\n", "expected '+', got '1'", 3, 15),
+    (_A1 + "mul e e = 1 e +\n", "dangling '+'", 3, 15),
+    ("field Q\nliealgebra L dim 1 basis e\nmul e e = 1 e\n",
+     "L: bracket is not a Lie bracket", 2, None),
+    ("field Q\nfield Q\n", "field already declared", 2, 1),
+    ("field R\n", "bad field spec 'R'", 1, 1),
+    ("algebra A dim 1 basis e\n", "a field line must come first", 1, 1),
+    (_A1 + "algebra B dim 1\n", "expected 'algebra <name> dim <n> basis <ids...>'", 3, 1),
+    (_A1 + "algebra B dim x basis e\n", "dimension must be an integer", 3, 15),
+    (_A1 + "algebra B dim 2 basis e\n", "expected 2 basis ids, got 1", 3, 1),
+    ("field Q\nmul e e = 1 e\n", "'mul' outside a structure block", 2, 1),
+    (_A1 + "comul e = 1 (e,e)\n", "'comul' does not match a algebra", 3, 1),
+    (_A1 + "mul e e 1 e\n", "expected 'mul <i> <j> = ...'", 3, 1),
+    (_A1 + "mul e g = 1 e\n", "unknown basis id 'g'", 3, 7),
+    (_C1 + "comul e 1 (e,e)\n", "expected 'comul <i> = ...'", 3, 1),
+    (_C1 + "comul g = 1 (e,e)\n", "unknown basis id 'g'", 3, 7),
+    (_A1 + "map R A\n", "expected 'map <name> on <carrier>'", 3, 1),
+    (_A1 + "map R on B\n", "unknown carrier 'B'", 3, 10),
+    (_A1 + "map A on A\n", "duplicate name 'A'", 3, 5),
+    (_A1 + "tensor t on A =\n", "expected 'tensor <name> on <carrier> = ...'", 3, 1),
+    (_A1 + "tensor t on B = 1 (e,e)\n", "unknown carrier 'B'", 3, 13),
+    (_A1 + "map R on A\nR e 1 e\n", "expected 'R <i> = ...'", 4, 1),
+    (_A1 + "map R on A\nR g = 1 e\n", "unknown basis id 'g'", 4, 3),
+    (_A1 + "frob x\n", "unrecognized directive 'frob'", 3, 1),
+    ("# nothing\n", "empty input: no field line", 1, 1),
+]
+
+
+@pytest.mark.parametrize("source, message, line, col", PARSE_ERRORS)
+def test_parse_error_sites(source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    where = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
+    assert str(err.value) == message + where
+
+
+
+def test_entry_lines_replace_and_map_rows_may_come_late():
+    # a repeated entry line replaces the earlier one; a map's rows may come
+    # after later declarations, and maps are built last, in declaration order
+    ws = parse("field Q\nalgebra A dim 1 basis e\nmul e e = 5 e\nmul e e = 1 e\n"
+               "map R on A\nmap S on A\nalgebra B dim 1 basis e\nS e = 2 e\n"
+               "R e = 2 e\nR e = 3 e + 1 e\ntensor t on A = 1 (e,e)\n")
+    assert ws.order == ["A", "B", "t", "R", "S"]
+    assert ws.get("A") == Algebra(Rationals(), [[[1]]], basis=("e",))
+    assert ws.get("R").entries == (4,) and ws.get("S").entries == (2,)
+
+
+# declarations the format cannot address are refused at the offending token:
+# a carrier that is no structure, a repeated basis id, and a map or form
+# named after a directive, whose rows would read as that directive's lines
+
+_T0 = _A1 + "tensor t0 on A = 1 (e,e)\n"
+
+REFUSED_DECLARATIONS = [
+    (_T0 + "tensor t1 on t0 = 1 (e,e)\n", "carrier 't0' is a tensor, not a structure", 4, 14),
+    (_T0 + "map R on t0\nR e = 1 e\n", "carrier 't0' is a tensor, not a structure", 4, 10),
+    (_T0 + "map R on t0\n", "carrier 't0' is a tensor, not a structure", 4, 10),
+    (_T0 + "form B on t0\nB e = 1 e\n", "carrier 't0' is a tensor, not a structure", 4, 11),
+    ("field Q\nalgebra A dim 2 basis e e\n", "duplicate basis id 'e'", 2, 25),
+    ("field Q\ncoalgebra C dim 3 basis e f e raw\n", "duplicate basis id 'e'", 2, 29),
+    (_A1 + "map mul on A\nmul e = 1 e\n", "a map cannot be named after the directive 'mul'", 3, 5),
+    (_A1 + "form field on A\n", "a form cannot be named after the directive 'field'", 3, 6),
+    (_A1 + "map tensor on A\n", "a map cannot be named after the directive 'tensor'", 3, 5),
+    (_A1 + "map liealgebra on A\n",
+     "a map cannot be named after the directive 'liealgebra'", 3, 5),
+]
+
+
+@pytest.mark.parametrize("source, message, line, col", REFUSED_DECLARATIONS)
+def test_unaddressable_declarations_are_refused(tmp_path, capsys, source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line {line}, col {col})", line, col)
+    path = tmp_path / "ws.rbx"
+    path.write_text(source)
+    assert main(["check", "associative", "A", "-i", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message} (line {line}, col {col})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rbs", "--carrier", "Z"],
+    ["aybe", "--carrier", "Z"],
+    ["bisystem", "--carrier", "A", "--cocarrier", "Z0"],
+])
+def test_cli_search_refuses_a_dimension_zero_carrier(tmp_path, capsys, argv):
+    path = tmp_path / "ws.rbx"
+    path.write_text(FIX_BI_SOURCE + "algebra Z dim 0 basis\ncoalgebra Z0 dim 0 basis\n")
+    assert main(["search", *argv, "--field", "GF3", "-i", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "dimension at least 1" in out.err
+
+
+def test_derived_items_keep_the_kind_of_their_type(capsys):
+    # the dual of a Lie coalgebra is a Lie algebra, printed as one, so the
+    # printout reads back to the same workspace
+    assert main(["derive", "dual", "D", "--builtin"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[2].startswith("liealgebra Adual dim 2 ")
+    assert print_workspace(parse(text)) == text
+
+
+# print_workspace and parse are inverse on workspaces holding every item
+# kind, over Q and small prime fields, in dimensions 1 to 3
+
+_FIELDS = (Rationals(), PrimeField(2), PrimeField(3), PrimeField(5))
+_LABELS = ("e", "f", "g", "u", "v", "x1", "e_2")
+
+
+@st.composite
+def _workspaces(draw):
+    F = draw(st.sampled_from(_FIELDS))
+
+    def vec(n):
+        return [F.of(draw(st.integers(-4, 4)), draw(st.integers(1, 3)) if not F.modulus else 1)
+                for _ in range(n)]
+
+    def associative(d):
+        # x.y = phi(x) y, or x.y = phi(x) phi(y) u: associative for any phi, u
+        a, u, left = vec(d), vec(d), draw(st.booleans())
+        table = [[[a[i] * (k == j) if left else a[i] * a[j] * u[k] for k in range(d)]
+                  for j in range(d)] for i in range(d)]
+        return Algebra(F, table, raw=True)
+
+    def labels(d):
+        return draw(st.lists(st.sampled_from(_LABELS), min_size=d, max_size=d, unique=True))
+
+    ws = Workspace(F)
+    dims = {}
+    for name in ("A", "L", "C", "D"):
+        d = dims[name] = draw(st.integers(1, 3))
+        A = associative(d)
+        obj = {"A": A, "L": commutator(A), "C": dualize_alg(A),
+               "D": dualize_alg(commutator(A))}[name]
+        ws.add(name, type(obj)(F, obj.table, basis=labels(d), raw=True))
+    items = [("tensor", "t"), ("map", "R"), ("form", "B")]
+    for k, (kind, prefix) in enumerate(items * draw(st.integers(1, 2))):
+        on = draw(st.sampled_from(sorted(dims)))
+        d = dims[on]
+        obj = {"tensor": lambda: Tensor2(F, d, vec(d * d)),
+               "map": lambda: Matrix(F, d, d, vec(d * d)),
+               "form": lambda: BilinearForm(F, Matrix(F, d, d, vec(d * d)))}[kind]()
+        ws.add(f"{prefix}{k}", obj, carrier=on)
+    # parse builds maps and forms after every tensor
+    ws.order.sort(key=lambda n: ws.items[n][0] in ("map", "form"))
+    return ws
+
+
+@settings(max_examples=60, deadline=None)
+@given(_workspaces())
+def test_print_then_parse_is_the_identity(ws):
+    text = print_workspace(ws)
+    back = parse(text)
+    assert back == ws
+    assert print_workspace(back) == text

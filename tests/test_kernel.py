@@ -619,3 +619,16 @@ def test_compile_scalar_runs_through_the_gf_loops():
     assert leg_apply(Tensor2(F3, 2, [1, 0, 0, 0]), m, 1).entries[2].terms == {(2,): 1}
     with pytest.raises(RuntimeError, match="degree above 2"):
         m.apply(m.apply(first))
+
+
+def test_combine_refuses_a_matrix_it_cannot_fold():
+    # `combine` checks every matrix it folds: one over another field is a
+    # FieldError, one of another shape than n x n a ValueError
+    from rbx.kernel import combine
+    F3, F5 = PrimeField(3), PrimeField(5)
+    with pytest.raises(FieldError):
+        combine(F3, 2, (1, 1), lambda k: Matrix(F5, 2, 2, [4] * 4))
+    with pytest.raises(ValueError, match="2 x 2"):
+        combine(F3, 2, (1, 1), lambda k: Matrix(F3, 3, 3, [1] * 9))
+    # a zero coefficient folds nothing, so its matrix is never asked for
+    assert combine(F3, 2, (0, 2), lambda k: Matrix(F3, 2, 2, [k] * 4)) == Matrix(F3, 2, 2, [2] * 4)

@@ -755,3 +755,17 @@ def test_decode_candidate_refuses_indices_outside_the_space(F3):
     for index in (space, space + 1, -1, -space):
         with pytest.raises(PayloadError, match="outside"):
             decode_candidate(job, index)
+
+
+@pytest.mark.parametrize("kind", ["rbs", "aybe", "bisystem"])
+def test_search_refuses_a_dimension_zero_carrier(F3, kind):
+    # a job on a dimension-0 carrier or cocarrier has no space to scan and
+    # is refused, as every other malformed job is; checkers take dim 0
+    from rbx.structures import Algebra, Coalgebra
+    A0, C0 = Algebra(F3, []), Coalgebra(F3, [])
+    jobs = [SearchJob(F3, A0, kind, cocarrier=fx.fix_c(F3) if kind == "bisystem" else None)]
+    if kind == "bisystem":
+        jobs.append(SearchJob(F3, fx.fix_a(F3), kind, cocarrier=C0))
+    for job in jobs:
+        with pytest.raises(PayloadError, match="dimension at least 1"):
+            run_search(job)
